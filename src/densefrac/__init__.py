@@ -8,10 +8,8 @@ positive proportion of [1, x], and certify the result independently.
 from fractions import Fraction
 
 from .arith import (
-    ExactRational,
     FactoredInt,
     P_INFINITY,
-    SpfTable,
     exact_multiplicity,
     factorize,
     is_k_free,
@@ -25,11 +23,9 @@ from .verify import check
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactRational",
     "FactoredInt",
     "Fraction",
     "P_INFINITY",
-    "SpfTable",
     "check",
     "construct_dense",
     "exact_multiplicity",

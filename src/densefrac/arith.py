@@ -5,10 +5,12 @@ P(1) = 1 (largest prime factor of 1) and p(1) = infinity (least prime
 factor of 1, an infinite marker that compares greater than every prime).
 "A prime power p^l exactly divides n" means p^l | n and p^(l+1) does not.
 
-Exact rationals are stdlib `fractions.Fraction` (always reduced, positive
-denominator); `ExactRational` is an alias so call sites read like the rest
-of the pipeline. Bulk reciprocal sums over a family never reduce pairwise:
-see `densefrac.smooth.reciprocal_sum` for the fixed-common-denominator
+Factorization here is by trial division: it serves one-off queries (the
+target's denominator, expansion moduli, tests), while the sieved families
+in `densefrac.smooth` carry P(n) for bulk work. Exact rationals are stdlib
+`fractions.Fraction` (always reduced, positive denominator). Bulk
+reciprocal sums over a family never reduce pairwise: see
+`densefrac.smooth.reciprocal_sum` for the fixed-common-denominator
 accumulator.
 """
 
@@ -16,71 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import ParameterError
 
-ExactRational = Fraction
-
 #: Marker returned by least_prime_factor(1); compares greater than any prime.
 P_INFINITY = math.inf
-
-
-def spf_sieve(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0..limit.
-
-    spf[0] = 0, spf[1] = 1, spf[p] = p for primes. Sieved once per run;
-    factorization of any n <= limit is then table-driven.
-    """
-    if limit < 1:
-        raise ParameterError(f"sieve limit must be >= 1, got {limit}")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    spf[1:] = np.arange(1, limit + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            block = spf[p * p :: p]
-            unmarked = block == np.arange(p * p, limit + 1, p)
-            block[unmarked] = p
-    return spf
-
-
-class SpfTable:
-    """Shared wrapper around a smallest-prime-factor sieve.
-
-    Immutable after construction; all queries are pure, so a single table
-    can serve concurrent readers.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.spf = spf_sieve(limit)
-
-    def covers(self, n: int) -> bool:
-        return 1 <= n <= self.limit
-
-    def factor_iter(self, n: int) -> Iterator[Tuple[int, int]]:
-        """Yield (prime, exponent) pairs of n in ascending prime order."""
-        spf = self.spf
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            yield p, e
-
-    def primes(self, lo: int, hi: int) -> list[int]:
-        """Primes in the closed interval [lo, hi] (requires hi <= limit)."""
-        lo = max(lo, 2)
-        if hi > self.limit:
-            raise ParameterError(f"prime query {hi} beyond table limit {self.limit}")
-        if lo > hi:
-            return []
-        idx = np.arange(lo, hi + 1)
-        return [int(v) for v in idx[self.spf[lo : hi + 1] == idx]]
 
 
 @dataclass(frozen=True)
@@ -164,18 +109,12 @@ class FactoredInt:
         return self.factors[-1][0] if self.factors else 1
 
 
-def factorize(n: int, spf_table: Optional[SpfTable] = None) -> FactoredInt:
-    """Factor n >= 1; table-driven when a covering table is supplied.
-
-    Falls back to trial division for n beyond the table. factorize(1) has
-    an empty factor sequence.
-    """
+def factorize(n: int) -> FactoredInt:
+    """Factor n >= 1 by trial division; factorize(1) has no factors."""
     if n < 1:
         raise ParameterError(f"factorize requires n >= 1, got {n}")
     if n == 1:
         return FactoredInt.one()
-    if spf_table is not None and spf_table.covers(n):
-        return FactoredInt(n, tuple(spf_table.factor_iter(n)))
     factors = []
     m = n
     p = 2
@@ -192,28 +131,21 @@ def factorize(n: int, spf_table: Optional[SpfTable] = None) -> FactoredInt:
     return FactoredInt(n, tuple(factors))
 
 
-def largest_prime_factor(n: int, spf_table: Optional[SpfTable] = None) -> int:
+def largest_prime_factor(n: int) -> int:
     """P(n); P(1) = 1."""
     if n < 1:
         raise ParameterError(f"P(n) requires n >= 1, got {n}")
     if n == 1:
         return 1
-    if spf_table is not None and spf_table.covers(n):
-        best = 1
-        for p, _ in spf_table.factor_iter(n):
-            best = p
-        return best
     return factorize(n).factors[-1][0]
 
 
-def least_prime_factor(n: int, spf_table: Optional[SpfTable] = None):
+def least_prime_factor(n: int):
     """p(n); p(1) is an infinite marker greater than every prime."""
     if n < 1:
         raise ParameterError(f"p(n) requires n >= 1, got {n}")
     if n == 1:
         return P_INFINITY
-    if spf_table is not None and spf_table.covers(n):
-        return int(spf_table.spf[n])
     if n % 2 == 0:
         return 2
     p = 3
@@ -235,7 +167,7 @@ def exact_multiplicity(n: int, p: int) -> int:
     return l
 
 
-def is_k_free(n: int, k: int, spf_table: Optional[SpfTable] = None) -> bool:
+def is_k_free(n: int, k: int) -> bool:
     """True iff no prime's k-th power divides n (k >= 2)."""
     if k < 2:
         raise ParameterError(f"k-free requires k >= 2, got {k}")
@@ -243,8 +175,6 @@ def is_k_free(n: int, k: int, spf_table: Optional[SpfTable] = None) -> bool:
         raise ParameterError(f"is_k_free requires n >= 1, got {n}")
     if n == 1:
         return True
-    if spf_table is not None and spf_table.covers(n):
-        return all(e < k for _, e in spf_table.factor_iter(n))
     return all(e < k for _, e in factorize(n).factors)
 
 

@@ -9,7 +9,7 @@ deterministic: same representation, byte-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -60,7 +60,9 @@ class CertificateDocument:
     certificate: dict
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        # The fields hold plain JSON values, so they are dumped as they are
+        # (asdict() would deep-copy every delta first).
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "CertificateDocument":

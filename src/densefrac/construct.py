@@ -35,7 +35,6 @@ import numpy as np
 from . import dickman
 from .arith import (
     FactoredInt,
-    SpfTable,
     exact_multiplicity,
     factorize,
     largest_prime_factor,
@@ -475,7 +474,6 @@ def _plan_full(
             f"delta must lie in (0, r), got {delta}", failing_parameter="delta"
         )
 
-    spf = SpfTable(x)
     fam0 = build_family(SmoothParams(x=x, y=y, w=w, lam=Fraction(0), k=k_res))
     p0 = _next_prime_above(y)
     d_p0 = modulus_product(p0, w, k_res)
@@ -503,7 +501,6 @@ def _plan_full(
     plan = _resolve_plan(config, fam0, d_p0, total)
     aux = {
         "family0": fam0,
-        "spf": spf,
         "d_p0": d_p0,
         "total": total,
         "delta_pinned": delta_pinned,
@@ -585,7 +582,6 @@ def stage_one(
     config: ConstructionConfig,
     plan: StagePlan,
     family: SmoothFamily,
-    spf: Optional[SpfTable] = None,
 ):
     """Run the descending prime loops and the powers-of-two cleanup.
 
@@ -616,7 +612,7 @@ def stage_one(
         if exact_multiplicity(rem.denominator, p) >= l:
             s_elems = [int(v) for v in slice_arr]
             before = rem
-            t_set, rem = eliminate_prime(before, n_mod, s_elems, p, l, mode, spf)
+            t_set, rem = eliminate_prime(before, n_mod, s_elems, p, l, mode)
             if rem - before != _sum_recips(t_set):
                 raise AssertionError("telescoping broke at prime %d" % p)
             overlap = removed_all.intersection(t_set)
@@ -730,7 +726,6 @@ def stage_two(
     remainder: Fraction,
     plan: StagePlan,
     config: ConstructionConfig,
-    spf: Optional[SpfTable] = None,
     kept_membership=None,
 ) -> StageTwoResult:
     """Represent the stage-one remainder over (0, lambda*x] denominators.
@@ -781,11 +776,11 @@ def stage_two(
                 fam2,
                 plan,
                 config,
-                spf,
                 cap,
                 kept_membership,
             )
             result.attempts = drop + 1
+            last_err = None  # its traceback holds this frame: break the cycle
             return result
         except (EliminationFailed, BreuschPreconditionFailed, BoundExceeded) as err:
             last_err = err
@@ -794,7 +789,10 @@ def stage_two(
             "stage two exhausted the pool without a viable cut",
             suggestion="increase x or delta",
         )
-    raise last_err
+    try:
+        raise last_err
+    finally:
+        last_err = None
 
 
 def _stage_two_attempt(
@@ -805,7 +803,6 @@ def _stage_two_attempt(
     fam2: SmoothFamily,
     plan: StagePlan,
     config: ConstructionConfig,
-    spf: Optional[SpfTable],
     cap: int,
     kept_membership,
 ) -> StageTwoResult:
@@ -841,9 +838,7 @@ def _stage_two_attempt(
                         power=l,
                     )
                 before = c
-                t_set, c = eliminate_prime(
-                    before, n_mod, s_sel, q, l, OPPORTUNISTIC, spf
-                )
+                t_set, c = eliminate_prime(before, n_mod, s_sel, q, l, OPPORTUNISTIC)
                 if c - before != _sum_recips(t_set):
                     raise AssertionError("stage-two telescoping broke")
                 removed.extend(t_set)
@@ -954,7 +949,7 @@ def construct_dense(r, x: int, eta: float = 0.01, **options) -> Representation:
     certifies it independently. All errors carry the failing parameter.
     """
     config, plan, aux = _plan_full(r, eta, x, **options)
-    fam0, spf, total = aux["family0"], aux["spf"], aux["total"]
+    fam0, total = aux["family0"], aux["total"]
     r = config.r
 
     if total == r:
@@ -980,17 +975,15 @@ def construct_dense(r, x: int, eta: float = 0.01, **options) -> Representation:
         )
 
     delta_current = config.delta
-    last_err: Optional[Exception] = None
-    s2: Optional[StageTwoResult] = None
     for retune in range(MAX_DELTA_RETUNES + 1):
         fam_l = build_family(
             SmoothParams(x=x, y=plan.y, w=plan.w, lam=plan.lam, k=config.k)
         )
-        kept, alpha, trace1 = stage_one(config, plan, fam_l, spf)
+        kept, alpha, trace1 = stage_one(config, plan, fam_l)
         kept_set = set(int(v) for v in kept)
         membership = kept_set.__contains__
         try:
-            s2 = stage_two(alpha, plan, config, spf, membership)
+            s2 = stage_two(alpha, plan, config, membership)
             break
         except (
             EliminationFailed,
@@ -998,8 +991,7 @@ def construct_dense(r, x: int, eta: float = 0.01, **options) -> Representation:
             BoundExceeded,
             InfeasibleMass,
             RemainderNonPositive,
-        ) as err:
-            last_err = err
+        ):
             if retune == MAX_DELTA_RETUNES or aux["delta_pinned"]:
                 raise
             delta_new = None
@@ -1012,8 +1004,6 @@ def construct_dense(r, x: int, eta: float = 0.01, **options) -> Representation:
                 raise
             delta_current = delta_new
             plan = _resolve_plan(config, fam0, aux["d_p0"], total, delta=delta_new)
-    if s2 is None:
-        raise last_err if last_err else AssertionError("stage two never ran")
 
     all_parts = [
         [int(v) for v in kept],

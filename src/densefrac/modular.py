@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .arith import FactoredInt, SpfTable, factorize
+# factorize stays importable from here: perfbench/tracing.py counts its calls
+# through this module's namespace.
+from .arith import FactoredInt, factorize  # noqa: F401
 from .errors import DivisibilityError, EliminationFailed, ParameterError
 
 STRICT = "strict"
@@ -141,7 +143,6 @@ def eliminate_prime(
     p: int,
     l: int,
     mode: str = STRICT,
-    spf_table: Optional[SpfTable] = None,
 ) -> Tuple[list[int], Fraction]:
     """Cancel the factor p^l from the denominator of c/d.
 
@@ -155,6 +156,13 @@ def eliminate_prime(
 
     Elements are offered to the solver in descending order, so witnesses
     prefer large n (small added reciprocals); results are deterministic.
+
+    The subset sum is posed over the residues of N/n mod p. For n exactly
+    divisible by p^l, N/n = (N/p^l) / (n/p^l) with both factors prime to
+    p, so each residue is (N/p^l mod p) * inv(n/p^l mod p), a small-integer
+    computation. Any common multiple M of d and S carrying exactly p^l
+    gives residues that differ from these by the unit N/M, so the witness
+    does not depend on the choice of common multiple.
     """
     _check_prime(p)
     if l < 1:
@@ -167,7 +175,8 @@ def eliminate_prime(
             f"{N.multiplicity(p)})"
         )
     c, d = c_over_d.numerator, c_over_d.denominator
-    if N.value % d != 0:
+    nval = N.value
+    if nval % d != 0:
         raise DivisibilityError(f"denominator {d} does not divide N")
     elements = sorted({int(n) for n in S}, reverse=True)
     if len(elements) != len(S):
@@ -179,41 +188,39 @@ def eliminate_prime(
             suggestion="use opportunistic mode or enlarge the slice",
         )
 
-    merged = dict(factored_divisor(d, N).factors)
+    # (n, p-multiplicity of n, n / p^multiplicity) per element
+    split = []
     for n in elements:
-        if N.value % n != 0:
+        if n < 1:
+            raise ParameterError(f"elements of S must be positive, got {n}")
+        if nval % n != 0:
             raise DivisibilityError(f"element {n} does not divide N")
-        for q, e in factorize(n, spf_table).factors:
-            if merged.get(q, 0) < e:
-                merged[q] = e
-        # exact multiplicity check against the factorization just computed
-    M = FactoredInt.from_factors(sorted(merged.items()))
-    if M.multiplicity(p) != l:
-        raise ParameterError(
-            f"every element of S must be exactly divisible by {p}^{l}"
-        )
-    for n in elements:
-        m = n
-        e = 0
+        m, e = n, 0
         while m % p == 0:
             m //= p
             e += 1
+        split.append((n, e, m))
+    d_cof, d_mult = d, 0
+    while d_cof % p == 0:
+        d_cof //= p
+        d_mult += 1
+    if max([d_mult] + [e for _, e, _ in split]) != l:
+        raise ParameterError(
+            f"every element of S must be exactly divisible by {p}^{l}"
+        )
+    for n, e, _ in split:
         if e != l:
             raise ParameterError(
                 f"element {n} has p-multiplicity {e}, expected exactly {l}"
             )
 
-    mval = M.value
-    m0 = mval // d
-    target = (-c * m0) % p
+    if d_mult < l:
+        return [], c_over_d  # N/d is a multiple of p: nothing to cancel
+    unit = nval // p**l % p
+    target = -c * unit * pow(d_cof % p, -1, p) % p
     if target == 0:
         return [], c_over_d
-    residues = []
-    for n in elements:
-        r = (mval // n) % p
-        if r == 0:
-            raise AssertionError("slice residue vanished mod p")
-        residues.append(r)
+    residues = [unit * pow(m % p, -1, p) % p for _, _, m in split]
     witness = subset_sum_mod_p(residues, target, p)
     if witness is None:
         raise EliminationFailed(
@@ -227,8 +234,7 @@ def eliminate_prime(
     T = [elements[i] for i in witness.indices]
     if len(T) >= p:
         raise AssertionError("witness cardinality >= p")
-    num = c * m0 + sum(mval // n for n in T)
-    result = Fraction(num, mval)
-    if (N.value // p) % result.denominator != 0:
+    result = Fraction(c * (nval // d) + sum(nval // n for n in T), nval)
+    if (nval // p) % result.denominator != 0:
         raise AssertionError("postcondition d' | N/p violated")
     return sorted(T), result

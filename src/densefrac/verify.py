@@ -1,10 +1,11 @@
 """Independent certification of claimed Egyptian-fraction representations.
 
 The verifier is deliberately decoupled from the constructor: reciprocal
-sums are re-computed by balanced-tree pairwise reduction (the pipeline
-accumulates over a fixed common denominator), and the harmonic-minimality
-inequality H(x) - H(x - |S|) <= r is decided through exact rational
-interval enclosures, refined until the comparison is sound.
+sums are re-computed by a balanced tree that adds reduced (numerator,
+denominator) integer pairs (the pipeline accumulates over a fixed common
+denominator and reduces once), and the harmonic-minimality inequality
+H(x) - H(x - |S|) <= r is decided through exact rational interval
+enclosures, refined until the comparison is sound.
 
 check() is total: malformed input turns into failed certificate fields,
 never an exception.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from . import dickman
@@ -44,17 +46,34 @@ class Certificate:
 
 
 def tree_sum(elements: Sequence[int]) -> Fraction:
-    """Balanced pairwise sum of 1/n; independent of the fixed-denominator path."""
-    vals = [Fraction(1, int(n)) for n in elements]
-    if not vals:
+    """Balanced pairwise sum of 1/n; independent of the fixed-denominator path.
+
+    Tree nodes are reduced (numerator, denominator) integer pairs, added
+    with two gcds per node (Knuth, TAOCP 4.5.1); the only Fraction is the
+    root.
+    """
+    dens = [int(n) for n in elements]
+    if not dens:
         return Fraction(0)
-    while len(vals) > 1:
-        nxt = [
-            vals[i] + vals[i + 1] if i + 1 < len(vals) else vals[i]
-            for i in range(0, len(vals), 2)
-        ]
-        vals = nxt
-    return vals[0]
+    nums = [1] * len(dens)
+    while len(dens) > 1:
+        nxt_n, nxt_d = [], []
+        for a, b, c, d in zip(nums[0::2], dens[0::2], nums[1::2], dens[1::2]):
+            g = gcd(b, d)
+            if g == 1:
+                nxt_n.append(a * d + b * c)
+                nxt_d.append(b * d)
+            else:
+                b //= g
+                t = a * (d // g) + c * b
+                g2 = gcd(t, g)
+                nxt_n.append(t // g2)
+                nxt_d.append(b * (d // g2))
+        if len(dens) % 2:
+            nxt_n.append(nums[-1])
+            nxt_d.append(dens[-1])
+        nums, dens = nxt_n, nxt_d
+    return Fraction(nums[0], dens[0])
 
 
 def harmonic_segment_exact(lo: int, hi: int) -> Fraction:

@@ -6,13 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from densefrac.arith import SpfTable  # noqa: E402
 from densefrac.smooth import SmoothParams, build_family  # noqa: E402
-
-
-@pytest.fixture(scope="session")
-def spf_100k():
-    return SpfTable(100_000)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ import pytest
 from densefrac.arith import (
     FactoredInt,
     P_INFINITY,
-    SpfTable,
     exact_multiplicity,
     factorize,
     is_k_free,
@@ -37,11 +36,11 @@ def test_factorize_examples():
     assert factorize(n).factors == tuple(fs) == tuple((q, 1) for q in [2, 3, 5, 7, 11, 13, 17, 19])
 
 
-def test_factorize_roundtrip_random(spf_100k):
+def test_factorize_roundtrip_random():
     rng = random.Random(42)
     for _ in range(300):
         n = rng.randint(1, 100_000)
-        f = factorize(n, spf_100k)
+        f = factorize(n)
         assert f.value == n
         assert math.prod(p**e for p, e in f.factors) == n
         assert all(f.factors[i][0] < f.factors[i + 1][0] for i in range(len(f.factors) - 1))
@@ -69,15 +68,15 @@ def test_is_k_free():
     assert is_k_free(1, 2)
 
 
-def test_k_free_multiplicity_consistency(spf_100k):
+def test_k_free_multiplicity_consistency():
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randint(1, 100_000)
         k = rng.randint(2, 5)
         by_mult = all(
-            exact_multiplicity(n, p) < k for p, _ in factorize(n, spf_100k).factors
+            exact_multiplicity(n, p) < k for p, _ in factorize(n).factors
         )
-        assert is_k_free(n, k, spf_100k) == by_mult
+        assert is_k_free(n, k) == by_mult
 
 
 def test_primes_in():
@@ -86,11 +85,6 @@ def test_primes_in():
     assert primes_in(14, 16) == []
     with pytest.raises(ParameterError):
         primes_in(5, 4)
-
-
-def test_spf_table_primes_match_sieve(spf_100k):
-    assert spf_100k.primes(2, 50) == primes_in(2, 50)
-    assert spf_100k.primes(90_000, 90_100) == primes_in(90_000, 90_100)
 
 
 def test_factored_int_invariants():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -77,3 +78,20 @@ def test_malformed_document():
         CertificateDocument.from_json("{not json")
     with pytest.raises(ParameterError):
         CertificateDocument.from_json('{"version": 1}')
+
+
+# sha256 of document_from_representation(construct_dense(r, x)).to_json(),
+# taken before the elimination, verifier and serialisation were sped up.
+# A change meant to keep certificates as they are must keep these bytes.
+GOLDEN_DOCUMENTS = [
+    ("1/3", 10**4, "44354c7acd14e839b96b9ed2898cf287d47773e4f4d65183c405451ce8442169"),
+    ("1/2", 10**4, "3a4e8daaa6850dabdf902e3f224945ffae40bd28bae9946ef3dfecfc0debf50d"),
+    ("1", 10**4, "6c75ca8e853ccb39b6abf39fa631e6638aa5e44d43f8aa0860ad70fad984da40"),
+    ("19/21", 10**5, "a13b439d0a1a03e85023169fed7db0436f843fbe3965ab8c62f0265cd087e0ac"),
+]
+
+
+@pytest.mark.parametrize("r, x, digest", GOLDEN_DOCUMENTS)
+def test_document_bytes_are_pinned(r, x, digest):
+    text = document_from_representation(construct_dense(Fraction(r), x)).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

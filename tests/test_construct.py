@@ -1,11 +1,12 @@
+import gc
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
 from densefrac import dickman
-from densefrac.arith import SpfTable
 from densefrac.construct import (
     ConstructionConfig,
     StagePlan,
@@ -287,3 +288,27 @@ def test_stage_trace_smoothing_monotonicity():
                 assert f.largest_prime() < step.prime
     last = rep.stage_one_trace.steps[-1]
     assert last.remainder_after.denominator % 2 == 1
+
+
+@pytest.mark.parametrize("r", [Fraction(19, 21), Fraction(1)])
+def test_retries_leave_no_construct_frame_in_cyclic_garbage(r):
+    """A caught stage-two error kept in a local would tie its traceback to
+    the frame holding it (and that frame's families and pools) until a full
+    collection. 19/21 retries after BoundExceeded and 1 after
+    EliminationFailed at x = 10^5; neither may leave such a cycle behind."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        rep = construct_dense(r, 10**5)
+        gc.collect()
+        frames = [
+            o.f_code.co_name
+            for o in gc.garbage
+            if isinstance(o, types.FrameType)
+            and o.f_globals.get("__name__") == "densefrac.construct"
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert rep.certificate.all_ok
+    assert frames == []

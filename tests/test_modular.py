@@ -12,6 +12,7 @@ from densefrac.modular import (
     achievable_set,
     coverage_count,
     eliminate_prime,
+    factored_divisor,
     subset_sum_mod_p,
 )
 
@@ -109,6 +110,9 @@ def test_eliminate_preconditions():
     with pytest.raises(ParameterError):
         # element with wrong multiplicity
         eliminate_prime(Fraction(1, 5), factorize(300), [25, 10], 5, 2)
+    with pytest.raises(ParameterError, match="every element of S"):
+        # empty S, and d = 4 lacks the 3^1 that exactly divides N = 12
+        eliminate_prime(Fraction(1, 4), factorize(12), [], 3, 1, OPPORTUNISTIC)
 
 
 def test_eliminate_unreachable():
@@ -146,6 +150,26 @@ def _random_valid_instance(rng):
     return Fraction(c, d), n_f, S, p, l
 
 
+def _eliminate_via_lcm(c_over_d, N, S, p, l):
+    """Reference elimination: residues of M/n mod p, where M is the lcm of d
+    and S built from the factorizations of every element."""
+    c, d = c_over_d.numerator, c_over_d.denominator
+    elements = sorted(S, reverse=True)
+    M = factored_divisor(d, N)
+    for n in elements:
+        M = M.lcm(factorize(n))
+    assert M.multiplicity(p) == l
+    m0 = M.value // d
+    target = (-c * m0) % p
+    if target == 0:
+        return [], c_over_d
+    residues = [(M.value // n) % p for n in elements]
+    witness = subset_sum_mod_p(residues, target, p)
+    T = [elements[i] for i in witness.indices]
+    num = c * m0 + sum(M.value // n for n in T)
+    return sorted(T), Fraction(num, M.value)
+
+
 def test_eliminate_randomized_properties():
     rng = random.Random(101)
     done = 0
@@ -157,5 +181,7 @@ def test_eliminate_randomized_properties():
         assert len(T) < p
         assert (N.value // p) % res.denominator == 0
         assert res == c_over_d + sum(Fraction(1, n) for n in T)
+        # residues taken from N, not from the lcm, pick the same witness
+        assert (T, res) == _eliminate_via_lcm(c_over_d, N, S, p, l)
         done += 1
     assert done > 100

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from densefrac.smooth import pool_modulus, reciprocal_sum
 from densefrac.verify import (
     Certificate,
@@ -49,6 +52,27 @@ def test_tree_sum_small():
     assert tree_sum([2, 3, 6]) == 1
     assert tree_sum([]) == 0
     assert tree_sum([7]) == Fraction(1, 7)
+
+
+# Small values collide often (duplicates); large ones reach 10^12.
+_denominators = st.one_of(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=10**12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    xs=st.lists(_denominators, max_size=40),
+    lo=st.integers(min_value=0, max_value=200),
+    length=st.integers(min_value=0, max_value=60),
+)
+def test_tree_sum_matches_fraction_sum(xs, lo, length):
+    """Empty lists, singletons, duplicates and odd lengths all included."""
+    assert tree_sum(xs) == sum((Fraction(1, n) for n in xs), Fraction(0))
+    assert harmonic_segment_exact(lo, lo + length) == sum(
+        (Fraction(1, n) for n in range(lo + 1, lo + length + 1)), Fraction(0)
+    )
 
 
 def test_tree_sum_vs_fixed_denominator(mid_family):
