@@ -178,6 +178,11 @@ def is_k_free(n: int, k: int) -> bool:
     return all(e < k for _, e in factorize(n).factors)
 
 
+def is_prime(n: int) -> bool:
+    """Trial division; for the small primes the pipeline names one at a time."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
 def primes_in(lo: int, hi: int) -> list[int]:
     """Ascending primes in the closed interval [lo, hi]."""
     if lo > hi:

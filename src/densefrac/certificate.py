@@ -125,7 +125,7 @@ def document_from_representation(rep) -> CertificateDocument:
         "w": plan.w,
         "y_prime": plan.y_prime,
         "x_prime": plan.x_prime,
-        "w_prime": plan.w_prime,
+        "w_prime": plan.y_prime,
         "y_doubleprime": plan.y_doubleprime,
         "lambda_prime": frac_str(rep.lam_prime) if rep.lam_prime is not None else None,
         "early_exit_prime": rep.early_exit_prime,

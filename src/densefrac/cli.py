@@ -181,11 +181,6 @@ def build_parser() -> _Parser:
     c.add_argument("--y-prime", dest="y_prime", type=int)
     c.add_argument("--x-prime", dest="x_prime", type=int)
     c.add_argument("--out", help="write the certificate document to this file")
-    c.add_argument(
-        "--seedless",
-        action="store_true",
-        help="accepted for compatibility; runs are always deterministic",
-    )
     c.set_defaults(func=cmd_construct)
 
     v = sub.add_parser("verify", help="re-check a certificate document")

@@ -14,6 +14,10 @@ between the expansion and the kept set through the splitting identity
 therefore disjoint from everything odd; the not-m^2+m-1 membership rule
 makes the two repair sets disjoint from each other.
 
+Planning sieves [1, x] once; the stage-one family and every stage-two
+pool are views of that sieve. The family's exact mass is summed once, and
+the cutoff and stage-one remainder take the members below the cutoff off it.
+
 Every step re-verifies its divisibility certificate and exact telescoping;
 nothing is trusted from asymptotics. Where the source analysis needs "x
 sufficiently large" (notably the sub-y' prime ladders, which are log-thin
@@ -37,6 +41,7 @@ from .arith import (
     FactoredInt,
     exact_multiplicity,
     factorize,
+    is_prime,
     largest_prime_factor,
     primes_in,
 )
@@ -92,9 +97,9 @@ class StagePlan:
     w: int
     lam: Fraction
     cutoff: int
+    initial_remainder: Fraction  # r minus the family's mass above the cutoff
     y_prime: int
     x_prime: int
-    w_prime: int
     y_doubleprime: int
     p0: int
     p_primes: list
@@ -232,10 +237,6 @@ def _next_prime_above(n: int) -> int:
         lo = 2 * lo + 17
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
-
-
 def _primes_between(lo: int, hi: int) -> list:
     return primes_in(lo, hi) if lo <= hi else []
 
@@ -257,35 +258,47 @@ def _spec_y_doubleprime(x: int, k: int) -> int:
     return max(last, 2)
 
 
-def _resolve_cutoff_adaptive(
-    fam0: SmoothFamily, modulus: FactoredInt, r: Fraction, delta: Fraction
+def _resolve_cutoff(
+    fam0: SmoothFamily, modulus: FactoredInt, total: Fraction, r, delta, cutoff=None
 ):
-    """Largest element-boundary cutoff with 0 < r - sum_{n > cutoff} 1/n <= delta."""
+    """(cutoff, r - sum_{n > cutoff} 1/n) over the members of fam0.
+
+    Walks the members upward, taking each m // n off the total mass (over
+    the modulus m), so only members at or below the cutoff are visited. A
+    given cutoff (formula lambda) ends the walk there; without one
+    (adaptive lambda) it ends before the mass above would drop below
+    r - delta: the largest element-boundary cutoff with remainder in
+    (0, delta].
+    """
     m = modulus.value
-    rn, rd = r.numerator, r.denominator
+    num = total.numerator * (m // total.denominator)
     dn = r - delta
-    lo_n, lo_d = dn.numerator, dn.denominator  # accept once sum >= r - delta
-    num = 0
+    # (num - step) / m < r - delta  <=>  num - step < ceil(dn * m)
+    floor = -(-dn.numerator * m // dn.denominator)
+    adaptive = cutoff is None
+    if adaptive and num < floor:
+        raise InfeasibleMass(
+            f"family mass sum falls short of r - delta = {dn}",
+            failing_parameter="x",
+            suggestion="increase x or delta, or decrease r",
+        )
     members = fam0.members
     taken = 0
-    for e in members[::-1]:
+    for e in members:
         step = m // int(e)
-        num += step
+        if (num - step < floor) if adaptive else (e > cutoff):
+            break
+        num -= step
         taken += 1
-        if num * lo_d >= lo_n * m:
-            if num * rd >= rn * m:  # sum reached r: remainder not positive
-                raise InfeasibleMass(
-                    "no cutoff leaves a remainder in (0, delta]",
-                    failing_parameter="delta",
-                    suggestion="increase delta or x",
-                )
-            cutoff = int(members[-taken - 1]) if taken < members.size else 0
-            return cutoff, r - Fraction(num, m)
-    raise InfeasibleMass(
-        f"family mass sum falls short of r - delta = {dn}",
-        failing_parameter="x",
-        suggestion="increase x or delta, or decrease r",
-    )
+    if adaptive:
+        if num * r.denominator >= r.numerator * m:  # remainder not positive
+            raise InfeasibleMass(
+                "no cutoff leaves a remainder in (0, delta]",
+                failing_parameter="delta",
+                suggestion="increase delta or x",
+            )
+        cutoff = int(members[taken - 1]) if taken else 0
+    return cutoff, r - Fraction(num, m)
 
 
 def _ladder_threshold(q: int) -> int:
@@ -319,8 +332,9 @@ def _stage_one_deficit(fam0: SmoothFamily, y_p: int, w: int, k: int, cutoff: int
     return out
 
 
-def _stage_two_pool(y_p: int, x_p: int, k: int) -> SmoothFamily:
-    return build_family(SmoothParams(x=x_p, y=y_p, w=y_p, lam=Fraction(0), k=k))
+def _stage_two_pool(fam0: SmoothFamily, y_p: int, x_p: int, k: int) -> SmoothFamily:
+    """A(x', y'; y', 0), a view of the planning sieve."""
+    return fam0.sub_family(SmoothParams(x=x_p, y=y_p, w=y_p, lam=Fraction(0), k=k))
 
 
 def _stage_two_deficit(fam2: SmoothFamily, y_p: int, q_e: int, k: int):
@@ -356,7 +370,7 @@ def _select_y_prime(
                 f"y' override {y_p} outside [4, min(w, 30, y)] = [4, {top}]",
                 failing_parameter="y_prime",
             )
-        while _is_prime(y_p):
+        while is_prime(y_p):
             y_p -= 1
         return max(y_p, 4), []
     if top < 6:
@@ -365,7 +379,7 @@ def _select_y_prime(
             failing_parameter="x",
             suggestion="increase x",
         )
-    candidates = [v for v in range(top, 5, -1) if not _is_prime(v)]
+    candidates = [v for v in range(top, 5, -1) if not is_prime(v)]
     q_e = _exit_prime(cutoff, k)
     best = None
     best_score = None
@@ -377,12 +391,14 @@ def _select_y_prime(
             for l in range(1, k)
         ):
             continue
-        deficit1 = _stage_one_deficit(fam0, y_p, w, k, cutoff)
         x_p = x_prime_override or min(y_p ** (2 * k), cutoff // 2)
         if x_p < y_p:
             continue
+        if x_p > cutoff:  # plan.validate() rejects this x' whatever y' is
+            return y_p, []
+        deficit1 = _stage_one_deficit(fam0, y_p, w, k, cutoff)
         try:
-            fam2 = _stage_two_pool(y_p, x_p, k)
+            fam2 = _stage_two_pool(fam0, y_p, x_p, k)
         except ParameterError:
             continue
         deficit2 = _stage_two_deficit(fam2, y_p, q_e, k)
@@ -519,13 +535,13 @@ def _resolve_plan(
     r, x, k = config.r, config.x, config.k
     y, w = fam0.params.y, fam0.params.w
     delta = config.delta if delta is None else delta
+    cutoff = None
     if config.lambda_mode == "formula":
         lam_f = math.exp(
             -float(r - delta) * dickman.zeta(k) / dickman.rho(2.0 / (1.0 - config.epsilon))
         )
         cutoff = int(lam_f * x)
-    else:
-        cutoff, _rem = _resolve_cutoff_adaptive(fam0, d_p0, r, delta)
+    cutoff, rem0 = _resolve_cutoff(fam0, d_p0, total, r, delta, cutoff)
     lam = Fraction(cutoff, x)
 
     y_p, warnings = _select_y_prime(
@@ -550,9 +566,9 @@ def _resolve_plan(
         w=w,
         lam=lam,
         cutoff=cutoff,
+        initial_remainder=rem0,
         y_prime=y_p,
         x_prime=x_p,
-        w_prime=y_p,
         y_doubleprime=y_pp,
         p0=p0,
         p_primes=sorted(_primes_between(w + 1, y), reverse=True),
@@ -585,8 +601,8 @@ def stage_one(
 ):
     """Run the descending prime loops and the powers-of-two cleanup.
 
-    Returns (kept members array, remainder, trace); the remainder's
-    denominator divides the odd modulus D0(y').
+    Starts from the plan's initial remainder. Returns (kept members array,
+    remainder, trace); the remainder's denominator divides D0(y').
     """
     r, k = config.r, config.k
     if family.params.cutoff != plan.cutoff or family.params.y != plan.y:
@@ -596,7 +612,7 @@ def stage_one(
         raise DivisibilityError(
             f"b = {r.denominator} does not divide D(p0)", failing_parameter="r"
         )
-    rem = r - reciprocal_sum(family.members, n_mod)
+    rem = plan.initial_remainder
     if not (0 < rem < r):
         raise RemainderNonPositive(
             f"initial remainder {rem} outside (0, {r})",
@@ -637,7 +653,7 @@ def stage_one(
     # When y' itself is prime the q-loop has eliminated it, so the element's
     # odd part must stay strictly below y' (plans normalize y' non-prime; the
     # guard keeps hand-built plans honest).
-    odd_cap = plan.y_prime - 1 if _is_prime(plan.y_prime) else plan.y_prime
+    odd_cap = plan.y_prime - 1 if is_prime(plan.y_prime) else plan.y_prime
     for j in range(2, k + 1):
         l = k - j + 1
         if exact_multiplicity(rem.denominator, 2) == l:
@@ -726,15 +742,18 @@ def stage_two(
     remainder: Fraction,
     plan: StagePlan,
     config: ConstructionConfig,
-    kept_membership=None,
+    family: SmoothFamily,
+    kept: Optional[np.ndarray] = None,
 ) -> StageTwoResult:
     """Represent the stage-one remainder over (0, lambda*x] denominators.
 
-    Chooses the odd pool cut, runs the descending q'-loop (exiting early
-    once the residual already satisfies the odd-expansion precondition
-    within the size budget), expands, and repairs overlaps. On failure the
-    cut is shifted up one element and the attempt repeats with fresh
-    residue targets; everything is deterministic.
+    The odd pool is a view of the planning family's sieve; repair elements
+    must avoid the ascending stage-one set kept. Chooses the odd pool cut,
+    runs the descending q'-loop (exiting early once the residual already
+    satisfies the odd-expansion precondition within the size budget),
+    expands, and repairs overlaps. On failure the cut is shifted up one
+    element and the attempt repeats with fresh residue targets; everything
+    is deterministic.
     """
     k = config.k
     if remainder <= 0:
@@ -751,7 +770,7 @@ def stage_two(
             f"remainder denominator does not divide D0(y'={y_p})",
             failing_parameter="remainder",
         )
-    fam2 = build_family(SmoothParams(x=x_p, y=y_p, w=y_p, lam=Fraction(0), k=k))
+    fam2 = _stage_two_pool(family, y_p, x_p, k)
     pool = [int(v) for v in fam2.members_a0()]
     p0p = _next_prime_above(y_p)
     d_pool = modulus_product(p0p, y_p, k)
@@ -777,7 +796,7 @@ def stage_two(
                 plan,
                 config,
                 cap,
-                kept_membership,
+                kept,
             )
             result.attempts = drop + 1
             last_err = None  # its traceback holds this frame: break the cycle
@@ -804,7 +823,7 @@ def _stage_two_attempt(
     plan: StagePlan,
     config: ConstructionConfig,
     cap: int,
-    kept_membership,
+    kept: Optional[np.ndarray],
 ) -> StageTwoResult:
     k = config.k
     x = config.x
@@ -868,16 +887,14 @@ def _stage_two_attempt(
             raise BoundExceeded(
                 f"splitting repair produced {v} > x", failing_parameter="x"
             )
-    if kept_membership is not None:
+    # Expansion terms are at most cap = lambda*x, below every kept member;
+    # only the even repair elements can reach the stage-one set.
+    if kept is not None:
         for v in d1 + d2:
-            if kept_membership(v):
+            i = np.searchsorted(kept, v)
+            if i < kept.size and kept[i] == v:
                 raise BoundExceeded(
                     f"repair element {v} collides with the stage-one set"
-                )
-        for v in c_terms:
-            if kept_membership(v):
-                raise BoundExceeded(
-                    f"expansion term {v} collides with the stage-one set"
                 )
     total = (
         _sum_recips(a_prime)
@@ -903,13 +920,15 @@ def _stage_two_attempt(
     )
 
 
-def _alpha_targets(plan: StagePlan, config: ConstructionConfig) -> list:
+def _alpha_targets(
+    plan: StagePlan, config: ConstructionConfig, family: SmoothFamily
+) -> list:
     """Pool-derived stage-two masses that would park the cut boundary below
     the needed ladders' rungs: most ambitious first (the full heuristic
     threshold per ladder), then graded fallbacks keeping fewer rungs, for
     runs whose delta budget cannot afford the full cut."""
     try:
-        fam2 = _stage_two_pool(plan.y_prime, plan.x_prime, config.k)
+        fam2 = _stage_two_pool(family, plan.y_prime, plan.x_prime, config.k)
     except ParameterError:
         return []
     pool = [int(v) for v in fam2.members_a0()]
@@ -976,14 +995,12 @@ def construct_dense(r, x: int, eta: float = 0.01, **options) -> Representation:
 
     delta_current = config.delta
     for retune in range(MAX_DELTA_RETUNES + 1):
-        fam_l = build_family(
+        fam_l = fam0.sub_family(
             SmoothParams(x=x, y=plan.y, w=plan.w, lam=plan.lam, k=config.k)
         )
         kept, alpha, trace1 = stage_one(config, plan, fam_l)
-        kept_set = set(int(v) for v in kept)
-        membership = kept_set.__contains__
         try:
-            s2 = stage_two(alpha, plan, config, membership)
+            s2 = stage_two(alpha, plan, config, fam0, kept)
             break
         except (
             EliminationFailed,
@@ -995,7 +1012,7 @@ def construct_dense(r, x: int, eta: float = 0.01, **options) -> Representation:
             if retune == MAX_DELTA_RETUNES or aux["delta_pinned"]:
                 raise
             delta_new = None
-            for target in _alpha_targets(plan, config):
+            for target in _alpha_targets(plan, config, fam0):
                 cand = delta_current + (target - alpha)
                 if 0 < cand < r and cand != delta_current:
                     delta_new = cand
@@ -1005,26 +1022,16 @@ def construct_dense(r, x: int, eta: float = 0.01, **options) -> Representation:
             delta_current = delta_new
             plan = _resolve_plan(config, fam0, aux["d_p0"], total, delta=delta_new)
 
-    all_parts = [
-        [int(v) for v in kept],
-        s2.a_prime,
-        [int(v) for v in (set(s2.c_terms) - set(s2.a_prime))],
-        s2.d1,
-        s2.d2,
-    ]
-    seen: set = set()
-    for part in all_parts:
-        ps = set(part)
-        if ps & seen:
-            raise AssertionError(
-                f"representation parts overlap: {sorted(ps & seen)[:5]}"
-            )
-        seen |= ps
-    denominators = sorted(seen)
-    cert = check(r, denominators, x, eta)
+    c_minus = sorted(set(s2.c_terms) - set(s2.a_prime))
+    small = np.array(s2.a_prime + c_minus + s2.d1 + s2.d2, dtype=np.int64)
+    denominators = np.sort(np.concatenate([kept, small]))
+    repeated = denominators[1:][denominators[1:] == denominators[:-1]]
+    if repeated.size:
+        raise AssertionError(f"representation parts overlap: {repeated[:5].tolist()}")
+    cert = check(r, denominators.tolist(), x, eta)
     if not (cert.sum_exact and cert.distinct and cert.max_ok):
         raise AssertionError("final certificate failed: " + repr(cert))
-    density = Fraction(len(denominators), x)
+    density = Fraction(int(denominators.size), x)
     return Representation(
         r=r,
         x=x,
@@ -1032,7 +1039,7 @@ def construct_dense(r, x: int, eta: float = 0.01, **options) -> Representation:
         plan=plan,
         a=kept,
         a_prime=s2.a_prime,
-        c_minus_a_prime=sorted(set(s2.c_terms) - set(s2.a_prime)),
+        c_minus_a_prime=c_minus,
         d1=s2.d1,
         d2=s2.d2,
         lam_prime=s2.lam_prime,

@@ -16,14 +16,13 @@ c/d + sum(1/n for n in T) dividing N/p.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 # factorize stays importable from here: perfbench/tracing.py counts its calls
 # through this module's namespace.
-from .arith import FactoredInt, factorize  # noqa: F401
+from .arith import FactoredInt, factorize, is_prime  # noqa: F401
 from .errors import DivisibilityError, EliminationFailed, ParameterError
 
 STRICT = "strict"
@@ -39,7 +38,7 @@ class SubsetWitness:
 
 
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+    if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
 
 
@@ -88,8 +87,11 @@ def subset_sum_mod_p(
     than p-1 residues). The empty witness answers target 0.
     """
     _check_prime(p)
-    rs = _reduced_residues(residues, p)
-    target = int(target) % p
+    return _solve(_reduced_residues(residues, p), int(target) % p, p)
+
+
+def _solve(rs: Sequence[int], target: int, p: int) -> Optional[SubsetWitness]:
+    """subset_sum_mod_p for p prime, residues in [1, p) and target in [0, p)."""
     reached = _grow_achievable(rs, p, target)
     if target not in reached:
         if len(rs) >= p - 1:
@@ -221,7 +223,7 @@ def eliminate_prime(
     if target == 0:
         return [], c_over_d
     residues = [unit * pow(m % p, -1, p) % p for _, _, m in split]
-    witness = subset_sum_mod_p(residues, target, p)
+    witness = _solve(residues, target, p)
     if witness is None:
         raise EliminationFailed(
             f"no subset of {len(elements)} multiples reaches the residue "

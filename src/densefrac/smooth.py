@@ -9,20 +9,24 @@ elimination.
 
 One vectorized sieve pass over [1, x] produces, for every n: P(n), the
 exact multiplicity of P(n), the k-free flag and the w-condition flag.
-Lambda thresholds are element boundaries (members strictly greater than
-lambda*x), so a stored rational cutoff reproduces the family exactly.
+That one sieve serves every family a construction draws on: sub-families
+(higher cutoff, smaller x or y) are masked views of its arrays, not new
+sieves (SmoothFamily.sub_family). Lambda thresholds are element boundaries
+(members strictly greater than lambda*x), so a stored rational cutoff
+reproduces the family exactly.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .arith import FactoredInt, factorize
+from .arith import FactoredInt, factorize, is_prime, primes_in
 from .errors import DivisibilityError, InfeasibleMass, ParameterError
 
 #: Resource guard: sieving above this bound is refused (memory budget).
@@ -60,83 +64,28 @@ class SmoothParams:
         return (self.lam.numerator * self.x) // self.lam.denominator
 
 
-class MemberInfo(NamedTuple):
-    n: int
-    largest_prime: int
-    exponent: int
-    odd: bool
-    is_m2m1: bool
-
-
-def _prime_list(limit: int) -> np.ndarray:
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0]
-
-
 class SmoothFamily:
     """Materialized family: ascending member array plus O(1) membership.
 
+    A family holds views of one sieve's per-integer arrays (P(n), the exact
+    multiplicity of P(n), the m^2+m-1 flag) and its own membership mask.
     All arrays are immutable after construction; reads are concurrent-safe.
     """
 
-    def __init__(self, params: SmoothParams):
+    def __init__(self, params: SmoothParams, lpf, expo, m2m1, member):
         self.params = params
-        x, y, w, k = params.x, params.y, params.w, params.k
-        idx_t = np.int32 if x < 2**31 else np.int64
-
-        primes = _prime_list(x)
-        lpf = np.zeros(x + 1, dtype=idx_t)
-        lpf[1] = 1
-        for p in primes:
-            lpf[p::p] = p
-
-        expo = np.ones(x + 1, dtype=np.int8)
-        expo[:2] = 0
-        for p in primes[primes <= math.isqrt(x)]:
-            pl, l = int(p) * int(p), 2
-            while pl <= x:
-                mult = np.arange(pl, x + 1, pl, dtype=np.int64)
-                hit = mult[lpf[mult] == p]
-                expo[hit] = l
-                pl *= int(p)
-                l += 1
-
-        ok = lpf <= y
-        ok[0] = False
-        for p in primes:
-            pk = int(p) ** k
-            if pk > x:
-                break
-            ok[pk::pk] = False
-        for q in primes[(primes > w) & (primes <= math.isqrt(x))]:
-            q2 = int(q) * int(q)
-            ok[q2::q2] = False
-
-        m2m1 = np.zeros(x + 1, dtype=bool)
-        m = 1
-        while m * m + m - 1 <= x:
-            m2m1[m * m + m - 1] = True
-            m += 1
-
-        member = ok.copy()
-        member[: params.cutoff + 1] = False
-
         self._lpf = lpf
         self._expo = expo
         self._m2m1 = m2m1
         self._member = member
-        self._primes = primes
-        self.members = np.nonzero(member)[0].astype(np.int64)
+        self.members = np.flatnonzero(member).astype(np.int64)
         a0 = member.copy()
         a0[::2] = False
         a0[m2m1] = False
         self._a0_mask = a0
-        self.members_a0_arr = np.nonzero(a0)[0].astype(np.int64)
+        self.members_a0_arr = np.flatnonzero(a0).astype(np.int64)
         self._slice_cache: dict = {}
+        self._pow2_cache: dict = {}
 
     @property
     def count(self) -> int:
@@ -154,19 +103,29 @@ class SmoothFamily:
     def in_a0(self, n: int) -> bool:
         return 0 < n <= self.params.x and bool(self._a0_mask[n])
 
-    def annotation(self, n: int) -> MemberInfo:
-        if n not in self:
-            raise ParameterError(f"{n} is not a member")
-        return MemberInfo(
-            n=n,
-            largest_prime=int(self._lpf[n]),
-            exponent=int(self._expo[n]),
-            odd=bool(n % 2),
-            is_m2m1=bool(self._m2m1[n]),
-        )
-
     def members_a0(self) -> np.ndarray:
         return self.members_a0_arr
+
+    def sub_family(self, params: SmoothParams) -> "SmoothFamily":
+        """The family for params as a view of this family's sieve.
+
+        Needs the same k, x' <= x, y' <= y, a cutoff at or above this one and
+        min(w', y') == min(w, y'); anything else raises ParameterError.
+        """
+        base = self.params
+        if (
+            params.k != base.k
+            or params.x > base.x
+            or params.y > base.y
+            or params.cutoff < base.cutoff
+            or min(params.w, params.y) != min(base.w, params.y)
+        ):
+            raise ParameterError(f"{params} is not a sub-family of {base}")
+        end = params.x + 1
+        lpf = self._lpf[:end]
+        member = self._member[:end] & (lpf <= params.y)
+        member[: params.cutoff + 1] = False
+        return SmoothFamily(params, lpf, self._expo[:end], self._m2m1[:end], member)
 
     def slice(self, p: int, l: int, a0: bool = False) -> np.ndarray:
         """Members with P(n) = p exactly divisible by p^l (ascending).
@@ -174,6 +133,10 @@ class SmoothFamily:
         Requires p prime and <= y, l < k, and l = 1 when p > w. With
         a0=True, restricted to the odd / not-m^2+m-1 sub-family.
         """
+        key = (p, l, a0)
+        cached = self._slice_cache.get(key)
+        if cached is not None:
+            return cached
         params = self.params
         if p > params.y:
             raise ParameterError(f"slice prime {p} exceeds y={params.y}")
@@ -181,12 +144,8 @@ class SmoothFamily:
             raise ParameterError(f"slice power {l} outside 1..k-1 (k={params.k})")
         if p > params.w and l != 1:
             raise ParameterError(f"slice power must be 1 for p={p} > w={params.w}")
-        if p < 2 or (p > 2 and any(p % q == 0 for q in range(2, math.isqrt(p) + 1))):
+        if not is_prime(p):
             raise ParameterError(f"slice base {p} is not prime")
-        key = (p, l, a0)
-        cached = self._slice_cache.get(key)
-        if cached is not None:
-            return cached
         pl = p**l
         cand = np.arange(pl, params.x + 1, pl, dtype=np.int64)
         mask = self._a0_mask if a0 else self._member
@@ -194,23 +153,54 @@ class SmoothFamily:
         self._slice_cache[key] = sel
         return sel
 
-    def core(self, y_prime: int, a0: bool = False) -> np.ndarray:
-        """Members with P(n) <= y_prime (the smooth core of the partition)."""
-        mask = self._a0_mask if a0 else self._member
-        m = self.members_a0_arr if a0 else self.members
-        return m[self._lpf[m] <= y_prime]
-
     def exact_power_of_two_members(self, l: int, p_max: int) -> np.ndarray:
         """Members exactly divisible by 2^l whose odd part is p_max-smooth."""
-        pl = 2**l
-        cand = np.arange(pl, self.params.x + 1, pl, dtype=np.int64)
-        cand = cand[(cand // pl) % 2 == 1]
-        return cand[self._member[cand] & (self._lpf[cand] <= p_max)]
+        if l not in self._pow2_cache:
+            m = self.members
+            cand = m[m % 2 ** (l + 1) == 2**l]
+            self._pow2_cache[l] = (cand, self._lpf[cand])
+        cand, lpf = self._pow2_cache[l]
+        return cand[lpf <= p_max]
 
 
 def build_family(params: SmoothParams) -> SmoothFamily:
-    """Sieve and materialize A(x, y; w, lambda) for the given parameters."""
-    return SmoothFamily(params)
+    """Sieve [1, x] and materialize A(x, y; w, lambda); see sub_family."""
+    x, y, w, k = params.x, params.y, params.w, params.k
+    idx_t = np.int32 if x < 2**31 else np.int64
+    primes = primes_in(2, x)
+    small = primes[: bisect_right(primes, math.isqrt(x))]
+    lpf = np.zeros(x + 1, dtype=idx_t)
+    lpf[1] = 1
+    for p in primes:
+        lpf[p::p] = p
+
+    expo = np.ones(x + 1, dtype=np.int8)
+    expo[:2] = 0
+    for p in small:
+        pl, l = p * p, 2
+        while pl <= x:
+            mult = np.arange(pl, x + 1, pl, dtype=np.int64)
+            hit = mult[lpf[mult] == p]
+            expo[hit] = l
+            pl *= p
+            l += 1
+
+    member = lpf <= y
+    member[0] = False
+    for p in small:
+        member[p**k :: p**k] = False
+    for q in small:
+        if q > w:
+            member[q * q :: q * q] = False
+
+    m2m1 = np.zeros(x + 1, dtype=bool)
+    m = 1
+    while m * m + m - 1 <= x:
+        m2m1[m * m + m - 1] = True
+        m += 1
+
+    member[: params.cutoff + 1] = False
+    return SmoothFamily(params, lpf, expo, m2m1, member)
 
 
 def reciprocal_sum(elements: Iterable[int], modulus: FactoredInt) -> Fraction:

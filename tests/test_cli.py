@@ -101,7 +101,7 @@ def test_verify_missing_file_exit_64():
 
 def test_construct_deterministic_output():
     a = run_cli("construct", "--r", "1/4", "--x", "50000")
-    b = run_cli("construct", "--r", "1/4", "--x", "50000", "--seedless")
+    b = run_cli("construct", "--r", "1/4", "--x", "50000")
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
 

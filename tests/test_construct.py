@@ -23,6 +23,7 @@ from densefrac.errors import (
     RemainderNonPositive,
     UnsupportedDenominator,
 )
+from densefrac.smooth import SmoothParams, build_family, reciprocal_sum
 from densefrac.verify import tree_sum
 
 
@@ -37,16 +38,17 @@ def test_modulus_product_examples():
     assert d.value == 4 * 9 * 5 * 7 * 11
 
 
-def _toy_plan():
+def _toy_plan(r):
+    # the toy family {1,2,3,5,6,10,15,30} carries reciprocal mass 12/5
     return StagePlan(
         x=30,
         y=5,
         w=5,
         lam=Fraction(0),
         cutoff=0,
+        initial_remainder=Fraction(r) - Fraction(12, 5),
         y_prime=3,
         x_prime=10,
-        w_prime=3,
         y_doubleprime=2,
         p0=7,
         p_primes=[],
@@ -77,7 +79,7 @@ def test_stage_one_toy_run(toy_family):
     so the cleanup element must be a pure power of two).
     """
     r = Fraction(5, 2)
-    kept, rem, trace = stage_one(_toy_config(r), _toy_plan(), toy_family)
+    kept, rem, trace = stage_one(_toy_config(r), _toy_plan(r), toy_family)
     assert rem == Fraction(1, 1)
     assert kept.tolist() == [1, 5, 6, 10, 30]
     # telescoping: r = remainder + sum over kept
@@ -96,7 +98,7 @@ def test_stage_one_toy_run(toy_family):
 
 def test_stage_one_rejects_nonpositive_remainder(toy_family):
     with pytest.raises(RemainderNonPositive):
-        stage_one(_toy_config(Fraction(5, 6)), _toy_plan(), toy_family)
+        stage_one(_toy_config(Fraction(5, 6)), _toy_plan(Fraction(5, 6)), toy_family)
 
 
 def test_plan_formula_lambda():
@@ -111,16 +113,23 @@ def test_plan_formula_lambda():
 
 
 def test_plan_adaptive_window():
-    config, plan = plan_parameters(Fraction(1, 2), 0.01, 10**5)
-    from densefrac.smooth import SmoothParams, build_family, reciprocal_sum
-
-    fam = build_family(
-        SmoothParams(x=10**5, y=plan.y, w=plan.w, lam=plan.lam, k=config.k)
-    )
-    rem = Fraction(1, 2) - reciprocal_sum(
-        fam.members, modulus_product(plan.p0, plan.w, config.k)
-    )
-    assert 0 < rem <= config.delta
+    """The plan's stored remainder is r minus the mass of a freshly sieved
+    lambda-family, in both lambda modes; the adaptive cutoff is the largest
+    element boundary leaving a remainder in (0, delta]."""
+    r = Fraction(1, 2)
+    for mode in ("adaptive", "formula"):
+        config, plan = plan_parameters(r, 0.01, 10**5, lambda_mode=mode)
+        fam = build_family(
+            SmoothParams(x=10**5, y=plan.y, w=plan.w, lam=plan.lam, k=config.k)
+        )
+        rem = r - reciprocal_sum(
+            fam.members, modulus_product(plan.p0, plan.w, config.k)
+        )
+        assert plan.initial_remainder == rem
+        if mode == "adaptive":
+            assert 0 < rem <= config.delta
+            # the smallest member above the cutoff could not also be given up
+            assert rem + Fraction(1, int(fam.members[0])) > config.delta
 
 
 def test_plan_unsupported_denominator():
@@ -161,16 +170,17 @@ def test_stage_two_empty_loop_expansion():
         w=20,
         lam=Fraction(5000, 10**5),
         cutoff=5000,
+        initial_remainder=Fraction(1, 20),
         y_prime=6,
         x_prime=100,
-        w_prime=6,
         y_doubleprime=6,
         p0=307,
         p_primes=[],
         q_primes=[],
         q2_primes=[],
     )
-    res = stage_two(Fraction(2, 15), plan, config)
+    family = build_family(SmoothParams(x=10**5, y=300, w=20, lam=Fraction(0), k=2))
+    res = stage_two(Fraction(2, 15), plan, config, family)
     total = (
         tree_sum(res.a_prime)
         + tree_sum(sorted(set(res.c_terms) - set(res.a_prime)))
@@ -188,10 +198,10 @@ def test_stage_two_empty_loop_expansion():
     assert all(n % 2 == 0 for n in res.d1 + res.d2)
 
 
-def test_stage_two_denominator_one_rejected():
+def test_stage_two_denominator_one_rejected(toy_family):
     config = _toy_config(Fraction(5, 2))
     with pytest.raises(ParameterError):
-        stage_two(Fraction(2, 1), _toy_plan(), config)
+        stage_two(Fraction(2, 1), _toy_plan(Fraction(5, 2)), config, toy_family)
 
 
 def test_four_set_repair_collision_example():
@@ -312,3 +322,28 @@ def test_retries_leave_no_construct_frame_in_cyclic_garbage(r):
         gc.garbage.clear()
     assert rep.certificate.all_ok
     assert frames == []
+
+
+@pytest.mark.parametrize(
+    "r, retried",
+    [(Fraction(1), False), (Fraction(10, 11), True), (Fraction(19, 21), True)],
+)
+def test_one_sieve_per_construction(r, retried, monkeypatch):
+    """Every family a construction uses is a view of the planning sieve,
+    through delta retunes (all three at 10^5) and stage-two retries (10/11
+    and 19/21)."""
+    import densefrac.construct as construct
+
+    calls = []
+    sieve = construct.build_family
+
+    def counting(params):
+        calls.append(params)
+        return sieve(params)
+
+    monkeypatch.setattr(construct, "build_family", counting)
+    rep = construct_dense(r, 10**5)
+    assert rep.certificate.all_ok
+    assert rep.config.delta != Fraction(1, 20)  # delta was retuned
+    assert (rep.stage_two_attempts > 1) == retried
+    assert len(calls) == 1

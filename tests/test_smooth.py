@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from densefrac.arith import factorize
+from densefrac.arith import factorize, primes_in
 from densefrac.errors import DivisibilityError, InfeasibleMass, ParameterError
 from densefrac.smooth import (
     SmoothParams,
@@ -52,14 +54,67 @@ def test_slices(toy_family):
         toy_family.slice(4, 1)  # not prime
 
 
-def test_annotation(toy_family):
-    info = toy_family.annotation(30)
-    assert info.largest_prime == 5 and info.exponent == 1
-    assert not info.odd
-    info = toy_family.annotation(15)
-    assert info.odd and not info.is_m2m1
-    with pytest.raises(ParameterError):
-        toy_family.annotation(7)
+@st.composite
+def _sub_family_case(draw):
+    """A base A(x, y; w, 0) and one of the two sub-family shapes a
+    construction reads off it: a cutoff view (same y, w; lambda > 0) or a
+    stage-two pool (w' = y' <= w, x' < x)."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    x = draw(st.integers(min_value=30, max_value=3000))
+    y = draw(st.integers(min_value=2, max_value=x))
+    w = draw(st.integers(min_value=2, max_value=x))
+    base = SmoothParams(x=x, y=y, w=w, lam=Fraction(0), k=k)
+    if draw(st.booleans()):
+        den = draw(st.integers(min_value=2, max_value=x))
+        lam = Fraction(draw(st.integers(min_value=1, max_value=den - 1)), den)
+        sub = SmoothParams(x=x, y=y, w=w, lam=lam, k=k)
+    else:
+        y_p = draw(st.integers(min_value=2, max_value=min(y, w, x - 1)))
+        x_p = draw(st.integers(min_value=y_p, max_value=x - 1))
+        sub = SmoothParams(x=x_p, y=y_p, w=y_p, lam=Fraction(0), k=k)
+    return base, sub
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sub_family_case())
+def test_sub_family_matches_fresh_sieve(case):
+    base_params, params = case
+    view = build_family(base_params).sub_family(params)
+    fresh = build_family(params)
+    assert view.members.tolist() == fresh.members.tolist()
+    assert view.members_a0().tolist() == fresh.members_a0().tolist()
+    assert (view.count, view.count_a0) == (fresh.count, fresh.count_a0)
+    for p in primes_in(2, params.y):
+        for l in range(1, 2 if p > params.w else params.k):
+            for a0 in (False, True):
+                assert view.slice(p, l, a0).tolist() == fresh.slice(p, l, a0).tolist()
+    for l in range(1, params.k + 1):
+        for p_max in (1, 2, 3, params.y // 2, params.y):
+            got = view.exact_power_of_two_members(l, p_max)
+            assert got.tolist() == fresh.exact_power_of_two_members(l, p_max).tolist()
+    for n in range(-1, params.x + 3):
+        assert (n in view) == (n in fresh)
+        assert view.in_a0(n) == fresh.in_a0(n)
+
+
+def test_sub_family_rejects_non_subsets():
+    base = build_family(SmoothParams(x=1000, y=100, w=10, lam=Fraction(0), k=3))
+    cut = base.sub_family(SmoothParams(x=1000, y=100, w=10, lam=Fraction(1, 2), k=3))
+    for fam, params in [
+        (base, SmoothParams(x=1000, y=100, w=10, lam=Fraction(0), k=2)),  # k
+        (base, SmoothParams(x=1001, y=100, w=10, lam=Fraction(0), k=3)),  # x
+        (base, SmoothParams(x=1000, y=101, w=10, lam=Fraction(0), k=3)),  # y
+        (base, SmoothParams(x=1000, y=50, w=20, lam=Fraction(0), k=3)),  # w
+        (base, SmoothParams(x=1000, y=50, w=5, lam=Fraction(0), k=3)),  # w
+        (cut, SmoothParams(x=1000, y=100, w=10, lam=Fraction(1, 4), k=3)),  # cutoff
+    ]:
+        with pytest.raises(ParameterError):
+            fam.sub_family(params)
+    # w-conditions that agree on y'-smooth integers are a sub-family
+    pool = base.sub_family(SmoothParams(x=500, y=7, w=7, lam=Fraction(0), k=3))
+    assert pool.members.tolist() == base.members[
+        (base.members <= 500) & (base._lpf[base.members] <= 7)
+    ].tolist()
 
 
 def _member_predicates(n, params):
@@ -87,9 +142,11 @@ def test_membership_rederivation(mid_family):
 def test_partition_identity(mid_family):
     """family = y'-smooth core plus slices over (y', y], exactly."""
     params = mid_family.params
+    members = mid_family.members
     for y_prime in (10, 30):
-        total = len(mid_family.core(y_prime))
-        union = set(int(v) for v in mid_family.core(y_prime))
+        core = members[mid_family._lpf[members] <= y_prime]
+        total = len(core)
+        union = set(int(v) for v in core)
         for p in [q for q in range(y_prime + 1, params.y + 1) if factorize(q).factors == ((q, 1),)]:
             lmax = 1 if p > params.w else params.k - 1
             for l in range(1, lmax + 1):
