@@ -179,7 +179,7 @@ def is_k_free(n: int, k: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division; for the small primes the pipeline names one at a time."""
+    """Trial division, for single small n (slice bases, y' candidates, p)."""
     return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
