@@ -195,6 +195,6 @@ def primes_in(lo: int, hi: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = False
     start = max(lo, 2)
-    return [int(v) for v in np.nonzero(sieve[start : hi + 1])[0] + start]
+    return (np.nonzero(sieve[start : hi + 1])[0] + start).tolist()
 
 

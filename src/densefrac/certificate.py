@@ -9,7 +9,9 @@ deterministic: same representation, byte-identical JSON.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from fractions import Fraction
 from typing import Optional
 
@@ -33,20 +35,18 @@ def parse_frac(s: str) -> Fraction:
 
 def encode_deltas(values) -> dict:
     """Sorted integers -> {first, deltas}; decoding reproduces them exactly."""
-    vals = sorted(int(v) for v in values)
+    vals = sorted(map(int, values))
     if not vals:
         return {"first": None, "deltas": []}
-    deltas = [vals[i] - vals[i - 1] for i in range(1, len(vals))]
+    deltas = list(map(operator.sub, islice(vals, 1, None), vals))
     return {"first": vals[0], "deltas": deltas}
 
 
 def decode_deltas(enc: dict) -> list:
     if enc.get("first") is None:
         return []
-    out = [int(enc["first"])]
-    for d in enc.get("deltas", []):
-        out.append(out[-1] + int(d))
-    return out
+    deltas = map(int, enc.get("deltas", []))
+    return list(accumulate(deltas, initial=int(enc["first"])))
 
 
 @dataclass

@@ -626,9 +626,8 @@ def stage_one(
     def run_step(stage, p, l, slice_arr):
         nonlocal rem, n_mod
         if exact_multiplicity(rem.denominator, p) >= l:
-            s_elems = [int(v) for v in slice_arr]
             before = rem
-            t_set, rem = eliminate_prime(before, n_mod, s_elems, p, l, mode)
+            t_set, rem = eliminate_prime(before, n_mod, slice_arr, p, l, mode)
             if rem - before != _sum_recips(t_set):
                 raise AssertionError("telescoping broke at prime %d" % p)
             overlap = removed_all.intersection(t_set)
@@ -657,16 +656,15 @@ def stage_one(
     for j in range(2, k + 1):
         l = k - j + 1
         if exact_multiplicity(rem.denominator, 2) == l:
-            cands = family.exact_power_of_two_members(l, odd_cap)
-            cands = [int(v) for v in cands if int(v) not in removed_all]
-            if not cands:
+            cands = family.exact_power_of_two_members(l, odd_cap).tolist()
+            n_pick = next((v for v in reversed(cands) if v not in removed_all), None)
+            if n_pick is None:
                 raise EliminationFailed(
                     f"no family element exactly divisible by 2^{l} below y'",
                     prime=2,
                     power=l,
                     suggestion="increase x or lower y'",
                 )
-            n_pick = cands[-1]
             rem = rem + Fraction(1, n_pick)
             if exact_multiplicity(rem.denominator, 2) >= l:
                 raise AssertionError("power-of-two cleanup failed to reduce")
@@ -771,7 +769,7 @@ def stage_two(
             failing_parameter="remainder",
         )
     fam2 = _stage_two_pool(family, y_p, x_p, k)
-    pool = [int(v) for v in fam2.members_a0()]
+    pool = fam2.members_a0().tolist()
     p0p = _next_prime_above(y_p)
     d_pool = modulus_product(p0p, y_p, k)
     lam_p, chosen, c0 = choose_lambda(pool, remainder, x_p, modulus=d_pool)
@@ -832,7 +830,6 @@ def _stage_two_attempt(
     c = c_start
     trace = StageTrace()
     removed: list = []
-    removed_set: set = set()
     early_prime: Optional[int] = None
     expansion: Optional[OddExpansion] = None
 
@@ -846,10 +843,10 @@ def _stage_two_attempt(
                 break
         for l in range(k - 1, 0, -1):
             if exact_multiplicity(c.denominator, q) >= l:
+                # Slices of distinct (q, l) are disjoint, so s_all holds
+                # nothing removed earlier in this attempt.
                 s_all = fam2.slice(q, l, a0=True)
-                s_sel = [
-                    int(v) for v in s_all if v > boundary and int(v) not in removed_set
-                ]
+                s_sel = s_all[s_all > boundary]
                 if mode == STRICT and len(s_sel) < q - 1:
                     raise EliminationFailed(
                         f"strict stage two: slice({q},{l}) holds {len(s_sel)} < q-1",
@@ -861,7 +858,6 @@ def _stage_two_attempt(
                 if c - before != _sum_recips(t_set):
                     raise AssertionError("stage-two telescoping broke")
                 removed.extend(t_set)
-                removed_set.update(t_set)
             else:
                 t_set = ()
             n_mod = n_mod.div_prime(q, 1)
@@ -880,7 +876,7 @@ def _stage_two_attempt(
 
     c_terms = sorted(expansion.terms)
     a_prime, c_minus, d1, d2 = four_set_repair(
-        set(selection) - removed_set, c_terms
+        set(selection).difference(removed), c_terms
     )
     for v in d2:
         if v > x:
@@ -931,7 +927,7 @@ def _alpha_targets(
         fam2 = _stage_two_pool(family, plan.y_prime, plan.x_prime, config.k)
     except ParameterError:
         return []
-    pool = [int(v) for v in fam2.members_a0()]
+    pool = fam2.members_a0().tolist()
     if not pool:
         return []
     q_e = _exit_prime(plan.cutoff, config.k)

@@ -9,16 +9,21 @@ random residue sets cover Z_p once their size is a small power of log p)
 the solver is still exact, only the success guarantee is lost.
 
 eliminate_prime applies a witness to cancel the factor p^l from a running
-denominator: given c/d with d | N and a stock S of multiples of N exactly
+denominator: given c/d with d | N and a stock S of divisors of N exactly
 divisible by p^l, it finds T subset of S, |T| < p, with the denominator of
-c/d + sum(1/n for n in T) dividing N/p.
+c/d + sum(1/n for n in T) dividing N/p. S may be any sequence of ints or an
+int64 array, with every value in int64. A slice is sorted, checked and
+reduced mod p in one array pass; only the exact n | N check runs on Python
+integers, and residues are made only as far as the solver reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
+
+import numpy as np
 
 # factorize stays importable from here: perfbench/tracing.py counts its calls
 # through this module's namespace.
@@ -53,7 +58,7 @@ def _reduced_residues(residues: Sequence[int], p: int) -> list[int]:
 
 
 def _grow_achievable(
-    residues: Sequence[int], p: int, target: Optional[int]
+    residues: Iterable[int], p: int, target: Optional[int]
 ) -> Dict[int, Tuple[int, ...]]:
     """Insert residues one at a time; stop early once target is reachable.
 
@@ -87,17 +92,19 @@ def subset_sum_mod_p(
     than p-1 residues). The empty witness answers target 0.
     """
     _check_prime(p)
-    return _solve(_reduced_residues(residues, p), int(target) % p, p)
+    rs = _reduced_residues(residues, p)
+    return _solve(rs, int(target) % p, p, len(rs))
 
 
-def _solve(rs: Sequence[int], target: int, p: int) -> Optional[SubsetWitness]:
-    """subset_sum_mod_p for p prime, residues in [1, p) and target in [0, p)."""
+def _solve(
+    rs: Iterable[int], target: int, p: int, t: int
+) -> Optional[SubsetWitness]:
+    """subset_sum_mod_p for p prime, t residues in [1, p) and target in
+    [0, p). rs is read only up to the first witness found."""
     reached = _grow_achievable(rs, p, target)
     if target not in reached:
-        if len(rs) >= p - 1:
-            raise AssertionError(
-                f"coverage guarantee violated for p={p}, t={len(rs)}"
-            )
+        if t >= p - 1:
+            raise AssertionError(f"coverage guarantee violated for p={p}, t={t}")
         return None
     return SubsetWitness(indices=reached[target], achieved=target)
 
@@ -138,6 +145,25 @@ def factored_divisor(d: int, template: FactoredInt) -> FactoredInt:
     return FactoredInt.from_factors(factors)
 
 
+def _as_int64(S) -> np.ndarray:
+    if isinstance(S, np.ndarray) and S.dtype == np.int64:
+        return S
+    vals = list(map(int, S))
+    try:
+        return np.array(vals, dtype=np.int64)
+    except OverflowError:
+        big = next(n for n in vals if not -(2**63) <= n < 2**63)
+        raise ParameterError(f"elements of S must fit in int64, got {big}") from None
+
+
+def _multiplicity(n: int, p: int) -> int:
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
 def eliminate_prime(
     c_over_d: Fraction,
     N: FactoredInt,
@@ -149,8 +175,10 @@ def eliminate_prime(
     """Cancel the factor p^l from the denominator of c/d.
 
     Requires p^l exactly dividing N, d | N, and every n in S dividing N
-    with exact p-multiplicity l. Returns (T, c'/d') with T subset of S,
-    |T| < p, c'/d' = c/d + sum(1/n for n in T) and d' | N/p.
+    with exact p-multiplicity l. S is any sequence of ints or an int64
+    array (it is not modified); a value outside int64 raises
+    ParameterError. Returns (T, c'/d') with T a sorted list of Python ints
+    from S, |T| < p, c'/d' = c/d + sum(1/n for n in T) and d' | N/p.
 
     Strict mode enforces |S| >= p - 1 (which guarantees success);
     opportunistic mode attempts whatever S holds and raises
@@ -158,13 +186,15 @@ def eliminate_prime(
 
     Elements are offered to the solver in descending order, so witnesses
     prefer large n (small added reciprocals); results are deterministic.
+    When several elements are bad, the largest is reported.
 
     The subset sum is posed over the residues of N/n mod p. For n exactly
     divisible by p^l, N/n = (N/p^l) / (n/p^l) with both factors prime to
-    p, so each residue is (N/p^l mod p) * inv(n/p^l mod p), a small-integer
-    computation. Any common multiple M of d and S carrying exactly p^l
-    gives residues that differ from these by the unit N/M, so the witness
-    does not depend on the choice of common multiple.
+    p, so each residue is (N/p^l mod p) * inv(n/p^l mod p); the cofactors
+    n/p^l mod p come from one array pass over S. Any common multiple
+    M of d and S carrying exactly p^l gives residues that differ from
+    these by the unit N/M, so the witness does not depend on the choice of
+    common multiple. The check n | N stays exact, on Python integers.
     """
     _check_prime(p)
     if l < 1:
@@ -180,60 +210,68 @@ def eliminate_prime(
     nval = N.value
     if nval % d != 0:
         raise DivisibilityError(f"denominator {d} does not divide N")
-    elements = sorted({int(n) for n in S}, reverse=True)
-    if len(elements) != len(S):
+    ascending = np.sort(_as_int64(S))
+    if (ascending[1:] == ascending[:-1]).any():
         raise ParameterError("S must not contain duplicates")
-    if mode == STRICT and len(elements) < p - 1:
+    if mode == STRICT and ascending.size < p - 1:
         raise ParameterError(
-            f"strict mode needs |S| >= p-1 = {p - 1}, got {len(elements)}",
+            f"strict mode needs |S| >= p-1 = {p - 1}, got {ascending.size}",
             failing_parameter="S",
             suggestion="use opportunistic mode or enlarge the slice",
         )
+    elements = ascending[::-1]
+    elems = elements.tolist()
+    n_pos = ascending.size - int(np.searchsorted(ascending, 1))
+    positive = elems[:n_pos]
+    if any(map(nval.__mod__, positive)):
+        bad = next(n for n in positive if nval % n)
+        raise DivisibilityError(f"element {bad} does not divide N")
+    if n_pos < len(elems):
+        raise ParameterError(f"elements of S must be positive, got {elems[n_pos]}")
 
-    # (n, p-multiplicity of n, n / p^multiplicity) per element
-    split = []
-    for n in elements:
-        if n < 1:
-            raise ParameterError(f"elements of S must be positive, got {n}")
-        if nval % n != 0:
-            raise DivisibilityError(f"element {n} does not divide N")
-        m, e = n, 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        split.append((n, e, m))
-    d_cof, d_mult = d, 0
-    while d_cof % p == 0:
-        d_cof //= p
-        d_mult += 1
-    if max([d_mult] + [e for _, e, _ in split]) != l:
+    # Every element divides N, so its p-multiplicity is at most l: it is
+    # exactly l iff p^l divides it (the cofactor test guards the same).
+    pl = p**l
+    if pl < 2**63:
+        exact = elements % pl == 0
+        cof = elements // pl
+        cof %= p
+        exact &= cof != 0
+    else:  # no int64 element is a multiple of p^l
+        cof = np.zeros(elements.size, dtype=np.int64)
+        exact = cof != 0
+    d_mult = _multiplicity(d, p)
+    if d_mult != l and not exact.any():
         raise ParameterError(
             f"every element of S must be exactly divisible by {p}^{l}"
         )
-    for n, e, _ in split:
-        if e != l:
-            raise ParameterError(
-                f"element {n} has p-multiplicity {e}, expected exactly {l}"
-            )
+    if not exact.all():
+        n = elems[int(np.argmin(exact))]
+        raise ParameterError(
+            f"element {n} has p-multiplicity {_multiplicity(n, p)}, "
+            f"expected exactly {l}"
+        )
 
     if d_mult < l:
         return [], c_over_d  # N/d is a multiple of p: nothing to cancel
-    unit = nval // p**l % p
-    target = -c * unit * pow(d_cof % p, -1, p) % p
+    unit = nval // pl % p
+    target = -c * unit * pow(d // pl % p, -1, p) % p
     if target == 0:
         return [], c_over_d
-    residues = [unit * pow(m % p, -1, p) % p for _, _, m in split]
-    witness = _solve(residues, target, p)
+    # The solver stops at its first witness, typically within the first 2%
+    # of a slice, so the residues are made as it reads them.
+    residues = (unit * pow(m, -1, p) % p for m in cof.tolist())
+    witness = _solve(residues, target, p, len(elems))
     if witness is None:
         raise EliminationFailed(
-            f"no subset of {len(elements)} multiples reaches the residue "
+            f"no subset of {len(elems)} multiples reaches the residue "
             f"needed to cancel {p}^{l}",
             prime=p,
             power=l,
             failing_parameter="S",
             suggestion="enlarge S (lower lambda'), or switch x",
         )
-    T = [elements[i] for i in witness.indices]
+    T = [elems[i] for i in witness.indices]
     if len(T) >= p:
         raise AssertionError("witness cardinality >= p")
     result = Fraction(c * (nval // d) + sum(nval // n for n in T), nval)

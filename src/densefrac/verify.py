@@ -52,7 +52,7 @@ def tree_sum(elements: Sequence[int]) -> Fraction:
     with two gcds per node (Knuth, TAOCP 4.5.1); the only Fraction is the
     root.
     """
-    dens = [int(n) for n in elements]
+    dens = list(map(int, elements))
     if not dens:
         return Fraction(0)
     nums = [1] * len(dens)
@@ -129,10 +129,10 @@ def check(r, S: Iterable[int], x: int, eta: float = 0.0) -> Certificate:
         r = Fraction(r)
     except (ValueError, TypeError, ZeroDivisionError):
         r = None
-    items = [int(n) for n in S]
+    items = list(map(int, S))
     size = len(items)
     distinct = len(set(items)) == size
-    positive = all(n >= 1 for n in items)
+    positive = not items or min(items) >= 1
     max_element = max(items) if items else None
     max_ok = positive and (max_element is None or max_element <= x)
     if r is None or not positive:

@@ -3,6 +3,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run (seeded from each test),
+# so the suite cannot fail at random; no example database is kept.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densefrac.certificate import (
     CertificateDocument,
@@ -32,6 +34,33 @@ def test_delta_encoding_round_trip():
         vals = sorted(rng.sample(range(1, 10**6), rng.randint(0, 200)))
         assert decode_deltas(encode_deltas(vals)) == vals
     assert decode_deltas(encode_deltas([])) == []
+
+
+def _encode_elementwise(values):
+    vals = sorted(int(v) for v in values)
+    if not vals:
+        return {"first": None, "deltas": []}
+    deltas = [vals[i] - vals[i - 1] for i in range(1, len(vals))]
+    return {"first": vals[0], "deltas": deltas}
+
+
+def _decode_elementwise(enc):
+    if enc.get("first") is None:
+        return []
+    out = [int(enc["first"])]
+    for d in enc.get("deltas", []):
+        out.append(out[-1] + int(d))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-10, 10**6), st.integers(2**62, 2**66))))
+def test_delta_encoding_matches_elementwise(vals):
+    """Values past int64 and repeats included; unsorted input is sorted."""
+    enc = encode_deltas(vals)
+    assert enc == _encode_elementwise(vals)
+    assert all(type(d) is int for d in enc["deltas"])
+    assert decode_deltas(enc) == _decode_elementwise(enc) == sorted(vals)
 
 
 @pytest.fixture(scope="module")

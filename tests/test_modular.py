@@ -2,13 +2,17 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densefrac.arith import FactoredInt, factorize
 from densefrac.errors import DivisibilityError, EliminationFailed, ParameterError
 from densefrac.modular import (
     OPPORTUNISTIC,
     STRICT,
+    _check_prime,
     achievable_set,
     coverage_count,
     eliminate_prime,
@@ -170,6 +174,78 @@ def _eliminate_via_lcm(c_over_d, N, S, p, l):
     return sorted(T), Fraction(num, M.value)
 
 
+def _eliminate_scalar(c_over_d, N, S, p, l, mode=STRICT):
+    """Reference elimination that checks and reduces S one Python integer at
+    a time (the element-wise form of eliminate_prime)."""
+    _check_prime(p)
+    if l < 1:
+        raise ParameterError(f"need l >= 1, got {l}")
+    if mode not in (STRICT, OPPORTUNISTIC):
+        raise ParameterError(f"unknown mode {mode!r}")
+    if N.multiplicity(p) != l:
+        raise ParameterError(
+            f"p^l = {p}^{l} must exactly divide N (multiplicity "
+            f"{N.multiplicity(p)})"
+        )
+    c, d = c_over_d.numerator, c_over_d.denominator
+    nval = N.value
+    if nval % d != 0:
+        raise DivisibilityError(f"denominator {d} does not divide N")
+    elements = sorted({int(n) for n in S}, reverse=True)
+    if len(elements) != len(S):
+        raise ParameterError("S must not contain duplicates")
+    if mode == STRICT and len(elements) < p - 1:
+        raise ParameterError(
+            f"strict mode needs |S| >= p-1 = {p - 1}, got {len(elements)}",
+            failing_parameter="S",
+            suggestion="use opportunistic mode or enlarge the slice",
+        )
+    split = []
+    for n in elements:
+        if n < 1:
+            raise ParameterError(f"elements of S must be positive, got {n}")
+        if nval % n != 0:
+            raise DivisibilityError(f"element {n} does not divide N")
+        m, e = n, 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        split.append((n, e, m))
+    d_cof, d_mult = d, 0
+    while d_cof % p == 0:
+        d_cof //= p
+        d_mult += 1
+    if max([d_mult] + [e for _, e, _ in split]) != l:
+        raise ParameterError(
+            f"every element of S must be exactly divisible by {p}^{l}"
+        )
+    for n, e, _ in split:
+        if e != l:
+            raise ParameterError(
+                f"element {n} has p-multiplicity {e}, expected exactly {l}"
+            )
+    if d_mult < l:
+        return [], c_over_d
+    unit = nval // p**l % p
+    target = -c * unit * pow(d_cof % p, -1, p) % p
+    if target == 0:
+        return [], c_over_d
+    residues = [unit * pow(m % p, -1, p) % p for _, _, m in split]
+    witness = subset_sum_mod_p(residues, target, p)
+    if witness is None:
+        raise EliminationFailed(
+            f"no subset of {len(elements)} multiples reaches the residue "
+            f"needed to cancel {p}^{l}",
+            prime=p,
+            power=l,
+            failing_parameter="S",
+            suggestion="enlarge S (lower lambda'), or switch x",
+        )
+    T = [elements[i] for i in witness.indices]
+    result = Fraction(c * (nval // d) + sum(nval // n for n in T), nval)
+    return sorted(T), result
+
+
 def test_eliminate_randomized_properties():
     rng = random.Random(101)
     done = 0
@@ -183,5 +259,85 @@ def test_eliminate_randomized_properties():
         assert res == c_over_d + sum(Fraction(1, n) for n in T)
         # residues taken from N, not from the lcm, pick the same witness
         assert (T, res) == _eliminate_via_lcm(c_over_d, N, S, p, l)
+        ascending = np.array(sorted(S), dtype=np.int64)
+        assert eliminate_prime(c_over_d, N, ascending, p, l, STRICT) == (T, res)
         done += 1
     assert done > 100
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as err:  # noqa: BLE001 - the type and text are compared
+        return type(err), str(err)
+
+
+@st.composite
+def _elimination_case(draw):
+    """Elimination inputs, mostly valid, else with one or more faults:
+    duplicates, 0 and negative elements, elements not dividing N, elements
+    of the wrong p-multiplicity, an empty S, a denominator not dividing N."""
+
+    def sometimes(strategy, empty):
+        return draw(strategy) if draw(st.integers(0, 3)) == 3 else empty
+
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    l = draw(st.integers(1, 2))
+    others = [q for q in (2, 3, 5, 7, 11) if q != p][:3]
+    exps = [draw(st.integers(1, 3)) for _ in others]
+    N = FactoredInt.from_factors(sorted([(p, l)] + list(zip(others, exps))))
+    cofactors = [1]
+    for q, e in zip(others, exps):
+        cofactors = [m * q**j for m in cofactors for j in range(e + 1)]
+    pl = p**l
+    floor = sometimes(st.just(0), min(p - 1, len(cofactors)))
+    valid = draw(
+        st.lists(st.sampled_from(cofactors), unique=True, min_size=floor, max_size=24)
+    )
+    S = [pl * m for m in valid]
+    for bad in (
+        [0, -1, -pl],  # non-positive
+        [17, pl * 17],  # not dividing N
+        [p ** (l - 1) * cofactors[-1]] + cofactors[1:4],  # wrong multiplicity
+    ):
+        faults = st.lists(st.sampled_from(bad), min_size=1, max_size=2, unique=True)
+        S += sometimes(faults, [])
+    if S:
+        S += sometimes(st.lists(st.sampled_from(S), max_size=2), [])
+    form = draw(st.sampled_from(["list", "shuffled", "int64"]))
+    if form == "shuffled":
+        S = draw(st.permutations(S))
+    elif form == "int64":
+        S = np.array(S, dtype=np.int64)
+    d = draw(st.sampled_from(cofactors)) * p ** sometimes(st.integers(0, l - 1), l)
+    d *= sometimes(st.just(19), 1)
+    c = draw(st.integers(1, 60))
+    mode = draw(st.sampled_from([STRICT, OPPORTUNISTIC]))
+    return Fraction(c, d), N, S, p, l, mode
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_elimination_case())
+def test_eliminate_matches_scalar_reference(case):
+    """Same (T, result), or the same exception type and text, as the
+    element-wise reference, for any input form and any mix of faults."""
+    want = _outcome(_eliminate_scalar, *case)
+    got = _outcome(eliminate_prime, *case)
+    assert got == want
+    if isinstance(got[0], list):
+        assert all(type(n) is int for n in got[0])
+
+
+def test_eliminate_rejects_elements_beyond_int64():
+    N = factorize(2**70 * 3)
+    with pytest.raises(ParameterError, match="int64"):
+        eliminate_prime(Fraction(1, 3), N, [3 * 2**62, 3 * 2**63], 3, 1, OPPORTUNISTIC)
+
+
+def test_eliminate_power_beyond_int64():
+    """p^l >= 2^63: no int64 element is a multiple of it."""
+    N = factorize(2**64 * 3)
+    for S in ([], [3], [2**62, 3]):
+        for d in (1, 2**64):
+            case = (Fraction(1, d), N, S, 2, 64, OPPORTUNISTIC)
+            assert _outcome(eliminate_prime, *case) == _outcome(_eliminate_scalar, *case)

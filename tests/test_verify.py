@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densefrac import dickman
 from densefrac.smooth import pool_modulus, reciprocal_sum
 from densefrac.verify import (
     Certificate,
@@ -33,6 +34,29 @@ def test_check_total_on_malformed():
     assert not cert.sum_exact
     cert = check(1, [], 6)
     assert cert.sum_exact is False or cert.size == 0
+
+
+def test_check_fields_on_edge_inputs():
+    c1 = dickman.c_of_r(1)
+    up = dickman.density_upper_bound(1)
+
+    def cert(sum_exact, distinct, max_ok, size, max_element):
+        return Certificate(
+            sum_exact=sum_exact,
+            distinct=distinct,
+            max_ok=max_ok,
+            density=Fraction(size, 6),
+            harmonic_bound_ok=True,
+            c_of_r_minus_eta=c1,
+            upper_bound_1_minus_e_to_minus_r=up,
+            size=size,
+            max_element=max_element,
+        )
+
+    assert check(1, [], 6) == cert(False, True, True, 0, None)
+    assert check(1, iter([3, 3, 3]), 6) == cert(True, False, True, 3, 3)
+    assert check(1, [2, 0, -4], 6) == cert(False, True, False, 3, 2)
+    assert check(1, [-2, -3], 6) == cert(False, True, False, 2, -2)
 
 
 def test_harmonic_bound_field():
