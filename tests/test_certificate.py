@@ -109,18 +109,38 @@ def test_malformed_document():
         CertificateDocument.from_json('{"version": 1}')
 
 
-# sha256 of document_from_representation(construct_dense(r, x)).to_json(),
-# taken before the elimination, verifier and serialisation were sped up.
-# A change meant to keep certificates as they are must keep these bytes.
+# sha256 of document_from_representation(construct_dense(r, x, **options))
+# .to_json(). The first four were taken before the elimination, verifier and
+# serialisation were sped up; the rest cover the options, the stage-two
+# retries (1/3 with k=4 takes 4 attempts) and the delta retune (10/11
+# retunes once and then retries stage two; 1 only retunes). A change meant
+# to keep certificates as they are must keep these bytes.
 GOLDEN_DOCUMENTS = [
-    ("1/3", 10**4, "44354c7acd14e839b96b9ed2898cf287d47773e4f4d65183c405451ce8442169"),
-    ("1/2", 10**4, "3a4e8daaa6850dabdf902e3f224945ffae40bd28bae9946ef3dfecfc0debf50d"),
-    ("1", 10**4, "6c75ca8e853ccb39b6abf39fa631e6638aa5e44d43f8aa0860ad70fad984da40"),
-    ("19/21", 10**5, "a13b439d0a1a03e85023169fed7db0436f843fbe3965ab8c62f0265cd087e0ac"),
+    ("1/3", 10**4, {}, "44354c7acd14e839b96b9ed2898cf287d47773e4f4d65183c405451ce8442169"),
+    ("1/2", 10**4, {}, "3a4e8daaa6850dabdf902e3f224945ffae40bd28bae9946ef3dfecfc0debf50d"),
+    ("1", 10**4, {}, "6c75ca8e853ccb39b6abf39fa631e6638aa5e44d43f8aa0860ad70fad984da40"),
+    ("19/21", 10**5, {}, "a13b439d0a1a03e85023169fed7db0436f843fbe3965ab8c62f0265cd087e0ac"),
+    ("1/2", 10**5, {"lambda_mode": "formula"},
+     "f6c963fbf6c67d5087a0006b46ea53c51702a0467b2ee77774232196b18f58d6"),
+    ("1/12", 10**5, {"elimination_mode": "opportunistic"},
+     "92ea90a6e12dcbbdeea8d37749fa29ff12fdb442717f3e05cdf8469402e6f0d8"),
+    ("1/3", 10**5, {"k": 4}, "1e2231bd4cc1975f27dd94ef89605fd0fdd80937bd9663d65dca7364b42fd981"),
+    ("1/2", 10**5, {"y_prime": 20},
+     "ebef38c0e18fda9b2d897750c4b865c969e6749fb43fa2e2d8c5f2fa32ad834d"),
+    ("10/11", 10**5, {}, "8aa3a0ec930d0b45c76e4ecbbbca518e8b5ead6e012946ae0214237d71ea5791"),
+    ("1", 10**5, {}, "02c75ce9736ba61f0bb01dc9a5de8cc64a2b19fdfb8ade4acf77810b168a8a5a"),
 ]
 
 
-@pytest.mark.parametrize("r, x, digest", GOLDEN_DOCUMENTS)
-def test_document_bytes_are_pinned(r, x, digest):
-    text = document_from_representation(construct_dense(Fraction(r), x)).to_json()
+def _golden_id(r, x, options, digest):
+    return "-".join([r, str(x), *(f"{k}={v}" for k, v in options.items()), digest])
+
+
+@pytest.mark.parametrize(
+    "r, x, options, digest",
+    [pytest.param(*g, id=_golden_id(*g)) for g in GOLDEN_DOCUMENTS],
+)
+def test_document_bytes_are_pinned(r, x, options, digest):
+    rep = construct_dense(Fraction(r), x, **options)
+    text = document_from_representation(rep).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
