@@ -9,12 +9,9 @@ from fractions import Fraction
 
 from .arith import (
     FactoredInt,
-    P_INFINITY,
     exact_multiplicity,
     factorize,
-    is_k_free,
     largest_prime_factor,
-    least_prime_factor,
     primes_in,
 )
 from .construct import construct_dense, plan_parameters
@@ -25,14 +22,11 @@ __version__ = "0.1.0"
 __all__ = [
     "FactoredInt",
     "Fraction",
-    "P_INFINITY",
     "check",
     "construct_dense",
     "exact_multiplicity",
     "factorize",
-    "is_k_free",
     "largest_prime_factor",
-    "least_prime_factor",
     "plan_parameters",
     "primes_in",
 ]

@@ -1,9 +1,8 @@
 """Exact integer/rational groundwork shared by the whole pipeline.
 
-Two conventions from classical multiplicative number theory are wired in:
-P(1) = 1 (largest prime factor of 1) and p(1) = infinity (least prime
-factor of 1, an infinite marker that compares greater than every prime).
-"A prime power p^l exactly divides n" means p^l | n and p^(l+1) does not.
+P(1) = 1: the largest prime factor of 1 is 1, the convention of classical
+multiplicative number theory. "A prime power p^l exactly divides n" means
+p^l | n and p^(l+1) does not.
 
 Factorization here is by trial division: it serves one-off queries (the
 target's denominator, expansion moduli, tests), while the sieved families
@@ -23,9 +22,6 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import ParameterError
-
-#: Marker returned by least_prime_factor(1); compares greater than any prime.
-P_INFINITY = math.inf
 
 
 @dataclass(frozen=True)
@@ -76,20 +72,12 @@ class FactoredInt:
                 return 0
         return 0
 
-    def divides(self, other: "FactoredInt") -> bool:
-        return all(other.multiplicity(p) >= e for p, e in self.factors)
-
     def lcm(self, other: "FactoredInt") -> "FactoredInt":
         """Max-exponent merge; never computes integer lcm on huge values."""
         merged = dict(self.factors)
         for p, e in other.factors:
             if merged.get(p, 0) < e:
                 merged[p] = e
-        return FactoredInt.from_factors(sorted(merged.items()))
-
-    def mul_prime_power(self, p: int, e: int) -> "FactoredInt":
-        merged = dict(self.factors)
-        merged[p] = merged.get(p, 0) + e
         return FactoredInt.from_factors(sorted(merged.items()))
 
     def div_prime(self, p: int, e: int = 1) -> "FactoredInt":
@@ -140,22 +128,6 @@ def largest_prime_factor(n: int) -> int:
     return factorize(n).factors[-1][0]
 
 
-def least_prime_factor(n: int):
-    """p(n); p(1) is an infinite marker greater than every prime."""
-    if n < 1:
-        raise ParameterError(f"p(n) requires n >= 1, got {n}")
-    if n == 1:
-        return P_INFINITY
-    if n % 2 == 0:
-        return 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 2
-    return n
-
-
 def exact_multiplicity(n: int, p: int) -> int:
     """Largest l with p^l | n (so p^l exactly divides n)."""
     if n < 1:
@@ -165,17 +137,6 @@ def exact_multiplicity(n: int, p: int) -> int:
         n //= p
         l += 1
     return l
-
-
-def is_k_free(n: int, k: int) -> bool:
-    """True iff no prime's k-th power divides n (k >= 2)."""
-    if k < 2:
-        raise ParameterError(f"k-free requires k >= 2, got {k}")
-    if n < 1:
-        raise ParameterError(f"is_k_free requires n >= 1, got {n}")
-    if n == 1:
-        return True
-    return all(e < k for _, e in factorize(n).factors)
 
 
 def is_prime(n: int) -> bool:

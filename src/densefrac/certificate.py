@@ -45,8 +45,11 @@ def encode_deltas(values) -> dict:
 def decode_deltas(enc: dict) -> list:
     if enc.get("first") is None:
         return []
-    deltas = map(int, enc.get("deltas", []))
-    return list(accumulate(deltas, initial=int(enc["first"])))
+    try:
+        deltas = map(int, enc.get("deltas", []))
+        return list(accumulate(deltas, initial=int(enc["first"])))
+    except (TypeError, ValueError) as e:
+        raise ParameterError(f"malformed delta encoding: {e}") from None
 
 
 @dataclass
@@ -71,7 +74,7 @@ class CertificateDocument:
         except json.JSONDecodeError as e:
             raise ParameterError(f"malformed certificate JSON: {e}") from None
         try:
-            return cls(
+            doc = cls(
                 version=int(raw["version"]),
                 r=str(raw["r"]),
                 x=int(raw["x"]),
@@ -82,6 +85,17 @@ class CertificateDocument:
             )
         except (KeyError, TypeError, ValueError) as e:
             raise ParameterError(f"certificate document missing field: {e}") from None
+        for name, enc in doc.parts.items():
+            if not (
+                isinstance(enc, dict)
+                and (enc.get("first") is None or type(enc["first"]) is int)
+                and isinstance(enc.get("deltas", []), list)
+            ):
+                raise ParameterError(
+                    f"certificate part {name!r} is not a "
+                    '{"first": int or null, "deltas": [...]} object'
+                )
+        return doc
 
     def denominators(self) -> list:
         out = []
@@ -120,7 +134,8 @@ def document_from_representation(rep) -> CertificateDocument:
         "lambda": frac_str(plan.lam),
         "lambda_mode": cfg.lambda_mode,
         "elimination_mode": cfg.elimination_mode,
-        "stage_two_mode": cfg.stage_two_mode,
+        # Stage two always eliminates opportunistically; the field stays.
+        "stage_two_mode": "opportunistic",
         "y": plan.y,
         "w": plan.w,
         "y_prime": plan.y_prime,
@@ -170,27 +185,16 @@ def recheck_document(doc: CertificateDocument, eta: Optional[float] = None):
     """Re-verify a document from scratch; returns (Certificate, consistent).
 
     `consistent` additionally demands that the recomputed pass/fail fields
-    match what the document claims, and that the parts are disjoint.
+    match what the document claims. A value shared by two parts is a
+    repeated denominator, so it fails `distinct`.
     """
     r = parse_frac(doc.r)
-    part_lists = {name: decode_deltas(enc) for name, enc in doc.parts.items()}
-    seen: set = set()
-    disjoint = True
-    denoms = []
-    for vals in part_lists.values():
-        vs = set(vals)
-        if vs & seen:
-            disjoint = False
-        seen |= vs
-        denoms.extend(vals)
-    denoms.sort()
     if eta is None:
         eta = float(doc.parameters.get("eta", 0.0) or 0.0)
-    cert = check(r, denoms, doc.x, eta)
+    cert = check(r, doc.denominators(), doc.x, eta)
     claimed = doc.certificate
     consistent = (
-        disjoint
-        and cert.sum_exact == bool(claimed.get("sum_exact"))
+        cert.sum_exact == bool(claimed.get("sum_exact"))
         and cert.distinct == bool(claimed.get("distinct"))
         and cert.max_ok == bool(claimed.get("max_ok"))
         and cert.harmonic_bound_ok == bool(claimed.get("harmonic_bound_ok"))

@@ -178,8 +178,8 @@ def build_parser() -> _Parser:
     c.add_argument("--delta", help="stage-one remainder target, as a/b")
     c.add_argument("--mode", choices=["strict", "opportunistic"], default="strict")
     c.add_argument("--lambda", choices=["formula", "adaptive"], default="adaptive")
-    c.add_argument("--y-prime", dest="y_prime", type=int)
-    c.add_argument("--x-prime", dest="x_prime", type=int)
+    c.add_argument("--y-prime", dest="y_prime", type=_positive_int)
+    c.add_argument("--x-prime", dest="x_prime", type=_positive_int)
     c.add_argument("--out", help="write the certificate document to this file")
     c.set_defaults(func=cmd_construct)
 

@@ -83,7 +83,6 @@ class ConstructionConfig:
     delta: Fraction
     lambda_mode: str
     elimination_mode: str
-    stage_two_mode: str = OPPORTUNISTIC
     y_prime_override: Optional[int] = None
     x_prime_override: Optional[int] = None
 
@@ -144,27 +143,18 @@ class StageTrace:
     def removed_total(self) -> int:
         return sum(len(s.removed) for s in self.steps)
 
-    def summary(self) -> dict:
-        return {
-            "steps": len(self.steps),
-            "removed_total": self.removed_total,
-            "primes": [s.prime for s in self.steps],
-        }
-
 
 @dataclass
 class StageTwoResult:
     a_prime: list
     c_terms: list
+    c_minus: list
     d1: list
     d2: list
     lam_prime: Fraction
-    removed: list
     trace: StageTrace
-    residual: Fraction
-    expansion: OddExpansion
     early_exit_prime: Optional[int]
-    attempts: int
+    attempts: int = 1
 
 
 @dataclass
@@ -322,47 +312,51 @@ def _exit_prime(cutoff: int, k: int) -> int:
     return best
 
 
-def _stage_one_deficit(fam0: SmoothFamily, y_p: int, w: int, k: int, cutoff: int):
+def _stage_one_deficit(fam0: SmoothFamily, y_p: int, cutoff: int):
     """(q, l) pairs of the stage-one q-loop too thin for strict elimination."""
     out = []
-    for q in _primes_between(y_p, w):
-        for l in range(1, k):
+    for q in _primes_between(y_p, fam0.params.w):
+        for l in range(1, fam0.params.k):
             if _count_above(fam0.slice(q, l), cutoff) < q - 1:
                 out.append((q, l))
     return out
 
 
-def _stage_two_pool(fam0: SmoothFamily, y_p: int, x_p: int, k: int) -> SmoothFamily:
+def _stage_two_pool(fam0: SmoothFamily, y_p: int, x_p: int) -> SmoothFamily:
     """A(x', y'; y', 0), a view of the planning sieve."""
-    return fam0.sub_family(SmoothParams(x=x_p, y=y_p, w=y_p, lam=Fraction(0), k=k))
+    params = SmoothParams(x=x_p, y=y_p, w=y_p, lam=Fraction(0), k=fam0.params.k)
+    return fam0.sub_family(params)
 
 
-def _stage_two_deficit(fam2: SmoothFamily, y_p: int, q_e: int, k: int):
+def _stage_two_deficit(fam2: SmoothFamily, q_e: int):
     """Needed q'-ladders (primes in [q_e, y')) thinner than the heuristic
     coverage threshold, measured over the full pool."""
     out = []
-    for q in _primes_between(q_e, y_p - 1):
-        for l in range(1, k):
+    for q in _primes_between(q_e, fam2.params.y - 1):
+        for l in range(1, fam2.params.k):
             if int(fam2.slice(q, l, a0=True).size) < _ladder_threshold(q):
                 out.append((q, l))
     return out
 
 
+def _x_prime(y_p: int, k: int, cutoff: int, override: Optional[int]) -> int:
+    """The stage-two bound x': the override, else min(y'^(2k), lambda*x / 2)."""
+    return min(y_p ** (2 * k), cutoff // 2) if override is None else override
+
+
 def _select_y_prime(
     fam0: SmoothFamily,
-    w: int,
-    y: int,
-    k: int,
     cutoff: int,
     override: Optional[int],
-    x_prime_override: Optional[int] = None,
+    x_prime_override: Optional[int],
 ):
     """Largest non-prime y' in [6, min(w, 30)] such that (a) every stage-one
     q-loop slice can feed a strict elimination at the current cutoff and
     (b) every stage-two ladder that the early Breusch hand-off cannot absorb
     is thick enough for the subset-sum heuristic. Falls back to the least
     deficient candidate with a warning."""
-    top = min(w, 30, y)
+    k = fam0.params.k
+    top = min(fam0.params.w, 30, fam0.params.y)
     if override is not None:
         y_p = override
         if y_p > top or y_p < 4:
@@ -375,7 +369,7 @@ def _select_y_prime(
         return max(y_p, 4), []
     if top < 6:
         raise InfeasibleMass(
-            f"w = {w} leaves no room for a stage-two bound y' >= 6",
+            f"w = {fam0.params.w} leaves no room for a stage-two bound y' >= 6",
             failing_parameter="x",
             suggestion="increase x",
         )
@@ -391,17 +385,17 @@ def _select_y_prime(
             for l in range(1, k)
         ):
             continue
-        x_p = x_prime_override or min(y_p ** (2 * k), cutoff // 2)
+        x_p = _x_prime(y_p, k, cutoff, x_prime_override)
         if x_p < y_p:
             continue
         if x_p > cutoff:  # plan.validate() rejects this x' whatever y' is
             return y_p, []
-        deficit1 = _stage_one_deficit(fam0, y_p, w, k, cutoff)
+        deficit1 = _stage_one_deficit(fam0, y_p, cutoff)
         try:
-            fam2 = _stage_two_pool(fam0, y_p, x_p, k)
+            fam2 = _stage_two_pool(fam0, y_p, x_p)
         except ParameterError:
             continue
-        deficit2 = _stage_two_deficit(fam2, y_p, q_e, k)
+        deficit2 = _stage_two_deficit(fam2, q_e)
         if not deficit1 and not deficit2:
             return y_p, []
         score = (len(deficit1), len(deficit2))
@@ -430,20 +424,28 @@ def _plan_full(
     delta=None,
     lambda_mode: str = "adaptive",
     elimination_mode: str = STRICT,
-    stage_two_mode: str = OPPORTUNISTIC,
     y_prime: Optional[int] = None,
     x_prime: Optional[int] = None,
 ):
+    """(config, plan, planning family, D(p0), the family's mass over D(p0))."""
     r = Fraction(r)
     if r <= 0:
         raise ParameterError(f"r must be positive, got {r}", failing_parameter="r")
     x = int(x)
     if x < 3:
         raise ParameterError(f"x must be >= 3, got {x}", failing_parameter="x")
+    if not math.isfinite(eta):
+        raise ParameterError(f"eta must be finite, got {eta}", failing_parameter="eta")
     if not (0.0 < epsilon < 0.5):
         raise ParameterError(
             f"epsilon must be in (0, 1/2), got {epsilon}", failing_parameter="epsilon"
         )
+    if x_prime is not None:
+        x_prime = int(x_prime)
+        if x_prime < 1:
+            raise ParameterError(
+                f"x' must be >= 1, got {x_prime}", failing_parameter="x_prime"
+            )
     if elimination_mode not in (STRICT, OPPORTUNISTIC):
         raise ParameterError(f"unknown elimination mode {elimination_mode!r}")
     if lambda_mode not in ("adaptive", "formula"):
@@ -481,7 +483,6 @@ def _plan_full(
             suggestion="increase x or decrease epsilon",
         )
 
-    delta_pinned = delta is not None
     if delta is None:
         delta = min(Fraction(r, 4), Fraction(1, 20))
     delta = Fraction(delta)
@@ -510,30 +511,23 @@ def _plan_full(
         delta=delta,
         lambda_mode=lambda_mode,
         elimination_mode=elimination_mode,
-        stage_two_mode=stage_two_mode,
         y_prime_override=y_prime,
         x_prime_override=x_prime,
     )
-    plan = _resolve_plan(config, fam0, d_p0, total)
-    aux = {
-        "family0": fam0,
-        "d_p0": d_p0,
-        "total": total,
-        "delta_pinned": delta_pinned,
-    }
-    return config, plan, aux
+    plan = _resolve_plan(config, fam0, p0, d_p0, total)
+    return config, plan, fam0, d_p0, total
 
 
 def _resolve_plan(
     config: ConstructionConfig,
     fam0: SmoothFamily,
+    p0: int,
     d_p0: FactoredInt,
     total: Fraction,
     delta: Optional[Fraction] = None,
 ) -> StagePlan:
     """Turn a config (plus an optional retuned delta) into a full plan."""
     r, x, k = config.r, config.x, config.k
-    y, w = fam0.params.y, fam0.params.w
     delta = config.delta if delta is None else delta
     cutoff = None
     if config.lambda_mode == "formula":
@@ -545,12 +539,9 @@ def _resolve_plan(
     lam = Fraction(cutoff, x)
 
     y_p, warnings = _select_y_prime(
-        fam0, w, y, k, cutoff, config.y_prime_override, config.x_prime_override
+        fam0, cutoff, config.y_prime_override, config.x_prime_override
     )
-    x_p = config.x_prime_override
-    if x_p is None:
-        x_p = min(y_p ** (2 * k), cutoff // 2)
-    x_p = int(x_p)
+    x_p = _x_prime(y_p, k, cutoff, config.x_prime_override)
     if x_p < y_p:
         raise InfeasibleMass(
             f"stage-two bound x' = {x_p} below y' = {y_p}: lambda*x = {cutoff} "
@@ -558,8 +549,8 @@ def _resolve_plan(
             failing_parameter="x",
             suggestion="increase x or delta, or decrease r",
         )
+    y, w = fam0.params.y, fam0.params.w
     y_pp = min(_spec_y_doubleprime(x, k), y_p)
-    p0 = _next_prime_above(y)
     plan = StagePlan(
         x=x,
         y=y,
@@ -586,12 +577,37 @@ def plan_parameters(r, eta: float, x: int, **overrides):
     Raises InfeasibleMass when the family below x cannot carry r, and
     UnsupportedDenominator when r's denominator defeats every allowed k.
     """
-    config, plan, _aux = _plan_full(r, eta, x, **overrides)
+    config, plan, *_ = _plan_full(r, eta, x, **overrides)
     return config, plan
 
 
 def _sum_recips(elements) -> Fraction:
     return sum((Fraction(1, int(n)) for n in elements), Fraction(0))
+
+
+def _eliminate_step(trace, stage, removed, rem, n_mod, S, p, l, mode):
+    """One elimination step of either stage: when p^l divides the
+    remainder's denominator, add back members of the slice S that cancel it;
+    then divide one p out of the divisor certificate n_mod.
+
+    Records the step in trace, adds the members taken to the set removed
+    and returns (remainder, certificate).
+    """
+    t_set = ()
+    if exact_multiplicity(rem.denominator, p) >= l:
+        before = rem
+        t_set, rem = eliminate_prime(before, n_mod, S, p, l, mode)
+        if rem - before != _sum_recips(t_set):
+            raise AssertionError(f"{stage} telescoping broke at prime {p}")
+        overlap = removed.intersection(t_set)
+        if overlap:
+            raise AssertionError(f"B-sets overlap at {sorted(overlap)}")
+        removed.update(t_set)
+    n_mod = n_mod.div_prime(p, 1)
+    if n_mod.value % rem.denominator != 0:
+        raise AssertionError(f"{stage} remainder escaped the divisor certificate")
+    trace.record(stage, p, l, t_set, rem, n_mod)
+    return rem, n_mod
 
 
 def stage_one(
@@ -623,30 +639,16 @@ def stage_one(
     removed_all: set = set()
     mode = config.elimination_mode
 
-    def run_step(stage, p, l, slice_arr):
-        nonlocal rem, n_mod
-        if exact_multiplicity(rem.denominator, p) >= l:
-            before = rem
-            t_set, rem = eliminate_prime(before, n_mod, slice_arr, p, l, mode)
-            if rem - before != _sum_recips(t_set):
-                raise AssertionError("telescoping broke at prime %d" % p)
-            overlap = removed_all.intersection(t_set)
-            if overlap:
-                raise AssertionError(f"B-sets overlap at {sorted(overlap)}")
-            removed_all.update(t_set)
-        else:
-            t_set = ()
-        n_mod = n_mod.div_prime(p, 1)
-        if n_mod.value % rem.denominator != 0:
-            raise AssertionError("remainder escaped the divisor certificate")
-        trace.record(stage, p, l, t_set, rem, n_mod)
-
     for p in plan.p_primes:
-        run_step("p-loop", p, 1, family.slice(p, 1))
+        rem, n_mod = _eliminate_step(
+            trace, "p-loop", removed_all, rem, n_mod, family.slice(p, 1), p, 1, mode
+        )
 
     for q in plan.q_primes:
         for l in range(k - 1, 0, -1):
-            run_step("q-loop", q, l, family.slice(q, l))
+            rem, n_mod = _eliminate_step(
+                trace, "q-loop", removed_all, rem, n_mod, family.slice(q, l), q, l, mode
+            )
 
     # Powers-of-two cleanup: one exactly divisible element per leftover level.
     # When y' itself is prime the q-loop has eliminated it, so the element's
@@ -693,10 +695,11 @@ def stage_one(
 def four_set_repair(a_prime, c_terms):
     """Split the A'/C overlap through 1/n = 1/(n+1) + 1/(n(n+1)).
 
-    Returns (a_prime, c_minus_a_prime, d1, d2), pairwise disjoint, with
-    sum of reciprocals equal to sum over a_prime plus sum over c_terms.
-    The inputs must be odd and free of m^2+m-1 values (the membership rule
-    that makes d1 and d2 disjoint); violations raise ParameterError.
+    Returns (a_prime, c_minus_a_prime, d1, d2), pairwise disjoint and each
+    ascending, with sum of reciprocals equal to sum over a_prime plus sum
+    over c_terms. The inputs must be odd and free of m^2+m-1 values (the
+    membership rule that makes d1 and d2 disjoint); violations raise
+    ParameterError.
     """
     a_set = {int(n) for n in a_prime}
     c_set = {int(n) for n in c_terms}
@@ -762,45 +765,41 @@ def stage_two(
             failing_parameter="remainder",
         )
     y_p, x_p = plan.y_prime, plan.x_prime
-    d0_yp = modulus_product(_next_prime_above(y_p), plan.w, k).odd_part()
+    p0p = _next_prime_above(y_p)
+    d0_yp = modulus_product(p0p, plan.w, k).odd_part()
     if d0_yp.value % remainder.denominator != 0:
         raise DivisibilityError(
             f"remainder denominator does not divide D0(y'={y_p})",
             failing_parameter="remainder",
         )
-    fam2 = _stage_two_pool(family, y_p, x_p, k)
-    pool = fam2.members_a0().tolist()
-    p0p = _next_prime_above(y_p)
+    fam2 = _stage_two_pool(family, y_p, x_p)
     d_pool = modulus_product(p0p, y_p, k)
-    lam_p, chosen, c0 = choose_lambda(pool, remainder, x_p, modulus=d_pool)
+    lam_p, chosen, c_start = choose_lambda(
+        fam2.members_a0.tolist(), remainder, x_p, d_pool
+    )
+    boundary = lam_p.numerator * x_p // lam_p.denominator
 
-    cap = plan.cutoff
     last_err: Optional[Exception] = None
-    max_attempts = min(MAX_STAGE_TWO_ATTEMPTS, len(chosen))
-    for drop in range(0, max_attempts + 1):
-        selection = chosen[drop:]
-        if not selection:
-            break
-        c_start = c0 + _sum_recips(chosen[:drop])
-        boundary = chosen[drop - 1] if drop else lam_p.numerator * x_p // lam_p.denominator
-        lam_att = Fraction(boundary, x_p)
+    # Each attempt drops one more of the smallest chosen elements back into
+    # the residual; at least one chosen element stays.
+    for drop in range(min(MAX_STAGE_TWO_ATTEMPTS + 1, len(chosen))):
+        if drop:
+            boundary = chosen[drop - 1]
+            c_start += Fraction(1, boundary)
         try:
             result = _stage_two_attempt(
-                c_start,
-                selection,
-                boundary,
-                lam_att,
-                fam2,
-                plan,
-                config,
-                cap,
-                kept,
+                c_start, chosen[drop:], boundary, fam2, d_pool, plan, config, kept
             )
-            result.attempts = drop + 1
-            last_err = None  # its traceback holds this frame: break the cycle
-            return result
         except (EliminationFailed, BreuschPreconditionFailed, BoundExceeded) as err:
             last_err = err
+            continue
+        last_err = None  # its traceback holds this frame: break the cycle
+        # c_start + sum(chosen[drop:]) is the remainder whatever the drop.
+        parts = result.a_prime + result.c_minus + result.d1 + result.d2
+        if _sum_recips(parts) != remainder:
+            raise AssertionError("stage-two four-set identity broke")
+        result.attempts = drop + 1
+        return result
     if last_err is None:
         last_err = BreuschPreconditionFailed(
             "stage two exhausted the pool without a viable cut",
@@ -816,54 +815,33 @@ def _stage_two_attempt(
     c_start: Fraction,
     selection: list,
     boundary: int,
-    lam_att: Fraction,
     fam2: SmoothFamily,
+    n_mod: FactoredInt,
     plan: StagePlan,
     config: ConstructionConfig,
-    cap: int,
     kept: Optional[np.ndarray],
 ) -> StageTwoResult:
-    k = config.k
-    x = config.x
-    mode = config.stage_two_mode
-    n_mod = modulus_product(_next_prime_above(plan.y_prime), plan.y_prime, k)
+    """Stage two at one cut: the q'-loop over pool members above boundary
+    (n_mod is the pool modulus), the odd expansion and the four-set repair."""
+    k, x, cap = config.k, config.x, plan.cutoff
     c = c_start
     trace = StageTrace()
-    removed: list = []
+    removed: set = set()
     early_prime: Optional[int] = None
     expansion: Optional[OddExpansion] = None
 
     for q in plan.q2_primes:
-        d = c.denominator
-        if breusch_bound(d) <= cap:
-            attempt = _try_expansion(c, cap, x)
-            if attempt is not None:
+        if breusch_bound(c.denominator) <= cap:
+            expansion = _try_expansion(c, cap, x)
+            if expansion is not None:
                 early_prime = q
-                expansion = attempt
                 break
         for l in range(k - 1, 0, -1):
-            if exact_multiplicity(c.denominator, q) >= l:
-                # Slices of distinct (q, l) are disjoint, so s_all holds
-                # nothing removed earlier in this attempt.
-                s_all = fam2.slice(q, l, a0=True)
-                s_sel = s_all[s_all > boundary]
-                if mode == STRICT and len(s_sel) < q - 1:
-                    raise EliminationFailed(
-                        f"strict stage two: slice({q},{l}) holds {len(s_sel)} < q-1",
-                        prime=q,
-                        power=l,
-                    )
-                before = c
-                t_set, c = eliminate_prime(before, n_mod, s_sel, q, l, OPPORTUNISTIC)
-                if c - before != _sum_recips(t_set):
-                    raise AssertionError("stage-two telescoping broke")
-                removed.extend(t_set)
-            else:
-                t_set = ()
-            n_mod = n_mod.div_prime(q, 1)
-            if n_mod.value % c.denominator != 0:
-                raise AssertionError("stage-two remainder escaped the certificate")
-            trace.record("q'-loop", q, l, t_set, c, n_mod)
+            s_all = fam2.slice(q, l, a0=True)
+            s_sel = s_all[s_all > boundary]
+            c, n_mod = _eliminate_step(
+                trace, "q'-loop", removed, c, n_mod, s_sel, q, l, OPPORTUNISTIC
+            )
 
     if expansion is None:
         expansion = _try_expansion(c, cap, x)
@@ -892,48 +870,35 @@ def _stage_two_attempt(
                 raise BoundExceeded(
                     f"repair element {v} collides with the stage-one set"
                 )
-    total = (
-        _sum_recips(a_prime)
-        + _sum_recips(c_minus)
-        + _sum_recips(d1)
-        + _sum_recips(d2)
-    )
-    alpha = c_start + _sum_recips(selection)
-    if total != alpha:
-        raise AssertionError("stage-two four-set identity broke")
     return StageTwoResult(
         a_prime=a_prime,
         c_terms=c_terms,
-        d1=sorted(d1),
-        d2=sorted(d2),
-        lam_prime=lam_att,
-        removed=sorted(removed),
+        c_minus=c_minus,
+        d1=d1,
+        d2=d2,
+        lam_prime=Fraction(boundary, plan.x_prime),
         trace=trace,
-        residual=c,
-        expansion=expansion,
         early_exit_prime=early_prime,
-        attempts=1,
     )
 
 
-def _alpha_targets(
-    plan: StagePlan, config: ConstructionConfig, family: SmoothFamily
-) -> list:
+def _alpha_targets(plan: StagePlan, family: SmoothFamily) -> list:
     """Pool-derived stage-two masses that would park the cut boundary below
     the needed ladders' rungs: most ambitious first (the full heuristic
     threshold per ladder), then graded fallbacks keeping fewer rungs, for
     runs whose delta budget cannot afford the full cut."""
     try:
-        fam2 = _stage_two_pool(family, plan.y_prime, plan.x_prime, config.k)
+        fam2 = _stage_two_pool(family, plan.y_prime, plan.x_prime)
     except ParameterError:
         return []
-    pool = fam2.members_a0().tolist()
+    pool = fam2.members_a0.tolist()
     if not pool:
         return []
-    q_e = _exit_prime(plan.cutoff, config.k)
+    k = family.params.k
+    q_e = _exit_prime(plan.cutoff, k)
     ladders = []
     for q in _primes_between(q_e, plan.y_prime - 1):
-        for l in range(1, config.k):
+        for l in range(1, k):
             ladder = fam2.slice(q, l, a0=True)
             if ladder.size:
                 ladders.append((q, ladder))
@@ -963,8 +928,7 @@ def construct_dense(r, x: int, eta: float = 0.01, **options) -> Representation:
     pinned by the caller), assembles the five-part representation and
     certifies it independently. All errors carry the failing parameter.
     """
-    config, plan, aux = _plan_full(r, eta, x, **options)
-    fam0, total = aux["family0"], aux["total"]
+    config, plan, fam0, d_p0, total = _plan_full(r, eta, x, **options)
     r = config.r
 
     if total == r:
@@ -1005,10 +969,10 @@ def construct_dense(r, x: int, eta: float = 0.01, **options) -> Representation:
             InfeasibleMass,
             RemainderNonPositive,
         ):
-            if retune == MAX_DELTA_RETUNES or aux["delta_pinned"]:
+            if retune == MAX_DELTA_RETUNES or options.get("delta") is not None:
                 raise
             delta_new = None
-            for target in _alpha_targets(plan, config, fam0):
+            for target in _alpha_targets(plan, fam0):
                 cand = delta_current + (target - alpha)
                 if 0 < cand < r and cand != delta_current:
                     delta_new = cand
@@ -1016,10 +980,9 @@ def construct_dense(r, x: int, eta: float = 0.01, **options) -> Representation:
             if delta_new is None:
                 raise
             delta_current = delta_new
-            plan = _resolve_plan(config, fam0, aux["d_p0"], total, delta=delta_new)
+            plan = _resolve_plan(config, fam0, plan.p0, d_p0, total, delta=delta_new)
 
-    c_minus = sorted(set(s2.c_terms) - set(s2.a_prime))
-    small = np.array(s2.a_prime + c_minus + s2.d1 + s2.d2, dtype=np.int64)
+    small = np.array(s2.a_prime + s2.c_minus + s2.d1 + s2.d2, dtype=np.int64)
     denominators = np.sort(np.concatenate([kept, small]))
     repeated = denominators[1:][denominators[1:] == denominators[:-1]]
     if repeated.size:
@@ -1035,7 +998,7 @@ def construct_dense(r, x: int, eta: float = 0.01, **options) -> Representation:
         plan=plan,
         a=kept,
         a_prime=s2.a_prime,
-        c_minus_a_prime=c_minus,
+        c_minus_a_prime=s2.c_minus,
         d1=s2.d1,
         d2=s2.d2,
         lam_prime=s2.lam_prime,

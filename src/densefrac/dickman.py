@@ -139,12 +139,3 @@ def psi0_estimate(x: float, y: float, k: int) -> float:
     if x < 3 or y < 2 or y > x:
         raise ParameterError(f"estimate domain needs 3 <= x, 2 <= y <= x: ({x}, {y})")
     return x * rho(_u_of(x, y)) / xi(k)
-
-
-def recip_sum_estimate(x: float, y: float, k: int, lam: float) -> float:
-    """Main term rho(log x/log y) * log(1/lambda) / zeta(k) of sum 1/n."""
-    if x < 3 or y < 2 or y > x:
-        raise ParameterError(f"estimate domain needs 3 <= x, 2 <= y <= x: ({x}, {y})")
-    if not (0.0 < lam <= 1.0):
-        raise ParameterError(f"lambda must be in (0, 1], got {lam}")
-    return rho(_u_of(x, y)) * math.log(1.0 / lam) / zeta(k)

@@ -116,14 +116,6 @@ def achievable_set(residues: Sequence[int], p: int) -> set[int]:
     return set(_grow_achievable(rs, p, None))
 
 
-def coverage_count(residues: Sequence[int], p: int) -> int:
-    """Size of the achievable-sum set; always >= min(p, t+1)."""
-    n = len(achievable_set(residues, p))
-    if n < min(p, len(residues) + 1):
-        raise AssertionError(f"coverage below min(p, t+1) for p={p}")
-    return n
-
-
 def factored_divisor(d: int, template: FactoredInt) -> FactoredInt:
     """Factor d > 0 along the primes of the template it divides."""
     if d < 1:

@@ -22,11 +22,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import FactoredInt, factorize, is_prime, primes_in
+from .arith import FactoredInt, is_prime, primes_in
 from .errors import DivisibilityError, InfeasibleMass, ParameterError
 
 #: Resource guard: sieving above this bound is refused (memory budget).
@@ -65,7 +65,7 @@ class SmoothParams:
 
 
 class SmoothFamily:
-    """Materialized family: ascending member array plus O(1) membership.
+    """Materialized family: ascending arrays of the members and of A0.
 
     A family holds views of one sieve's per-integer arrays (P(n), the exact
     multiplicity of P(n), the m^2+m-1 flag) and its own membership mask.
@@ -83,7 +83,7 @@ class SmoothFamily:
         a0[::2] = False
         a0[m2m1] = False
         self._a0_mask = a0
-        self.members_a0_arr = np.flatnonzero(a0).astype(np.int64)
+        self.members_a0 = np.flatnonzero(a0).astype(np.int64)
         self._slice_cache: dict = {}
         self._pow2_cache: dict = {}
 
@@ -95,16 +95,7 @@ class SmoothFamily:
     @property
     def count_a0(self) -> int:
         """Census Psi0: odd members not of the form m^2 + m - 1."""
-        return int(self.members_a0_arr.size)
-
-    def __contains__(self, n: int) -> bool:
-        return 0 < n <= self.params.x and bool(self._member[n])
-
-    def in_a0(self, n: int) -> bool:
-        return 0 < n <= self.params.x and bool(self._a0_mask[n])
-
-    def members_a0(self) -> np.ndarray:
-        return self.members_a0_arr
+        return int(self.members_a0.size)
 
     def sub_family(self, params: SmoothParams) -> "SmoothFamily":
         """The family for params as a view of this family's sieve.
@@ -223,19 +214,11 @@ def reciprocal_sum(elements: Iterable[int], modulus: FactoredInt) -> Fraction:
     return Fraction(num, m)
 
 
-def pool_modulus(elements: Sequence[int]) -> FactoredInt:
-    """lcm of the elements, via factored max-exponent merge."""
-    acc = FactoredInt.one()
-    for n in elements:
-        acc = acc.lcm(factorize(int(n)))
-    return acc
-
-
 def choose_lambda(
     pool: Sequence[int],
     alpha: Fraction,
     x_prime: int,
-    modulus: Optional[FactoredInt] = None,
+    modulus: FactoredInt,
 ):
     """Pick the largest element-boundary cutoff leaving a small remainder.
 
@@ -243,7 +226,8 @@ def choose_lambda(
     strictly below alpha. Returns (lambda', chosen ascending, remainder)
     with 0 < remainder <= 1/(lambda' * x'), the jump-size bound: the
     boundary sits on the first element not taken (or just below the last
-    pool element when the whole pool is consumed).
+    pool element when the whole pool is consumed). Every pool element must
+    divide the modulus.
 
     Raises InfeasibleMass when even the whole pool leaves a remainder
     exceeding that bound.
@@ -258,8 +242,6 @@ def choose_lambda(
             failing_parameter="alpha",
             suggestion="enlarge x' or lower y'",
         )
-    if modulus is None:
-        modulus = pool_modulus(pool)
     m = modulus.value
     # Compare num/m against alpha without reducing: num*ad <=> an*m.
     an, ad = alpha.numerator, alpha.denominator

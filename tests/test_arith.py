@@ -6,12 +6,9 @@ import pytest
 
 from densefrac.arith import (
     FactoredInt,
-    P_INFINITY,
     exact_multiplicity,
     factorize,
-    is_k_free,
     largest_prime_factor,
-    least_prime_factor,
     primes_in,
 )
 from densefrac.errors import ParameterError
@@ -48,35 +45,13 @@ def test_factorize_roundtrip_random():
 
 def test_prime_factor_conventions():
     assert largest_prime_factor(1) == 1
-    assert least_prime_factor(1) == P_INFINITY
     assert largest_prime_factor(45) == 5
-    assert least_prime_factor(45) == 3
-    # the infinite marker compares above every prime
-    assert least_prime_factor(1) > 10**18
 
 
 def test_exact_multiplicity():
     assert exact_multiplicity(48, 2) == 4
     assert exact_multiplicity(45, 3) == 2
     assert exact_multiplicity(7, 5) == 0
-
-
-def test_is_k_free():
-    assert not is_k_free(12, 2)
-    assert is_k_free(12, 3)
-    assert not is_k_free(16, 3)
-    assert is_k_free(1, 2)
-
-
-def test_k_free_multiplicity_consistency():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(1, 100_000)
-        k = rng.randint(2, 5)
-        by_mult = all(
-            exact_multiplicity(n, p) < k for p, _ in factorize(n).factors
-        )
-        assert is_k_free(n, k) == by_mult
 
 
 def test_primes_in():
@@ -105,7 +80,6 @@ def test_factored_int_lcm_and_division():
     b = factorize(2100)
     l = a.lcm(b)
     assert l.value == math.lcm(360, 2100)
-    assert a.divides(l) and b.divides(l)
     assert l.div_prime(2, 1).value == l.value // 2
     with pytest.raises(ParameterError):
         factorize(9).div_prime(2, 1)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -107,6 +108,17 @@ def test_malformed_document():
         CertificateDocument.from_json("{not json")
     with pytest.raises(ParameterError):
         CertificateDocument.from_json('{"version": 1}')
+    fields = {"version": 1, "r": "1/2", "x": 10, "parameters": {}, "certificate": {}}
+    for part in (
+        [1, 2],
+        {"first": 3, "deltas": 7},
+        {"first": "3", "deltas": []},
+        {"first": True, "deltas": []},
+        {"first": 3, "deltas": [{}]},
+    ):
+        text = json.dumps({**fields, "parts": {"A": part}})
+        with pytest.raises(ParameterError):
+            CertificateDocument.from_json(text).denominators()
 
 
 # sha256 of document_from_representation(construct_dense(r, x, **options))

@@ -55,6 +55,21 @@ def test_construct_usage_error():
     assert p.returncode == 64
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--x-prime", "0"), ("--x-prime", "-5"), ("--y-prime", "0")]
+)
+def test_construct_nonpositive_bound_is_usage_error(flag, value):
+    p = run_cli("construct", "--r", "1/2", "--x", "10000", flag, value)
+    assert p.returncode == 64
+
+
+def test_construct_non_finite_eta_exit_64():
+    p = run_cli("construct", "--r", "1/2", "--x", "10000", "--eta", "nan")
+    assert p.returncode == 64
+    out = json.loads(p.stdout)
+    assert out["code"] == "parameter" and out["failing_parameter"] == "eta"
+
+
 def test_construct_infeasible_exit_2():
     p = run_cli("construct", "--r", "10/1", "--x", "1000")
     assert p.returncode == 2
@@ -92,6 +107,17 @@ def test_verify_tampered_exit_1(cert_file, tmp_path):
     p = run_cli("verify", str(bad))
     assert p.returncode == 1
     assert json.loads(p.stdout)["sum_exact"] is False
+
+
+@pytest.mark.parametrize("part", [[1, 2], {"first": 3, "deltas": 7}])
+def test_verify_malformed_part_exit_64(cert_file, tmp_path, part):
+    doc = json.loads(cert_file.read_text())
+    doc["parts"]["A"] = part
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    p = run_cli("verify", str(bad))
+    assert p.returncode == 64
+    assert json.loads(p.stdout)["code"] == "parameter"
 
 
 def test_verify_missing_file_exit_64():

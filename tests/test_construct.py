@@ -143,6 +143,23 @@ def test_plan_infeasible_mass():
     assert ei.value.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "eta, overrides, failing",
+    [
+        (0.01, {"x_prime": 0}, "x_prime"),
+        (0.01, {"x_prime": -5}, "x_prime"),
+        (float("nan"), {}, "eta"),
+        (float("inf"), {}, "eta"),
+    ],
+)
+def test_plan_rejects_malformed_request(eta, overrides, failing):
+    """x' < 1 is a malformed request, not an infeasible one, and a
+    non-finite eta would put NaN or Infinity into the certificate JSON."""
+    with pytest.raises(ParameterError) as ei:
+        plan_parameters(Fraction(1, 2), eta, 10**4, **overrides)
+    assert ei.value.failing_parameter == failing
+
+
 def test_plan_bounds_invariants():
     config, plan = plan_parameters(Fraction(1, 3), 0.01, 10**5)
     assert plan.y_doubleprime <= plan.y_prime <= plan.w <= plan.y <= plan.x

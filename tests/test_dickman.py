@@ -104,6 +104,5 @@ def test_estimates():
     assert abs(dickman.psi_estimate(1e6, 1e6, 2) - 1e6 / dickman.zeta(2)) < 1e-6
     assert round(dickman.psi_estimate(1e6, 1e6, 2)) == 607927
     assert round(dickman.psi0_estimate(1e6, 1e6, 2)) == 405285
-    assert dickman.recip_sum_estimate(1e6, 1e3, 2, 1.0) == 0.0
     with pytest.raises(ParameterError):
         dickman.psi_estimate(1e6, 2e6, 2)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densefrac import dickman
-from densefrac.smooth import pool_modulus, reciprocal_sum
+from densefrac.arith import factorize
+from densefrac.smooth import reciprocal_sum
 from densefrac.verify import (
     Certificate,
     check,
@@ -104,7 +106,7 @@ def test_tree_sum_vs_fixed_denominator(mid_family):
     members = [int(v) for v in mid_family.members]
     for _ in range(10):
         sample = sorted(rng.sample(members, 300))
-        modulus = pool_modulus(sample)
+        modulus = factorize(math.lcm(*sample))
         assert tree_sum(sample) == reciprocal_sum(sample, modulus)
 
 
