@@ -43,13 +43,19 @@ def encode_deltas(values) -> dict:
 
 
 def decode_deltas(enc: dict) -> list:
-    if enc.get("first") is None:
+    """{first, deltas} -> the integers. first and every delta must be JSON
+    integers: a string, a float or a bool raises ParameterError."""
+    first = enc.get("first")
+    if first is None:
         return []
-    try:
-        deltas = map(int, enc.get("deltas", []))
-        return list(accumulate(deltas, initial=int(enc["first"])))
-    except (TypeError, ValueError) as e:
-        raise ParameterError(f"malformed delta encoding: {e}") from None
+    deltas = enc.get("deltas", [])
+    if not (
+        type(first) is int and type(deltas) is list and set(map(type, deltas)) <= {int}
+    ):
+        raise ParameterError(
+            "malformed delta encoding: first and every delta must be integers"
+        )
+    return list(accumulate(deltas, initial=first))
 
 
 @dataclass
@@ -120,6 +126,7 @@ def _trace_summary(trace) -> dict:
         if trace.steps
         else None,
         "nonempty_steps": len(rems),
+        "thin_eliminations": trace.thin_eliminations,
     }
 
 
@@ -133,9 +140,6 @@ def document_from_representation(rep) -> CertificateDocument:
         "delta": frac_str(cfg.delta),
         "lambda": frac_str(plan.lam),
         "lambda_mode": cfg.lambda_mode,
-        "elimination_mode": cfg.elimination_mode,
-        # Stage two always eliminates opportunistically; the field stays.
-        "stage_two_mode": "opportunistic",
         "y": plan.y,
         "w": plan.w,
         "y_prime": plan.y_prime,

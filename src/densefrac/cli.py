@@ -57,7 +57,6 @@ def cmd_construct(args) -> int:
         opts["y_prime"] = args.y_prime
     if args.x_prime is not None:
         opts["x_prime"] = args.x_prime
-    opts["elimination_mode"] = args.mode
     opts["lambda_mode"] = getattr(args, "lambda")
     rep = construct_dense(parse_frac(args.r), args.x, eta=args.eta, **opts)
     doc = document_from_representation(rep)
@@ -176,7 +175,6 @@ def build_parser() -> _Parser:
     c.add_argument("--k", type=int)
     c.add_argument("--epsilon", type=float)
     c.add_argument("--delta", help="stage-one remainder target, as a/b")
-    c.add_argument("--mode", choices=["strict", "opportunistic"], default="strict")
     c.add_argument("--lambda", choices=["formula", "adaptive"], default="adaptive")
     c.add_argument("--y-prime", dest="y_prime", type=_positive_int)
     c.add_argument("--x-prime", dest="x_prime", type=_positive_int)

@@ -56,7 +56,7 @@ from .errors import (
     UnsupportedDenominator,
 )
 from .expand import OddExpansion, breusch_bound, expand_odd
-from .modular import OPPORTUNISTIC, STRICT, eliminate_prime
+from .modular import eliminate_prime
 from .smooth import (
     SmoothFamily,
     SmoothParams,
@@ -82,7 +82,6 @@ class ConstructionConfig:
     epsilon: float
     delta: Fraction
     lambda_mode: str
-    elimination_mode: str
     y_prime_override: Optional[int] = None
     x_prime_override: Optional[int] = None
 
@@ -133,6 +132,9 @@ class StageStep:
 @dataclass
 class StageTrace:
     steps: list = field(default_factory=list)
+    # Eliminations run on a slice S with |S| < p-1, where the subset-sum
+    # solver has no success guarantee.
+    thin_eliminations: int = 0
 
     def record(self, stage, prime, power, removed, remainder, modulus):
         self.steps.append(
@@ -292,7 +294,8 @@ def _resolve_cutoff(
 
 
 def _ladder_threshold(q: int) -> int:
-    """Slice size regarded as ample for an opportunistic mod-q subset sum."""
+    """Slice size regarded as ample for a mod-q subset sum below the
+    |S| >= q-1 guarantee."""
     return min(q - 1, max(6, q.bit_length() + 3))
 
 
@@ -313,7 +316,8 @@ def _exit_prime(cutoff: int, k: int) -> int:
 
 
 def _stage_one_deficit(fam0: SmoothFamily, y_p: int, cutoff: int):
-    """(q, l) pairs of the stage-one q-loop too thin for strict elimination."""
+    """(q, l) pairs of the stage-one q-loop whose slice above the cutoff
+    holds fewer than q-1 members (no |S| >= q-1 guarantee)."""
     out = []
     for q in _primes_between(y_p, fam0.params.w):
         for l in range(1, fam0.params.k):
@@ -351,7 +355,7 @@ def _select_y_prime(
     x_prime_override: Optional[int],
 ):
     """Largest non-prime y' in [6, min(w, 30)] such that (a) every stage-one
-    q-loop slice can feed a strict elimination at the current cutoff and
+    q-loop slice holds |S| >= q-1 members above the current cutoff and
     (b) every stage-two ladder that the early Breusch hand-off cannot absorb
     is thick enough for the subset-sum heuristic. Falls back to the least
     deficient candidate with a warning."""
@@ -423,7 +427,6 @@ def _plan_full(
     epsilon: float = 0.1,
     delta=None,
     lambda_mode: str = "adaptive",
-    elimination_mode: str = STRICT,
     y_prime: Optional[int] = None,
     x_prime: Optional[int] = None,
 ):
@@ -446,8 +449,6 @@ def _plan_full(
             raise ParameterError(
                 f"x' must be >= 1, got {x_prime}", failing_parameter="x_prime"
             )
-    if elimination_mode not in (STRICT, OPPORTUNISTIC):
-        raise ParameterError(f"unknown elimination mode {elimination_mode!r}")
     if lambda_mode not in ("adaptive", "formula"):
         raise ParameterError(f"unknown lambda mode {lambda_mode!r}")
 
@@ -510,7 +511,6 @@ def _plan_full(
         epsilon=epsilon,
         delta=delta,
         lambda_mode=lambda_mode,
-        elimination_mode=elimination_mode,
         y_prime_override=y_prime,
         x_prime_override=x_prime,
     )
@@ -585,18 +585,20 @@ def _sum_recips(elements) -> Fraction:
     return sum((Fraction(1, int(n)) for n in elements), Fraction(0))
 
 
-def _eliminate_step(trace, stage, removed, rem, n_mod, S, p, l, mode):
+def _eliminate_step(trace, stage, removed, rem, n_mod, S, p, l):
     """One elimination step of either stage: when p^l divides the
     remainder's denominator, add back members of the slice S that cancel it;
     then divide one p out of the divisor certificate n_mod.
 
-    Records the step in trace, adds the members taken to the set removed
-    and returns (remainder, certificate).
+    Records the step in trace (counting it as thin when |S| < p-1), adds the
+    members taken to the set removed and returns (remainder, certificate).
     """
     t_set = ()
     if exact_multiplicity(rem.denominator, p) >= l:
         before = rem
-        t_set, rem = eliminate_prime(before, n_mod, S, p, l, mode)
+        t_set, rem = eliminate_prime(before, n_mod, S, p, l)
+        if len(S) < p - 1:
+            trace.thin_eliminations += 1
         if rem - before != _sum_recips(t_set):
             raise AssertionError(f"{stage} telescoping broke at prime {p}")
         overlap = removed.intersection(t_set)
@@ -637,17 +639,16 @@ def stage_one(
         )
     trace = StageTrace()
     removed_all: set = set()
-    mode = config.elimination_mode
 
     for p in plan.p_primes:
         rem, n_mod = _eliminate_step(
-            trace, "p-loop", removed_all, rem, n_mod, family.slice(p, 1), p, 1, mode
+            trace, "p-loop", removed_all, rem, n_mod, family.slice(p, 1), p, 1
         )
 
     for q in plan.q_primes:
         for l in range(k - 1, 0, -1):
             rem, n_mod = _eliminate_step(
-                trace, "q-loop", removed_all, rem, n_mod, family.slice(q, l), q, l, mode
+                trace, "q-loop", removed_all, rem, n_mod, family.slice(q, l), q, l
             )
 
     # Powers-of-two cleanup: one exactly divisible element per leftover level.
@@ -839,9 +840,7 @@ def _stage_two_attempt(
         for l in range(k - 1, 0, -1):
             s_all = fam2.slice(q, l, a0=True)
             s_sel = s_all[s_all > boundary]
-            c, n_mod = _eliminate_step(
-                trace, "q'-loop", removed, c, n_mod, s_sel, q, l, OPPORTUNISTIC
-            )
+            c, n_mod = _eliminate_step(trace, "q'-loop", removed, c, n_mod, s_sel, q, l)
 
     if expansion is None:
         expansion = _try_expansion(c, cap, x)

@@ -4,9 +4,9 @@ The solver mirrors the inductive proof that t nonzero residues reach at
 least min(p, t+1) sums: it grows the achievable set one residue at a time,
 extending existing sums by single elements and keeping the first witness
 found for each residue. With at least p-1 residues every target is
-guaranteed; with fewer ("opportunistic" use, after the heuristic that
-random residue sets cover Z_p once their size is a small power of log p)
-the solver is still exact, only the success guarantee is lost.
+guaranteed. With fewer the solver is still exact, and it usually succeeds
+(random residue sets cover Z_p once their size is a small power of log p);
+only the guarantee is lost.
 
 eliminate_prime applies a witness to cancel the factor p^l from a running
 denominator: given c/d with d | N and a stock S of divisors of N exactly
@@ -29,9 +29,6 @@ import numpy as np
 # through this module's namespace.
 from .arith import FactoredInt, factorize, is_prime  # noqa: F401
 from .errors import DivisibilityError, EliminationFailed, ParameterError
-
-STRICT = "strict"
-OPPORTUNISTIC = "opportunistic"
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,6 @@ def eliminate_prime(
     S: Sequence[int],
     p: int,
     l: int,
-    mode: str = STRICT,
 ) -> Tuple[list[int], Fraction]:
     """Cancel the factor p^l from the denominator of c/d.
 
@@ -172,9 +168,9 @@ def eliminate_prime(
     ParameterError. Returns (T, c'/d') with T a sorted list of Python ints
     from S, |T| < p, c'/d' = c/d + sum(1/n for n in T) and d' | N/p.
 
-    Strict mode enforces |S| >= p - 1 (which guarantees success);
-    opportunistic mode attempts whatever S holds and raises
-    EliminationFailed when the required residue is unreachable.
+    With |S| >= p - 1 success is guaranteed. A thinner S is attempted all
+    the same; EliminationFailed is raised when the required residue is
+    unreachable.
 
     Elements are offered to the solver in descending order, so witnesses
     prefer large n (small added reciprocals); results are deterministic.
@@ -191,8 +187,6 @@ def eliminate_prime(
     _check_prime(p)
     if l < 1:
         raise ParameterError(f"need l >= 1, got {l}")
-    if mode not in (STRICT, OPPORTUNISTIC):
-        raise ParameterError(f"unknown mode {mode!r}")
     if N.multiplicity(p) != l:
         raise ParameterError(
             f"p^l = {p}^{l} must exactly divide N (multiplicity "
@@ -205,12 +199,6 @@ def eliminate_prime(
     ascending = np.sort(_as_int64(S))
     if (ascending[1:] == ascending[:-1]).any():
         raise ParameterError("S must not contain duplicates")
-    if mode == STRICT and ascending.size < p - 1:
-        raise ParameterError(
-            f"strict mode needs |S| >= p-1 = {p - 1}, got {ascending.size}",
-            failing_parameter="S",
-            suggestion="use opportunistic mode or enlarge the slice",
-        )
     elements = ascending[::-1]
     elems = elements.tolist()
     n_pos = ascending.size - int(np.searchsorted(ascending, 1))

@@ -25,7 +25,7 @@ from densefrac.construct import (
 )
 from densefrac.errors import EliminationFailed
 from densefrac.expand import expand_odd
-from densefrac.modular import STRICT, achievable_set, eliminate_prime
+from densefrac.modular import achievable_set, eliminate_prime
 from densefrac.smooth import SmoothParams, build_family, reciprocal_sum
 from densefrac.verify import harmonic_segment_le, tree_sum
 
@@ -111,7 +111,7 @@ def test_criterion_4_eliminate_prime_property_suite():
         d = rng.choice(divisors) * p ** rng.randint(0, l)
         c = rng.randint(1, 60)
         value = Fraction(c, d)
-        T, res = eliminate_prime(value, N, S, p, l, STRICT)
+        T, res = eliminate_prime(value, N, S, p, l)
         assert len(T) < p
         assert (N.value // p) % res.denominator == 0
         assert res == value + sum(Fraction(1, n) for n in T)
@@ -182,19 +182,13 @@ densities = {}
 
 
 @pytest.mark.parametrize(
-    "r,mode",
-    [
-        (Fraction(1, 3), "strict"),
-        (Fraction(1, 2), "strict"),
-        (Fraction(1, 1), "opportunistic"),
-    ],
-    ids=["r=1_3", "r=1_2", "r=1"],
+    "r", [Fraction(1, 3), Fraction(1, 2), Fraction(1, 1)], ids=["r=1_3", "r=1_2", "r=1"]
 )
-def test_criterion_7_end_to_end_million(r, mode):
+def test_criterion_7_end_to_end_million(r):
     t0 = time.time()
     reps = {}
     for x in (10**5, 10**6):
-        rep = construct_dense(r, x, elimination_mode=mode)
+        rep = construct_dense(r, x)
         cert = rep.certificate
         assert cert.sum_exact, f"sum not exact at x={x}"
         assert cert.distinct and cert.max_ok
@@ -207,7 +201,7 @@ def test_criterion_7_end_to_end_million(r, mode):
     densities[str(r)] = {x: float(reps[x].density) for x in reps}
     report(
         7,
-        f"r={r} ({mode}): exact, distinct, max<=x, density "
+        f"r={r}: exact, distinct, max<=x, density "
         f"{float(reps[10**6].density):.4f} > 0.02, trend up",
         t0,
     )
@@ -219,7 +213,7 @@ def test_criterion_7_end_to_end_million(r, mode):
 )
 def test_criterion_7_ten_million():
     t0 = time.time()
-    rep = construct_dense(Fraction(1, 1), 10**7, elimination_mode="opportunistic")
+    rep = construct_dense(Fraction(1, 1), 10**7)
     cert = rep.certificate
     assert cert.sum_exact and cert.distinct and cert.max_ok
     assert cert.harmonic_bound_ok

@@ -109,7 +109,9 @@ def test_verify_tampered_exit_1(cert_file, tmp_path):
     assert json.loads(p.stdout)["sum_exact"] is False
 
 
-@pytest.mark.parametrize("part", [[1, 2], {"first": 3, "deltas": 7}])
+@pytest.mark.parametrize(
+    "part", [[1, 2], {"first": 3, "deltas": 7}, {"first": 3, "deltas": [2.5]}]
+)
 def test_verify_malformed_part_exit_64(cert_file, tmp_path, part):
     doc = json.loads(cert_file.read_text())
     doc["parts"]["A"] = part
@@ -118,6 +120,19 @@ def test_verify_malformed_part_exit_64(cert_file, tmp_path, part):
     p = run_cli("verify", str(bad))
     assert p.returncode == 64
     assert json.loads(p.stdout)["code"] == "parameter"
+
+
+def test_construct_thin_slices_certifies(tmp_path):
+    """1/12 at 10^5 eliminates on slices thinner than p-1 and certifies;
+    the elimination mode flag is gone."""
+    out = tmp_path / "cert.json"
+    p = run_cli("construct", "--r", "1/12", "--x", "100000", "--out", str(out))
+    assert p.returncode == 0, p.stdout + p.stderr
+    p = run_cli("verify", str(out))
+    assert p.returncode == 0
+    assert json.loads(p.stdout)["consistent_with_document"]
+    p = run_cli("construct", "--r", "1/12", "--x", "100000", "--mode", "strict")
+    assert p.returncode == 64 and "unrecognized arguments" in p.stderr
 
 
 def test_verify_missing_file_exit_64():

@@ -5,6 +5,8 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densefrac import dickman
 from densefrac.construct import (
@@ -18,6 +20,7 @@ from densefrac.construct import (
     stage_two,
 )
 from densefrac.errors import (
+    DensefracError,
     InfeasibleMass,
     ParameterError,
     RemainderNonPositive,
@@ -66,7 +69,6 @@ def _toy_config(r):
         epsilon=0.1,
         delta=Fraction(1, 10),
         lambda_mode="adaptive",
-        elimination_mode="strict",
     )
 
 
@@ -179,7 +181,6 @@ def test_stage_two_empty_loop_expansion():
         epsilon=0.1,
         delta=Fraction(1, 20),
         lambda_mode="adaptive",
-        elimination_mode="strict",
     )
     plan = StagePlan(
         x=10**5,
@@ -297,24 +298,51 @@ def test_construct_error_carries_parameter():
         assert err.suggestion
 
 
+@st.composite
+def _target(draw):
+    """r = a/b <= 6/5 with cube-free b <= 30."""
+    b = draw(st.sampled_from([b for b in range(1, 31) if b % 8 and b % 27]))
+    return Fraction(draw(st.integers(1, 6 * b // 5)), b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=_target(), x=st.integers(10**4, 10**5))
+def test_construct_ends_in_certificate_or_typed_refusal(r, x):
+    """A well-formed request yields an all_ok certificate or a typed error
+    other than ParameterError; an AssertionError fails the test."""
+    try:
+        rep = construct_dense(r, x)
+    except DensefracError as err:
+        assert not isinstance(err, ParameterError), err
+    else:
+        assert rep.certificate.all_ok
+
+
 def test_stage_trace_smoothing_monotonicity():
     """Primes leave the remainder's denominator from the top: after the step
     for prime p, every prime of the denominator is below p (the powers-of-two
-    cleanup then leaves it odd)."""
+    cleanup then leaves it odd). At x = 10^5 every stage-one slice that 1/3
+    draws on holds at least p-1 members; 1/12 eliminates on thinner ones,
+    and the document's trace counts them."""
+    from densefrac.certificate import document_from_representation
     from densefrac.modular import factored_divisor
 
-    rep = construct_dense(Fraction(1, 3), 10**5)
-    for step in rep.stage_one_trace.steps:
-        den = step.remainder_after.denominator
-        cert = step.divisor_certificate
-        assert cert.value % den == 0
-        if step.stage in ("p-loop", "q-loop"):
-            f = factored_divisor(den, cert)
-            assert f.multiplicity(step.prime) <= step.power - 1
-            if step.power == 1:
-                assert f.largest_prime() < step.prime
-    last = rep.stage_one_trace.steps[-1]
-    assert last.remainder_after.denominator % 2 == 1
+    for r, thin in ((Fraction(1, 3), False), (Fraction(1, 12), True)):
+        rep = construct_dense(r, 10**5)
+        for step in rep.stage_one_trace.steps:
+            den = step.remainder_after.denominator
+            cert = step.divisor_certificate
+            assert cert.value % den == 0
+            if step.stage in ("p-loop", "q-loop"):
+                f = factored_divisor(den, cert)
+                assert f.multiplicity(step.prime) <= step.power - 1
+                if step.power == 1:
+                    assert f.largest_prime() < step.prime
+        last = rep.stage_one_trace.steps[-1]
+        assert last.remainder_after.denominator % 2 == 1
+        counted = document_from_representation(rep).trace["stage_one"]
+        assert counted["thin_eliminations"] == rep.stage_one_trace.thin_eliminations
+        assert (counted["thin_eliminations"] > 0) == thin
 
 
 @pytest.mark.parametrize("r", [Fraction(19, 21), Fraction(1)])

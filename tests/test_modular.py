@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from densefrac.arith import FactoredInt, factorize
 from densefrac.errors import DivisibilityError, EliminationFailed, ParameterError
 from densefrac.modular import (
-    OPPORTUNISTIC,
-    STRICT,
     _check_prime,
     achievable_set,
     eliminate_prime,
@@ -108,14 +106,11 @@ def test_eliminate_preconditions():
     with pytest.raises(DivisibilityError):
         eliminate_prime(Fraction(1, 7), factorize(12), [3, 6], 3, 1)  # 7 does not divide 12
     with pytest.raises(ParameterError):
-        # strict mode needs |S| >= p - 1
-        eliminate_prime(Fraction(1, 5), factorize(60), [5], 5, 1, STRICT)
-    with pytest.raises(ParameterError):
         # element with wrong multiplicity
         eliminate_prime(Fraction(1, 5), factorize(300), [25, 10], 5, 2)
     with pytest.raises(ParameterError, match="every element of S"):
         # empty S, and d = 4 lacks the 3^1 that exactly divides N = 12
-        eliminate_prime(Fraction(1, 4), factorize(12), [], 3, 1, OPPORTUNISTIC)
+        eliminate_prime(Fraction(1, 4), factorize(12), [], 3, 1)
 
 
 def test_eliminate_unreachable():
@@ -126,7 +121,7 @@ def test_eliminate_unreachable():
     with pytest.raises(EliminationFailed):
         # craft a c/d whose target falls outside the reachable set
         for c in range(1, 7):
-            eliminate_prime(Fraction(c, 7), N, [7, 14], 7, 1, OPPORTUNISTIC)
+            eliminate_prime(Fraction(c, 7), N, [7, 14], 7, 1)
 
 
 def _random_valid_instance(rng):
@@ -173,14 +168,12 @@ def _eliminate_via_lcm(c_over_d, N, S, p, l):
     return sorted(T), Fraction(num, M.value)
 
 
-def _eliminate_scalar(c_over_d, N, S, p, l, mode=STRICT):
+def _eliminate_scalar(c_over_d, N, S, p, l):
     """Reference elimination that checks and reduces S one Python integer at
     a time (the element-wise form of eliminate_prime)."""
     _check_prime(p)
     if l < 1:
         raise ParameterError(f"need l >= 1, got {l}")
-    if mode not in (STRICT, OPPORTUNISTIC):
-        raise ParameterError(f"unknown mode {mode!r}")
     if N.multiplicity(p) != l:
         raise ParameterError(
             f"p^l = {p}^{l} must exactly divide N (multiplicity "
@@ -193,12 +186,6 @@ def _eliminate_scalar(c_over_d, N, S, p, l, mode=STRICT):
     elements = sorted({int(n) for n in S}, reverse=True)
     if len(elements) != len(S):
         raise ParameterError("S must not contain duplicates")
-    if mode == STRICT and len(elements) < p - 1:
-        raise ParameterError(
-            f"strict mode needs |S| >= p-1 = {p - 1}, got {len(elements)}",
-            failing_parameter="S",
-            suggestion="use opportunistic mode or enlarge the slice",
-        )
     split = []
     for n in elements:
         if n < 1:
@@ -252,14 +239,14 @@ def test_eliminate_randomized_properties():
         c_over_d, N, S, p, l = _random_valid_instance(rng)
         if len(S) < p - 1:
             continue
-        T, res = eliminate_prime(c_over_d, N, S, p, l, STRICT)
+        T, res = eliminate_prime(c_over_d, N, S, p, l)
         assert len(T) < p
         assert (N.value // p) % res.denominator == 0
         assert res == c_over_d + sum(Fraction(1, n) for n in T)
         # residues taken from N, not from the lcm, pick the same witness
         assert (T, res) == _eliminate_via_lcm(c_over_d, N, S, p, l)
         ascending = np.array(sorted(S), dtype=np.int64)
-        assert eliminate_prime(c_over_d, N, ascending, p, l, STRICT) == (T, res)
+        assert eliminate_prime(c_over_d, N, ascending, p, l) == (T, res)
         done += 1
     assert done > 100
 
@@ -311,8 +298,7 @@ def _elimination_case(draw):
     d = draw(st.sampled_from(cofactors)) * p ** sometimes(st.integers(0, l - 1), l)
     d *= sometimes(st.just(19), 1)
     c = draw(st.integers(1, 60))
-    mode = draw(st.sampled_from([STRICT, OPPORTUNISTIC]))
-    return Fraction(c, d), N, S, p, l, mode
+    return Fraction(c, d), N, S, p, l
 
 
 @settings(max_examples=400, deadline=None)
@@ -330,7 +316,7 @@ def test_eliminate_matches_scalar_reference(case):
 def test_eliminate_rejects_elements_beyond_int64():
     N = factorize(2**70 * 3)
     with pytest.raises(ParameterError, match="int64"):
-        eliminate_prime(Fraction(1, 3), N, [3 * 2**62, 3 * 2**63], 3, 1, OPPORTUNISTIC)
+        eliminate_prime(Fraction(1, 3), N, [3 * 2**62, 3 * 2**63], 3, 1)
 
 
 def test_eliminate_power_beyond_int64():
@@ -338,5 +324,5 @@ def test_eliminate_power_beyond_int64():
     N = factorize(2**64 * 3)
     for S in ([], [3], [2**62, 3]):
         for d in (1, 2**64):
-            case = (Fraction(1, d), N, S, 2, 64, OPPORTUNISTIC)
+            case = (Fraction(1, d), N, S, 2, 64)
             assert _outcome(eliminate_prime, *case) == _outcome(_eliminate_scalar, *case)
