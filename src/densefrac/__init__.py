@@ -14,7 +14,7 @@ from .arith import (
     largest_prime_factor,
     primes_in,
 )
-from .construct import construct_dense, plan_parameters
+from .construct import construct_dense
 from .verify import check
 
 __version__ = "0.1.0"
@@ -27,6 +27,5 @@ __all__ = [
     "exact_multiplicity",
     "factorize",
     "largest_prime_factor",
-    "plan_parameters",
     "primes_in",
 ]

@@ -13,7 +13,6 @@ import operator
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from fractions import Fraction
-from typing import Optional
 
 from .errors import ParameterError
 from .verify import check
@@ -134,7 +133,6 @@ def document_from_representation(rep) -> CertificateDocument:
     """Freeze a Representation into its interchange document."""
     cfg, plan, cert = rep.config, rep.plan, rep.certificate
     params = {
-        "eta": cfg.eta,
         "k": cfg.k,
         "epsilon": cfg.epsilon,
         "delta": frac_str(cfg.delta),
@@ -144,7 +142,6 @@ def document_from_representation(rep) -> CertificateDocument:
         "w": plan.w,
         "y_prime": plan.y_prime,
         "x_prime": plan.x_prime,
-        "w_prime": plan.y_prime,
         "y_doubleprime": plan.y_doubleprime,
         "lambda_prime": frac_str(rep.lam_prime) if rep.lam_prime is not None else None,
         "early_exit_prime": rep.early_exit_prime,
@@ -171,7 +168,7 @@ def document_from_representation(rep) -> CertificateDocument:
         "density_approx": float(rep.density),
         "size": cert.size,
         "max_element": cert.max_element,
-        "c_of_r_minus_eta_approx": cert.c_of_r_minus_eta,
+        "c_of_r_approx": cert.c_of_r,
         "upper_bound_1_minus_e_to_minus_r_approx": cert.upper_bound_1_minus_e_to_minus_r,
     }
     return CertificateDocument(
@@ -185,23 +182,26 @@ def document_from_representation(rep) -> CertificateDocument:
     )
 
 
-def recheck_document(doc: CertificateDocument, eta: Optional[float] = None):
+def recheck_document(doc: CertificateDocument):
     """Re-verify a document from scratch; returns (Certificate, consistent).
 
     `consistent` additionally demands that the recomputed pass/fail fields
-    match what the document claims. A value shared by two parts is a
-    repeated denominator, so it fails `distinct`.
+    and size equal what the document claims, in value and in JSON type (the
+    string "false" or the list [1] is no claim of false or of 1). A value
+    shared by two parts is a repeated denominator, so it fails `distinct`.
     """
     r = parse_frac(doc.r)
-    if eta is None:
-        eta = float(doc.parameters.get("eta", 0.0) or 0.0)
-    cert = check(r, doc.denominators(), doc.x, eta)
-    claimed = doc.certificate
-    consistent = (
-        cert.sum_exact == bool(claimed.get("sum_exact"))
-        and cert.distinct == bool(claimed.get("distinct"))
-        and cert.max_ok == bool(claimed.get("max_ok"))
-        and cert.harmonic_bound_ok == bool(claimed.get("harmonic_bound_ok"))
-        and cert.size == int(claimed.get("size", -1))
+    cert = check(r, doc.denominators(), doc.x)
+    recomputed = {
+        "sum_exact": cert.sum_exact,
+        "distinct": cert.distinct,
+        "max_ok": cert.max_ok,
+        "harmonic_bound_ok": cert.harmonic_bound_ok,
+        "size": cert.size,
+    }
+    claimed = {key: doc.certificate.get(key) for key in recomputed}
+    consistent = all(
+        type(claimed[key]) is type(value) and claimed[key] == value
+        for key, value in recomputed.items()
     )
     return cert, consistent and cert.sum_exact and cert.distinct and cert.max_ok

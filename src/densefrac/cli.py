@@ -3,7 +3,8 @@
 All output is JSON on stdout; documents are deterministic for fixed flags.
 Exit codes: 0 success, 1 verification failure, 2 InfeasibleMass,
 3 UnsupportedDenominator, 4 EliminationFailed, 5 BreuschPreconditionFailed,
-6 BoundExceeded, 64 usage or malformed input.
+6 BoundExceeded, 64 usage, malformed input, or a path that cannot be read
+or written (a missing file, a directory).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def cmd_construct(args) -> int:
     if args.x_prime is not None:
         opts["x_prime"] = args.x_prime
     opts["lambda_mode"] = getattr(args, "lambda")
-    rep = construct_dense(parse_frac(args.r), args.x, eta=args.eta, **opts)
+    rep = construct_dense(parse_frac(args.r), args.x, **opts)
     doc = document_from_representation(rep)
     text = doc.to_json()
     if args.out:
@@ -171,7 +172,6 @@ def build_parser() -> _Parser:
     c = sub.add_parser("construct", help="construct a representation of r below x")
     c.add_argument("--r", required=True, help="target rational, as a/b")
     c.add_argument("--x", required=True, type=_positive_int, help="denominator bound")
-    c.add_argument("--eta", type=float, default=0.01)
     c.add_argument("--k", type=int)
     c.add_argument("--epsilon", type=float)
     c.add_argument("--delta", help="stage-one remainder target, as a/b")
@@ -219,7 +219,7 @@ def main(argv=None) -> int:
     except DensefracError as err:
         _emit(err.as_dict())
         return err.exit_code
-    except FileNotFoundError as err:
+    except OSError as err:
         _emit({"code": "io", "message": str(err)})
         return USAGE_EXIT
     except ValueError as err:

@@ -4,8 +4,9 @@ Stage one subtracts from r the reciprocals of a sieved family of smooth,
 k-free integers in (lambda*x, x], then cancels every denominator prime
 down to y' by adding back reciprocals of a few family members per prime
 power (descending primes; within a prime, powers k-1 down to 1), and
-finally clears powers of two with single exactly-divisible elements. The
-remainder's denominator then divides the odd modulus D0(y').
+finally clears the powers of two the same way, from members exactly
+divisible by 2^l with a y'-smooth odd part. The remainder's denominator
+then divides the odd modulus D0(y').
 
 Stage two repeats the scheme inside (lambda'*x', x'] using odd members
 only, hands the tiny residual to the odd expander, and repairs any overlap
@@ -77,7 +78,6 @@ class ConstructionConfig:
 
     r: Fraction
     x: int
-    eta: float
     k: int
     epsilon: float
     delta: Fraction
@@ -420,7 +420,6 @@ def _select_y_prime(
 
 def _plan_full(
     r,
-    eta: float,
     x: int,
     *,
     k: Optional[int] = None,
@@ -437,8 +436,6 @@ def _plan_full(
     x = int(x)
     if x < 3:
         raise ParameterError(f"x must be >= 3, got {x}", failing_parameter="x")
-    if not math.isfinite(eta):
-        raise ParameterError(f"eta must be finite, got {eta}", failing_parameter="eta")
     if not (0.0 < epsilon < 0.5):
         raise ParameterError(
             f"epsilon must be in (0, 1/2), got {epsilon}", failing_parameter="epsilon"
@@ -506,7 +503,6 @@ def _plan_full(
     config = ConstructionConfig(
         r=r,
         x=x,
-        eta=eta,
         k=k_res,
         epsilon=epsilon,
         delta=delta,
@@ -524,11 +520,9 @@ def _resolve_plan(
     p0: int,
     d_p0: FactoredInt,
     total: Fraction,
-    delta: Optional[Fraction] = None,
 ) -> StagePlan:
-    """Turn a config (plus an optional retuned delta) into a full plan."""
-    r, x, k = config.r, config.x, config.k
-    delta = config.delta if delta is None else delta
+    """Turn a config into a full plan."""
+    r, x, k, delta = config.r, config.x, config.k, config.delta
     cutoff = None
     if config.lambda_mode == "formula":
         lam_f = math.exp(
@@ -571,22 +565,13 @@ def _resolve_plan(
     return plan
 
 
-def plan_parameters(r, eta: float, x: int, **overrides):
-    """Resolve every run parameter; see ConstructionConfig and StagePlan.
-
-    Raises InfeasibleMass when the family below x cannot carry r, and
-    UnsupportedDenominator when r's denominator defeats every allowed k.
-    """
-    config, plan, *_ = _plan_full(r, eta, x, **overrides)
-    return config, plan
-
-
 def _sum_recips(elements) -> Fraction:
     return sum((Fraction(1, int(n)) for n in elements), Fraction(0))
 
 
 def _eliminate_step(trace, stage, removed, rem, n_mod, S, p, l):
-    """One elimination step of either stage: when p^l divides the
+    """One elimination step of stage one (the p- and q-loops and the
+    powers-of-two cleanup) or of stage two's q'-loop: when p^l divides the
     remainder's denominator, add back members of the slice S that cancel it;
     then divide one p out of the divisor certificate n_mod.
 
@@ -617,10 +602,14 @@ def stage_one(
     plan: StagePlan,
     family: SmoothFamily,
 ):
-    """Run the descending prime loops and the powers-of-two cleanup.
+    """Run the descending prime loops and the powers-of-two cleanup, each
+    step through _eliminate_step.
 
-    Starts from the plan's initial remainder. Returns (kept members array,
-    remainder, trace); the remainder's denominator divides D0(y').
+    The cleanup eliminates 2^l for l = k-1 down to 1 from the members
+    exactly divisible by 2^l whose odd part is y'-smooth; at p = 2 one
+    element always suffices, and the largest is taken. Starts from the
+    plan's initial remainder. Returns (kept members array, remainder,
+    trace); the remainder's denominator divides D0(y').
     """
     r, k = config.r, config.k
     if family.params.cutoff != plan.cutoff or family.params.y != plan.y:
@@ -651,34 +640,15 @@ def stage_one(
                 trace, "q-loop", removed_all, rem, n_mod, family.slice(q, l), q, l
             )
 
-    # Powers-of-two cleanup: one exactly divisible element per leftover level.
-    # When y' itself is prime the q-loop has eliminated it, so the element's
-    # odd part must stay strictly below y' (plans normalize y' non-prime; the
-    # guard keeps hand-built plans honest).
+    # When y' itself is prime the q-loop has eliminated it, so the cleanup
+    # element's odd part must stay strictly below y' (plans normalize y'
+    # non-prime; the guard keeps hand-built plans honest).
     odd_cap = plan.y_prime - 1 if is_prime(plan.y_prime) else plan.y_prime
-    for j in range(2, k + 1):
-        l = k - j + 1
-        if exact_multiplicity(rem.denominator, 2) == l:
-            cands = family.exact_power_of_two_members(l, odd_cap).tolist()
-            n_pick = next((v for v in reversed(cands) if v not in removed_all), None)
-            if n_pick is None:
-                raise EliminationFailed(
-                    f"no family element exactly divisible by 2^{l} below y'",
-                    prime=2,
-                    power=l,
-                    suggestion="increase x or lower y'",
-                )
-            rem = rem + Fraction(1, n_pick)
-            if exact_multiplicity(rem.denominator, 2) >= l:
-                raise AssertionError("power-of-two cleanup failed to reduce")
-            removed_all.add(n_pick)
-            t_set = (n_pick,)
-        else:
-            t_set = ()
-        n_mod = n_mod.div_prime(2, 1)
-        if n_mod.value % rem.denominator != 0:
-            raise AssertionError("cleanup remainder escaped the certificate")
-        trace.record("2-cleanup", 2, l, t_set, rem, n_mod)
+    for l in range(k - 1, 0, -1):
+        stock = family.exact_power_of_two_members(l, odd_cap)
+        rem, n_mod = _eliminate_step(
+            trace, "2-cleanup", removed_all, rem, n_mod, stock, 2, l
+        )
 
     d0_yp = modulus_product(_next_prime_above(plan.y_prime), plan.w, k).odd_part()
     if d0_yp.value % rem.denominator != 0:
@@ -919,7 +889,7 @@ def _alpha_targets(plan: StagePlan, family: SmoothFamily) -> list:
     return targets
 
 
-def construct_dense(r, x: int, eta: float = 0.01, **options) -> Representation:
+def construct_dense(r, x: int, **options) -> Representation:
     """End-to-end construction of a dense Egyptian fraction for r below x.
 
     Plans parameters, runs both stages (retuning delta from the measured
@@ -927,12 +897,12 @@ def construct_dense(r, x: int, eta: float = 0.01, **options) -> Representation:
     pinned by the caller), assembles the five-part representation and
     certifies it independently. All errors carry the failing parameter.
     """
-    config, plan, fam0, d_p0, total = _plan_full(r, eta, x, **options)
+    config, plan, fam0, d_p0, total = _plan_full(r, x, **options)
     r = config.r
 
     if total == r:
         members = fam0.members
-        cert = check(r, members.tolist(), x, eta)
+        cert = check(r, members.tolist(), x)
         if not (cert.sum_exact and cert.distinct and cert.max_ok):
             raise AssertionError("exact-cover certificate failed")
         return Representation(
@@ -952,7 +922,6 @@ def construct_dense(r, x: int, eta: float = 0.01, **options) -> Representation:
             stage_two_trace=None,
         )
 
-    delta_current = config.delta
     for retune in range(MAX_DELTA_RETUNES + 1):
         fam_l = fam0.sub_family(
             SmoothParams(x=x, y=plan.y, w=plan.w, lam=plan.lam, k=config.k)
@@ -972,28 +941,28 @@ def construct_dense(r, x: int, eta: float = 0.01, **options) -> Representation:
                 raise
             delta_new = None
             for target in _alpha_targets(plan, fam0):
-                cand = delta_current + (target - alpha)
-                if 0 < cand < r and cand != delta_current:
+                cand = config.delta + (target - alpha)
+                if 0 < cand < r and cand != config.delta:
                     delta_new = cand
                     break
             if delta_new is None:
                 raise
-            delta_current = delta_new
-            plan = _resolve_plan(config, fam0, plan.p0, d_p0, total, delta=delta_new)
+            config = replace(config, delta=delta_new)
+            plan = _resolve_plan(config, fam0, plan.p0, d_p0, total)
 
     small = np.array(s2.a_prime + s2.c_minus + s2.d1 + s2.d2, dtype=np.int64)
     denominators = np.sort(np.concatenate([kept, small]))
     repeated = denominators[1:][denominators[1:] == denominators[:-1]]
     if repeated.size:
         raise AssertionError(f"representation parts overlap: {repeated[:5].tolist()}")
-    cert = check(r, denominators.tolist(), x, eta)
+    cert = check(r, denominators.tolist(), x)
     if not (cert.sum_exact and cert.distinct and cert.max_ok):
         raise AssertionError("final certificate failed: " + repr(cert))
     density = Fraction(int(denominators.size), x)
     return Representation(
         r=r,
         x=x,
-        config=replace(config, delta=delta_current),
+        config=config,
         plan=plan,
         a=kept,
         a_prime=s2.a_prime,

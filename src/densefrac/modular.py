@@ -27,7 +27,7 @@ import numpy as np
 
 # factorize stays importable from here: perfbench/tracing.py counts its calls
 # through this module's namespace.
-from .arith import FactoredInt, factorize, is_prime  # noqa: F401
+from .arith import FactoredInt, exact_multiplicity, factorize, is_prime  # noqa: F401
 from .errors import DivisibilityError, EliminationFailed, ParameterError
 
 
@@ -145,14 +145,6 @@ def _as_int64(S) -> np.ndarray:
         raise ParameterError(f"elements of S must fit in int64, got {big}") from None
 
 
-def _multiplicity(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
 def eliminate_prime(
     c_over_d: Fraction,
     N: FactoredInt,
@@ -220,7 +212,7 @@ def eliminate_prime(
     else:  # no int64 element is a multiple of p^l
         cof = np.zeros(elements.size, dtype=np.int64)
         exact = cof != 0
-    d_mult = _multiplicity(d, p)
+    d_mult = exact_multiplicity(d, p)
     if d_mult != l and not exact.any():
         raise ParameterError(
             f"every element of S must be exactly divisible by {p}^{l}"
@@ -228,7 +220,7 @@ def eliminate_prime(
     if not exact.all():
         n = elems[int(np.argmin(exact))]
         raise ParameterError(
-            f"element {n} has p-multiplicity {_multiplicity(n, p)}, "
+            f"element {n} has p-multiplicity {exact_multiplicity(n, p)}, "
             f"expected exactly {l}"
         )
 

@@ -33,7 +33,7 @@ class Certificate:
     max_ok: bool
     density: Fraction
     harmonic_bound_ok: bool
-    c_of_r_minus_eta: float
+    c_of_r: float
     upper_bound_1_minus_e_to_minus_r: float
     size: int
     max_element: Optional[int]
@@ -119,11 +119,13 @@ def harmonic_segment_le(lo: int, hi: int, bound: Fraction) -> bool:
         chunks = nxt
 
 
-def check(r, S: Iterable[int], x: int, eta: float = 0.0) -> Certificate:
+def check(r, S: Iterable[int], x: int) -> Certificate:
     """Certify sum exactness, distinctness, bounds and density of S.
 
-    Failures are certificate fields, not exceptions; any iterable of
-    integers (even a multiset) is accepted.
+    Alongside, it reports the theorem's density constant C(r) and the
+    1 - e^(-r) ceiling (both NaN when r is not positive), for comparison
+    with the density. Failures are certificate fields, not exceptions; any
+    iterable of integers (even a multiset) is accepted.
     """
     try:
         r = Fraction(r)
@@ -142,12 +144,12 @@ def check(r, S: Iterable[int], x: int, eta: float = 0.0) -> Certificate:
     density = Fraction(size, x) if x > 0 else Fraction(0)
     if r is None or r <= 0:
         harmonic_ok = False
-        c_minus_eta = float("nan")
+        c_of_r = float("nan")
         upper = float("nan")
     else:
         lo = max(x - size, 0)
         harmonic_ok = harmonic_segment_le(lo, x, r) if x > 0 else False
-        c_minus_eta = dickman.c_of_r(r) - eta
+        c_of_r = dickman.c_of_r(r)
         upper = dickman.density_upper_bound(r)
     return Certificate(
         sum_exact=sum_exact,
@@ -155,7 +157,7 @@ def check(r, S: Iterable[int], x: int, eta: float = 0.0) -> Certificate:
         max_ok=max_ok,
         density=density,
         harmonic_bound_ok=harmonic_ok,
-        c_of_r_minus_eta=c_minus_eta,
+        c_of_r=c_of_r,
         upper_bound_1_minus_e_to_minus_r=upper,
         size=size,
         max_element=max_element,

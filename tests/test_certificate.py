@@ -93,6 +93,20 @@ def test_recheck_detects_tamper(rep):
     cert, ok = recheck_document(doc)
     assert not cert.sum_exact
     assert not ok
+    # A claim of another JSON type is not consistent, even one that int()
+    # or bool() would turn into the recomputed value.
+    size = rep.certificate.size
+    for key, claim in (
+        ("size", [size]),
+        ("size", float(size)),
+        ("sum_exact", "false"),
+        ("max_ok", 1),
+    ):
+        doc = document_from_representation(rep)
+        doc.certificate[key] = claim
+        cert, ok = recheck_document(doc)
+        assert cert.all_ok
+        assert not ok, (key, claim)
 
 
 def test_recheck_detects_cross_part_duplicate(rep):
@@ -133,18 +147,18 @@ def test_malformed_document():
 # thinner than p-1 (1/12). A change meant to keep certificates as they are
 # must keep these bytes.
 GOLDEN_DOCUMENTS = [
-    ("1/3", 10**4, {}, "d1d8eaf98d0db974f82e2dd53f17a1e001c78f3b1033b2ff83822f72ddc14782"),
-    ("1/2", 10**4, {}, "98abc15d07ab41a1345de94929cf33c218ea8fb357ca30c72ee3eb7e1ff5750a"),
-    ("1", 10**4, {}, "078dd534444d2718d13cbaaa7abc6b3c773dab6c39753cb5b1f8cb66736c00fe"),
-    ("19/21", 10**5, {}, "0f3ed5a81e0f1485654121e0044795e05faae15a32bbef1b643ee71d3ef43614"),
+    ("1/3", 10**4, {}, "9486ee5bddbc55aa53cde3053fb5f592d453429dae80fd2cc2a1c144b4e3d768"),
+    ("1/2", 10**4, {}, "393aa205a931e517e12e4843da8b60e735c28ddde26fb83f2c6d08ee3b5d805a"),
+    ("1", 10**4, {}, "f8c3d20f8e1d0f0ed892a2ac84707145b73f97b040bf26bd1b0a370d50cad90a"),
+    ("19/21", 10**5, {}, "fa4627042daad6a2c1a39cc8327ea12482443d958a02e7c25f5b54fd0900ac6a"),
     ("1/2", 10**5, {"lambda_mode": "formula"},
-     "82c7de950446a6dcd8194ab36be04a25cf984549ab770304c23b07671d523651"),
-    ("1/12", 10**5, {}, "a05c1548c5c16453c0ef12f30ca1e1b30455abe03ce896c495317ff8893d529e"),
-    ("1/3", 10**5, {"k": 4}, "449b1fa2a94965c0525674695c039a07429199b351e7cd1f7a2f421eb1fde751"),
+     "565d8483b204f3a11f62c7ea6f155e20860557542b3b361c1f160db14069eb26"),
+    ("1/12", 10**5, {}, "b0dd519de9ac8cb09db416dea19d4825ebcf9e4a325a53fb256954fbf1257a7c"),
+    ("1/3", 10**5, {"k": 4}, "8f843d067f66663ec136270f6d24e9841565e5693c858075981e4f8de0659658"),
     ("1/2", 10**5, {"y_prime": 20},
-     "170a960e51f4f634c2a3940d6bde9cc81c26e4c177424c509f9ff8201ac3d987"),
-    ("10/11", 10**5, {}, "b05b9c94b04a82f127cde926c787e25b0da99564008e1b14161fdf4ac61f768e"),
-    ("1", 10**5, {}, "99ede027ec12baf8ffd9f4ae81c54b6683d3216aec3bbe646ae062251e1b3ea2"),
+     "f53721d5c1a0e0a0fda957ee55c5ac66839eef843fcc26db51531aeafd56fb10"),
+    ("10/11", 10**5, {}, "aeb4124f1dcb09fa7c4f5a47a5dd0234e354946e73b2a866ff7982102c483d4f"),
+    ("1", 10**5, {}, "c0a4f62f8b79ea38068c25d7d4a84d86cac3f5b25028f53cedfa3a034db790ff"),
 ]
 
 

@@ -64,10 +64,11 @@ def test_construct_nonpositive_bound_is_usage_error(flag, value):
 
 
 def test_construct_non_finite_eta_exit_64():
-    p = run_cli("construct", "--r", "1/2", "--x", "10000", "--eta", "nan")
-    assert p.returncode == 64
-    out = json.loads(p.stdout)
-    assert out["code"] == "parameter" and out["failing_parameter"] == "eta"
+    """eta is only the slack of the density theorem, so construct takes no
+    --eta, finite or not."""
+    for value in ("nan", "0.1"):
+        p = run_cli("construct", "--r", "1/2", "--x", "10000", "--eta", value)
+        assert p.returncode == 64 and "unrecognized arguments" in p.stderr
 
 
 def test_construct_infeasible_exit_2():
@@ -138,6 +139,18 @@ def test_construct_thin_slices_certifies(tmp_path):
 def test_verify_missing_file_exit_64():
     p = run_cli("verify", "/nonexistent/cert.json")
     assert p.returncode == 64
+
+
+@pytest.mark.parametrize("command", ["verify", "construct"])
+def test_directory_path_exit_64(command, tmp_path):
+    """A path that cannot be read or written is a usage error with a JSON
+    reason, not a traceback with exit 1 (verification failure)."""
+    if command == "verify":
+        p = run_cli("verify", str(tmp_path))
+    else:
+        p = run_cli("construct", "--r", "1/2", "--x", "10000", "--out", str(tmp_path))
+    assert p.returncode == 64
+    assert json.loads(p.stdout)["code"] == "io"
 
 
 def test_construct_deterministic_output():

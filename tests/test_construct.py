@@ -12,15 +12,16 @@ from densefrac import dickman
 from densefrac.construct import (
     ConstructionConfig,
     StagePlan,
+    _plan_full,
     construct_dense,
     four_set_repair,
     modulus_product,
-    plan_parameters,
     stage_one,
     stage_two,
 )
 from densefrac.errors import (
     DensefracError,
+    EliminationFailed,
     InfeasibleMass,
     ParameterError,
     RemainderNonPositive,
@@ -64,7 +65,6 @@ def _toy_config(r):
     return ConstructionConfig(
         r=Fraction(r),
         x=30,
-        eta=0.01,
         k=2,
         epsilon=0.1,
         delta=Fraction(1, 10),
@@ -98,14 +98,23 @@ def test_stage_one_toy_run(toy_family):
     assert trace.steps[2].removed == (2,)
 
 
+def test_stage_one_cleanup_empty_stock():
+    """A pinned y' = 4 leaves 23/26 at x = 12578 with no member exactly
+    divisible by 2 whose odd part is 4-smooth: the cleanup's elimination
+    step refuses with the prime and power it could not cancel."""
+    with pytest.raises(EliminationFailed) as ei:
+        construct_dense(Fraction(23, 26), 12578, y_prime=4)
+    assert (ei.value.prime, ei.value.power) == (2, 1)
+
+
 def test_stage_one_rejects_nonpositive_remainder(toy_family):
     with pytest.raises(RemainderNonPositive):
         stage_one(_toy_config(Fraction(5, 6)), _toy_plan(Fraction(5, 6)), toy_family)
 
 
 def test_plan_formula_lambda():
-    config, plan = plan_parameters(
-        1, 0.01, 10**6, k=3, epsilon=0.1, delta=Fraction(1, 20), lambda_mode="formula"
+    config, plan, *_ = _plan_full(
+        1, 10**6, k=3, epsilon=0.1, delta=Fraction(1, 20), lambda_mode="formula"
     )
     lam_expected = math.exp(
         -float(Fraction(19, 20)) * dickman.zeta(3) / dickman.rho(2.0 / 0.9)
@@ -120,7 +129,7 @@ def test_plan_adaptive_window():
     element boundary leaving a remainder in (0, delta]."""
     r = Fraction(1, 2)
     for mode in ("adaptive", "formula"):
-        config, plan = plan_parameters(r, 0.01, 10**5, lambda_mode=mode)
+        config, plan, *_ = _plan_full(r, 10**5, lambda_mode=mode)
         fam = build_family(
             SmoothParams(x=10**5, y=plan.y, w=plan.w, lam=plan.lam, k=config.k)
         )
@@ -136,34 +145,25 @@ def test_plan_adaptive_window():
 
 def test_plan_unsupported_denominator():
     with pytest.raises(UnsupportedDenominator):
-        plan_parameters(Fraction(1, 2**20), 0.01, 10**6, k=3)
+        _plan_full(Fraction(1, 2**20), 10**6, k=3)
 
 
 def test_plan_infeasible_mass():
     with pytest.raises(InfeasibleMass) as ei:
-        plan_parameters(10, 0.01, 1000)
+        _plan_full(10, 1000)
     assert ei.value.exit_code == 2
 
 
-@pytest.mark.parametrize(
-    "eta, overrides, failing",
-    [
-        (0.01, {"x_prime": 0}, "x_prime"),
-        (0.01, {"x_prime": -5}, "x_prime"),
-        (float("nan"), {}, "eta"),
-        (float("inf"), {}, "eta"),
-    ],
-)
-def test_plan_rejects_malformed_request(eta, overrides, failing):
-    """x' < 1 is a malformed request, not an infeasible one, and a
-    non-finite eta would put NaN or Infinity into the certificate JSON."""
+@pytest.mark.parametrize("x_prime", [0, -5])
+def test_plan_rejects_malformed_request(x_prime):
+    """x' < 1 is a malformed request, not an infeasible one."""
     with pytest.raises(ParameterError) as ei:
-        plan_parameters(Fraction(1, 2), eta, 10**4, **overrides)
-    assert ei.value.failing_parameter == failing
+        _plan_full(Fraction(1, 2), 10**4, x_prime=x_prime)
+    assert ei.value.failing_parameter == "x_prime"
 
 
 def test_plan_bounds_invariants():
-    config, plan = plan_parameters(Fraction(1, 3), 0.01, 10**5)
+    config, plan, *_ = _plan_full(Fraction(1, 3), 10**5)
     assert plan.y_doubleprime <= plan.y_prime <= plan.w <= plan.y <= plan.x
     assert plan.x_prime <= plan.cutoff
     assert plan.p_primes == sorted(plan.p_primes, reverse=True)
@@ -176,7 +176,6 @@ def test_stage_two_empty_loop_expansion():
     config = ConstructionConfig(
         r=Fraction(1, 2),
         x=10**5,
-        eta=0.01,
         k=2,
         epsilon=0.1,
         delta=Fraction(1, 20),

@@ -49,7 +49,7 @@ def test_check_fields_on_edge_inputs():
             max_ok=max_ok,
             density=Fraction(size, 6),
             harmonic_bound_ok=True,
-            c_of_r_minus_eta=c1,
+            c_of_r=c1,
             upper_bound_1_minus_e_to_minus_r=up,
             size=size,
             max_element=max_element,
