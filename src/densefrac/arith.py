@@ -9,8 +9,8 @@ target's denominator, expansion moduli, tests), while the sieved families
 in `densefrac.smooth` carry P(n) for bulk work. Exact rationals are stdlib
 `fractions.Fraction` (always reduced, positive denominator). Bulk
 reciprocal sums over a family never reduce pairwise: see
-`densefrac.smooth.reciprocal_sum` for the fixed-common-denominator
-accumulator.
+`densefrac.smooth.reciprocal_sum`, which sums m // n over a fixed common
+denominator m by a vectorized limb division of m by every element.
 """
 
 from __future__ import annotations

@@ -74,22 +74,39 @@ class CertificateDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "CertificateDocument":
+        """Parse a document; a header that is not exactly as written raises
+        ParameterError: version must be the JSON integer FORMAT_VERSION, x a
+        JSON integer, r a canonical "a/b" string, and parameters, parts,
+        certificate and (optional) trace JSON objects."""
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
             raise ParameterError(f"malformed certificate JSON: {e}") from None
+        if not isinstance(raw, dict):
+            raise ParameterError("certificate document is not a JSON object")
         try:
             doc = cls(
-                version=int(raw["version"]),
-                r=str(raw["r"]),
-                x=int(raw["x"]),
-                parameters=dict(raw["parameters"]),
-                parts=dict(raw["parts"]),
-                trace=dict(raw.get("trace", {})),
-                certificate=dict(raw["certificate"]),
+                version=raw["version"],
+                r=raw["r"],
+                x=raw["x"],
+                parameters=raw["parameters"],
+                parts=raw["parts"],
+                trace=raw.get("trace", {}),
+                certificate=raw["certificate"],
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except KeyError as e:
             raise ParameterError(f"certificate document missing field: {e}") from None
+        if type(doc.version) is not int or doc.version != FORMAT_VERSION:
+            raise ParameterError(
+                f"certificate version {doc.version!r} is not {FORMAT_VERSION}"
+            )
+        if type(doc.x) is not int:
+            raise ParameterError(f"certificate x {doc.x!r} is not a JSON integer")
+        if type(doc.r) is not str or doc.r != frac_str(parse_frac(doc.r)):
+            raise ParameterError(f"certificate r {doc.r!r} is not a canonical a/b")
+        for name in ("parameters", "parts", "trace", "certificate"):
+            if type(getattr(doc, name)) is not dict:
+                raise ParameterError(f"certificate {name} is not a JSON object")
         for name, enc in doc.parts.items():
             if not (
                 isinstance(enc, dict)
@@ -185,10 +202,11 @@ def document_from_representation(rep) -> CertificateDocument:
 def recheck_document(doc: CertificateDocument):
     """Re-verify a document from scratch; returns (Certificate, consistent).
 
-    `consistent` additionally demands that the recomputed pass/fail fields
-    and size equal what the document claims, in value and in JSON type (the
-    string "false" or the list [1] is no claim of false or of 1). A value
-    shared by two parts is a repeated denominator, so it fails `distinct`.
+    `consistent` additionally demands that the recomputed pass/fail fields,
+    size, max_element and density_exact equal what the document claims, in
+    value and in JSON type (the string "false" or the list [1] is no claim
+    of false or of 1). A value shared by two parts is a repeated
+    denominator, so it fails `distinct`.
     """
     r = parse_frac(doc.r)
     cert = check(r, doc.denominators(), doc.x)
@@ -198,6 +216,8 @@ def recheck_document(doc: CertificateDocument):
         "max_ok": cert.max_ok,
         "harmonic_bound_ok": cert.harmonic_bound_ok,
         "size": cert.size,
+        "max_element": cert.max_element,
+        "density_exact": frac_str(cert.density),
     }
     claimed = {key: doc.certificate.get(key) for key in recomputed}
     consistent = all(

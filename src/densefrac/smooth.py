@@ -14,6 +14,11 @@ That one sieve serves every family a construction draws on: sub-families
 sieves (SmoothFamily.sub_family). Lambda thresholds are element boundaries
 (members strictly greater than lambda*x), so a stored rational cutoff
 reproduces the family exactly.
+
+A family's exact reciprocal mass over a common denominator m
+(reciprocal_sum) is one long division of m by all members at once,
+vectorized over 32-bit limbs of m; its final remainders double as the
+proof that every member divides m.
 """
 
 from __future__ import annotations
@@ -31,6 +36,13 @@ from .errors import DivisibilityError, InfeasibleMass, ParameterError
 
 #: Resource guard: sieving above this bound is refused (memory budget).
 MAX_SIEVE_X = 60_000_000
+
+#: reciprocal_sum divides by elements below _ELEMENT_BOUND, _CHUNK of them
+#: at a time: a chunk's column sum of quotient digits (each below 2^32)
+#: stays far below 2^64, and its few uint64 arrays stay small.
+_ELEMENT_BOUND = 2**32
+_CHUNK = 1 << 13
+_LIMB_SHIFT = np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -197,20 +209,59 @@ def build_family(params: SmoothParams) -> SmoothFamily:
 def reciprocal_sum(elements: Iterable[int], modulus: FactoredInt) -> Fraction:
     """Exact sum of 1/n over elements, all of which must divide modulus.
 
-    Accumulates integer weights modulus/n over the fixed common denominator
-    and reduces once at the end; pairwise reduction over ~10^6 terms would
-    be quadratic in practice.
+    The sum is num/m with num = sum(m // n) over the fixed common
+    denominator m, reduced once at the end. num comes from one schoolbook
+    long division of m by every element at once: m is walked in 32-bit
+    limbs, most significant first, over uint64 arrays of at most _CHUNK
+    elements. At each limb a remainder r < n becomes r * 2^32 + limb, which
+    stays below 2^64 because n < 2^32; its quotient digit is below 2^32,
+    so a chunk's column of digits sums exactly in uint64, and num is the
+    Horner sum of those columns. The final remainders are exactly m mod n,
+    so a zero remainder proves that n divides m.
+
+    Elements must lie below 2^32 (family members stay below MAX_SIEVE_X);
+    a larger one raises ParameterError before any division. The first
+    element, in input order, that is below 1 or does not divide m raises
+    DivisibilityError.
     """
     m = modulus.value
+    if not isinstance(elements, np.ndarray):
+        # object dtype keeps every int exact: numpy turns a list holding
+        # both -1 and 2**63 into float64
+        elements = np.array([int(n) for n in elements], dtype=object)
+    if elements.size == 0:
+        return Fraction(0, m)
+    if elements.max() >= _ELEMENT_BOUND:
+        big = elements[np.argmax(elements >= _ELEMENT_BOUND)]
+        raise ParameterError(
+            f"element {int(big)} is not below 2**32, the limb division's range"
+        )
+    n_limbs = (m.bit_length() + 31) // 32
+    limbs = np.frombuffer(m.to_bytes(4 * n_limbs, "big"), dtype=">u4")
+    limbs = limbs.astype(np.uint64)
+    columns = np.empty(n_limbs, dtype=np.uint64)
     num = 0
-    for n in elements:
-        n = int(n)
-        if n < 1 or m % n != 0:
+    for start in range(0, elements.size, _CHUNK):
+        chunk = elements[start : start + _CHUNK]
+        bad = chunk < 1
+        n = np.where(bad, 1, chunk).astype(np.uint64)
+        r = np.zeros_like(n)
+        q = np.empty_like(n)
+        for j, limb in enumerate(limbs):
+            r <<= _LIMB_SHIFT
+            r |= limb
+            np.divmod(r, n, out=(q, r))
+            columns[j] = q.sum()
+        bad |= r != 0
+        if bad.any():
             raise DivisibilityError(
-                f"element {n} does not divide the modulus",
+                f"element {int(chunk[np.argmax(bad)])} does not divide the modulus",
                 failing_parameter="modulus",
             )
-        num += m // n
+        chunk_num = 0
+        for column in columns.tolist():
+            chunk_num = (chunk_num << 32) + column
+        num += chunk_num
     return Fraction(num, m)
 
 

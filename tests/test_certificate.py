@@ -101,6 +101,11 @@ def test_recheck_detects_tamper(rep):
         ("size", float(size)),
         ("sum_exact", "false"),
         ("max_ok", 1),
+        ("max_element", 7),
+        ("max_element", float(rep.certificate.max_element)),
+        ("density_exact", "1/2"),
+        # equal in value, not as written
+        ("density_exact", f"{2 * rep.density.numerator}/{2 * rep.density.denominator}"),
     ):
         doc = document_from_representation(rep)
         doc.certificate[key] = claim
@@ -138,6 +143,31 @@ def test_malformed_document():
         text = json.dumps({**fields, "parts": {"A": part}})
         with pytest.raises(ParameterError):
             CertificateDocument.from_json(text).denominators()
+    # The header as written parses, trace being optional; an edit that
+    # int(), str() or dict() would turn back into it does not.
+    good = {**fields, "parts": {}}
+    assert CertificateDocument.from_json(json.dumps(good)).trace == {}
+    for key, value in (
+        ("version", 99),
+        ("version", 1.7),
+        ("version", 1.0),
+        ("version", True),
+        ("version", "1"),
+        ("x", 10.9),
+        ("x", 10.0),
+        ("x", "10"),
+        ("x", True),
+        ("r", "2/4"),
+        ("r", " 1/2 "),
+        ("r", "0.5"),
+        ("r", 0.5),
+        ("parameters", [["k", 3]]),
+        ("parts", []),
+        ("certificate", None),
+        ("trace", [["stage_one", {}]]),
+    ):
+        with pytest.raises(ParameterError):
+            CertificateDocument.from_json(json.dumps({**good, key: value}))
 
 
 # sha256 of document_from_representation(construct_dense(r, x, **options))
@@ -175,3 +205,4 @@ def test_document_bytes_are_pinned(r, x, options, digest):
     rep = construct_dense(Fraction(r), x, **options)
     text = document_from_representation(rep).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert CertificateDocument.from_json(text).to_json() == text

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -48,6 +49,18 @@ def test_sieve_stats():
     assert out["count"] == 8
     assert out["count_a0"] == 2
     assert out["recip_sum"] == "12/5"
+
+
+def test_sieve_stats_readme_example():
+    """The README's example at 10^6; recip_sum is pinned by its sha256."""
+    p = run_cli("sieve-stats", "--x", "1000000", "--y", "501", "--w", "63", "--k", "3")
+    out = json.loads(p.stdout)
+    assert (out["count"], out["count_a0"]) == (173227, 87475)
+    assert (
+        hashlib.sha256(out["recip_sum"].encode()).hexdigest()
+        == "56b8ab12200a190a2dafe1c9077369a110a85074738be834f5877d67eb3bae66"
+    )
+    assert out["recip_sum_approx"] == 8.883662070533154
 
 
 def test_construct_usage_error():
@@ -121,6 +134,32 @@ def test_verify_malformed_part_exit_64(cert_file, tmp_path, part):
     p = run_cli("verify", str(bad))
     assert p.returncode == 64
     assert json.loads(p.stdout)["code"] == "parameter"
+
+
+@pytest.mark.parametrize(
+    "key, value, code",
+    [
+        ("version", 99, 64),
+        ("r", "2/6", 64),
+        ("x", "100000", 64),
+        ("density_exact", "1/2", 1),
+        ("max_element", 7, 1),
+    ],
+)
+def test_verify_header_and_claims(cert_file, tmp_path, key, value, code):
+    """A non-canonical header is malformed input (64); a wrong claim is a
+    mismatch (1)."""
+    doc = json.loads(cert_file.read_text())
+    if key in doc:
+        doc[key] = value
+    else:
+        doc["certificate"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    p = run_cli("verify", str(bad))
+    assert p.returncode == code
+    if code == 1:
+        assert json.loads(p.stdout)["consistent_with_document"] is False
 
 
 def test_construct_thin_slices_certifies(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densefrac.arith import factorize, primes_in
-from densefrac.errors import DivisibilityError, InfeasibleMass, ParameterError
+from densefrac import smooth
+from densefrac.arith import FactoredInt, factorize, primes_in
+from densefrac.construct import modulus_product
+from densefrac.errors import (
+    DensefracError,
+    DivisibilityError,
+    InfeasibleMass,
+    ParameterError,
+)
 from densefrac.smooth import (
     SmoothParams,
     build_family,
@@ -188,6 +196,131 @@ def test_reciprocal_sum_matches_fractions(mid_family):
     got = reciprocal_sum(sample, modulus)
     want = sum(Fraction(1, n) for n in sample)
     assert got == want
+
+
+def _reciprocal_sum_scalar(elements, modulus):
+    """The one-Python-step-per-element loop reciprocal_sum once was."""
+    m = modulus.value
+    num = 0
+    for n in elements:
+        n = int(n)
+        if n < 1 or m % n != 0:
+            raise DivisibilityError(
+                f"element {n} does not divide the modulus",
+                failing_parameter="modulus",
+            )
+        num += m // n
+    return Fraction(num, m)
+
+
+_ODD_PRIMES = primes_in(3, 1000)
+
+
+@st.composite
+def _limb_division_case(draw):
+    """A modulus of a set bit length, divisors of it below 2^32 and maybe
+    one more value (a non-divisor, 0 or a negative) at the first, a middle
+    or the last position."""
+    bits = draw(st.sampled_from([1, 31, 32, 33, 64, 65, 2100]))
+    flat = []
+    value = 1
+    for p in draw(st.lists(st.sampled_from(_ODD_PRIMES), max_size=300)):
+        if (value * p).bit_length() > bits:
+            break
+        value *= p
+        flat.append(p)
+    flat += [2] * (bits - value.bit_length())
+    modulus = FactoredInt.from_factors(
+        sorted((p, flat.count(p)) for p in set(flat))
+    )
+    assert modulus.value.bit_length() == bits
+    elements = []
+    if flat:
+        picks = st.lists(st.integers(0, len(flat) - 1), max_size=12, unique=True)
+        for pick in draw(st.lists(picks, max_size=40)):
+            n = 1
+            for i in pick:
+                if n * flat[i] < 2**32:
+                    n *= flat[i]
+            elements.append(n)
+    extra = draw(
+        st.one_of(
+            st.none(),
+            st.integers(1, 2**32 - 1),
+            st.just(0),
+            st.integers(-(2**40), -1),
+        )
+    )
+    if extra is not None:
+        at = draw(st.sampled_from([0, len(elements) // 2, len(elements)]))
+        elements.insert(at, extra)
+    return modulus, elements
+
+
+def _outcome(fn, elements, modulus):
+    try:
+        return fn(elements, modulus)
+    except DensefracError as e:
+        return type(e), e.as_dict()
+
+
+_AS_INPUT = {
+    "list": list,
+    "int64 array": lambda v: np.array(v, dtype=np.int64),
+    "generator": lambda v: (n for n in v),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=_limb_division_case(),
+    form=st.sampled_from(sorted(_AS_INPUT)),
+    chunk=st.sampled_from([8, smooth._CHUNK]),
+)
+def test_reciprocal_sum_matches_scalar_loop(case, form, chunk):
+    """Same Fraction, or same error type and text, as the scalar loop; a
+    chunk of 8 puts failing elements in later chunks."""
+    modulus, elements = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smooth, "_CHUNK", chunk)
+        got = _outcome(reciprocal_sum, _AS_INPUT[form](elements), modulus)
+    assert got == _outcome(_reciprocal_sum_scalar, elements, modulus)
+
+
+def test_reciprocal_sum_largest_element():
+    """r * 2^32 + limb peaks below 2^64 when n = 2^32 - 1 divides m."""
+    top = 2**32 - 1  # 3 * 5 * 17 * 257 * 65537
+    modulus = factorize(top).lcm(FactoredInt.from_factors([(2, 2000)]))
+    elements = [1, 2, top, 65537, 2**31, 2 * 65537 * 257]
+    want = _reciprocal_sum_scalar(elements, modulus)
+    for form, as_input in _AS_INPUT.items():
+        assert reciprocal_sum(as_input(elements), modulus) == want, form
+
+
+@pytest.mark.parametrize("big", [2**32, 2**63, 2**70])
+def test_reciprocal_sum_rejects_elements_from_2_32(big):
+    """An element >= 2^32 is refused before any divisibility check."""
+    modulus = factorize(30)
+    for elements in ([7, big], [big, 7], [1, 7, 2, big]):
+        forms = ["list", "generator"] + (["int64 array"] if big < 2**63 else [])
+        for form in forms:
+            with pytest.raises(ParameterError, match=f"element {big} "):
+                reciprocal_sum(_AS_INPUT[form](elements), modulus)
+
+
+def test_reciprocal_sum_memory_is_chunked():
+    """The 173 227-member family at 10^6 is divided chunk by chunk: the
+    peak allocation stays well below one full-length uint64 array."""
+    fam = build_family(SmoothParams(x=10**6, y=501, w=63, lam=Fraction(0), k=3))
+    modulus = modulus_product(503, 63, 3)
+    assert fam.count == 173_227
+    tracemalloc.start()
+    try:
+        reciprocal_sum(fam.members, modulus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < fam.members.nbytes / 3
 
 
 def test_choose_lambda_spec_example():
