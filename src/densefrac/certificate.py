@@ -43,16 +43,18 @@ def encode_deltas(values) -> dict:
 
 def decode_deltas(enc: dict) -> list:
     """{first, deltas} -> the integers. first and every delta must be JSON
-    integers: a string, a float or a bool raises ParameterError."""
+    integers: a string, a float or a bool raises ParameterError. A null
+    first encodes the empty part, so it admits no deltas."""
     first = enc.get("first")
-    if first is None:
-        return []
     deltas = enc.get("deltas", [])
+    if first is None and deltas == []:
+        return []
     if not (
         type(first) is int and type(deltas) is list and set(map(type, deltas)) <= {int}
     ):
         raise ParameterError(
-            "malformed delta encoding: first and every delta must be integers"
+            "malformed delta encoding: first and every delta must be integers, "
+            "and a null first admits no deltas"
         )
     return list(accumulate(deltas, initial=first))
 
@@ -70,7 +72,7 @@ class CertificateDocument:
     def to_json(self) -> str:
         # The fields hold plain JSON values, so they are dumped as they are
         # (asdict() would deep-copy every delta first).
-        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
+        return _encode(vars(self))
 
     @classmethod
     def from_json(cls, text: str) -> "CertificateDocument":
@@ -126,9 +128,13 @@ class CertificateDocument:
         return sorted(out)
 
 
+def _encode(value) -> str:
+    """The one JSON encoding of documents, also used to compare blocks: it
+    tells true from 1 and 1 from 1.0, and NaN equals NaN."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _trace_summary(trace) -> dict:
-    if trace is None:
-        return {}
     removed = trace.removed_total
     rems = [s for s in trace.steps if s.removed]
     return {
@@ -146,9 +152,26 @@ def _trace_summary(trace) -> dict:
     }
 
 
+def _certificate_block(cert) -> dict:
+    """A Certificate as the document's certificate block; the constructor
+    writes it and recheck_document rebuilds it to compare."""
+    return {
+        "sum_exact": cert.sum_exact,
+        "distinct": cert.distinct,
+        "max_ok": cert.max_ok,
+        "harmonic_bound_ok": cert.harmonic_bound_ok,
+        "density_exact": frac_str(cert.density),
+        "density_approx": float(cert.density),
+        "size": cert.size,
+        "max_element": cert.max_element,
+        "c_of_r_approx": cert.c_of_r,
+        "upper_bound_1_minus_e_to_minus_r_approx": cert.upper_bound_1_minus_e_to_minus_r,
+    }
+
+
 def document_from_representation(rep) -> CertificateDocument:
     """Freeze a Representation into its interchange document."""
-    cfg, plan, cert = rep.config, rep.plan, rep.certificate
+    cfg, plan = rep.config, rep.plan
     params = {
         "k": cfg.k,
         "epsilon": cfg.epsilon,
@@ -160,33 +183,15 @@ def document_from_representation(rep) -> CertificateDocument:
         "y_prime": plan.y_prime,
         "x_prime": plan.x_prime,
         "y_doubleprime": plan.y_doubleprime,
-        "lambda_prime": frac_str(rep.lam_prime) if rep.lam_prime is not None else None,
+        "lambda_prime": frac_str(rep.lam_prime),
         "early_exit_prime": rep.early_exit_prime,
         "warnings": list(plan.warnings),
     }
-    parts = {
-        "A": encode_deltas(rep.a),
-        "A_prime": encode_deltas(rep.a_prime),
-        "C_minus_A_prime": encode_deltas(rep.c_minus_a_prime),
-        "D1": encode_deltas(rep.d1),
-        "D2": encode_deltas(rep.d2),
-    }
+    parts = {name: encode_deltas(vals) for name, vals in rep.parts().items()}
     trace = {
         "stage_one": _trace_summary(rep.stage_one_trace),
         "stage_two": _trace_summary(rep.stage_two_trace),
         "stage_two_attempts": rep.stage_two_attempts,
-    }
-    certificate = {
-        "sum_exact": cert.sum_exact,
-        "distinct": cert.distinct,
-        "max_ok": cert.max_ok,
-        "harmonic_bound_ok": cert.harmonic_bound_ok,
-        "density_exact": frac_str(rep.density),
-        "density_approx": float(rep.density),
-        "size": cert.size,
-        "max_element": cert.max_element,
-        "c_of_r_approx": cert.c_of_r,
-        "upper_bound_1_minus_e_to_minus_r_approx": cert.upper_bound_1_minus_e_to_minus_r,
     }
     return CertificateDocument(
         version=FORMAT_VERSION,
@@ -195,33 +200,21 @@ def document_from_representation(rep) -> CertificateDocument:
         parameters=params,
         parts=parts,
         trace=trace,
-        certificate=certificate,
+        certificate=_certificate_block(rep.certificate),
     )
 
 
 def recheck_document(doc: CertificateDocument):
     """Re-verify a document from scratch; returns (Certificate, consistent).
 
-    `consistent` additionally demands that the recomputed pass/fail fields,
-    size, max_element and density_exact equal what the document claims, in
-    value and in JSON type (the string "false" or the list [1] is no claim
-    of false or of 1). A value shared by two parts is a repeated
-    denominator, so it fails `distinct`.
+    `consistent` additionally demands that the certificate block rebuilt
+    from the recomputed Certificate equal the document's block whole: the
+    same keys, each with the same value of the same JSON type (the string
+    "false" or the list [1] is no claim of false or of 1), the _approx
+    floats included. A value shared by two parts is a repeated denominator,
+    so it fails `distinct`.
     """
     r = parse_frac(doc.r)
     cert = check(r, doc.denominators(), doc.x)
-    recomputed = {
-        "sum_exact": cert.sum_exact,
-        "distinct": cert.distinct,
-        "max_ok": cert.max_ok,
-        "harmonic_bound_ok": cert.harmonic_bound_ok,
-        "size": cert.size,
-        "max_element": cert.max_element,
-        "density_exact": frac_str(cert.density),
-    }
-    claimed = {key: doc.certificate.get(key) for key in recomputed}
-    consistent = all(
-        type(claimed[key]) is type(value) and claimed[key] == value
-        for key, value in recomputed.items()
-    )
+    consistent = _encode(_certificate_block(cert)) == _encode(doc.certificate)
     return cert, consistent and cert.sum_exact and cert.distinct and cert.max_ok

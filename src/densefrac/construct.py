@@ -172,36 +172,31 @@ class Representation:
     c_minus_a_prime: list
     d1: list
     d2: list
-    lam_prime: Optional[Fraction]
+    lam_prime: Fraction
     certificate: Certificate
     density: Fraction
     stage_one_trace: StageTrace
-    stage_two_trace: Optional[StageTrace]
-    stage_two_attempts: int = 0
+    stage_two_trace: StageTrace
+    stage_two_attempts: int
     early_exit_prime: Optional[int] = None
 
     @property
     def size(self) -> int:
-        return (
-            len(self.a)
-            + len(self.a_prime)
-            + len(self.c_minus_a_prime)
-            + len(self.d1)
-            + len(self.d2)
-        )
+        return sum(map(len, self.parts().values()))
 
     def denominators(self) -> np.ndarray:
-        parts = [np.asarray(self.a, dtype=np.int64)]
-        for p in (self.a_prime, self.c_minus_a_prime, self.d1, self.d2):
-            if p:
-                parts.append(np.asarray(sorted(p), dtype=np.int64))
+        parts = [np.asarray(p, dtype=np.int64) for p in self.parts().values()]
         return np.sort(np.concatenate(parts))
 
     def parts(self) -> dict:
+        """The five pairwise disjoint parts, keyed as in the certificate
+        document: A (stage one, ascending array), and the stage-two lists
+        A_prime, C_minus_A_prime (C without A'), D1 and D2 (the splitting
+        repair n+1 and n(n+1) of each n in both A' and C)."""
         return {
             "A": self.a,
-            "A'": self.a_prime,
-            "C\\A'": self.c_minus_a_prime,
+            "A_prime": self.a_prime,
+            "C_minus_A_prime": self.c_minus_a_prime,
             "D1": self.d1,
             "D2": self.d2,
         }
@@ -715,7 +710,7 @@ def stage_two(
     plan: StagePlan,
     config: ConstructionConfig,
     family: SmoothFamily,
-    kept: Optional[np.ndarray] = None,
+    kept: np.ndarray,
 ) -> StageTwoResult:
     """Represent the stage-one remainder over (0, lambda*x] denominators.
 
@@ -790,7 +785,7 @@ def _stage_two_attempt(
     n_mod: FactoredInt,
     plan: StagePlan,
     config: ConstructionConfig,
-    kept: Optional[np.ndarray],
+    kept: np.ndarray,
 ) -> StageTwoResult:
     """Stage two at one cut: the q'-loop over pool members above boundary
     (n_mod is the pool modulus), the odd expansion and the four-set repair."""
@@ -832,13 +827,12 @@ def _stage_two_attempt(
             )
     # Expansion terms are at most cap = lambda*x, below every kept member;
     # only the even repair elements can reach the stage-one set.
-    if kept is not None:
-        for v in d1 + d2:
-            i = np.searchsorted(kept, v)
-            if i < kept.size and kept[i] == v:
-                raise BoundExceeded(
-                    f"repair element {v} collides with the stage-one set"
-                )
+    for v in d1 + d2:
+        i = np.searchsorted(kept, v)
+        if i < kept.size and kept[i] == v:
+            raise BoundExceeded(
+                f"repair element {v} collides with the stage-one set"
+            )
     return StageTwoResult(
         a_prime=a_prime,
         c_terms=c_terms,
@@ -895,32 +889,12 @@ def construct_dense(r, x: int, **options) -> Representation:
     Plans parameters, runs both stages (retuning delta from the measured
     stage-one remainder when stage two proves infeasible and delta was not
     pinned by the caller), assembles the five-part representation and
-    certifies it independently. All errors carry the failing parameter.
+    certifies it independently. Every representation comes from both
+    stages; an r equal to the whole family's mass is refused, as no cutoff
+    leaves it a positive remainder. All errors carry the failing parameter.
     """
     config, plan, fam0, d_p0, total = _plan_full(r, x, **options)
     r = config.r
-
-    if total == r:
-        members = fam0.members
-        cert = check(r, members.tolist(), x)
-        if not (cert.sum_exact and cert.distinct and cert.max_ok):
-            raise AssertionError("exact-cover certificate failed")
-        return Representation(
-            r=r,
-            x=x,
-            config=config,
-            plan=plan,
-            a=members,
-            a_prime=[],
-            c_minus_a_prime=[],
-            d1=[],
-            d2=[],
-            lam_prime=None,
-            certificate=cert,
-            density=Fraction(int(members.size), x),
-            stage_one_trace=StageTrace(),
-            stage_two_trace=None,
-        )
 
     for retune in range(MAX_DELTA_RETUNES + 1):
         fam_l = fam0.sub_family(

@@ -24,31 +24,32 @@ LOG2 = math.log(2.0)
 RHO2 = 1.0 - LOG2  # rho(2)
 
 
+#: rho is tabulated on [0, U_MAX] at STEPS_PER_UNIT grid points per unit,
+#: a power of two, so that unit intervals align exactly with the grid.
+U_MAX = 20
+STEPS_PER_UNIT = 2**14
+GRID_STEP = 1.0 / STEPS_PER_UNIT
+
+
 class RhoEvaluator:
-    """Immutable piecewise representation of rho on [0, u_max].
+    """Immutable piecewise representation of rho on [0, U_MAX].
 
     Safe for concurrent queries once built. Absolute error of `rho` is
-    well below 1e-8 at the default grid step.
+    well below 1e-8 at GRID_STEP.
     """
 
-    def __init__(self, u_max: int = 20, grid_step: float = 2.0**-14):
-        if u_max < 2:
-            raise ParameterError(f"u_max must be >= 2, got {u_max}")
-        self.u_max = float(u_max)
-        # Snap to a power of two so unit intervals align exactly.
-        self.steps_per_unit = max(64, int(round(1.0 / grid_step)))
-        self.grid_step = 1.0 / self.steps_per_unit
-        self._grid = self._march(int(u_max))
+    def __init__(self):
+        self._grid = self._march()
 
-    def _march(self, units: int) -> np.ndarray:
-        n = self.steps_per_unit
-        h = self.grid_step
-        u = np.arange(0, units * n + 1, dtype=np.float64) * h
+    def _march(self) -> np.ndarray:
+        n = STEPS_PER_UNIT
+        h = GRID_STEP
+        u = np.arange(0, U_MAX * n + 1, dtype=np.float64) * h
         rho = np.empty_like(u)
         rho[: n + 1] = 1.0
         seg = slice(n, 2 * n + 1)
         rho[seg] = 1.0 - np.log(u[seg])
-        for m in range(2, units):
+        for m in range(2, U_MAX):
             lo = m * n
             t = u[lo : lo + n + 1]
             f = rho[lo - n : lo + 1] / t
@@ -57,22 +58,22 @@ class RhoEvaluator:
             fp = np.gradient(f, h)
             cum -= (h * h / 12.0) * (fp - fp[0])
             rho[lo : lo + n + 1] = rho[lo] - cum
-        # True rho(u) underflows double precision near u_max; pin the grid to
+        # True rho(u) underflows double precision near U_MAX; pin the grid to
         # the positive non-increasing invariant (absolute error stays ~1e-15).
         rho = np.maximum(np.minimum.accumulate(rho), 1e-300)
         return rho
 
     def rho(self, u: float) -> float:
-        """rho(u) for 0 < u <= u_max."""
+        """rho(u) for 0 < u <= U_MAX."""
         if not (u > 0.0):
             raise ParameterError(f"rho domain is (0, u_max], got {u}")
-        if u > self.u_max:
-            raise ParameterError(f"rho({u}) beyond cached domain u_max={self.u_max}")
+        if u > U_MAX:
+            raise ParameterError(f"rho({u}) beyond cached domain u_max={float(U_MAX)}")
         if u <= 1.0:
             return 1.0
         if u <= 2.0:
             return 1.0 - math.log(u)
-        x = u / self.grid_step
+        x = u / GRID_STEP
         i = min(int(x), len(self._grid) - 2)
         frac = x - i
         return float(self._grid[i] * (1.0 - frac) + self._grid[i + 1] * frac)

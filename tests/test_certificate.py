@@ -106,6 +106,12 @@ def test_recheck_detects_tamper(rep):
         ("density_exact", "1/2"),
         # equal in value, not as written
         ("density_exact", f"{2 * rep.density.numerator}/{2 * rep.density.denominator}"),
+        # every field of the block is compared, the _approx floats too, and
+        # no key may be added
+        ("density_approx", 0.9),
+        ("c_of_r_approx", 0.99),
+        ("upper_bound_1_minus_e_to_minus_r_approx", 1.0),
+        ("verified_by", "densefrac"),
     ):
         doc = document_from_representation(rep)
         doc.certificate[key] = claim
@@ -139,6 +145,8 @@ def test_malformed_document():
         {"first": 3, "deltas": [2.5]},
         {"first": 3, "deltas": [5.0]},
         {"first": 3, "deltas": [True]},
+        # a null first is the empty part: it admits no deltas
+        {"first": None, "deltas": [5, 7]},
     ):
         text = json.dumps({**fields, "parts": {"A": part}})
         with pytest.raises(ParameterError):

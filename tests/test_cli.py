@@ -124,7 +124,13 @@ def test_verify_tampered_exit_1(cert_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "part", [[1, 2], {"first": 3, "deltas": 7}, {"first": 3, "deltas": [2.5]}]
+    "part",
+    [
+        [1, 2],
+        {"first": 3, "deltas": 7},
+        {"first": 3, "deltas": [2.5]},
+        {"first": None, "deltas": [5, 7]},
+    ],
 )
 def test_verify_malformed_part_exit_64(cert_file, tmp_path, part):
     doc = json.loads(cert_file.read_text())
@@ -144,6 +150,7 @@ def test_verify_malformed_part_exit_64(cert_file, tmp_path, part):
         ("x", "100000", 64),
         ("density_exact", "1/2", 1),
         ("max_element", 7, 1),
+        ("density_approx", 0.9, 1),
     ],
 )
 def test_verify_header_and_claims(cert_file, tmp_path, key, value, code):

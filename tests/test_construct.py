@@ -4,6 +4,7 @@ import random
 import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -197,7 +198,8 @@ def test_stage_two_empty_loop_expansion():
         q2_primes=[],
     )
     family = build_family(SmoothParams(x=10**5, y=300, w=20, lam=Fraction(0), k=2))
-    res = stage_two(Fraction(2, 15), plan, config, family)
+    kept = np.empty(0, dtype=np.int64)
+    res = stage_two(Fraction(2, 15), plan, config, family, kept)
     total = (
         tree_sum(res.a_prime)
         + tree_sum(sorted(set(res.c_terms) - set(res.a_prime)))
@@ -217,8 +219,9 @@ def test_stage_two_empty_loop_expansion():
 
 def test_stage_two_denominator_one_rejected(toy_family):
     config = _toy_config(Fraction(5, 2))
+    kept = np.empty(0, dtype=np.int64)
     with pytest.raises(ParameterError):
-        stage_two(Fraction(2, 1), _toy_plan(Fraction(5, 2)), config, toy_family)
+        stage_two(Fraction(2, 1), _toy_plan(Fraction(5, 2)), config, toy_family, kept)
 
 
 def test_four_set_repair_collision_example():
@@ -287,6 +290,21 @@ def test_construct_dense_deterministic():
 def test_construct_dense_infeasible():
     with pytest.raises(InfeasibleMass):
         construct_dense(10, 1000)
+
+
+@pytest.mark.parametrize("r, x", [(Fraction(3, 2), 3), (Fraction(7, 4), 4)])
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"lambda_mode": "formula"}, {"delta": 1}],
+    ids=["default", "formula", "delta=1"],
+)
+def test_r_equal_to_the_full_family_mass_is_refused(r, x, options):
+    """The whole family ({1, 2} at x = 3, {1, 2, 4} at x = 4) sums to r;
+    no option set lets the family alone cover r."""
+    family = build_family(SmoothParams(x=x, y=2, w=2, lam=Fraction(0), k=3))
+    assert sum(Fraction(1, int(n)) for n in family.members) == r
+    with pytest.raises(InfeasibleMass):
+        construct_dense(r, x, **options)
 
 
 def test_construct_error_carries_parameter():

@@ -44,7 +44,7 @@ def test_rho_monotone_positive_grid():
     ev = dickman.default_evaluator()
     prev = 1.0
     u = 0.25
-    while u <= ev.u_max:
+    while u <= dickman.U_MAX:
         v = ev.rho(u)
         assert 0 < v <= prev + 1e-15
         prev = v
