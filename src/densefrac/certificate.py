@@ -42,9 +42,13 @@ def encode_deltas(values) -> dict:
 
 
 def decode_deltas(enc: dict) -> list:
-    """{first, deltas} -> the integers. first and every delta must be JSON
-    integers: a string, a float or a bool raises ParameterError. A null
-    first encodes the empty part, so it admits no deltas."""
+    """{first, deltas} -> the integers; the one check of the part format.
+    The part must be a JSON object, and first and every delta JSON
+    integers: anything else (a list part, a string, a float or a bool)
+    raises ParameterError. A null first encodes the empty part, so it
+    admits no deltas."""
+    if type(enc) is not dict:
+        raise ParameterError("malformed certificate part: not a JSON object")
     first = enc.get("first")
     deltas = enc.get("deltas", [])
     if first is None and deltas == []:
@@ -79,7 +83,8 @@ class CertificateDocument:
         """Parse a document; a header that is not exactly as written raises
         ParameterError: version must be the JSON integer FORMAT_VERSION, x a
         JSON integer, r a canonical "a/b" string, and parameters, parts,
-        certificate and (optional) trace JSON objects."""
+        certificate and (optional) trace JSON objects. Each part is checked
+        when it is decoded (decode_deltas)."""
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
@@ -109,16 +114,6 @@ class CertificateDocument:
         for name in ("parameters", "parts", "trace", "certificate"):
             if type(getattr(doc, name)) is not dict:
                 raise ParameterError(f"certificate {name} is not a JSON object")
-        for name, enc in doc.parts.items():
-            if not (
-                isinstance(enc, dict)
-                and (enc.get("first") is None or type(enc["first"]) is int)
-                and isinstance(enc.get("deltas", []), list)
-            ):
-                raise ParameterError(
-                    f"certificate part {name!r} is not a "
-                    '{"first": int or null, "deltas": [...]} object'
-                )
         return doc
 
     def denominators(self) -> list:
@@ -183,20 +178,20 @@ def document_from_representation(rep) -> CertificateDocument:
         "y_prime": plan.y_prime,
         "x_prime": plan.x_prime,
         "y_doubleprime": plan.y_doubleprime,
-        "lambda_prime": frac_str(rep.lam_prime),
-        "early_exit_prime": rep.early_exit_prime,
+        "lambda_prime": frac_str(rep.stage_two.lam_prime),
+        "early_exit_prime": rep.stage_two.early_exit_prime,
         "warnings": list(plan.warnings),
     }
     parts = {name: encode_deltas(vals) for name, vals in rep.parts().items()}
     trace = {
         "stage_one": _trace_summary(rep.stage_one_trace),
-        "stage_two": _trace_summary(rep.stage_two_trace),
-        "stage_two_attempts": rep.stage_two_attempts,
+        "stage_two": _trace_summary(rep.stage_two.trace),
+        "stage_two_attempts": rep.stage_two.attempts,
     }
     return CertificateDocument(
         version=FORMAT_VERSION,
-        r=frac_str(rep.r),
-        x=rep.x,
+        r=frac_str(cfg.r),
+        x=cfg.x,
         parameters=params,
         parts=parts,
         trace=trace,

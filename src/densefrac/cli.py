@@ -68,8 +68,8 @@ def cmd_construct(args) -> int:
         _emit(
             {
                 "written": args.out,
-                "size": rep.size,
-                "density_approx": float(rep.density),
+                "size": rep.certificate.size,
+                "density_approx": float(rep.certificate.density),
             }
         )
     else:

@@ -15,9 +15,13 @@ between the expansion and the kept set through the splitting identity
 therefore disjoint from everything odd; the not-m^2+m-1 membership rule
 makes the two repair sets disjoint from each other.
 
-Planning sieves [1, x] once; the stage-one family and every stage-two
-pool are views of that sieve. The family's exact mass is summed once, and
+Planning sieves [1, x] once and fixes every stage input: the cutoff, the
+bounds y' and x', and the moduli D(p0) and D(p0') (p0' the next prime above
+y'; its odd part is D0(y')). The family's exact mass is summed once, and
 the cutoff and stage-one remainder take the members below the cutoff off it.
+Per plan, construct_dense takes the stage-one family and the stage-two pool
+as views of the sieve and passes each stage the view it reads as an
+argument; the plan holds no view, so no view outlives the construction.
 
 Every step re-verifies its divisibility certificate and exact telescoping;
 nothing is trusted from asymptotics. Where the source analysis needs "x
@@ -88,7 +92,7 @@ class ConstructionConfig:
 
 @dataclass
 class StagePlan:
-    """Derived bounds and descending prime lists for both stages."""
+    """Derived bounds, moduli and descending prime lists for both stages."""
 
     x: int
     y: int
@@ -99,7 +103,8 @@ class StagePlan:
     y_prime: int
     x_prime: int
     y_doubleprime: int
-    p0: int
+    d_p0: FactoredInt  # D(p0), p0 the next prime above y
+    d_pool: FactoredInt  # D(p0'), p0' the next prime above y'; odd part D0(y')
     p_primes: list
     q_primes: list
     q2_primes: list
@@ -161,28 +166,23 @@ class StageTwoResult:
 
 @dataclass
 class Representation:
-    """Final denominator set, partitioned, with its verification certificate."""
+    """Final denominator set, partitioned, with its verification certificate.
 
-    r: Fraction
-    x: int
+    Each value has one owner: r and x are the config's, the stage-two parts,
+    cut and trace are the StageTwoResult's, size and density are the
+    certificate's. No field reaches the sieve or any view of it.
+    """
+
     config: ConstructionConfig
     plan: StagePlan
-    a: np.ndarray
-    a_prime: list
-    c_minus_a_prime: list
-    d1: list
-    d2: list
-    lam_prime: Fraction
+    a: np.ndarray  # the stage-one set, ascending
+    stage_two: StageTwoResult
     certificate: Certificate
-    density: Fraction
     stage_one_trace: StageTrace
-    stage_two_trace: StageTrace
-    stage_two_attempts: int
-    early_exit_prime: Optional[int] = None
 
     @property
-    def size(self) -> int:
-        return sum(map(len, self.parts().values()))
+    def stage_two_attempts(self) -> int:
+        return self.stage_two.attempts
 
     def denominators(self) -> np.ndarray:
         parts = [np.asarray(p, dtype=np.int64) for p in self.parts().values()]
@@ -193,12 +193,13 @@ class Representation:
         document: A (stage one, ascending array), and the stage-two lists
         A_prime, C_minus_A_prime (C without A'), D1 and D2 (the splitting
         repair n+1 and n(n+1) of each n in both A' and C)."""
+        s2 = self.stage_two
         return {
             "A": self.a,
-            "A_prime": self.a_prime,
-            "C_minus_A_prime": self.c_minus_a_prime,
-            "D1": self.d1,
-            "D2": self.d2,
+            "A_prime": s2.a_prime,
+            "C_minus_A_prime": s2.c_minus,
+            "D1": s2.d1,
+            "D2": s2.d2,
         }
 
 
@@ -327,15 +328,14 @@ def _stage_two_pool(fam0: SmoothFamily, y_p: int, x_p: int) -> SmoothFamily:
     return fam0.sub_family(params)
 
 
-def _stage_two_deficit(fam2: SmoothFamily, q_e: int):
-    """Needed q'-ladders (primes in [q_e, y')) thinner than the heuristic
-    coverage threshold, measured over the full pool."""
-    out = []
-    for q in _primes_between(q_e, fam2.params.y - 1):
-        for l in range(1, fam2.params.k):
-            if int(fam2.slice(q, l, a0=True).size) < _ladder_threshold(q):
-                out.append((q, l))
-    return out
+def _ladders(pool: SmoothFamily, q_e: int) -> list:
+    """(q, slice) for every q'-ladder the early Breusch hand-off cannot
+    absorb: primes q in [q_e, y'), powers 1..k-1, over the pool's A0."""
+    return [
+        (q, pool.slice(q, l, a0=True))
+        for q in _primes_between(q_e, pool.params.y - 1)
+        for l in range(1, pool.params.k)
+    ]
 
 
 def _x_prime(y_p: int, k: int, cutoff: int, override: Optional[int]) -> int:
@@ -390,14 +390,13 @@ def _select_y_prime(
         if x_p > cutoff:  # plan.validate() rejects this x' whatever y' is
             return y_p, []
         deficit1 = _stage_one_deficit(fam0, y_p, cutoff)
-        try:
-            fam2 = _stage_two_pool(fam0, y_p, x_p)
-        except ParameterError:
-            continue
-        deficit2 = _stage_two_deficit(fam2, q_e)
+        deficit2 = sum(
+            int(ladder.size) < _ladder_threshold(q)
+            for q, ladder in _ladders(_stage_two_pool(fam0, y_p, x_p), q_e)
+        )
         if not deficit1 and not deficit2:
             return y_p, []
-        score = (len(deficit1), len(deficit2))
+        score = (len(deficit1), deficit2)
         if best_score is None or score < best_score:
             best, best_score = y_p, score
     if best is None:
@@ -424,7 +423,7 @@ def _plan_full(
     y_prime: Optional[int] = None,
     x_prime: Optional[int] = None,
 ):
-    """(config, plan, planning family, D(p0), the family's mass over D(p0))."""
+    """(config, plan, planning family, the family's mass over D(p0))."""
     r = Fraction(r)
     if r <= 0:
         raise ParameterError(f"r must be positive, got {r}", failing_parameter="r")
@@ -485,8 +484,7 @@ def _plan_full(
         )
 
     fam0 = build_family(SmoothParams(x=x, y=y, w=w, lam=Fraction(0), k=k_res))
-    p0 = _next_prime_above(y)
-    d_p0 = modulus_product(p0, w, k_res)
+    d_p0 = modulus_product(_next_prime_above(y), w, k_res)
     total = reciprocal_sum(fam0.members, d_p0)
     if total < r:
         raise InfeasibleMass(
@@ -505,14 +503,13 @@ def _plan_full(
         y_prime_override=y_prime,
         x_prime_override=x_prime,
     )
-    plan = _resolve_plan(config, fam0, p0, d_p0, total)
-    return config, plan, fam0, d_p0, total
+    plan = _resolve_plan(config, fam0, d_p0, total)
+    return config, plan, fam0, total
 
 
 def _resolve_plan(
     config: ConstructionConfig,
     fam0: SmoothFamily,
-    p0: int,
     d_p0: FactoredInt,
     total: Fraction,
 ) -> StagePlan:
@@ -550,7 +547,8 @@ def _resolve_plan(
         y_prime=y_p,
         x_prime=x_p,
         y_doubleprime=y_pp,
-        p0=p0,
+        d_p0=d_p0,
+        d_pool=modulus_product(_next_prime_above(y_p), y_p, k),
         p_primes=sorted(_primes_between(w + 1, y), reverse=True),
         q_primes=sorted(_primes_between(y_p, w), reverse=True),
         q2_primes=sorted(_primes_between(y_pp, y_p - 1), reverse=True),
@@ -598,18 +596,20 @@ def stage_one(
     family: SmoothFamily,
 ):
     """Run the descending prime loops and the powers-of-two cleanup, each
-    step through _eliminate_step.
+    step through _eliminate_step, over family, the view A(x, y; w, lambda)
+    of the planning sieve.
 
     The cleanup eliminates 2^l for l = k-1 down to 1 from the members
     exactly divisible by 2^l whose odd part is y'-smooth; at p = 2 one
     element always suffices, and the largest is taken. Starts from the
-    plan's initial remainder. Returns (kept members array, remainder,
-    trace); the remainder's denominator divides D0(y').
+    plan's initial remainder and its modulus D(p0). Returns (kept members
+    array, remainder, trace); the remainder's denominator divides D0(y'),
+    the odd part of the plan's pool modulus.
     """
     r, k = config.r, config.k
     if family.params.cutoff != plan.cutoff or family.params.y != plan.y:
         raise ParameterError("family was not built with the plan's parameters")
-    n_mod = modulus_product(plan.p0, plan.w, k)
+    n_mod = plan.d_p0
     if n_mod.value % r.denominator != 0:
         raise DivisibilityError(
             f"b = {r.denominator} does not divide D(p0)", failing_parameter="r"
@@ -645,8 +645,7 @@ def stage_one(
             trace, "2-cleanup", removed_all, rem, n_mod, stock, 2, l
         )
 
-    d0_yp = modulus_product(_next_prime_above(plan.y_prime), plan.w, k).odd_part()
-    if d0_yp.value % rem.denominator != 0:
+    if plan.d_pool.odd_part().value % rem.denominator != 0:
         raise AssertionError("stage-one remainder denominator escapes D0(y')")
     if not (0 < rem < r):
         raise RemainderNonPositive(f"stage-one remainder {rem} left (0, r)")
@@ -709,20 +708,20 @@ def stage_two(
     remainder: Fraction,
     plan: StagePlan,
     config: ConstructionConfig,
-    family: SmoothFamily,
+    pool: SmoothFamily,
     kept: np.ndarray,
 ) -> StageTwoResult:
     """Represent the stage-one remainder over (0, lambda*x] denominators.
 
-    The odd pool is a view of the planning family's sieve; repair elements
-    must avoid the ascending stage-one set kept. Chooses the odd pool cut,
-    runs the descending q'-loop (exiting early once the residual already
-    satisfies the odd-expansion precondition within the size budget),
-    expands, and repairs overlaps. On failure the cut is shifted up one
-    element and the attempt repeats with fresh residue targets; everything
-    is deterministic.
+    pool is the plan's odd pool A(x', y'; y', 0), a view of the planning
+    sieve, and the plan's D(p0') is its modulus; repair elements must avoid
+    the ascending stage-one set kept. Chooses the odd pool cut, runs the
+    descending q'-loop (exiting early once the residual already satisfies
+    the odd-expansion precondition within the size budget), expands, and
+    repairs overlaps. On failure the cut is shifted up one element and the
+    attempt repeats with fresh residue targets; the last attempt's error is
+    raised. Everything is deterministic.
     """
-    k = config.k
     if remainder <= 0:
         raise RemainderNonPositive(f"stage-two input {remainder} not positive")
     if remainder.denominator == 1:
@@ -730,67 +729,58 @@ def stage_two(
             f"stage-two input {remainder} has denominator 1; nothing to expand",
             failing_parameter="remainder",
         )
-    y_p, x_p = plan.y_prime, plan.x_prime
-    p0p = _next_prime_above(y_p)
-    d0_yp = modulus_product(p0p, plan.w, k).odd_part()
-    if d0_yp.value % remainder.denominator != 0:
+    x_p = plan.x_prime
+    if plan.d_pool.odd_part().value % remainder.denominator != 0:
         raise DivisibilityError(
-            f"remainder denominator does not divide D0(y'={y_p})",
+            f"remainder denominator does not divide D0(y'={plan.y_prime})",
             failing_parameter="remainder",
         )
-    fam2 = _stage_two_pool(family, y_p, x_p)
-    d_pool = modulus_product(p0p, y_p, k)
     lam_p, chosen, c_start = choose_lambda(
-        fam2.members_a0.tolist(), remainder, x_p, d_pool
+        pool.members_a0.tolist(), remainder, x_p, plan.d_pool
     )
     boundary = lam_p.numerator * x_p // lam_p.denominator
 
-    last_err: Optional[Exception] = None
     # Each attempt drops one more of the smallest chosen elements back into
     # the residual; at least one chosen element stays.
-    for drop in range(min(MAX_STAGE_TWO_ATTEMPTS + 1, len(chosen))):
+    attempts = min(MAX_STAGE_TWO_ATTEMPTS + 1, len(chosen))
+    for drop in range(attempts):
         if drop:
             boundary = chosen[drop - 1]
             c_start += Fraction(1, boundary)
         try:
             result = _stage_two_attempt(
-                c_start, chosen[drop:], boundary, fam2, d_pool, plan, config, kept
+                c_start, chosen[drop:], boundary, pool, plan, config, kept
             )
-        except (EliminationFailed, BreuschPreconditionFailed, BoundExceeded) as err:
-            last_err = err
+        except (EliminationFailed, BreuschPreconditionFailed, BoundExceeded):
+            if drop == attempts - 1:
+                raise
             continue
-        last_err = None  # its traceback holds this frame: break the cycle
         # c_start + sum(chosen[drop:]) is the remainder whatever the drop.
         parts = result.a_prime + result.c_minus + result.d1 + result.d2
         if _sum_recips(parts) != remainder:
             raise AssertionError("stage-two four-set identity broke")
         result.attempts = drop + 1
         return result
-    if last_err is None:
-        last_err = BreuschPreconditionFailed(
-            "stage two exhausted the pool without a viable cut",
-            suggestion="increase x or delta",
-        )
-    try:
-        raise last_err
-    finally:
-        last_err = None
+    raise BreuschPreconditionFailed(
+        "stage two exhausted the pool without a viable cut",
+        suggestion="increase x or delta",
+    )
 
 
 def _stage_two_attempt(
     c_start: Fraction,
     selection: list,
     boundary: int,
-    fam2: SmoothFamily,
-    n_mod: FactoredInt,
+    pool: SmoothFamily,
     plan: StagePlan,
     config: ConstructionConfig,
     kept: np.ndarray,
 ) -> StageTwoResult:
     """Stage two at one cut: the q'-loop over pool members above boundary
-    (n_mod is the pool modulus), the odd expansion and the four-set repair."""
+    (eliminating over the pool modulus D(p0')), the odd expansion and the
+    four-set repair."""
     k, x, cap = config.k, config.x, plan.cutoff
-    c = c_start
+    c, n_mod = c_start, plan.d_pool
     trace = StageTrace()
     removed: set = set()
     early_prime: Optional[int] = None
@@ -803,7 +793,7 @@ def _stage_two_attempt(
                 early_prime = q
                 break
         for l in range(k - 1, 0, -1):
-            s_all = fam2.slice(q, l, a0=True)
+            s_all = pool.slice(q, l, a0=True)
             s_sel = s_all[s_all > boundary]
             c, n_mod = _eliminate_step(trace, "q'-loop", removed, c, n_mod, s_sel, q, l)
 
@@ -845,26 +835,16 @@ def _stage_two_attempt(
     )
 
 
-def _alpha_targets(plan: StagePlan, family: SmoothFamily) -> list:
-    """Pool-derived stage-two masses that would park the cut boundary below
-    the needed ladders' rungs: most ambitious first (the full heuristic
-    threshold per ladder), then graded fallbacks keeping fewer rungs, for
-    runs whose delta budget cannot afford the full cut."""
-    try:
-        fam2 = _stage_two_pool(family, plan.y_prime, plan.x_prime)
-    except ParameterError:
+def _alpha_targets(plan: StagePlan, pool: SmoothFamily) -> list:
+    """Masses of the plan's stage-two pool that would park the cut boundary
+    below the needed ladders' rungs: most ambitious first (the full
+    heuristic threshold per ladder), then graded fallbacks keeping fewer
+    rungs, for runs whose delta budget cannot afford the full cut."""
+    members = pool.members_a0.tolist()
+    if not members:
         return []
-    pool = fam2.members_a0.tolist()
-    if not pool:
-        return []
-    k = family.params.k
-    q_e = _exit_prime(plan.cutoff, k)
-    ladders = []
-    for q in _primes_between(q_e, plan.y_prime - 1):
-        for l in range(1, k):
-            ladder = fam2.slice(q, l, a0=True)
-            if ladder.size:
-                ladders.append((q, ladder))
+    q_e = _exit_prime(plan.cutoff, pool.params.k)
+    ladders = [(q, ladder) for q, ladder in _ladders(pool, q_e) if ladder.size]
     targets = []
     for keep_cap in (None, 4, 3, 2):
         bound = None
@@ -875,8 +855,8 @@ def _alpha_targets(plan: StagePlan, family: SmoothFamily) -> list:
             rung = int(ladder[-keep]) - 1
             bound = rung if bound is None else min(bound, rung)
         if bound is None:
-            bound = max(pool[-1] // 2, 1)
-        kept = [n for n in pool if n > bound]
+            bound = max(members[-1] // 2, 1)
+        kept = [n for n in members if n > bound]
         t = _sum_recips(kept) + min(Fraction(1, 2 * (bound + 1)), Fraction(1, 16))
         if t not in targets:
             targets.append(t)
@@ -893,16 +873,17 @@ def construct_dense(r, x: int, **options) -> Representation:
     stages; an r equal to the whole family's mass is refused, as no cutoff
     leaves it a positive remainder. All errors carry the failing parameter.
     """
-    config, plan, fam0, d_p0, total = _plan_full(r, x, **options)
-    r = config.r
+    config, plan, fam0, total = _plan_full(r, x, **options)
+    r, x = config.r, config.x
 
     for retune in range(MAX_DELTA_RETUNES + 1):
         fam_l = fam0.sub_family(
             SmoothParams(x=x, y=plan.y, w=plan.w, lam=plan.lam, k=config.k)
         )
         kept, alpha, trace1 = stage_one(config, plan, fam_l)
+        pool = _stage_two_pool(fam0, plan.y_prime, plan.x_prime)
         try:
-            s2 = stage_two(alpha, plan, config, fam0, kept)
+            s2 = stage_two(alpha, plan, config, pool, kept)
             break
         except (
             EliminationFailed,
@@ -914,7 +895,7 @@ def construct_dense(r, x: int, **options) -> Representation:
             if retune == MAX_DELTA_RETUNES or options.get("delta") is not None:
                 raise
             delta_new = None
-            for target in _alpha_targets(plan, fam0):
+            for target in _alpha_targets(plan, pool):
                 cand = config.delta + (target - alpha)
                 if 0 < cand < r and cand != config.delta:
                     delta_new = cand
@@ -922,7 +903,7 @@ def construct_dense(r, x: int, **options) -> Representation:
             if delta_new is None:
                 raise
             config = replace(config, delta=delta_new)
-            plan = _resolve_plan(config, fam0, plan.p0, d_p0, total)
+            plan = _resolve_plan(config, fam0, plan.d_p0, total)
 
     small = np.array(s2.a_prime + s2.c_minus + s2.d1 + s2.d2, dtype=np.int64)
     denominators = np.sort(np.concatenate([kept, small]))
@@ -932,22 +913,11 @@ def construct_dense(r, x: int, **options) -> Representation:
     cert = check(r, denominators.tolist(), x)
     if not (cert.sum_exact and cert.distinct and cert.max_ok):
         raise AssertionError("final certificate failed: " + repr(cert))
-    density = Fraction(int(denominators.size), x)
     return Representation(
-        r=r,
-        x=x,
         config=config,
         plan=plan,
         a=kept,
-        a_prime=s2.a_prime,
-        c_minus_a_prime=s2.c_minus,
-        d1=s2.d1,
-        d2=s2.d2,
-        lam_prime=s2.lam_prime,
+        stage_two=s2,
         certificate=cert,
-        density=density,
         stage_one_trace=trace1,
-        stage_two_trace=s2.trace,
-        stage_two_attempts=s2.attempts,
-        early_exit_prime=s2.early_exit_prime,
     )

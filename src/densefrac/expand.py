@@ -1,4 +1,4 @@
-"""Terminal expansions: odd Egyptian fractions, splitting, greedy baseline.
+"""Terminal expansions: odd Egyptian fractions and the greedy baseline.
 
 expand_odd writes a positive c/d (d odd, c/d < 1/P(d)) as a sum of
 reciprocals of distinct odd integers. It works over a modulus M = lcm(d, g)
@@ -40,13 +40,6 @@ class OddExpansion:
 
     def value(self) -> Fraction:
         return sum((Fraction(1, t) for t in self.terms), Fraction(0))
-
-
-def split(n: int) -> Tuple[int, int]:
-    """Splitting identity 1/n = 1/(n+1) + 1/(n(n+1)); collides only at n=1."""
-    if n < 1:
-        raise ParameterError(f"split requires n >= 1, got {n}")
-    return n + 1, n * (n + 1)
 
 
 def breusch_bound(d: int) -> int:
@@ -147,12 +140,12 @@ def expand_odd(c_over_d: Fraction, max_term: Optional[int] = None) -> OddExpansi
         if subset is None:
             continue
         terms = tuple(sorted(m // e for e in subset))
-        got = sum((Fraction(1, t) for t in terms), Fraction(0))
-        if got != v:
+        exp = OddExpansion(terms=terms, max_bound_used=bound)
+        if exp.value() != v:
             raise AssertionError("expansion self-check failed")
         if len(set(terms)) != len(terms) or any(t % 2 == 0 for t in terms):
             raise AssertionError("expansion terms not distinct odd")
-        return OddExpansion(terms=terms, max_bound_used=bound)
+        return exp
     raise BoundExceeded(
         f"no odd expansion of {v} within term bound "
         f"{max_term if max_term is not None else limit}",

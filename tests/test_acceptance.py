@@ -193,16 +193,16 @@ def test_criterion_7_end_to_end_million(r):
         assert cert.sum_exact, f"sum not exact at x={x}"
         assert cert.distinct and cert.max_ok
         assert cert.harmonic_bound_ok, "H(x) - H(x-|S|) <= r failed"
-        assert rep.density > Fraction(1, 50), f"density {rep.density} <= 0.02"
+        assert cert.density > Fraction(1, 50), f"density {cert.density} <= 0.02"
         reps[x] = rep
-    assert reps[10**6].density >= reps[10**5].density, (
+    assert reps[10**6].certificate.density >= reps[10**5].certificate.density, (
         "density trend decreased from 1e5 to 1e6"
     )
-    densities[str(r)] = {x: float(reps[x].density) for x in reps}
+    densities[str(r)] = {x: float(reps[x].certificate.density) for x in reps}
     report(
         7,
         f"r={r}: exact, distinct, max<=x, density "
-        f"{float(reps[10**6].density):.4f} > 0.02, trend up",
+        f"{float(reps[10**6].certificate.density):.4f} > 0.02, trend up",
         t0,
     )
 
@@ -217,8 +217,8 @@ def test_criterion_7_ten_million():
     cert = rep.certificate
     assert cert.sum_exact and cert.distinct and cert.max_ok
     assert cert.harmonic_bound_ok
-    assert rep.density > Fraction(1, 50)
-    report(7, f"r=1, x=1e7: density {float(rep.density):.4f}", t0)
+    assert cert.density > Fraction(1, 50)
+    report(7, f"r=1, x=1e7: density {float(cert.density):.4f}", t0)
 
 
 def test_criterion_8_breusch_contract():

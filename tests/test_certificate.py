@@ -95,7 +95,7 @@ def test_recheck_detects_tamper(rep):
     assert not ok
     # A claim of another JSON type is not consistent, even one that int()
     # or bool() would turn into the recomputed value.
-    size = rep.certificate.size
+    size, density = rep.certificate.size, rep.certificate.density
     for key, claim in (
         ("size", [size]),
         ("size", float(size)),
@@ -105,7 +105,7 @@ def test_recheck_detects_tamper(rep):
         ("max_element", float(rep.certificate.max_element)),
         ("density_exact", "1/2"),
         # equal in value, not as written
-        ("density_exact", f"{2 * rep.density.numerator}/{2 * rep.density.denominator}"),
+        ("density_exact", f"{2 * density.numerator}/{2 * density.denominator}"),
         # every field of the block is compared, the _approx floats too, and
         # no key may be added
         ("density_approx", 0.9),

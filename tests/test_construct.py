@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densefrac import dickman
+from densefrac.arith import is_prime
 from densefrac.construct import (
     ConstructionConfig,
     StagePlan,
@@ -28,7 +29,7 @@ from densefrac.errors import (
     RemainderNonPositive,
     UnsupportedDenominator,
 )
-from densefrac.smooth import SmoothParams, build_family, reciprocal_sum
+from densefrac.smooth import SmoothFamily, SmoothParams, build_family, reciprocal_sum
 from densefrac.verify import tree_sum
 
 
@@ -55,7 +56,8 @@ def _toy_plan(r):
         y_prime=3,
         x_prime=10,
         y_doubleprime=2,
-        p0=7,
+        d_p0=modulus_product(7, 5, 2),
+        d_pool=modulus_product(5, 3, 2),
         p_primes=[],
         q_primes=[5, 3],
         q2_primes=[],
@@ -134,9 +136,8 @@ def test_plan_adaptive_window():
         fam = build_family(
             SmoothParams(x=10**5, y=plan.y, w=plan.w, lam=plan.lam, k=config.k)
         )
-        rem = r - reciprocal_sum(
-            fam.members, modulus_product(plan.p0, plan.w, config.k)
-        )
+        p0 = next(p for p in range(plan.y + 1, 2 * plan.y + 2) if is_prime(p))
+        rem = r - reciprocal_sum(fam.members, modulus_product(p0, plan.w, config.k))
         assert plan.initial_remainder == rem
         if mode == "adaptive":
             assert 0 < rem <= config.delta
@@ -192,14 +193,15 @@ def test_stage_two_empty_loop_expansion():
         y_prime=6,
         x_prime=100,
         y_doubleprime=6,
-        p0=307,
+        d_p0=modulus_product(307, 20, 2),
+        d_pool=modulus_product(7, 6, 2),
         p_primes=[],
         q_primes=[],
         q2_primes=[],
     )
-    family = build_family(SmoothParams(x=10**5, y=300, w=20, lam=Fraction(0), k=2))
+    pool = build_family(SmoothParams(x=100, y=6, w=6, lam=Fraction(0), k=2))
     kept = np.empty(0, dtype=np.int64)
-    res = stage_two(Fraction(2, 15), plan, config, family, kept)
+    res = stage_two(Fraction(2, 15), plan, config, pool, kept)
     total = (
         tree_sum(res.a_prime)
         + tree_sum(sorted(set(res.c_terms) - set(res.a_prime)))
@@ -261,9 +263,9 @@ def test_construct_dense_smoke():
     rep = construct_dense(Fraction(1, 2), 10**5)
     cert = rep.certificate
     assert cert.sum_exact and cert.distinct and cert.max_ok and cert.harmonic_bound_ok
-    assert rep.density > Fraction(1, 50)
+    assert cert.density > Fraction(1, 50)
     denoms = rep.denominators()
-    assert len(denoms) == rep.size
+    assert len(denoms) == cert.size
     assert int(denoms[-1]) <= 10**5
     # parts pairwise disjoint and consistent with the union
     parts = rep.parts()
@@ -272,10 +274,10 @@ def test_construct_dense_smoke():
         vs = {int(v) for v in vals}
         assert union.isdisjoint(vs)
         union |= vs
-    assert len(union) == rep.size
+    assert len(union) == cert.size
     # stage-two elements all at or below lambda*x; stage-one all above
     assert all(int(v) > rep.plan.cutoff for v in rep.a)
-    small = [int(v) for v in rep.a_prime] + [int(v) for v in rep.c_minus_a_prime]
+    small = [int(v) for v in rep.stage_two.a_prime + rep.stage_two.c_minus]
     assert all(v <= rep.plan.cutoff for v in small)
 
 
@@ -393,7 +395,8 @@ def test_retries_leave_no_construct_frame_in_cyclic_garbage(r):
 def test_one_sieve_per_construction(r, retried, monkeypatch):
     """Every family a construction uses is a view of the planning sieve,
     through delta retunes (all three at 10^5) and stage-two retries (10/11
-    and 19/21)."""
+    and 19/21); the stage-two pool is taken once per plan, outside stage
+    two and the retune's target search, which read it as an argument."""
     import densefrac.construct as construct
 
     calls = []
@@ -403,9 +406,58 @@ def test_one_sieve_per_construction(r, retried, monkeypatch):
         calls.append(params)
         return sieve(params)
 
+    inside = []
+    views_inside = []
+    view = SmoothFamily.sub_family
+
+    def marking(name):
+        fn = getattr(construct, name)
+
+        def run(*args, **kwargs):
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return run
+
+    def counting_views(self, params):
+        if inside:
+            views_inside.append((inside[-1], params))
+        return view(self, params)
+
     monkeypatch.setattr(construct, "build_family", counting)
+    monkeypatch.setattr(construct, "stage_two", marking("stage_two"))
+    monkeypatch.setattr(construct, "_alpha_targets", marking("_alpha_targets"))
+    monkeypatch.setattr(SmoothFamily, "sub_family", counting_views)
     rep = construct_dense(r, 10**5)
     assert rep.certificate.all_ok
     assert rep.config.delta != Fraction(1, 20)  # delta was retuned
     assert (rep.stage_two_attempts > 1) == retried
     assert len(calls) == 1
+    assert views_inside == []
+
+
+def test_representation_holds_no_sieve():
+    """The plan and the representation hold no view of the sieve: nothing
+    reachable from a Representation is a SmoothFamily or an array longer
+    than x, so the sieve is freed when construct_dense returns."""
+    x = 10**5
+    rep = construct_dense(Fraction(1, 3), x)
+    seen = set()
+    stack = [rep]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+            obj, (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+        ):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, SmoothFamily)
+        if isinstance(obj, np.ndarray):
+            assert obj.size <= x
+            if obj.base is not None:
+                stack.append(obj.base)
+        stack.extend(gc.get_referents(obj))
+    assert {id(rep.a), id(rep.plan), id(rep.certificate)} <= seen

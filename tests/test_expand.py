@@ -5,14 +5,7 @@ from fractions import Fraction
 import pytest
 
 from densefrac.errors import BoundExceeded, ParameterError
-from densefrac.expand import breusch_bound, expand_odd, greedy_expand, split
-
-
-def test_split():
-    assert split(3) == (4, 12)
-    assert split(1) == (2, 2)  # the two outputs collide only at n = 1
-    assert split(10) == (11, 110)
-    assert Fraction(1, 4) + Fraction(1, 12) == Fraction(1, 3)
+from densefrac.expand import breusch_bound, expand_odd, greedy_expand
 
 
 def test_expand_odd_examples():
