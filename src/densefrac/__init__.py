@@ -5,27 +5,9 @@ integers n <= x with sum(1/n for n in S) == r exactly, where S fills a
 positive proportion of [1, x], and certify the result independently.
 """
 
-from fractions import Fraction
-
-from .arith import (
-    FactoredInt,
-    exact_multiplicity,
-    factorize,
-    largest_prime_factor,
-    primes_in,
-)
 from .construct import construct_dense
 from .verify import check
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FactoredInt",
-    "Fraction",
-    "check",
-    "construct_dense",
-    "exact_multiplicity",
-    "factorize",
-    "largest_prime_factor",
-    "primes_in",
-]
+__all__ = ["check", "construct_dense"]

@@ -72,14 +72,6 @@ class FactoredInt:
                 return 0
         return 0
 
-    def lcm(self, other: "FactoredInt") -> "FactoredInt":
-        """Max-exponent merge; never computes integer lcm on huge values."""
-        merged = dict(self.factors)
-        for p, e in other.factors:
-            if merged.get(p, 0) < e:
-                merged[p] = e
-        return FactoredInt.from_factors(sorted(merged.items()))
-
     def div_prime(self, p: int, e: int = 1) -> "FactoredInt":
         """Divide out p^e; requires multiplicity(p) >= e."""
         have = self.multiplicity(p)
@@ -91,10 +83,6 @@ class FactoredInt:
 
     def odd_part(self) -> "FactoredInt":
         return FactoredInt.from_factors([(p, e) for p, e in self.factors if p != 2])
-
-    def largest_prime(self) -> int:
-        """P(value) with the P(1) = 1 convention."""
-        return self.factors[-1][0] if self.factors else 1
 
 
 def factorize(n: int) -> FactoredInt:

@@ -1,10 +1,11 @@
-"""Command-line surface: construct, verify, rho, sieve-stats, expand.
+"""Command-line surface: construct, verify, rho.
 
 All output is JSON on stdout; documents are deterministic for fixed flags.
-Exit codes: 0 success, 1 verification failure, 2 InfeasibleMass,
-3 UnsupportedDenominator, 4 EliminationFailed, 5 BreuschPreconditionFailed,
-6 BoundExceeded, 64 usage, malformed input, or a path that cannot be read
-or written (a missing file, a directory).
+Exit codes: 0 success, 1 verification failure (also DivisibilityError and
+RemainderNonPositive), 2 InfeasibleMass, 3 UnsupportedDenominator,
+4 EliminationFailed, 5 BreuschPreconditionFailed, 6 BoundExceeded,
+64 usage, malformed input, or a path that cannot be read or written (a
+missing file, a directory).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import dickman
 from .certificate import (
@@ -22,10 +22,8 @@ from .certificate import (
     parse_frac,
     recheck_document,
 )
-from .construct import construct_dense, modulus_product, _next_prime_above
+from .construct import construct_dense
 from .errors import DensefracError, ParameterError
-from .expand import expand_odd, greedy_expand
-from .smooth import SmoothParams, build_family, reciprocal_sum
 
 USAGE_EXIT = 64
 
@@ -102,63 +100,9 @@ def cmd_rho(args) -> int:
     if args.c_of_r is not None:
         out["c_of_r"] = dickman.c_of_r(parse_frac(args.c_of_r))
         out["upper_bound"] = dickman.density_upper_bound(parse_frac(args.c_of_r))
-    if args.zeta is not None:
-        out["zeta"] = dickman.zeta(args.zeta)
-        out["xi"] = dickman.xi(args.zeta)
-    if args.psi is not None:
-        x, y, k = args.psi
-        out["psi_estimate"] = dickman.psi_estimate(x, y, int(k))
-        out["psi0_estimate"] = dickman.psi0_estimate(x, y, int(k))
     if not out:
-        raise ParameterError("rho: pass at least one of --u/--c-of-r/--zeta/--psi")
+        raise ParameterError("rho: pass at least one of --u/--c-of-r")
     _emit(out)
-    return 0
-
-
-def cmd_sieve_stats(args) -> int:
-    lam = parse_frac(args.lam) if args.lam else Fraction(0)
-    params = SmoothParams(x=args.x, y=args.y, w=args.w, lam=lam, k=args.k)
-    fam = build_family(params)
-    p0 = _next_prime_above(params.y)
-    modulus = modulus_product(p0, params.w, params.k)
-    rsum = reciprocal_sum(fam.members, modulus)
-    est = dickman.psi_estimate(params.x, params.y, params.k) * (
-        1.0 - float(params.lam)
-    )
-    _emit(
-        {
-            "params": {
-                "x": params.x,
-                "y": params.y,
-                "w": params.w,
-                "lambda": frac_str(params.lam),
-                "k": params.k,
-            },
-            "count": fam.count,
-            "count_a0": fam.count_a0,
-            "recip_sum": frac_str(rsum),
-            "recip_sum_approx": float(rsum),
-            "estimate": est,
-            "ratio": fam.count / est if est else None,
-        }
-    )
-    return 0
-
-
-def cmd_expand(args) -> int:
-    value = parse_frac(args.r)
-    if args.mode == "greedy":
-        terms = greedy_expand(value)
-        _emit({"terms": terms})
-    else:
-        exp = expand_odd(value, max_term=args.max_term)
-        _emit(
-            {
-                "terms": list(exp.terms),
-                "max_bound": exp.max_bound_used,
-                "within_bound": exp.within_bound,
-            }
-        )
     return 0
 
 
@@ -188,23 +132,7 @@ def build_parser() -> _Parser:
     r = sub.add_parser("rho", help="Dickman rho and density constants")
     r.add_argument("--u", type=float)
     r.add_argument("--c-of-r", dest="c_of_r", help="rational r, as a/b")
-    r.add_argument("--zeta", type=int)
-    r.add_argument("--psi", nargs=3, type=float, metavar=("X", "Y", "K"))
     r.set_defaults(func=cmd_rho)
-
-    s = sub.add_parser("sieve-stats", help="census of a smooth family")
-    s.add_argument("--x", required=True, type=_positive_int)
-    s.add_argument("--y", required=True, type=_positive_int)
-    s.add_argument("--w", required=True, type=_positive_int)
-    s.add_argument("--lambda", dest="lam", help="cutoff rational, as a/b")
-    s.add_argument("--k", type=int, default=2)
-    s.set_defaults(func=cmd_sieve_stats)
-
-    e = sub.add_parser("expand", help="stand-alone unit fraction expansions")
-    e.add_argument("--mode", choices=["greedy", "odd"], default="greedy")
-    e.add_argument("--r", required=True, help="value to expand, as a/b")
-    e.add_argument("--max-term", dest="max_term", type=int)
-    e.set_defaults(func=cmd_expand)
     return p
 
 

@@ -1,4 +1,4 @@
-"""Dickman rho, the density constants, and the census estimators.
+"""Dickman rho, zeta(k), and the density constants of the theorem.
 
 rho is the continuous solution of u*rho'(u) = -rho(u-1) with rho = 1 on
 (0, 1]; equivalently rho(u) = rho(a) - integral_a^u rho(t-1)/t dt. It is
@@ -7,9 +7,9 @@ fine grid (the lag-1 values are always fully available), with a Gregory
 end-correction that makes the cumulative quadrature fourth order. The
 closed form rho(u) = 1 - log(u) is used directly on [1, 2].
 
-The estimator functions expose only the main terms of the census formulas
-(the asymptotic error factors are not computable constants); the pipeline
-uses them for planning and reporting, never for correctness.
+The planner reads rho and zeta only to choose the formula cutoff lambda,
+never for correctness; the constants C(r) and 1 - e^(-r) are reported
+beside a certificate's exact density.
 """
 
 from __future__ import annotations
@@ -117,26 +117,3 @@ def zeta(k: int) -> float:
     tail += s * N ** (-s - 1.0) / 12.0
     tail -= s * (s + 1.0) * (s + 2.0) * N ** (-s - 3.0) / 720.0
     return head + tail
-
-
-def xi(k: int) -> float:
-    """xi(k) = 2 * (1 - 2^-k) * zeta(k), the odd-census analogue of zeta."""
-    return 2.0 * (1.0 - 2.0**-k) * zeta(k)
-
-
-def _u_of(x: float, y: float) -> float:
-    return math.log(x) / math.log(y)
-
-
-def psi_estimate(x: float, y: float, k: int) -> float:
-    """Main term x * rho(log x / log y) / zeta(k) of the census count."""
-    if x < 3 or y < 2 or y > x:
-        raise ParameterError(f"estimate domain needs 3 <= x, 2 <= y <= x: ({x}, {y})")
-    return x * rho(_u_of(x, y)) / zeta(k)
-
-
-def psi0_estimate(x: float, y: float, k: int) -> float:
-    """Main term of the odd, not-m^2+m-1 census count."""
-    if x < 3 or y < 2 or y > x:
-        raise ParameterError(f"estimate domain needs 3 <= x, 2 <= y <= x: ({x}, {y})")
-    return x * rho(_u_of(x, y)) / xi(k)

@@ -1,4 +1,4 @@
-"""Terminal expansions: odd Egyptian fractions and the greedy baseline.
+"""The terminal expansion: odd Egyptian fractions.
 
 expand_odd writes a positive c/d (d odd, c/d < 1/P(d)) as a sum of
 reciprocals of distinct odd integers. It works over a modulus M = lcm(d, g)
@@ -8,9 +8,8 @@ growing prime exponents, so results are canonical; at pipeline scale the
 inputs are tiny and the searches trivial.
 
 The documented size target for the terms is 5 * lcm(d, 3^2 * prod of odd
-primes 3 < p <= P(d)); expansions are found within it in practice, and the
-fallback tier (larger moduli, still bounded) is reported through
-max_bound_used rather than hidden.
+primes 3 < p <= P(d)) (breusch_bound); expansions are found within it in
+practice, and a fallback tier searches moduli up to 15 times that bound.
 """
 
 from __future__ import annotations
@@ -32,11 +31,6 @@ class OddExpansion:
     """Distinct odd terms with sum(1/t) equal to the input exactly."""
 
     terms: Tuple[int, ...]
-    max_bound_used: int
-
-    @property
-    def within_bound(self) -> bool:
-        return max(self.terms) <= self.max_bound_used if self.terms else True
 
     def value(self) -> Fraction:
         return sum((Fraction(1, t) for t in self.terms), Fraction(0))
@@ -125,8 +119,7 @@ def expand_odd(c_over_d: Fraction, max_term: Optional[int] = None) -> OddExpansi
             f"need c/d < 1/P(d): {v} >= 1/{pd}",
             failing_parameter="c_over_d",
         )
-    bound = breusch_bound(d)
-    limit = bound * _FALLBACK_FACTOR
+    limit = breusch_bound(d) * _FALLBACK_FACTOR
     if max_term is not None:
         limit = min(limit, max_term * (c + 1) * 4)
     for m in _modulus_candidates(d, limit):
@@ -140,7 +133,7 @@ def expand_odd(c_over_d: Fraction, max_term: Optional[int] = None) -> OddExpansi
         if subset is None:
             continue
         terms = tuple(sorted(m // e for e in subset))
-        exp = OddExpansion(terms=terms, max_bound_used=bound)
+        exp = OddExpansion(terms=terms)
         if exp.value() != v:
             raise AssertionError("expansion self-check failed")
         if len(set(terms)) != len(terms) or any(t % 2 == 0 for t in terms):
@@ -152,28 +145,3 @@ def expand_odd(c_over_d: Fraction, max_term: Optional[int] = None) -> OddExpansi
         failing_parameter="max_term",
         suggestion="raise the term bound or reduce the residual",
     )
-
-
-def greedy_expand(c_over_d: Fraction) -> list[int]:
-    """Fibonacci-Sylvester greedy expansion; strictly increasing terms.
-
-    Baseline only. For proper fractions the numerators strictly decrease,
-    which guarantees termination; for values >= 1 the next denominator is
-    forced above the previous one to keep terms distinct.
-    """
-    v = Fraction(c_over_d)
-    if v <= 0:
-        raise ParameterError(f"greedy expansion needs a positive value, got {v}")
-    terms: list[int] = []
-    prev = 0
-    while v > 0:
-        c, d = v.numerator, v.denominator
-        q = max(-(-d // c), prev + 1)
-        forced = q > -(-d // c)
-        terms.append(q)
-        nxt = v - Fraction(1, q)
-        if not forced and nxt > 0 and nxt.numerator >= c:
-            raise AssertionError("greedy numerator failed to decrease")
-        v = nxt
-        prev = q
-    return terms

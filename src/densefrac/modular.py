@@ -55,9 +55,9 @@ def _reduced_residues(residues: Sequence[int], p: int) -> list[int]:
 
 
 def _grow_achievable(
-    residues: Iterable[int], p: int, target: Optional[int]
+    residues: Iterable[int], p: int, target: int
 ) -> Dict[int, Tuple[int, ...]]:
-    """Insert residues one at a time; stop early once target is reachable.
+    """Insert residues one at a time; stop once target is reachable.
 
     Returns the achievable map {residue: first witness}. Insertion order is
     the input order; witnesses are never overwritten, so results are
@@ -75,7 +75,7 @@ def _grow_achievable(
         for t, wit in fresh:
             if t not in reached:
                 reached[t] = wit
-        if target is not None and target in reached:
+        if target in reached:
             break
     return reached
 
@@ -104,34 +104,6 @@ def _solve(
             raise AssertionError(f"coverage guarantee violated for p={p}, t={t}")
         return None
     return SubsetWitness(indices=reached[target], achieved=target)
-
-
-def achievable_set(residues: Sequence[int], p: int) -> set[int]:
-    """All residues reachable as subset sums (no early stop)."""
-    _check_prime(p)
-    rs = _reduced_residues(residues, p)
-    return set(_grow_achievable(rs, p, None))
-
-
-def factored_divisor(d: int, template: FactoredInt) -> FactoredInt:
-    """Factor d > 0 along the primes of the template it divides."""
-    if d < 1:
-        raise ParameterError(f"divisor must be positive, got {d}")
-    rem = d
-    factors = []
-    for q, e in template.factors:
-        f = 0
-        while f < e and rem % q == 0:
-            rem //= q
-            f += 1
-        if f:
-            factors.append((q, f))
-    if rem != 1:
-        raise DivisibilityError(
-            f"{d} does not divide the modulus {template.value}",
-            failing_parameter="N",
-        )
-    return FactoredInt.from_factors(factors)
 
 
 def _as_int64(S) -> np.ndarray:

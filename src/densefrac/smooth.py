@@ -104,11 +104,6 @@ class SmoothFamily:
         """Census Psi(x, y; w, lambda)."""
         return int(self.members.size)
 
-    @property
-    def count_a0(self) -> int:
-        """Census Psi0: odd members not of the form m^2 + m - 1."""
-        return int(self.members_a0.size)
-
     def sub_family(self, params: SmoothParams) -> "SmoothFamily":
         """The family for params as a view of this family's sieve.
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densefrac import cli
 from densefrac.certificate import (
     CertificateDocument,
+    _certificate_block,
     decode_deltas,
     document_from_representation,
     encode_deltas,
@@ -18,6 +20,7 @@ from densefrac.certificate import (
 )
 from densefrac.construct import construct_dense
 from densefrac.errors import ParameterError
+from densefrac.verify import check
 
 
 def test_frac_round_trip():
@@ -126,6 +129,32 @@ def test_recheck_detects_cross_part_duplicate(rep):
     doc.parts["D1"] = encode_deltas([stolen])
     cert, ok = recheck_document(doc)
     assert not ok
+
+
+@pytest.mark.parametrize("fault", ["wrong sum", "repeated value"])
+def test_recheck_rejects_an_honest_failing_document(rep, fault, tmp_path, capsys):
+    """A document whose certificate block truthfully reports a failed check
+    is consistent, yet it is no certificate: recheck and `verify` refuse it
+    on the failed field alone (sum_exact, or distinct with the sum exact)."""
+    doc = document_from_representation(rep)
+    if fault == "wrong sum":
+        doc.parts["A"]["deltas"][3] += 2
+    else:
+        stolen = decode_deltas(doc.parts["A"])[0]
+        doc.parts["D1"] = encode_deltas(decode_deltas(doc.parts["D1"]) + [stolen])
+        doc.r = frac_str(parse_frac(doc.r) + Fraction(1, stolen))
+    cert = check(parse_frac(doc.r), doc.denominators(), doc.x)
+    doc.certificate = _certificate_block(cert)
+    assert (cert.sum_exact, cert.distinct) == (
+        (False, True) if fault == "wrong sum" else (True, False)
+    )
+    assert cert.max_ok
+    assert recheck_document(doc)[1] is False
+    path = tmp_path / "honest.json"
+    path.write_text(doc.to_json() + "\n")
+    assert cli.main(["verify", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["consistent_with_document"] is False
 
 
 def test_malformed_document():

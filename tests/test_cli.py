@@ -1,10 +1,13 @@
-import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from densefrac import cli
+from densefrac.errors import DensefracError
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -30,37 +33,6 @@ def test_rho_u2():
 def test_rho_needs_a_flag():
     p = run_cli("rho")
     assert p.returncode == 64
-
-
-def test_expand_greedy():
-    p = run_cli("expand", "--mode", "greedy", "--r", "5/6")
-    assert p.returncode == 0
-    assert json.loads(p.stdout)["terms"] == [2, 3]
-
-
-def test_expand_odd():
-    p = run_cli("expand", "--mode", "odd", "--r", "2/15")
-    assert json.loads(p.stdout)["terms"] == [9, 45]
-
-
-def test_sieve_stats():
-    p = run_cli("sieve-stats", "--x", "30", "--y", "5", "--w", "30", "--k", "2")
-    out = json.loads(p.stdout)
-    assert out["count"] == 8
-    assert out["count_a0"] == 2
-    assert out["recip_sum"] == "12/5"
-
-
-def test_sieve_stats_readme_example():
-    """The README's example at 10^6; recip_sum is pinned by its sha256."""
-    p = run_cli("sieve-stats", "--x", "1000000", "--y", "501", "--w", "63", "--k", "3")
-    out = json.loads(p.stdout)
-    assert (out["count"], out["count_a0"]) == (173227, 87475)
-    assert (
-        hashlib.sha256(out["recip_sum"].encode()).hexdigest()
-        == "56b8ab12200a190a2dafe1c9077369a110a85074738be834f5877d67eb3bae66"
-    )
-    assert out["recip_sum_approx"] == 8.883662070533154
 
 
 def test_construct_usage_error():
@@ -218,7 +190,40 @@ def test_construct_elimination_failed_exit_4():
     assert out["prime"] == 29 and out["power"] == 2
 
 
-def test_expand_bound_exceeded_exit_6():
-    p = run_cli("expand", "--mode", "odd", "--r", "1/11025", "--max-term", "999")
-    assert p.returncode == 6
-    assert json.loads(p.stdout)["code"] == "bound_exceeded"
+@pytest.mark.parametrize(
+    "error", DensefracError.__subclasses__(), ids=lambda cls: cls.__name__
+)
+def test_error_exit_code(error, monkeypatch, capsys):
+    """Every typed refusal exits with its class's code and names it in JSON."""
+
+    def refuse(*args, **kwargs):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "construct_dense", refuse)
+    assert cli.main(["construct", "--r", "1/3", "--x", "1000"]) == error.exit_code
+    assert json.loads(capsys.readouterr().out)["code"] == error.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve-stats", "--x", "30", "--y", "5", "--w", "30"],
+        ["expand", "--mode", "odd", "--r", "2/15"],
+    ],
+    ids=["sieve-stats", "expand"],
+)
+def test_diagnostic_commands_are_gone(argv):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == 64
+
+
+def test_command_surface(capsys):
+    """construct, verify and rho are the commands; rho takes --u and
+    --c-of-r, and no longer --zeta or --psi."""
+    for argv in (["--help"], ["rho", "--help"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    top, rho = capsys.readouterr().out.split("usage:")[1:]
+    assert "{construct,verify,rho}" in top
+    assert set(re.findall(r"--[a-z-]+", rho)) == {"--help", "--u", "--c-of-r"}

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -29,8 +30,10 @@ from densefrac.errors import (
     RemainderNonPositive,
     UnsupportedDenominator,
 )
+from densefrac.modular import eliminate_prime
 from densefrac.smooth import SmoothFamily, SmoothParams, build_family, reciprocal_sum
-from densefrac.verify import tree_sum
+from densefrac.verify import check, tree_sum
+from oracles import factor_over
 
 
 def test_modulus_product_examples():
@@ -344,7 +347,6 @@ def test_stage_trace_smoothing_monotonicity():
     draws on holds at least p-1 members; 1/12 eliminates on thinner ones,
     and the document's trace counts them."""
     from densefrac.certificate import document_from_representation
-    from densefrac.modular import factored_divisor
 
     for r, thin in ((Fraction(1, 3), False), (Fraction(1, 12), True)):
         rep = construct_dense(r, 10**5)
@@ -353,10 +355,10 @@ def test_stage_trace_smoothing_monotonicity():
             cert = step.divisor_certificate
             assert cert.value % den == 0
             if step.stage in ("p-loop", "q-loop"):
-                f = factored_divisor(den, cert)
-                assert f.multiplicity(step.prime) <= step.power - 1
+                f = factor_over(den, [q for q, _ in cert.factors])
+                assert f.get(step.prime, 0) <= step.power - 1
                 if step.power == 1:
-                    assert f.largest_prime() < step.prime
+                    assert max(f, default=1) < step.prime
         last = rep.stage_one_trace.steps[-1]
         assert last.remainder_after.denominator % 2 == 1
         counted = document_from_representation(rep).trace["stage_one"]
@@ -461,3 +463,50 @@ def test_representation_holds_no_sieve():
                 stack.append(obj.base)
         stack.extend(gc.get_referents(obj))
     assert {id(rep.a), id(rep.plan), id(rep.certificate)} <= seen
+
+
+def _dropping_last(fn, part):
+    """fn, except that the list at index part of its result loses its last
+    element whenever it has one."""
+
+    def lying(*args):
+        out = list(fn(*args))
+        if out[part]:
+            out[part] = out[part][:-1]
+        return tuple(out)
+
+    return lying
+
+
+def _stage_two_reusing_a_kept_member(*args):
+    result = stage_two(*args)
+    kept = args[4]
+    result.d1 = result.d1 + [int(kept[0])]
+    return result
+
+
+def _check_denying_the_sum(*args):
+    return dataclasses.replace(check(*args), sum_exact=False)
+
+
+@pytest.mark.parametrize(
+    "name, liar, message",
+    [
+        ("eliminate_prime", _dropping_last(eliminate_prime, 0), "telescoping broke"),
+        ("four_set_repair", _dropping_last(four_set_repair, 1), "four-set identity broke"),
+        ("stage_two", _stage_two_reusing_a_kept_member, "representation parts overlap"),
+        ("check", _check_denying_the_sum, "final certificate failed"),
+    ],
+    ids=["eliminate_prime", "four_set_repair", "stage_two", "check"],
+)
+def test_constructor_guard_fires_on_a_lying_layer(name, liar, message, monkeypatch):
+    """Each run-time guard of the constructor catches the layer below it
+    when that layer lies: an elimination that returns one member fewer than
+    it added, a four-set repair that loses an element of C minus A', a
+    stage two that reuses a stage-one member, and a final check that denies
+    the exact sum."""
+    import densefrac.construct as construct
+
+    monkeypatch.setattr(construct, name, liar)
+    with pytest.raises(AssertionError, match=message):
+        construct_dense(Fraction(1, 3), 10**4)

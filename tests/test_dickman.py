@@ -92,17 +92,3 @@ def test_zeta_series_oracle():
         assert series < dickman.zeta(k) < series + tail_hi + 1e-12
     assert abs(dickman.zeta(2) - math.pi**2 / 6) < 1e-12
     assert abs(dickman.zeta(3) - 1.2020569) < 1e-7
-
-
-def test_xi():
-    assert abs(dickman.xi(2) - math.pi**2 / 4) < 1e-12
-    for k in (2, 3, 5):
-        assert abs(dickman.xi(k) - 2 * (1 - 2.0**-k) * dickman.zeta(k)) < 1e-15
-
-
-def test_estimates():
-    assert abs(dickman.psi_estimate(1e6, 1e6, 2) - 1e6 / dickman.zeta(2)) < 1e-6
-    assert round(dickman.psi_estimate(1e6, 1e6, 2)) == 607927
-    assert round(dickman.psi0_estimate(1e6, 1e6, 2)) == 405285
-    with pytest.raises(ParameterError):
-        dickman.psi_estimate(1e6, 2e6, 2)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from densefrac.errors import BoundExceeded, ParameterError
-from densefrac.expand import breusch_bound, expand_odd, greedy_expand
+from densefrac.expand import breusch_bound, expand_odd
 
 
 def test_expand_odd_examples():
@@ -62,25 +62,3 @@ def test_breusch_bound_values():
     assert breusch_bound(15) == 225
     assert breusch_bound(225) == 1125
     assert breusch_bound(11025) == 55125
-
-
-def test_greedy_examples():
-    assert greedy_expand(Fraction(5, 6)) == [2, 3]
-    assert greedy_expand(Fraction(2, 3)) == [2, 6]
-    assert greedy_expand(Fraction(4, 17)) == [5, 29, 1233, 3039345]
-
-
-def test_greedy_contract():
-    rng = random.Random(55)
-    for _ in range(100):
-        v = Fraction(rng.randint(1, 30), rng.randint(31, 400))
-        terms = greedy_expand(v)
-        assert sum(Fraction(1, t) for t in terms) == v
-        assert all(terms[i] < terms[i + 1] for i in range(len(terms) - 1))
-
-
-def test_greedy_improper_values_stay_distinct():
-    v = Fraction(7, 3)
-    terms = greedy_expand(v)
-    assert sum(Fraction(1, t) for t in terms) == v
-    assert len(set(terms)) == len(terms)

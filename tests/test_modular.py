@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,20 +10,13 @@ from hypothesis import strategies as st
 
 from densefrac.arith import FactoredInt, factorize
 from densefrac.errors import DivisibilityError, EliminationFailed, ParameterError
-from densefrac.modular import (
-    _check_prime,
-    achievable_set,
-    eliminate_prime,
-    factored_divisor,
-    subset_sum_mod_p,
-)
+from densefrac.modular import _check_prime, eliminate_prime, subset_sum_mod_p
+from oracles import factor_over, subset_sums_mod_p
 
 
-def brute_achievable(residues, p):
-    out = set()
-    for mask in range(1 << len(residues)):
-        out.add(sum(r for i, r in enumerate(residues) if mask >> i & 1) % p)
-    return out
+def solver_reaches(residues, p):
+    """The residues mod p for which the solver finds a witness."""
+    return {t for t in range(p) if subset_sum_mod_p(residues, t, p) is not None}
 
 
 def test_witness_examples():
@@ -31,7 +25,7 @@ def test_witness_examples():
     w = subset_sum_mod_p([2, 3], 5, 7)
     assert w.indices == (0, 1)
     assert subset_sum_mod_p([1, 1], 4, 5) is None
-    assert achievable_set([1, 1], 5) == {0, 1, 2}
+    assert solver_reaches([1, 1], 5) == {0, 1, 2}
     w = subset_sum_mod_p([4, 2, 6], 0, 7)
     assert w.indices == ()
 
@@ -45,25 +39,26 @@ def test_witness_sums_to_target():
         target = rng.randint(0, p - 1)
         w = subset_sum_mod_p(residues, target, p)
         if w is None:
-            assert target not in brute_achievable(residues, p)
+            assert target not in subset_sums_mod_p(residues, p)
         else:
             assert sum(residues[i] for i in w.indices) % p == target % p
             assert len(set(w.indices)) == len(w.indices)
 
 
 def test_coverage_examples():
-    assert len(achievable_set([1, 1, 1, 1], 5)) == 5
-    assert len(achievable_set([3, 3], 7)) == 3
-    assert len(achievable_set([], 5)) == 1
+    assert len(solver_reaches([1, 1, 1, 1], 5)) == 5
+    assert len(solver_reaches([3, 3], 7)) == 3
+    assert len(solver_reaches([], 5)) == 1
 
 
 def test_oracle_equivalence_small():
-    """Incremental solver equals 2^t enumeration; size >= min(p, t+1)."""
+    """The solver reaches exactly what 2^t enumeration reaches, and that is
+    at least min(p, t+1) residues."""
     for p in (2, 3, 5, 7):
         for t in range(0, 5):
             for residues in itertools.combinations_with_replacement(range(1, p), t):
-                got = achievable_set(list(residues), p)
-                want = brute_achievable(list(residues), p)
+                got = solver_reaches(list(residues), p)
+                want = subset_sums_mod_p(list(residues), p)
                 assert got == want
                 assert len(got) >= min(p, t + 1)
 
@@ -116,7 +111,7 @@ def test_eliminate_preconditions():
 def test_eliminate_unreachable():
     # two equal residues cannot reach every target mod 7
     N = factorize(7 * 16)
-    got = achievable_set([(N.value // 7) % 7, (N.value // 14) % 7], 7)
+    got = subset_sums_mod_p([(N.value // 7) % 7, (N.value // 14) % 7], 7)
     assert len(got) < 7
     with pytest.raises(EliminationFailed):
         # craft a c/d whose target falls outside the reachable set
@@ -150,22 +145,20 @@ def _random_valid_instance(rng):
 
 def _eliminate_via_lcm(c_over_d, N, S, p, l):
     """Reference elimination: residues of M/n mod p, where M is the lcm of d
-    and S built from the factorizations of every element."""
+    and S."""
     c, d = c_over_d.numerator, c_over_d.denominator
     elements = sorted(S, reverse=True)
-    M = factored_divisor(d, N)
-    for n in elements:
-        M = M.lcm(factorize(n))
-    assert M.multiplicity(p) == l
-    m0 = M.value // d
+    M = math.lcm(d, *elements)
+    assert factor_over(M, [q for q, _ in N.factors])[p] == l
+    m0 = M // d
     target = (-c * m0) % p
     if target == 0:
         return [], c_over_d
-    residues = [(M.value // n) % p for n in elements]
+    residues = [(M // n) % p for n in elements]
     witness = subset_sum_mod_p(residues, target, p)
     T = [elements[i] for i in witness.indices]
-    num = c * m0 + sum(M.value // n for n in T)
-    return sorted(T), Fraction(num, M.value)
+    num = c * m0 + sum(M // n for n in T)
+    return sorted(T), Fraction(num, M)
 
 
 def _eliminate_scalar(c_over_d, N, S, p, l):

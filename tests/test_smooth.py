@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -28,6 +29,8 @@ from densefrac.smooth import (
 def test_toy_family_members(toy_family):
     assert toy_family.members.tolist() == [1, 2, 3, 5, 6, 10, 15, 30]
     assert toy_family.count == 8
+    mass = reciprocal_sum(toy_family.members, modulus_product(7, 30, 2))
+    assert mass == Fraction(12, 5)
 
 
 def test_lambda_half_family():
@@ -46,7 +49,6 @@ def test_powers_of_two_family():
 def test_members_a0(toy_family):
     # 1 and 5 are m^2+m-1 for m = 1, 2
     assert toy_family.members_a0.tolist() == [3, 15]
-    assert toy_family.count_a0 == 2
 
 
 def test_slices(toy_family):
@@ -90,7 +92,7 @@ def test_sub_family_matches_fresh_sieve(case):
     fresh = build_family(params)
     assert view.members.tolist() == fresh.members.tolist()
     assert view.members_a0.tolist() == fresh.members_a0.tolist()
-    assert (view.count, view.count_a0) == (fresh.count, fresh.count_a0)
+    assert view.count == fresh.count
     for p in primes_in(2, params.y):
         for l in range(1, 2 if p > params.w else params.k):
             for a0 in (False, True):
@@ -290,7 +292,7 @@ def test_reciprocal_sum_matches_scalar_loop(case, form, chunk):
 def test_reciprocal_sum_largest_element():
     """r * 2^32 + limb peaks below 2^64 when n = 2^32 - 1 divides m."""
     top = 2**32 - 1  # 3 * 5 * 17 * 257 * 65537
-    modulus = factorize(top).lcm(FactoredInt.from_factors([(2, 2000)]))
+    modulus = FactoredInt.from_factors(((2, 2000),) + factorize(top).factors)
     elements = [1, 2, top, 65537, 2**31, 2 * 65537 * 257]
     want = _reciprocal_sum_scalar(elements, modulus)
     for form, as_input in _AS_INPUT.items():
@@ -358,13 +360,14 @@ def test_resource_guard():
         SmoothParams(x=10**9, y=10**6, w=10**6, lam=Fraction(0), k=2)
 
 
-def test_census_vs_estimator_diagnostic(mid_family):
-    """|Psi_sieve / psi_estimate - 1| is reported, never asserted: the
-    asymptotic error term carries no computable constant."""
-    from densefrac import dickman
-
-    p = mid_family.params
-    est = dickman.psi_estimate(p.x, p.y, p.k)
-    ratio = mid_family.count / est
-    print(f"census/estimate ratio at (x={p.x}, y={p.y}, k={p.k}): {ratio:.4f}")
-    assert est > 0
+def test_family_census_at_1e6():
+    """The family (x, y, w, k) = (10^6, 501, 63, 3), lambda = 0: its member
+    counts, and its exact reciprocal mass over D(503) pinned by sha256."""
+    fam = build_family(SmoothParams(x=10**6, y=501, w=63, lam=Fraction(0), k=3))
+    assert (fam.count, fam.members_a0.size) == (173227, 87475)
+    mass = reciprocal_sum(fam.members, modulus_product(503, 63, 3))
+    assert (
+        hashlib.sha256(f"{mass.numerator}/{mass.denominator}".encode()).hexdigest()
+        == "56b8ab12200a190a2dafe1c9077369a110a85074738be834f5877d67eb3bae66"
+    )
+    assert float(mass) == 8.883662070533154
