@@ -44,16 +44,6 @@ def _check_prime(p: int) -> None:
         raise ParameterError(f"{p} is not prime")
 
 
-def _reduced_residues(residues: Sequence[int], p: int) -> list[int]:
-    out = []
-    for r in residues:
-        r = int(r) % p
-        if r == 0:
-            raise ParameterError("residues must be nonzero mod p")
-        out.append(r)
-    return out
-
-
 def _grow_achievable(
     residues: Iterable[int], p: int, target: int
 ) -> Dict[int, Tuple[int, ...]]:
@@ -80,24 +70,13 @@ def _grow_achievable(
     return reached
 
 
-def subset_sum_mod_p(
-    residues: Sequence[int], target: int, p: int
-) -> Optional[SubsetWitness]:
-    """First-found subset of the residues summing to target mod p.
-
-    Returns None when the target is unreachable (possible only with fewer
-    than p-1 residues). The empty witness answers target 0.
-    """
-    _check_prime(p)
-    rs = _reduced_residues(residues, p)
-    return _solve(rs, int(target) % p, p, len(rs))
-
-
 def _solve(
     rs: Iterable[int], target: int, p: int, t: int
 ) -> Optional[SubsetWitness]:
-    """subset_sum_mod_p for p prime, t residues in [1, p) and target in
-    [0, p). rs is read only up to the first witness found."""
+    """First-found subset of the t residues rs, each in [1, p) for p prime,
+    summing to target in [0, p) mod p; None when the target is unreachable
+    (possible only with fewer than p-1 residues). The empty witness answers
+    target 0. rs is read only up to the first witness found."""
     reached = _grow_achievable(rs, p, target)
     if target not in reached:
         if t >= p - 1:

@@ -99,11 +99,6 @@ class SmoothFamily:
         self._slice_cache: dict = {}
         self._pow2_cache: dict = {}
 
-    @property
-    def count(self) -> int:
-        """Census Psi(x, y; w, lambda)."""
-        return int(self.members.size)
-
     def sub_family(self, params: SmoothParams) -> "SmoothFamily":
         """The family for params as a view of this family's sieve.
 

@@ -1,11 +1,13 @@
 """Independent certification of claimed Egyptian-fraction representations.
 
-The verifier is deliberately decoupled from the constructor: reciprocal
-sums are re-computed by a balanced tree that adds reduced (numerator,
-denominator) integer pairs (the pipeline accumulates over a fixed common
-denominator and reduces once), and the harmonic-minimality inequality
-H(x) - H(x - |S|) <= r is decided through exact rational interval
-enclosures, refined until the comparison is sound.
+The verifier is deliberately decoupled from the constructor: it imports
+nothing from the construction and shares no modulus with it. Reciprocal
+sums are re-computed from fixed chunks of the denominators, each summed
+over its own lcm, whose (numerator, denominator) pairs are added by a
+balanced tree of reduced integer pairs (the pipeline instead accumulates
+over one fixed common denominator and reduces once). The
+harmonic-minimality inequality H(x) - H(x - |S|) <= r is decided through
+exact rational interval enclosures, refined until the comparison is sound.
 
 check() is total: malformed input turns into failed certificate fields,
 never an exception.
@@ -15,13 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import eq
 from typing import Iterable, Optional, Sequence
 
 from . import dickman
 
 #: Segment length below which harmonic sums are evaluated exactly.
 _EXACT_HARMONIC = 10_000
+
+#: Denominators per tree_sum leaf. At x = 10^6 every size from 16 to 256
+#: beat one leaf per denominator, and 16-32 were fastest.
+_LEAF = 32
 
 
 @dataclass(frozen=True)
@@ -46,16 +53,25 @@ class Certificate:
 
 
 def tree_sum(elements: Sequence[int]) -> Fraction:
-    """Balanced pairwise sum of 1/n; independent of the fixed-denominator path.
+    """Exact sum of 1/n; independent of the fixed-denominator path.
 
-    Tree nodes are reduced (numerator, denominator) integer pairs, added
-    with two gcds per node (Knuth, TAOCP 4.5.1); the only Fraction is the
-    root.
+    Each leaf sums a chunk of _LEAF denominators over the chunk's own lcm
+    L, as sum(L // n) / L, reduced. The leaves are then added by a balanced
+    tree of reduced (numerator, denominator) integer pairs, with two gcds
+    per node (Knuth, TAOCP 4.5.1); the only Fraction is the root. elements
+    is a list or range of nonzero Python ints, in any order, repeats
+    allowed.
     """
-    dens = list(map(int, elements))
+    nums, dens = [], []
+    for i in range(0, len(elements), _LEAF):
+        chunk = elements[i : i + _LEAF]
+        den = lcm(*chunk)
+        num = sum(map(den.__floordiv__, chunk))
+        g = gcd(num, den)
+        nums.append(num // g)
+        dens.append(den // g)
     if not dens:
         return Fraction(0)
-    nums = [1] * len(dens)
     while len(dens) > 1:
         nxt_n, nxt_d = [], []
         for a, b, c, d in zip(nums[0::2], dens[0::2], nums[1::2], dens[1::2]):
@@ -131,11 +147,11 @@ def check(r, S: Iterable[int], x: int) -> Certificate:
         r = Fraction(r)
     except (ValueError, TypeError, ZeroDivisionError):
         r = None
-    items = list(map(int, S))
+    items = sorted(map(int, S))
     size = len(items)
-    distinct = len(set(items)) == size
-    positive = not items or min(items) >= 1
-    max_element = max(items) if items else None
+    distinct = not any(map(eq, items, items[1:]))
+    positive = not items or items[0] >= 1
+    max_element = items[-1] if items else None
     max_ok = positive and (max_element is None or max_element <= x)
     if r is None or not positive:
         sum_exact = False

@@ -1,6 +1,7 @@
 """Brute-force oracles for the tests. They import nothing from densefrac,
 so a fault in the library cannot hide in its own reference."""
 
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -25,3 +26,27 @@ def factor_over(n, primes):
     if n != 1:
         raise ValueError(f"cofactor {n} is not a product of {list(primes)}")
     return exps
+
+
+def reciprocal_sum(S):
+    """sum(1/n for n in S) as an exact Fraction, one term at a time."""
+    return sum((Fraction(1, n) for n in S), Fraction(0))
+
+
+def certificate_fields(r, S, x):
+    """The exact fields of verify.check(r, S, x) for a positive rational r
+    and x >= 1, from their definitions: the sum counts only when every
+    element is positive, and the harmonic bound compares the |S| largest
+    reciprocals 1/n, n <= x, with r."""
+    S = list(S)
+    size = len(S)
+    positive = all(n >= 1 for n in S)
+    return {
+        "sum_exact": positive and reciprocal_sum(S) == r,
+        "distinct": len(set(S)) == size,
+        "max_ok": positive and all(n <= x for n in S),
+        "density": Fraction(size, x),
+        "harmonic_bound_ok": reciprocal_sum(range(max(x - size, 0) + 1, x + 1)) <= r,
+        "size": size,
+        "max_element": max(S, default=None),
+    }

@@ -25,7 +25,7 @@ from densefrac.construct import (
 )
 from densefrac.errors import EliminationFailed
 from densefrac.expand import expand_odd
-from densefrac.modular import eliminate_prime, subset_sum_mod_p
+from densefrac.modular import _solve, eliminate_prime
 from densefrac.smooth import SmoothParams, build_family, reciprocal_sum
 from densefrac.verify import harmonic_segment_le, tree_sum
 from oracles import subset_sums_mod_p
@@ -79,7 +79,7 @@ def test_criterion_3_subset_sum_oracle_equivalence():
                 got = {
                     target
                     for target in range(p)
-                    if subset_sum_mod_p(rs, target, p) is not None
+                    if _solve(rs, target, p, len(rs)) is not None
                 }
                 want = subset_sums_mod_p(rs, p)
                 assert got == want, (p, rs)
@@ -142,7 +142,7 @@ def test_criterion_5_sieve_ground_truth():
                 mu[p2::p2] = 0
     oracle = sum(int(mu[d]) * (x // (d * d)) for d in range(1, root + 1))
     assert oracle == 607926
-    assert fam.count == 607926
+    assert fam.members.size == 607926
     # disjoint-union partition identity for y' in {10, 30}
     members = fam.members
     lpf = fam._lpf[members]
@@ -151,7 +151,7 @@ def test_criterion_5_sieve_ground_truth():
     for y_prime in (10, 30):
         core = int(np.count_nonzero(lpf <= y_prime))
         rest = int(np.count_nonzero(lpf > y_prime))
-        assert core + rest == fam.count
+        assert core + rest == fam.members.size
     # slice op agrees with the lpf grouping on sampled primes
     rng = random.Random(5)
     from densefrac.arith import primes_in

@@ -10,23 +10,28 @@ from hypothesis import strategies as st
 
 from densefrac.arith import FactoredInt, factorize
 from densefrac.errors import DivisibilityError, EliminationFailed, ParameterError
-from densefrac.modular import _check_prime, eliminate_prime, subset_sum_mod_p
+from densefrac.modular import _check_prime, _solve, eliminate_prime
 from oracles import factor_over, subset_sums_mod_p
+
+
+def solve(residues, target, p):
+    """The solver on a list of residues in [1, p) and a target in [0, p)."""
+    return _solve(residues, target, p, len(residues))
 
 
 def solver_reaches(residues, p):
     """The residues mod p for which the solver finds a witness."""
-    return {t for t in range(p) if subset_sum_mod_p(residues, t, p) is not None}
+    return {t for t in range(p) if solve(residues, t, p) is not None}
 
 
 def test_witness_examples():
-    w = subset_sum_mod_p([1, 1, 1, 1], 3, 5)
+    w = solve([1, 1, 1, 1], 3, 5)
     assert w.indices == (0, 1, 2) and w.achieved == 3
-    w = subset_sum_mod_p([2, 3], 5, 7)
+    w = solve([2, 3], 5, 7)
     assert w.indices == (0, 1)
-    assert subset_sum_mod_p([1, 1], 4, 5) is None
+    assert solve([1, 1], 4, 5) is None
     assert solver_reaches([1, 1], 5) == {0, 1, 2}
-    w = subset_sum_mod_p([4, 2, 6], 0, 7)
+    w = solve([4, 2, 6], 0, 7)
     assert w.indices == ()
 
 
@@ -37,7 +42,7 @@ def test_witness_sums_to_target():
         t = rng.randint(0, 5)
         residues = [rng.randint(1, p - 1) for _ in range(t)]
         target = rng.randint(0, p - 1)
-        w = subset_sum_mod_p(residues, target, p)
+        w = solve(residues, target, p)
         if w is None:
             assert target not in subset_sums_mod_p(residues, p)
         else:
@@ -69,19 +74,14 @@ def test_guarantee_with_p_minus_1():
         p = rng.choice([5, 7, 11, 13])
         residues = [rng.randint(1, p - 1) for _ in range(p - 1)]
         for target in range(p):
-            assert subset_sum_mod_p(residues, target, p) is not None
+            assert solve(residues, target, p) is not None
 
 
 def test_determinism():
     residues = [3, 5, 2, 6, 1]
-    a = subset_sum_mod_p(residues, 4, 7)
-    b = subset_sum_mod_p(list(residues), 4, 7)
+    a = solve(residues, 4, 7)
+    b = _solve(iter(residues), 4, 7, len(residues))
     assert a == b
-
-
-def test_residue_zero_rejected():
-    with pytest.raises(ParameterError):
-        subset_sum_mod_p([5], 1, 5)
 
 
 def test_eliminate_examples():
@@ -155,7 +155,7 @@ def _eliminate_via_lcm(c_over_d, N, S, p, l):
     if target == 0:
         return [], c_over_d
     residues = [(M // n) % p for n in elements]
-    witness = subset_sum_mod_p(residues, target, p)
+    witness = solve(residues, target, p)
     T = [elements[i] for i in witness.indices]
     num = c * m0 + sum(M // n for n in T)
     return sorted(T), Fraction(num, M)
@@ -210,7 +210,7 @@ def _eliminate_scalar(c_over_d, N, S, p, l):
     if target == 0:
         return [], c_over_d
     residues = [unit * pow(m % p, -1, p) % p for _, _, m in split]
-    witness = subset_sum_mod_p(residues, target, p)
+    witness = solve(residues, target, p)
     if witness is None:
         raise EliminationFailed(
             f"no subset of {len(elements)} multiples reaches the residue "

@@ -28,7 +28,7 @@ from densefrac.smooth import (
 
 def test_toy_family_members(toy_family):
     assert toy_family.members.tolist() == [1, 2, 3, 5, 6, 10, 15, 30]
-    assert toy_family.count == 8
+    assert toy_family.members.size == 8
     mass = reciprocal_sum(toy_family.members, modulus_product(7, 30, 2))
     assert mass == Fraction(12, 5)
 
@@ -36,7 +36,7 @@ def test_toy_family_members(toy_family):
 def test_lambda_half_family():
     fam = build_family(SmoothParams(x=30, y=5, w=30, lam=Fraction(1, 2), k=2))
     assert fam.members.tolist() == [30]
-    assert fam.count == 1
+    assert fam.members.size == 1
 
 
 def test_powers_of_two_family():
@@ -92,7 +92,7 @@ def test_sub_family_matches_fresh_sieve(case):
     fresh = build_family(params)
     assert view.members.tolist() == fresh.members.tolist()
     assert view.members_a0.tolist() == fresh.members_a0.tolist()
-    assert view.count == fresh.count
+    assert view.members.size == fresh.members.size
     for p in primes_in(2, params.y):
         for l in range(1, 2 if p > params.w else params.k):
             for a0 in (False, True):
@@ -162,7 +162,7 @@ def test_partition_identity(mid_family):
                 for v in s:
                     assert int(v) not in union
                 union.update(int(v) for v in s)
-        assert total == mid_family.count
+        assert total == mid_family.members.size
         assert union == set(int(v) for v in mid_family.members)
 
 
@@ -180,7 +180,7 @@ def test_squarefree_census_mobius():
             if p * p <= math.isqrt(x):
                 mu[p * p :: p * p] = 0
     oracle = sum(int(mu[d]) * (x // (d * d)) for d in range(1, math.isqrt(x) + 1))
-    assert fam.count == oracle
+    assert fam.members.size == oracle
 
 
 def test_reciprocal_sum(toy_family):
@@ -315,7 +315,7 @@ def test_reciprocal_sum_memory_is_chunked():
     peak allocation stays well below one full-length uint64 array."""
     fam = build_family(SmoothParams(x=10**6, y=501, w=63, lam=Fraction(0), k=3))
     modulus = modulus_product(503, 63, 3)
-    assert fam.count == 173_227
+    assert fam.members.size == 173_227
     tracemalloc.start()
     try:
         reciprocal_sum(fam.members, modulus)
@@ -364,7 +364,7 @@ def test_family_census_at_1e6():
     """The family (x, y, w, k) = (10^6, 501, 63, 3), lambda = 0: its member
     counts, and its exact reciprocal mass over D(503) pinned by sha256."""
     fam = build_family(SmoothParams(x=10**6, y=501, w=63, lam=Fraction(0), k=3))
-    assert (fam.count, fam.members_a0.size) == (173227, 87475)
+    assert (fam.members.size, fam.members_a0.size) == (173227, 87475)
     mass = reciprocal_sum(fam.members, modulus_product(503, 63, 3))
     assert (
         hashlib.sha256(f"{mass.numerator}/{mass.denominator}".encode()).hexdigest()

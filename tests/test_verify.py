@@ -9,12 +9,14 @@ from densefrac import dickman
 from densefrac.arith import factorize
 from densefrac.smooth import reciprocal_sum
 from densefrac.verify import (
+    _LEAF,
     Certificate,
     check,
     harmonic_segment_exact,
     harmonic_segment_le,
     tree_sum,
 )
+from oracles import certificate_fields, reciprocal_sum as oracle_sum
 
 
 def test_check_examples():
@@ -61,6 +63,53 @@ def test_check_fields_on_edge_inputs():
     assert check(1, [-2, -3], 6) == cert(False, True, False, 2, -2)
 
 
+def oracle_certificate(r, S, x):
+    return Certificate(
+        **certificate_fields(r, S, x),
+        c_of_r=dickman.c_of_r(r),
+        upper_bound_1_minus_e_to_minus_r=dickman.density_upper_bound(r),
+    )
+
+
+def test_check_non_adjacent_duplicate_in_unsorted_input():
+    S = [6, 2, 3, 2]
+    cert = check(Fraction(3, 2), S, 6)
+    assert cert == oracle_certificate(Fraction(3, 2), S, 6)
+    assert cert.sum_exact and not cert.distinct
+
+
+def test_check_generator_input():
+    S = [6, 2, 3]
+    cert = check(1, (n for n in S), 6)
+    assert cert == oracle_certificate(1, S, 6)
+    assert cert.all_ok
+
+
+def test_check_zero_and_negatives_fail_without_raising():
+    S = [3, 0, -2, 6, -7, 0]
+    cert = check(1, S, 6)
+    assert cert == oracle_certificate(1, S, 6)
+    assert not cert.sum_exact and not cert.max_ok and not cert.distinct
+    assert cert.max_element == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    S=st.lists(
+        st.one_of(
+            st.integers(min_value=-3, max_value=12),
+            st.integers(min_value=2**63, max_value=2**64),
+        ),
+        max_size=12,
+    ),
+    r=st.fractions(min_value=Fraction(1, 10), max_value=3, max_denominator=60),
+    x=st.integers(min_value=1, max_value=40),
+)
+def test_check_matches_oracle_certificate(S, r, x):
+    """Multisets, any order, 0, negatives and values beyond int64."""
+    assert check(r, S, x) == oracle_certificate(r, S, x)
+
+
 def test_harmonic_bound_field():
     # representation denser than the harmonic minimum must fail the bound
     cert = check(Fraction(1, 2), list(range(2, 10)), 10)
@@ -99,6 +148,35 @@ def test_tree_sum_matches_fraction_sum(xs, lo, length):
     assert harmonic_segment_exact(lo, lo + length) == sum(
         (Fraction(1, n) for n in range(lo + 1, lo + length + 1)), Fraction(0)
     )
+
+
+# Leaf-boundary lengths of tree_sum's chunks.
+_LEAF_LENGTHS = [0, 1, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1]
+_LARGE_PRIMES = [999_983, 10**9 + 7, 2**31 - 1, 2**61 - 1, 2**89 - 1, 2**127 - 1]
+_leaf_values = st.one_of(
+    st.integers(min_value=1, max_value=12),  # repeats
+    st.integers(min_value=-12, max_value=-1),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=2**63, max_value=2**80),
+    st.sampled_from(_LARGE_PRIMES),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(length=st.sampled_from(_LEAF_LENGTHS), data=st.data())
+def test_tree_sum_matches_oracle_across_leaves(length, data):
+    xs = data.draw(st.lists(_leaf_values, min_size=length, max_size=length))
+    assert tree_sum(xs) == oracle_sum(xs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    lo=st.integers(min_value=0, max_value=10**6),
+    length=st.sampled_from(_LEAF_LENGTHS),
+)
+def test_tree_sum_matches_oracle_on_ranges(lo, length):
+    segment = range(lo + 1, lo + length + 1)
+    assert tree_sum(segment) == oracle_sum(segment)
 
 
 def test_tree_sum_vs_fixed_denominator(mid_family):
