@@ -7,13 +7,13 @@ m^2 + m - 1. Slices group members by their largest prime factor and its
 exact multiplicity; they are the ammunition for denominator-prime
 elimination.
 
-One vectorized sieve pass over [1, x] produces, for every n: P(n), the
-exact multiplicity of P(n), the k-free flag and the w-condition flag.
-That one sieve serves every family a construction draws on: sub-families
-(higher cutoff, smaller x or y) are masked views of its arrays, not new
-sieves (SmoothFamily.sub_family). Lambda thresholds are element boundaries
-(members strictly greater than lambda*x), so a stored rational cutoff
-reproduces the family exactly.
+One vectorized sieve over [1, x], walking only the primes <= y (members
+are y-smooth), produces the membership mask and, exact for every y-smooth
+n, P(n) and its multiplicity. That one sieve serves every family a
+construction draws on: sub-families (higher cutoff, smaller x or y) are
+masked views of its arrays, not new sieves (SmoothFamily.sub_family).
+Lambda thresholds are element boundaries (members strictly greater than
+lambda*x), so a stored rational cutoff reproduces the family exactly.
 
 A family's exact reciprocal mass over a common denominator m
 (reciprocal_sum) is one long division of m by all members at once,
@@ -79,8 +79,9 @@ class SmoothParams:
 class SmoothFamily:
     """Materialized family: ascending arrays of the members and of A0.
 
-    A family holds views of one sieve's per-integer arrays (P(n), the exact
-    multiplicity of P(n), the m^2+m-1 flag) and its own membership mask.
+    A family holds views of one sieve's per-integer arrays (P(n) and its
+    exact multiplicity, both exact for y-smooth n only, and the m^2+m-1
+    flag) and its own membership mask; every read is masked by membership.
     All arrays are immutable after construction; reads are concurrent-safe.
     """
 
@@ -157,29 +158,34 @@ class SmoothFamily:
 
 
 def build_family(params: SmoothParams) -> SmoothFamily:
-    """Sieve [1, x] and materialize A(x, y; w, lambda); see sub_family."""
+    """Sieve [1, x] over the primes <= y and materialize A(x, y; w, lambda).
+
+    One ascending loop over the primes p <= y writes p at the multiples of
+    p and, for each p^l <= x, writes l and multiplies the y-smooth part by
+    p at the multiples of p^l. Larger primes overwrite smaller ones, so
+    P(n) and its multiplicity are exact on y-smooth n, which are the n
+    whose y-smooth part is n itself. See sub_family for the views.
+    """
     x, y, w, k = params.x, params.y, params.w, params.k
     idx_t = np.int32 if x < 2**31 else np.int64
-    primes = primes_in(2, x)
+    primes = primes_in(2, y)
     small = primes[: bisect_right(primes, math.isqrt(x))]
     lpf = np.zeros(x + 1, dtype=idx_t)
     lpf[1] = 1
+    expo = np.zeros(x + 1, dtype=np.int8)
+    # divides n, so idx_t holds it
+    smooth_part = np.ones(x + 1, dtype=idx_t)
     for p in primes:
         lpf[p::p] = p
-
-    expo = np.ones(x + 1, dtype=np.int8)
-    expo[:2] = 0
-    for p in small:
-        pl, l = p * p, 2
+        pl, l = p, 1
         while pl <= x:
-            mult = np.arange(pl, x + 1, pl, dtype=np.int64)
-            hit = mult[lpf[mult] == p]
-            expo[hit] = l
+            expo[pl::pl] = l
+            smooth_part[pl::pl] *= p
             pl *= p
             l += 1
 
-    member = lpf <= y
-    member[0] = False
+    member = smooth_part == np.arange(x + 1, dtype=idx_t)
+    del smooth_part
     for p in small:
         member[p**k :: p**k] = False
     for q in small:

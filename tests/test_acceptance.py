@@ -17,17 +17,15 @@ import numpy as np
 import pytest
 
 from densefrac import dickman
-from densefrac.arith import factorize
 from densefrac.construct import (
     construct_dense,
     four_set_repair,
     modulus_product,
 )
-from densefrac.errors import EliminationFailed
 from densefrac.expand import expand_odd
 from densefrac.modular import _solve, eliminate_prime
 from densefrac.smooth import SmoothParams, build_family, reciprocal_sum
-from densefrac.verify import harmonic_segment_le, tree_sum
+from densefrac.verify import tree_sum
 from oracles import subset_sums_mod_p
 
 

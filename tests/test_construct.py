@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import math
 import random
 import types
@@ -24,6 +25,7 @@ from densefrac.construct import (
 )
 from densefrac.errors import (
     DensefracError,
+    DivisibilityError,
     EliminationFailed,
     InfeasibleMass,
     ParameterError,
@@ -510,3 +512,40 @@ def test_constructor_guard_fires_on_a_lying_layer(name, liar, message, monkeypat
     monkeypatch.setattr(construct, name, liar)
     with pytest.raises(AssertionError, match=message):
         construct_dense(Fraction(1, 3), 10**4)
+
+
+def _next_prime(n):
+    return next(q for q in itertools.count(n + 1) if is_prime(q))
+
+
+@pytest.mark.parametrize(
+    "intruder",
+    [
+        lambda params: 2 * _next_prime(params.y),
+        lambda params: 2**params.k,
+        lambda params: _next_prime(params.w) ** 2,
+    ],
+    ids=["not-y-smooth", "divisible-by-p^k", "square-of-a-prime-above-w"],
+)
+def test_mass_pass_refuses_a_lying_sieve(intruder, monkeypatch):
+    """A sieve that admits one integer its family must exclude is caught by
+    the planning mass pass: the intruder does not divide D(p0), so
+    reciprocal_sum's remainder proof raises before any plan is made."""
+    import densefrac.construct as construct
+
+    admitted = []
+
+    def lying(params):
+        fam = build_family(params)
+        n = intruder(params)
+        assert params.cutoff < n <= params.x and n not in fam.members
+        admitted.append(n)
+        member = fam._member.copy()
+        member[n] = True
+        return SmoothFamily(params, fam._lpf, fam._expo, fam._m2m1, member)
+
+    monkeypatch.setattr(construct, "build_family", lying)
+    with pytest.raises(DivisibilityError) as err:
+        construct_dense(Fraction(1, 3), 10**4)
+    assert str(err.value) == f"element {admitted[0]} does not divide the modulus"
+    assert err.traceback[-1].name == "reciprocal_sum"

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densefrac import smooth
@@ -24,6 +25,7 @@ from densefrac.smooth import (
     choose_lambda,
     reciprocal_sum,
 )
+from oracles import factor_over
 
 
 def test_toy_family_members(toy_family):
@@ -144,6 +146,72 @@ def test_membership_rederivation(mid_family):
     for _ in range(1000):
         n = rng.randint(1, params.x)
         assert (n in members) == _member_predicates(n, params)
+
+
+_PRIMES_TO_3000 = primes_in(2, 3000)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_factors(n):
+    """{q: e} for 1 <= n <= 3000 by the stdlib oracle, which raises on a
+    missing prime."""
+    return factor_over(n, [q for q in _PRIMES_TO_3000 if n % q == 0])
+
+
+@st.composite
+def _family_params(draw):
+    """A(x, y; w, lambda) with x <= 3000 and y anywhere from below sqrt(x)
+    up to x, w often below y."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    x = draw(st.integers(min_value=2, max_value=3000))
+    y = draw(
+        st.one_of(
+            st.integers(2, max(2, math.isqrt(x) - 1)), st.integers(2, x), st.just(x)
+        )
+    )
+    w = draw(st.one_of(st.integers(2, y), st.integers(2, x)))
+    den = draw(st.integers(1, x))
+    lam = Fraction(draw(st.integers(0, den - 1)), den)
+    return SmoothParams(x=x, y=y, w=w, lam=lam, k=k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_family_params())
+# 11*13 and 7*11*13 have two prime factors above y; 5^2 and 7^2 have w < p <= y
+@example(params=SmoothParams(x=1001, y=10, w=3, lam=Fraction(0), k=3))
+@example(params=SmoothParams(x=3000, y=3000, w=2, lam=Fraction(1, 7), k=2))
+def test_build_family_matches_definition(params):
+    """Members, A0, slices and powers-of-two stocks, each against its
+    definition: every member but 1 lies in exactly one slice, the one of
+    P(n) and its multiplicity."""
+    fam = build_family(params)
+    members = [n for n in range(1, params.x + 1) if _member_predicates(n, params)]
+    m2m1 = {m * m + m - 1 for m in range(1, math.isqrt(params.x) + 2)}
+    a0 = {n for n in members if n % 2 and n not in m2m1}
+    assert fam.members.tolist() == members
+    assert fam.members_a0.tolist() == sorted(a0)
+
+    by_top_power = {}
+    for n in members:
+        f = _oracle_factors(n)
+        top = max(f, default=1)
+        by_top_power.setdefault((top, f.get(top, 0)), []).append(n)
+    for p in primes_in(2, params.y):
+        for l in range(1, 2 if p > params.w else params.k):
+            want = by_top_power.pop((p, l), [])
+            assert fam.slice(p, l).tolist() == want
+            assert fam.slice(p, l, a0=True).tolist() == [n for n in want if n in a0]
+    assert list(by_top_power) in ([], [(1, 0)])
+
+    for l in range(1, params.k + 1):
+        for p_max in (2, 3, 5, params.y):
+            want = [
+                n
+                for n in members
+                if _oracle_factors(n).get(2, 0) == l
+                and max(_oracle_factors(n).keys() - {2}, default=1) <= p_max
+            ]
+            assert fam.exact_power_of_two_members(l, p_max).tolist() == want
 
 
 def test_partition_identity(mid_family):
