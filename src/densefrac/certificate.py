@@ -9,13 +9,13 @@ deterministic: same representation, byte-identical JSON.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
-from itertools import accumulate, islice
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ParameterError
-from .verify import check
+from .verify import check, int_array
 
 FORMAT_VERSION = 1
 
@@ -33,26 +33,32 @@ def parse_frac(s: str) -> Fraction:
 
 
 def encode_deltas(values) -> dict:
-    """Sorted integers -> {first, deltas}; decoding reproduces them exactly."""
-    vals = sorted(map(int, values))
-    if not vals:
+    """Integers, in any order -> {first, deltas} of their sorted sequence,
+    as Python ints; decoding reproduces them exactly. The values are sorted
+    as one numpy array (int_array); gaps are taken in int64 unless one could
+    pass 2^63, and in exact Python ints then."""
+    a = np.sort(int_array(values))
+    if not a.size:
         return {"first": None, "deltas": []}
-    deltas = list(map(operator.sub, islice(vals, 1, None), vals))
-    return {"first": vals[0], "deltas": deltas}
+    if int(a[-1]) - int(a[0]) >= 2**63:
+        a = a.astype(object)
+    return {"first": int(a[0]), "deltas": np.diff(a).tolist()}
 
 
-def decode_deltas(enc: dict) -> list:
-    """{first, deltas} -> the integers; the one check of the part format.
-    The part must be a JSON object, and first and every delta JSON
-    integers: anything else (a list part, a string, a float or a bool)
-    raises ParameterError. A null first encodes the empty part, so it
-    admits no deltas."""
+def decode_deltas(enc: dict) -> np.ndarray:
+    """{first, deltas} -> the integers, as a numpy array of their running
+    sums; the one check of the part format. The part must be a JSON object,
+    and first and every delta JSON integers: anything else (a list part, a
+    string, a float or a bool) raises ParameterError. A null first encodes
+    the empty part, so it admits no deltas. The array is int64 when
+    |first| + len(deltas) * max |delta| < 2^63, a bound on every running
+    sum computed in Python ints, and object (exact Python ints) otherwise."""
     if type(enc) is not dict:
         raise ParameterError("malformed certificate part: not a JSON object")
     first = enc.get("first")
     deltas = enc.get("deltas", [])
     if first is None and deltas == []:
-        return []
+        return np.empty(0, dtype=np.int64)
     if not (
         type(first) is int and type(deltas) is list and set(map(type, deltas)) <= {int}
     ):
@@ -60,7 +66,15 @@ def decode_deltas(enc: dict) -> list:
             "malformed delta encoding: first and every delta must be integers, "
             "and a null first admits no deltas"
         )
-    return list(accumulate(deltas, initial=first))
+    try:
+        steps = np.fromiter(deltas, dtype=np.int64, count=len(deltas))
+        widest = max(int(steps.max(initial=0)), -int(steps.min(initial=0)))
+        fits = abs(first) + len(deltas) * widest < 2**63
+    except OverflowError:
+        fits = False
+    if not fits:
+        steps = np.array(deltas, dtype=object)
+    return np.cumsum(np.concatenate((np.array([first], dtype=steps.dtype), steps)))
 
 
 @dataclass
@@ -116,11 +130,10 @@ class CertificateDocument:
                 raise ParameterError(f"certificate {name} is not a JSON object")
         return doc
 
-    def denominators(self) -> list:
-        out = []
-        for enc in self.parts.values():
-            out.extend(decode_deltas(enc))
-        return sorted(out)
+    def denominators(self) -> np.ndarray:
+        """Every part's denominators, as one sorted array (decode_deltas)."""
+        parts = [decode_deltas(enc) for enc in self.parts.values()]
+        return np.sort(np.concatenate([np.empty(0, dtype=np.int64), *parts]))
 
 
 def _encode(value) -> str:

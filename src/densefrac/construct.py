@@ -910,7 +910,7 @@ def construct_dense(r, x: int, **options) -> Representation:
     repeated = denominators[1:][denominators[1:] == denominators[:-1]]
     if repeated.size:
         raise AssertionError(f"representation parts overlap: {repeated[:5].tolist()}")
-    cert = check(r, denominators.tolist(), x)
+    cert = check(r, denominators, x)
     if not (cert.sum_exact and cert.distinct and cert.max_ok):
         raise AssertionError("final certificate failed: " + repr(cert))
     return Representation(

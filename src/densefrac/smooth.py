@@ -148,13 +148,16 @@ class SmoothFamily:
         return sel
 
     def exact_power_of_two_members(self, l: int, p_max: int) -> np.ndarray:
-        """Members exactly divisible by 2^l whose odd part is p_max-smooth."""
+        """Members exactly divisible by 2^l whose odd part is p_max-smooth.
+
+        P(n) is 2 when the odd part is 1, so the bound is max(p_max, 2).
+        """
         if l not in self._pow2_cache:
             m = self.members
             cand = m[m % 2 ** (l + 1) == 2**l]
             self._pow2_cache[l] = (cand, self._lpf[cand])
         cand, lpf = self._pow2_cache[l]
-        return cand[lpf <= p_max]
+        return cand[lpf <= max(p_max, 2)]
 
 
 def build_family(params: SmoothParams) -> SmoothFamily:

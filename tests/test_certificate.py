@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densefrac import cli
@@ -36,8 +36,8 @@ def test_delta_encoding_round_trip():
     rng = random.Random(100)
     for _ in range(1000):
         vals = sorted(rng.sample(range(1, 10**6), rng.randint(0, 200)))
-        assert decode_deltas(encode_deltas(vals)) == vals
-    assert decode_deltas(encode_deltas([])) == []
+        assert decode_deltas(encode_deltas(vals)).tolist() == vals
+    assert decode_deltas(encode_deltas([])).tolist() == []
 
 
 def _encode_elementwise(values):
@@ -59,12 +59,30 @@ def _decode_elementwise(enc):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.integers(-10, 10**6), st.integers(2**62, 2**66))))
+@example([2**63 - 1, -10])  # both int64, their gap is not
 def test_delta_encoding_matches_elementwise(vals):
     """Values past int64 and repeats included; unsorted input is sorted."""
     enc = encode_deltas(vals)
     assert enc == _encode_elementwise(vals)
     assert all(type(d) is int for d in enc["deltas"])
-    assert decode_deltas(enc) == _decode_elementwise(enc) == sorted(vals)
+    assert decode_deltas(enc).tolist() == _decode_elementwise(enc) == sorted(vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    first=st.one_of(st.integers(-10, 10**6), st.integers(-(2**64), 2**64)),
+    deltas=st.lists(
+        st.one_of(
+            st.integers(-10, 10),
+            st.integers(2**61, 2**62),
+            st.integers(-(2**62), -(2**61)),
+        )
+    ),
+)
+def test_decode_deltas_matches_elementwise(first, deltas):
+    """Negative deltas, and running sums that pass 2^63 and come back."""
+    enc = {"first": first, "deltas": deltas}
+    assert decode_deltas(enc).tolist() == _decode_elementwise(enc)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +99,7 @@ def test_document_round_trip_byte_identical(rep):
 
 def test_document_denominators_match(rep):
     doc = document_from_representation(rep)
-    assert doc.denominators() == [int(v) for v in rep.denominators()]
+    assert doc.denominators().tolist() == rep.denominators().tolist()
 
 
 def test_recheck_passes(rep):
@@ -141,7 +159,7 @@ def test_recheck_rejects_an_honest_failing_document(rep, fault, tmp_path, capsys
         doc.parts["A"]["deltas"][3] += 2
     else:
         stolen = decode_deltas(doc.parts["A"])[0]
-        doc.parts["D1"] = encode_deltas(decode_deltas(doc.parts["D1"]) + [stolen])
+        doc.parts["D1"] = encode_deltas(decode_deltas(doc.parts["D1"]).tolist() + [stolen])
         doc.r = frac_str(parse_frac(doc.r) + Fraction(1, stolen))
     cert = check(parse_frac(doc.r), doc.denominators(), doc.x)
     doc.certificate = _certificate_block(cert)

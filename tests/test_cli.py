@@ -2,11 +2,13 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from densefrac import cli
+from densefrac.certificate import frac_str
 from densefrac.errors import DensefracError
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -93,6 +95,31 @@ def test_verify_tampered_exit_1(cert_file, tmp_path):
     p = run_cli("verify", str(bad))
     assert p.returncode == 1
     assert json.loads(p.stdout)["sum_exact"] is False
+
+
+def test_verify_beyond_int64_exit_1(cert_file, tmp_path):
+    """A denominator past int64 is carried exactly: it fails max_ok and the
+    sum, and only those."""
+    doc = json.loads(cert_file.read_text())
+    size = doc["certificate"]["size"]
+    d2 = doc["parts"]["D2"]
+    if d2["first"] is None:
+        d2["first"] = 2**70
+    else:
+        d2["deltas"].append(2**70 - d2["first"] - sum(d2["deltas"]))
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(doc))
+    p = run_cli("verify", str(bad))
+    assert p.returncode == 1
+    assert json.loads(p.stdout) == {
+        "sum_exact": False,
+        "distinct": True,
+        "max_ok": False,
+        "harmonic_bound_ok": True,
+        "density_exact": frac_str(Fraction(size + 1, 10**5)),
+        "size": size + 1,
+        "consistent_with_document": False,
+    }
 
 
 @pytest.mark.parametrize(

@@ -204,7 +204,7 @@ def test_build_family_matches_definition(params):
     assert list(by_top_power) in ([], [(1, 0)])
 
     for l in range(1, params.k + 1):
-        for p_max in (2, 3, 5, params.y):
+        for p_max in (1, 2, 3, 5, params.y):
             want = [
                 n
                 for n in members

@@ -1,14 +1,20 @@
 import math
+import os
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densefrac import dickman
 from densefrac.arith import factorize
+from densefrac.construct import construct_dense
 from densefrac.smooth import reciprocal_sum
 from densefrac.verify import (
+    _BLOCK,
     _LEAF,
     Certificate,
     check,
@@ -110,6 +116,26 @@ def test_check_matches_oracle_certificate(S, r, x):
     assert check(r, S, x) == oracle_certificate(r, S, x)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.integers(-3, 40), st.integers(2**40, 2**63 - 1)), max_size=16
+    ),
+    r=st.fractions(min_value=Fraction(1, 10), max_value=3, max_denominator=60),
+    x=st.integers(min_value=1, max_value=60),
+    data=st.data(),
+)
+def test_check_array_matches_shuffled_list(values, r, x, data):
+    """An int64 array, sorted or not, gets the same Certificate as the same
+    values as a shuffled Python list with repeats, and both the oracle's."""
+    S = values + data.draw(st.lists(st.sampled_from(values), max_size=4)) if values else []
+    shuffled = data.draw(st.permutations(S))
+    want = oracle_certificate(r, S, x)
+    assert check(r, np.array(sorted(S), dtype=np.int64), x) == want
+    assert check(r, np.array(S, dtype=np.int64), x) == want
+    assert check(r, shuffled, x) == want
+
+
 def test_harmonic_bound_field():
     # representation denser than the harmonic minimum must fail the bound
     cert = check(Fraction(1, 2), list(range(2, 10)), 10)
@@ -179,6 +205,17 @@ def test_tree_sum_matches_oracle_on_ranges(lo, length):
     assert tree_sum(segment) == oracle_sum(segment)
 
 
+@pytest.mark.parametrize("length", [_BLOCK + 1, 2 * _BLOCK + _LEAF + 1, 3 * _BLOCK - 1])
+def test_tree_sum_over_blocks(length):
+    """Arrays spanning several blocks, of odd length, with repeats, in int64
+    and object dtype."""
+    xs = np.random.default_rng(length).integers(1, 200, size=length)
+    xs[::97] = 999_983
+    want = oracle_sum(xs.tolist())
+    assert tree_sum(xs) == want
+    assert tree_sum(xs.astype(object)) == want
+
+
 def test_tree_sum_vs_fixed_denominator(mid_family):
     rng = random.Random(12)
     members = [int(v) for v in mid_family.members]
@@ -214,3 +251,33 @@ def test_harmonic_segment_le_large_refines():
     # value around log(10^6 / (10^6 - 10^5)) with a comfortable margin
     assert harmonic_segment_le(900_000, 1_000_000, Fraction(1, 2))
     assert not harmonic_segment_le(900_000, 1_000_000, Fraction(1, 10))
+
+
+def _check_peak(r, x):
+    """check's tracemalloc peak on a real representation's sorted int64
+    array, which exists before tracing starts, and the array's length."""
+    a = construct_dense(r, x).denominators()
+    tracemalloc.start()
+    try:
+        cert = check(r, a, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.all_ok
+    return peak, a.size
+
+
+def test_check_memory_per_denominator():
+    """check reads the array in place: a list of Python ints alone would
+    cost about 36 B per denominator."""
+    peak, size = _check_peak(Fraction(1, 3), 10**6)
+    assert peak <= 12 * size
+
+
+@pytest.mark.skipif(
+    os.environ.get("DENSEFRAC_ACCEPT_LARGE") != "1",
+    reason="x = 10^7 run enabled with DENSEFRAC_ACCEPT_LARGE=1",
+)
+def test_check_memory_at_ten_million():
+    peak, _ = _check_peak(Fraction(1), 10**7)
+    assert peak <= 50 * 10**6
