@@ -3,14 +3,17 @@
 The verifier is deliberately decoupled from the constructor: it imports
 nothing from the construction and shares no modulus with it. It holds the
 denominators as one sorted numpy array: int64 when every value fits, and
-object (exact Python ints) otherwise. Reciprocal sums are re-computed from
-fixed chunks of the denominators, each summed over its own lcm, whose
-(numerator, denominator) pairs are added by a balanced tree of reduced
-integer pairs (the pipeline instead accumulates over one fixed common
-denominator and reduces once); the array becomes Python ints one block at
-a time. The harmonic-minimality inequality H(x) - H(x - |S|) <= r is
-decided through exact rational interval enclosures, refined until the
-comparison is sound.
+object (exact Python ints) otherwise. Reciprocal sums are re-computed by
+the verifier's own kernel over a common denominator it derives from its
+input alone: the denominator starts at the lcm of the first block and
+grows to the lcm of what it has read whenever a long division of it by the
+next block leaves a remainder; every counted quotient comes from a
+division whose remainder is zero, the proof that the element divides the
+denominator. What would take the denominator past a bit cap is summed
+over chunk-lcm leaves, and the (numerator, denominator) pairs are added by
+a balanced tree of reduced integer pairs. The harmonic-minimality
+inequality H(x) - H(x - |S|) <= r is decided through exact rational
+interval enclosures, refined until the comparison is sound.
 
 check() is total: malformed input turns into failed certificate fields,
 never an exception.
@@ -30,13 +33,23 @@ from . import dickman
 #: Segment length below which harmonic sums are evaluated exactly.
 _EXACT_HARMONIC = 10_000
 
-#: Denominators per tree_sum leaf. At x = 10^6 every size from 16 to 256
+#: Denominators per chunk-lcm leaf. At x = 10^6 every size from 16 to 256
 #: beat one leaf per denominator, and 16-32 were fastest.
 _LEAF = 32
 
-#: Denominators per tree_sum block: an array becomes Python ints one block
-#: at a time, so no Python-int copy of the whole input exists.
+#: Denominators per tree_sum block: an array is read one block at a time,
+#: so no Python-int copy of the whole input exists.
 _BLOCK = 128 * _LEAF
+
+#: Bit length past which a run's common denominator is not grown. The lcm
+#: of a whole representation is about 762 bits at x = 10^6 and 2096 bits at
+#: 10^7. At r = 1, x = 10^7 (2-vCPU Xeon VM) tree_sum took 2.05 s with a
+#: 2048-bit cap, as long as chunk-lcm leaves alone, and 0.71 s and 0.70 s
+#: with 4096 and 8192 bits; the lower cap bounds the limbs per division.
+_RUN_BITS = 4096
+
+#: Denominators a run takes are below 2^32, so that r * 2^32 + limb < 2^64.
+_RUN_BOUND = 2**32
 
 
 @dataclass(frozen=True)
@@ -60,30 +73,123 @@ class Certificate:
         )
 
 
+def _limbs(m: int) -> list:
+    """m's 32-bit limbs, most significant first."""
+    size = (m.bit_length() + 31) // 32
+    return np.frombuffer(m.to_bytes(4 * size, "big"), dtype=">u4").tolist()
+
+
+def _divide(limbs: list, n: np.ndarray) -> tuple[int, np.ndarray]:
+    """(sum of m // n, m mod n) for every n of a uint64 array, 0 < n < 2^32,
+    with m given by its limbs: a schoolbook long division of m by the whole
+    array at once. Each remainder, shifted one limb up with the next limb
+    below it, stays under n * 2^32 <= 2^64, so its quotient digit is below
+    2^32 and a digit column sums exactly in uint64 for under 2^32 elements;
+    the columns are added into the total as they come, most significant
+    first."""
+    rem = np.zeros_like(n)
+    digit = np.empty_like(n)
+    total = 0
+    for limb in limbs:
+        rem <<= 32
+        rem |= limb
+        np.divmod(rem, n, out=(digit, rem))
+        total = (total << 32) + int(digit.sum())
+    return total, rem
+
+
+def _join(run: tuple, n: np.ndarray) -> Optional[tuple]:
+    """The run (m, num, limbs), whose reciprocal sum so far is num / m,
+    with every 1/n of the uint64 array n added; None when that would take m
+    past _RUN_BITS.
+
+    An element joins only through a division that leaves remainder 0, the
+    proof that it divides m. For the elements that leave a remainder, m
+    grows to m' = lcm(m, those) = m * lcm(n / gcd(m mod n, n)): the
+    numerator so far, without their quotients, is scaled by m' / m, and m'
+    is divided by them alone.
+    """
+    m, num, limbs = run
+    total, rem = _divide(limbs, n)
+    late = rem != 0
+    # m' is a multiple of every late n, so one pass empties late; its
+    # remainders are what shows it.
+    while late.any():
+        n, rem = n[late], rem[late]
+        cofactors = (n // np.gcd(rem, n)).tolist()
+        budget = _RUN_BITS - m.bit_length()
+        scale = 1
+        for i in range(0, len(cofactors), _LEAF):
+            scale = lcm(scale, *cofactors[i : i + _LEAF])
+            if scale.bit_length() > budget:
+                return None
+        stale, _ = _divide(limbs, n)
+        m *= scale
+        limbs = _limbs(m)
+        num = (num + total - stale) * scale
+        total, rem = _divide(limbs, n)
+        late = rem != 0
+    return m, num + total, limbs
+
+
 def tree_sum(elements) -> Fraction:
-    """Exact sum of 1/n; independent of the fixed-denominator path.
+    """Exact sum of 1/n, over the verifier's own common denominators.
 
     elements is a numpy integer array (int64, or object holding Python
     ints), a list or a range of nonzero integers, in any order, repeats
-    allowed. It is read in blocks of _BLOCK; an array block becomes Python
-    ints through .tolist(). Each leaf sums a chunk of _LEAF denominators
-    over the chunk's own lcm L, as sum(L // n) / L, reduced. The leaves are
-    then added by a balanced tree of reduced (numerator, denominator)
-    integer pairs, with two gcds per node (Knuth, TAOCP 4.5.1); the only
-    Fraction is the root.
+    allowed; a list becomes an array through int_array. It is read in
+    blocks of _BLOCK. The elements of an int64 block that lie in [1, 2^32)
+    join a run (_join): a common denominator m, derived from the block
+    contents alone, that each block is divided by at once (_divide) and
+    that grows only when a remainder shows that an element does not divide
+    it. The first block that would take m past _RUN_BITS, and every block
+    after it, is summed by chunk-lcm leaves instead, and the run ends as one
+    (num, m) pair; no lcm attempt that failed is repeated on later blocks.
+    The leaves also take a range, an object array and the other elements
+    of an int64 block: a chunk of _LEAF denominators is summed over its own
+    lcm L as sum(L // n) / L. The reduced pairs of the run and leaves are
+    added by a balanced tree of (numerator, denominator) integer pairs,
+    with two gcds per node (Knuth, TAOCP 4.5.1); the only Fraction is the
+    root.
     """
     nums, dens = [], []
-    for start in range(0, len(elements), _BLOCK):
-        block = elements[start : start + _BLOCK]
-        if isinstance(block, np.ndarray):
-            block = block.tolist()
+
+    def add_pair(num: int, den: int) -> None:
+        g = gcd(num, den)
+        nums.append(num // g)
+        dens.append(den // g)
+
+    def add_leaves(block) -> None:
         for i in range(0, len(block), _LEAF):
             chunk = block[i : i + _LEAF]
             den = lcm(*chunk)
-            num = sum(map(den.__floordiv__, chunk))
-            g = gcd(num, den)
-            nums.append(num // g)
-            dens.append(den // g)
+            add_pair(sum(map(den.__floordiv__, chunk)), den)
+
+    if not isinstance(elements, (range, np.ndarray)):
+        elements = int_array(elements)
+    run = (1, 0, [1])  # (m, num, limbs of m): nothing joined yet
+    runs = isinstance(elements, np.ndarray) and elements.dtype == np.int64
+    for start in range(0, len(elements), _BLOCK):
+        block = elements[start : start + _BLOCK]
+        if runs:
+            small = (block >= 1) & (block < _RUN_BOUND)
+            if not small.all():
+                add_leaves(block[~small].tolist())
+                block = block[small]
+            block = block.astype(np.uint64)
+            joined = _join(run, block)
+            if joined is not None:
+                run = joined
+                continue
+            # m would pass the cap; in sorted input, it would on every
+            # later block too.
+            runs = False
+        if isinstance(block, np.ndarray):
+            block = block.tolist()
+        add_leaves(block)
+    m, num, _ = run
+    if num:  # every joined 1/n adds m // n >= 1
+        add_pair(num, m)
     if not dens:
         return Fraction(0)
     while len(dens) > 1:

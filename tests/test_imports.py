@@ -54,3 +54,49 @@ def test_scan_flags_only_unread_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def package_imports(source: str) -> set:
+    """The densefrac modules a module imports, by relative or absolute
+    name: `from . import a`, `from .b import c`, `import densefrac.d`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif node.module and node.module.split(".")[0] == "densefrac":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, module = alias.name.partition(".")
+                if top == "densefrac":
+                    found.add(module.split(".")[0] or "densefrac")
+    return found
+
+
+def test_package_import_scan():
+    source = (
+        "import numpy\n"
+        "import densefrac.arith\n"
+        "from . import dickman, errors\n"
+        "from .smooth import build_family\n"
+        "from densefrac.modular import _solve\n"
+        "from densefrac import expand\n"
+        "from fractions import Fraction\n"
+    )
+    assert package_imports(source) == {
+        "arith", "dickman", "errors", "smooth", "modular", "expand"
+    }
+
+
+def test_verifier_imports_nothing_from_the_construction():
+    """verify.py reaches into the package only for dickman's constants, so
+    no constructor module can share its summation path or its modulus."""
+    source = (ROOT / "src" / "densefrac" / "verify.py").read_text()
+    assert package_imports(source) <= {"dickman"}

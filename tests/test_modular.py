@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from densefrac.arith import FactoredInt, factorize
 from densefrac.errors import DivisibilityError, EliminationFailed, ParameterError
-from densefrac.modular import _check_prime, _solve, eliminate_prime
+import densefrac.modular as modular
+from densefrac.modular import SubsetWitness, _check_prime, _solve, eliminate_prime
 from oracles import factor_over, subset_sums_mod_p
 
 
@@ -319,3 +320,37 @@ def test_eliminate_power_beyond_int64():
         for d in (1, 2**64):
             case = (Fraction(1, d), N, S, 2, 64)
             assert _outcome(eliminate_prime, *case) == _outcome(_eliminate_scalar, *case)
+
+
+def _witness_one_short(rs, target, p, t):
+    w = _solve(rs, target, p, t)
+    return SubsetWitness(indices=w.indices[:-1], achieved=w.achieved)
+
+
+def _witness_of_p_elements(rs, target, p, t):
+    return SubsetWitness(indices=tuple(range(p)), achieved=target)
+
+
+@pytest.mark.parametrize(
+    "liar, case, message",
+    [
+        (
+            _witness_one_short,
+            (Fraction(1, 5), factorize(60), [5, 10, 15, 20], 5, 1),
+            r"postcondition d' \| N/p violated",
+        ),
+        (
+            _witness_of_p_elements,
+            (Fraction(1, 3), factorize(12), [3, 6, 12], 3, 1),
+            "witness cardinality >= p",
+        ),
+    ],
+    ids=["one-index-short", "p-indices"],
+)
+def test_eliminate_guard_fires_on_a_lying_solver(liar, case, message, monkeypatch):
+    """eliminate_prime re-checks the solver's witness: one that drops its
+    last index leaves p in the denominator, and one of p indices is too
+    large to be the solver's."""
+    monkeypatch.setattr(modular, "_solve", liar)
+    with pytest.raises(AssertionError, match=message):
+        eliminate_prime(*case)

@@ -406,6 +406,14 @@ def test_choose_lambda_mass_error():
         choose_lambda([3, 15], Fraction(2, 5) + 1, 30, factorize(15))
 
 
+def test_choose_lambda_refuses_a_pool_element_outside_the_modulus():
+    """The walk reaches 7 after 15 and stops on it: 7 does not divide 15."""
+    with pytest.raises(
+        DivisibilityError, match="pool element 7 does not divide the modulus"
+    ):
+        choose_lambda([3, 7, 15], Fraction(1, 2), 30, factorize(15))
+
+
 def test_choose_lambda_properties(mid_family):
     pool = mid_family.members_a0.tolist()[:400]
     modulus = factorize(math.lcm(*pool))

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import densefrac.verify as verify
 from densefrac import dickman
-from densefrac.arith import factorize
+from densefrac.arith import factorize, primes_in
 from densefrac.construct import construct_dense
 from densefrac.smooth import reciprocal_sum
 from densefrac.verify import (
     _BLOCK,
     _LEAF,
+    _RUN_BITS,
     Certificate,
     check,
     harmonic_segment_exact,
@@ -214,6 +216,86 @@ def test_tree_sum_over_blocks(length):
     want = oracle_sum(xs.tolist())
     assert tree_sum(xs) == want
     assert tree_sum(xs.astype(object)) == want
+
+
+def _record_joins(monkeypatch):
+    """Every run tree_sum's _join returns, in call order: None where the
+    block would take the run past _RUN_BITS."""
+    joins = []
+    join = verify._join
+
+    def recording(run, n):
+        joins.append(join(run, n))
+        return joins[-1]
+
+    monkeypatch.setattr(verify, "_join", recording)
+    return joins
+
+
+# Values whose lcm, 720720, every block of them divides.
+_SMALL = np.arange(1, 17, dtype=np.int64)
+
+
+def _blocks_of_small_values(count):
+    return np.tile(_SMALL, count * _BLOCK // _SMALL.size)
+
+
+def test_tree_sum_grows_the_run_for_a_late_prime(monkeypatch):
+    """Only the third block holds an element that does not divide the first
+    block's lcm: m grows mid-array, and the numerator of the first two
+    blocks is rescaled to the new m."""
+    xs = _blocks_of_small_values(3)
+    xs[2 * _BLOCK + 5] = 999_983
+    joins = _record_joins(monkeypatch)
+    assert tree_sum(xs) == oracle_sum(xs.tolist())
+    assert [m for m, _, _ in joins] == [720720, 720720, 720720 * 999_983]
+
+
+def test_tree_sum_leaves_after_the_run_passes_the_cap(monkeypatch):
+    """Distinct primes near 2^20, about 2/3 of _RUN_BITS in bits per block,
+    shuffled over three blocks (the last one partial): the second block
+    would take the run past the cap, so it and the third block are summed
+    by chunk-lcm leaves, with no second lcm attempt."""
+    primes = np.array(primes_in(2**20, 2**21), dtype=np.int64)
+    per_block = _RUN_BITS // 21 * 2 // 3
+    xs = _blocks_of_small_values(3)[: 3 * _BLOCK - 100]
+    for i in range(3):
+        xs[i * _BLOCK : i * _BLOCK + per_block] = primes[i * per_block : (i + 1) * per_block]
+    xs = np.random.default_rng(3).permutation(xs)
+    joins = _record_joins(monkeypatch)
+    assert tree_sum(xs) == oracle_sum(xs.tolist())
+    assert [run is not None for run in joins] == [True, False]
+
+
+def test_tree_sum_leaves_after_a_block_past_the_cap(monkeypatch):
+    """The first block's own lcm passes _RUN_BITS: it and every later
+    block are summed by chunk-lcm leaves."""
+    xs = _blocks_of_small_values(2)
+    xs[: 3 * _RUN_BITS // 20] = primes_in(2**20, 2**21)[: 3 * _RUN_BITS // 20]
+    joins = _record_joins(monkeypatch)
+    assert tree_sum(xs) == oracle_sum(xs.tolist())
+    assert joins == [None]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_tree_sum_mixes_elements_past_2_32_with_small_ones(dtype):
+    """In int64, the small elements join a run and the others (from 2^32
+    up, and negatives) go to the leaves; an object array takes the leaves
+    alone."""
+    rng = np.random.default_rng(4)
+    xs = rng.choice(_SMALL, size=_BLOCK + 77)
+    xs[::50] = rng.integers(2**32, 2**62, size=xs[::50].size)
+    xs[1:6] = [2**32 - 1, 2**32, -6, 2**63 - 1, 1]
+    assert tree_sum(xs.astype(dtype)) == oracle_sum(xs.tolist())
+
+
+def test_tree_sum_unsorted_with_repeats(mid_family):
+    """Members of a smooth family drawn with repeats, in random order,
+    across several blocks."""
+    rng = np.random.default_rng(5)
+    xs = rng.choice(mid_family.members, size=3 * _BLOCK + 5)
+    assert np.unique(xs).size < xs.size
+    assert tree_sum(xs) == oracle_sum(xs.tolist())
 
 
 def test_tree_sum_vs_fixed_denominator(mid_family):
