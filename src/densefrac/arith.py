@@ -9,8 +9,8 @@ target's denominator, expansion moduli, tests), while the sieved families
 in `densefrac.smooth` carry P(n) for bulk work. Exact rationals are stdlib
 `fractions.Fraction` (always reduced, positive denominator). Bulk
 reciprocal sums over a family never reduce pairwise: see
-`densefrac.smooth.reciprocal_sum`, which sums m // n over a fixed common
-denominator m by a vectorized limb division of m by every element.
+`densefrac.smooth.limb_division`, which divides a common denominator m
+by every element at once, giving sums of m // n and each m mod n.
 """
 
 from __future__ import annotations
@@ -77,9 +77,8 @@ class FactoredInt:
         have = self.multiplicity(p)
         if have < e:
             raise ParameterError(f"cannot divide p={p}^{e} out of {self.factors}")
-        merged = dict(self.factors)
-        merged[p] = have - e
-        return FactoredInt.from_factors(sorted(merged.items()))
+        factors = tuple((q, f - e if q == p else f) for q, f in self.factors)
+        return FactoredInt(self.value // p**e, tuple(qf for qf in factors if qf[1]))
 
     def odd_part(self) -> "FactoredInt":
         return FactoredInt.from_factors([(p, e) for p, e in self.factors if p != 2])

@@ -4,8 +4,8 @@ All output is JSON on stdout; documents are deterministic for fixed flags.
 Exit codes: 0 success, 1 verification failure (also DivisibilityError and
 RemainderNonPositive), 2 InfeasibleMass, 3 UnsupportedDenominator,
 4 EliminationFailed, 5 BreuschPreconditionFailed, 6 BoundExceeded,
-64 usage, malformed input, or a path that cannot be read or written (a
-missing file, a directory).
+7 SieveBoundExceeded, 64 usage, malformed input, or a path that cannot
+be read or written (a missing file, a directory).
 """
 
 from __future__ import annotations

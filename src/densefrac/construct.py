@@ -74,6 +74,7 @@ from .verify import Certificate, check
 MAX_STAGE_TWO_ATTEMPTS = 48
 MAX_DELTA_RETUNES = 3
 MAX_K = 64
+_MASS_CHUNK = 1 << 13  # planning sums the family's mass per this many members
 
 
 @dataclass(frozen=True)
@@ -247,19 +248,20 @@ def _spec_y_doubleprime(x: int, k: int) -> int:
 
 
 def _resolve_cutoff(
-    fam0: SmoothFamily, modulus: FactoredInt, total: Fraction, r, delta, cutoff=None
+    fam0: SmoothFamily, modulus: FactoredInt, mass: list, r, delta, cutoff=None
 ):
     """(cutoff, r - sum_{n > cutoff} 1/n) over the members of fam0.
 
-    Walks the members upward, taking each m // n off the total mass (over
-    the modulus m), so only members at or below the cutoff are visited. A
-    given cutoff (formula lambda) ends the walk there; without one
-    (adaptive lambda) it ends before the mass above would drop below
+    mass holds the sums of m // n (m the modulus) over the members, per
+    chunk of _MASS_CHUNK. The walk goes upward taking mass off the total,
+    whole chunks first, then each m // n inside the chunk that holds the
+    cutoff. A given cutoff (formula lambda) ends the walk there; without
+    one (adaptive lambda) it ends before the mass above would drop below
     r - delta: the largest element-boundary cutoff with remainder in
     (0, delta].
     """
     m = modulus.value
-    num = total.numerator * (m // total.denominator)
+    num = sum(mass)
     dn = r - delta
     # (num - step) / m < r - delta  <=>  num - step < ceil(dn * m)
     floor = -(-dn.numerator * m // dn.denominator)
@@ -272,8 +274,14 @@ def _resolve_cutoff(
         )
     members = fam0.members
     taken = 0
-    for e in members:
-        step = m // int(e)
+    for chunk_sum in mass:  # whole chunks while the walk would take all of one
+        end = min(taken + _MASS_CHUNK, members.size)
+        if (num - chunk_sum < floor) if adaptive else (members[end - 1] > cutoff):
+            break
+        num -= chunk_sum
+        taken = end
+    for e in members[taken : taken + _MASS_CHUNK].tolist():
+        step = m // e
         if (num - step < floor) if adaptive else (e > cutoff):
             break
         num -= step
@@ -423,7 +431,7 @@ def _plan_full(
     y_prime: Optional[int] = None,
     x_prime: Optional[int] = None,
 ):
-    """(config, plan, planning family, the family's mass over D(p0))."""
+    """(config, plan, planning family, its sums of D(p0) // n per chunk)."""
     r = Fraction(r)
     if r <= 0:
         raise ParameterError(f"r must be positive, got {r}", failing_parameter="r")
@@ -485,7 +493,10 @@ def _plan_full(
 
     fam0 = build_family(SmoothParams(x=x, y=y, w=w, lam=Fraction(0), k=k_res))
     d_p0 = modulus_product(_next_prime_above(y), w, k_res)
-    total = reciprocal_sum(fam0.members, d_p0)
+    chunks = range(0, fam0.members.size, _MASS_CHUNK)
+    parts = [reciprocal_sum(fam0.members[i : i + _MASS_CHUNK], d_p0) for i in chunks]
+    mass = [f.numerator * (d_p0.value // f.denominator) for f in parts]
+    total = Fraction(sum(mass), d_p0.value)
     if total < r:
         raise InfeasibleMass(
             f"family reciprocal mass {float(total):.6f} < r = {r}",
@@ -503,15 +514,15 @@ def _plan_full(
         y_prime_override=y_prime,
         x_prime_override=x_prime,
     )
-    plan = _resolve_plan(config, fam0, d_p0, total)
-    return config, plan, fam0, total
+    plan = _resolve_plan(config, fam0, d_p0, mass)
+    return config, plan, fam0, mass
 
 
 def _resolve_plan(
     config: ConstructionConfig,
     fam0: SmoothFamily,
     d_p0: FactoredInt,
-    total: Fraction,
+    mass: list,
 ) -> StagePlan:
     """Turn a config into a full plan."""
     r, x, k, delta = config.r, config.x, config.k, config.delta
@@ -521,7 +532,7 @@ def _resolve_plan(
             -float(r - delta) * dickman.zeta(k) / dickman.rho(2.0 / (1.0 - config.epsilon))
         )
         cutoff = int(lam_f * x)
-    cutoff, rem0 = _resolve_cutoff(fam0, d_p0, total, r, delta, cutoff)
+    cutoff, rem0 = _resolve_cutoff(fam0, d_p0, mass, r, delta, cutoff)
     lam = Fraction(cutoff, x)
 
     y_p, warnings = _select_y_prime(
@@ -736,7 +747,7 @@ def stage_two(
             failing_parameter="remainder",
         )
     lam_p, chosen, c_start = choose_lambda(
-        pool.members_a0.tolist(), remainder, x_p, plan.d_pool
+        pool.members_a0, remainder, x_p, plan.d_pool
     )
     boundary = lam_p.numerator * x_p // lam_p.denominator
 
@@ -873,7 +884,7 @@ def construct_dense(r, x: int, **options) -> Representation:
     stages; an r equal to the whole family's mass is refused, as no cutoff
     leaves it a positive remainder. All errors carry the failing parameter.
     """
-    config, plan, fam0, total = _plan_full(r, x, **options)
+    config, plan, fam0, mass = _plan_full(r, x, **options)
     r, x = config.r, config.x
 
     for retune in range(MAX_DELTA_RETUNES + 1):
@@ -903,7 +914,7 @@ def construct_dense(r, x: int, **options) -> Representation:
             if delta_new is None:
                 raise
             config = replace(config, delta=delta_new)
-            plan = _resolve_plan(config, fam0, plan.d_p0, total)
+            plan = _resolve_plan(config, fam0, plan.d_p0, mass)
 
     small = np.array(s2.a_prime + s2.c_minus + s2.d1 + s2.d2, dtype=np.int64)
     denominators = np.sort(np.concatenate([kept, small]))

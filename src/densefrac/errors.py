@@ -88,6 +88,13 @@ class BoundExceeded(DensefracError):
     exit_code = 6
 
 
+class SieveBoundExceeded(DensefracError):
+    """The request needs a sieve above the memory bound MAX_SIEVE_X."""
+
+    code = "sieve_bound"
+    exit_code = 7
+
+
 class RemainderNonPositive(DensefracError):
     """The running remainder left the open interval (0, r)."""
 

@@ -12,9 +12,9 @@ eliminate_prime applies a witness to cancel the factor p^l from a running
 denominator: given c/d with d | N and a stock S of divisors of N exactly
 divisible by p^l, it finds T subset of S, |T| < p, with the denominator of
 c/d + sum(1/n for n in T) dividing N/p. S may be any sequence of ints or an
-int64 array, with every value in int64. A slice is sorted, checked and
-reduced mod p in one array pass; only the exact n | N check runs on Python
-integers, and residues are made only as far as the solver reads them.
+int64 array, with every value in int64. A slice is checked (n | N by one
+limb division) and reduced mod p in array passes; residues are made only
+as far as the solver reads them, Python ints only for T and error texts.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 # through this module's namespace.
 from .arith import FactoredInt, exact_multiplicity, factorize, is_prime  # noqa: F401
 from .errors import DivisibilityError, EliminationFailed, ParameterError
+from .smooth import limb_division
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,8 @@ def eliminate_prime(
     n/p^l mod p come from one array pass over S. Any common multiple
     M of d and S carrying exactly p^l gives residues that differ from
     these by the unit N/M, so the witness does not depend on the choice of
-    common multiple. The check n | N stays exact, on Python integers.
+    common multiple. The check n | N stays exact, on limb_division's
+    remainders; an S already strictly ascending is not sorted again.
     """
     _check_prime(p)
     if l < 1:
@@ -139,18 +141,19 @@ def eliminate_prime(
     nval = N.value
     if nval % d != 0:
         raise DivisibilityError(f"denominator {d} does not divide N")
-    ascending = np.sort(_as_int64(S))
-    if (ascending[1:] == ascending[:-1]).any():
-        raise ParameterError("S must not contain duplicates")
+    ascending = _as_int64(S)
+    if not (ascending[1:] > ascending[:-1]).all():
+        ascending = np.sort(ascending)
+        if (ascending[1:] == ascending[:-1]).any():
+            raise ParameterError("S must not contain duplicates")
     elements = ascending[::-1]
-    elems = elements.tolist()
     n_pos = ascending.size - int(np.searchsorted(ascending, 1))
-    positive = elems[:n_pos]
-    if any(map(nval.__mod__, positive)):
-        bad = next(n for n in positive if nval % n)
+    remainders = limb_division(nval, elements[:n_pos])[1]
+    if remainders.any():  # the largest element that fails is reported
+        bad = elements[np.argmax(remainders != 0)]
         raise DivisibilityError(f"element {bad} does not divide N")
-    if n_pos < len(elems):
-        raise ParameterError(f"elements of S must be positive, got {elems[n_pos]}")
+    if n_pos < elements.size:
+        raise ParameterError(f"elements of S must be positive, got {elements[n_pos]}")
 
     # Every element divides N, so its p-multiplicity is at most l: it is
     # exactly l iff p^l divides it (the cofactor test guards the same).
@@ -169,7 +172,7 @@ def eliminate_prime(
             f"every element of S must be exactly divisible by {p}^{l}"
         )
     if not exact.all():
-        n = elems[int(np.argmin(exact))]
+        n = int(elements[np.argmin(exact)])
         raise ParameterError(
             f"element {n} has p-multiplicity {exact_multiplicity(n, p)}, "
             f"expected exactly {l}"
@@ -183,18 +186,18 @@ def eliminate_prime(
         return [], c_over_d
     # The solver stops at its first witness, typically within the first 2%
     # of a slice, so the residues are made as it reads them.
-    residues = (unit * pow(m, -1, p) % p for m in cof.tolist())
-    witness = _solve(residues, target, p, len(elems))
+    residues = (unit * pow(int(m), -1, p) % p for m in cof)
+    witness = _solve(residues, target, p, elements.size)
     if witness is None:
         raise EliminationFailed(
-            f"no subset of {len(elems)} multiples reaches the residue "
+            f"no subset of {elements.size} multiples reaches the residue "
             f"needed to cancel {p}^{l}",
             prime=p,
             power=l,
             failing_parameter="S",
             suggestion="enlarge S (lower lambda'), or switch x",
         )
-    T = [elems[i] for i in witness.indices]
+    T = [int(elements[i]) for i in witness.indices]
     if len(T) >= p:
         raise AssertionError("witness cardinality >= p")
     result = Fraction(c * (nval // d) + sum(nval // n for n in T), nval)

@@ -8,21 +8,21 @@ exact multiplicity; they are the ammunition for denominator-prime
 elimination.
 
 One vectorized sieve over [1, x], walking only the primes <= y (members
-are y-smooth), produces the membership mask and, exact for every y-smooth
-n, P(n) and its multiplicity. That one sieve serves every family a
-construction draws on: sub-families (higher cutoff, smaller x or y) are
-masked views of its arrays, not new sieves (SmoothFamily.sub_family).
+are y-smooth), finds the members and, exact for each, P(n) and its
+multiplicity; only these rows are kept. That one sieve serves every family
+a construction draws on: sub-families (higher cutoff, smaller x or y) are
+views of its rows, not new sieves (SmoothFamily.sub_family).
 Lambda thresholds are element boundaries (members strictly greater than
 lambda*x), so a stored rational cutoff reproduces the family exactly.
 
-A family's exact reciprocal mass over a common denominator m
-(reciprocal_sum) is one long division of m by all members at once,
-vectorized over 32-bit limbs of m; its final remainders double as the
-proof that every member divides m.
+limb_division divides one big m by many elements at once, vectorized over
+limbs of m; its quotient sums give exact reciprocal masses over the common
+denominator m, and a zero remainder is the proof that an element divides m.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -32,17 +32,21 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .arith import FactoredInt, is_prime, primes_in
-from .errors import DivisibilityError, InfeasibleMass, ParameterError
+from .errors import (
+    DivisibilityError,
+    InfeasibleMass,
+    ParameterError,
+    SieveBoundExceeded,
+)
 
 #: Resource guard: sieving above this bound is refused (memory budget).
 MAX_SIEVE_X = 60_000_000
 
-#: reciprocal_sum divides by elements below _ELEMENT_BOUND, _CHUNK of them
-#: at a time: a chunk's column sum of quotient digits (each below 2^32)
-#: stays far below 2^64, and its few uint64 arrays stay small.
+#: limb_division divides by _CHUNK elements at a time, so its few uint64
+#: arrays stay small; reciprocal_sum takes elements below _ELEMENT_BOUND.
 _ELEMENT_BOUND = 2**32
 _CHUNK = 1 << 13
-_LIMB_SHIFT = np.uint64(32)
+_BLOCK = 1 << 16  # build_family reads the sieve this many integers at a time
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,10 @@ class SmoothParams:
         if self.k < 2:
             raise ParameterError(f"need k >= 2, got {self.k}")
         if self.x > MAX_SIEVE_X:
-            raise ParameterError(
-                f"x={self.x} exceeds the sieve memory budget {MAX_SIEVE_X}"
+            raise SieveBoundExceeded(
+                f"x={self.x} exceeds the sieve memory budget {MAX_SIEVE_X}",
+                failing_parameter="x",
+                suggestion=f"use x <= {MAX_SIEVE_X}",
             )
         object.__setattr__(self, "lam", Fraction(self.lam))
 
@@ -79,26 +85,30 @@ class SmoothParams:
 class SmoothFamily:
     """Materialized family: ascending arrays of the members and of A0.
 
-    A family holds views of one sieve's per-integer arrays (P(n) and its
-    exact multiplicity, both exact for y-smooth n only, and the m^2+m-1
-    flag) and its own membership mask; every read is masked by membership.
-    All arrays are immutable after construction; reads are concurrent-safe.
+    A family reads one sieve's members table, the arrays (n ascending, P(n)
+    <= y, its multiplicity, A0 flag), at the rows cutoff < n <= x with
+    P(n) <= y. Slices are ranges of the rows ordered by (P(n), multiplicity,
+    n); views (sub_family) share the table, that order and the powers-of-two
+    rows. Arrays are never written after construction.
     """
 
-    def __init__(self, params: SmoothParams, lpf, expo, m2m1, member):
+    def __init__(self, params: SmoothParams, table):
         self.params = params
-        self._lpf = lpf
-        self._expo = expo
-        self._m2m1 = m2m1
-        self._member = member
-        self.members = np.flatnonzero(member).astype(np.int64)
-        a0 = member.copy()
-        a0[::2] = False
-        a0[m2m1] = False
-        self._a0_mask = a0
-        self.members_a0 = np.flatnonzero(a0).astype(np.int64)
-        self._slice_cache: dict = {}
-        self._pow2_cache: dict = {}
+        self.table = table
+        keys = table[1].astype(np.min_scalar_type((params.y + 1) * params.k))
+        keys = keys * params.k + table[2]
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
+        self._pow2_rows: dict = {}
+        self._cut()
+
+    def _cut(self):
+        n, lpf, _, a0 = self.table
+        bounds = (self.params.cutoff, self.params.x)
+        self._bounds = lo, hi = n.searchsorted(bounds, side="right")
+        smooth = lpf[lo:hi] <= self.params.y
+        self.members = n[lo:hi] if smooth.all() else n[lo:hi][smooth]
+        self.members_a0 = n[lo:hi][smooth & a0[lo:hi]]
 
     def sub_family(self, params: SmoothParams) -> "SmoothFamily":
         """The family for params as a view of this family's sieve.
@@ -115,11 +125,10 @@ class SmoothFamily:
             or min(params.w, params.y) != min(base.w, params.y)
         ):
             raise ParameterError(f"{params} is not a sub-family of {base}")
-        end = params.x + 1
-        lpf = self._lpf[:end]
-        member = self._member[:end] & (lpf <= params.y)
-        member[: params.cutoff + 1] = False
-        return SmoothFamily(params, lpf, self._expo[:end], self._m2m1[:end], member)
+        view = copy.copy(self)
+        view.params = params
+        view._cut()
+        return view
 
     def slice(self, p: int, l: int, a0: bool = False) -> np.ndarray:
         """Members with P(n) = p exactly divisible by p^l (ascending).
@@ -127,10 +136,6 @@ class SmoothFamily:
         Requires p prime and <= y, l < k, and l = 1 when p > w. With
         a0=True, restricted to the odd / not-m^2+m-1 sub-family.
         """
-        key = (p, l, a0)
-        cached = self._slice_cache.get(key)
-        if cached is not None:
-            return cached
         params = self.params
         if p > params.y:
             raise ParameterError(f"slice prime {p} exceeds y={params.y}")
@@ -140,24 +145,25 @@ class SmoothFamily:
             raise ParameterError(f"slice power must be 1 for p={p} > w={params.w}")
         if not is_prime(p):
             raise ParameterError(f"slice base {p} is not prime")
-        pl = p**l
-        cand = np.arange(pl, params.x + 1, pl, dtype=np.int64)
-        mask = self._a0_mask if a0 else self._member
-        sel = cand[mask[cand] & (self._lpf[cand] == p) & (self._expo[cand] == l)]
-        self._slice_cache[key] = sel
-        return sel
+        key = np.array((p * params.k + l, p * params.k + l + 1), self._keys.dtype)
+        lo, hi = self._keys.searchsorted(key).tolist()
+        rows = self._order[lo:hi]  # ascending: the sort is stable
+        lo, hi = rows.searchsorted(self._bounds).tolist()
+        rows = rows[lo:hi]
+        n, _, _, flag = self.table
+        return n[rows[flag[rows]]] if a0 else n[rows]
 
     def exact_power_of_two_members(self, l: int, p_max: int) -> np.ndarray:
         """Members exactly divisible by 2^l whose odd part is p_max-smooth.
 
         P(n) is 2 when the odd part is 1, so the bound is max(p_max, 2).
         """
-        if l not in self._pow2_cache:
-            m = self.members
-            cand = m[m % 2 ** (l + 1) == 2**l]
-            self._pow2_cache[l] = (cand, self._lpf[cand])
-        cand, lpf = self._pow2_cache[l]
-        return cand[lpf <= max(p_max, 2)]
+        n, lpf, _, _ = self.table
+        if l not in self._pow2_rows:
+            self._pow2_rows[l] = np.flatnonzero(n % 2 ** (l + 1) == 2**l)
+        lo, hi = self._pow2_rows[l].searchsorted(self._bounds).tolist()
+        rows = self._pow2_rows[l][lo:hi]
+        return n[rows[lpf[rows] <= min(max(p_max, 2), self.params.y)]]
 
 
 def build_family(params: SmoothParams) -> SmoothFamily:
@@ -167,15 +173,15 @@ def build_family(params: SmoothParams) -> SmoothFamily:
     p and, for each p^l <= x, writes l and multiplies the y-smooth part by
     p at the multiples of p^l. Larger primes overwrite smaller ones, so
     P(n) and its multiplicity are exact on y-smooth n, which are the n
-    whose y-smooth part is n itself. See sub_family for the views.
+    whose y-smooth part is n itself, once it is zeroed at multiples of p^k
+    and of q^2 for q > w. Only the members' rows are kept.
     """
     x, y, w, k = params.x, params.y, params.w, params.k
     idx_t = np.int32 if x < 2**31 else np.int64
     primes = primes_in(2, y)
-    small = primes[: bisect_right(primes, math.isqrt(x))]
     lpf = np.zeros(x + 1, dtype=idx_t)
     lpf[1] = 1
-    expo = np.zeros(x + 1, dtype=np.int8)
+    expo = np.zeros(x + 1, dtype=np.uint8)
     # divides n, so idx_t holds it
     smooth_part = np.ones(x + 1, dtype=idx_t)
     for p in primes:
@@ -186,37 +192,60 @@ def build_family(params: SmoothParams) -> SmoothFamily:
             smooth_part[pl::pl] *= p
             pl *= p
             l += 1
+    for p in primes[: bisect_right(primes, math.isqrt(x))]:
+        smooth_part[p**k :: p**k] = 0
+        if p > w:
+            smooth_part[p * p :: p * p] = 0
 
-    member = smooth_part == np.arange(x + 1, dtype=idx_t)
+    rows = []
+    for lo in range(params.cutoff + 1, x + 1, _BLOCK):
+        hi = min(lo + _BLOCK, x + 1)
+        own = smooth_part[lo:hi] == np.arange(lo, hi, dtype=idx_t)
+        rows.append(np.flatnonzero(own) + lo)
     del smooth_part
-    for p in small:
-        member[p**k :: p**k] = False
-    for q in small:
-        if q > w:
-            member[q * q :: q * q] = False
+    n = np.concatenate(rows)
+    lpf, expo = lpf[n], expo[n]  # the dense sieve arrays are freed here
+    # n = m^2 + m - 1 just when 4n + 5 = (2m + 1)^2; sqrt is exact on squares
+    root = np.sqrt(4 * n + 5).astype(np.int64)
+    a0 = (n & 1).astype(bool) & (root * root != 4 * n + 5)
+    return SmoothFamily(params, (n, lpf, expo, a0))
 
-    m2m1 = np.zeros(x + 1, dtype=bool)
-    m = 1
-    while m * m + m - 1 <= x:
-        m2m1[m * m + m - 1] = True
-        m += 1
 
-    member[: params.cutoff + 1] = False
-    return SmoothFamily(params, lpf, expo, m2m1, member)
+def limb_division(m: int, elements: np.ndarray):
+    """Divide m by every element at once: (sums, remainders).
+
+    sums[i] is the sum of m // n over the i-th run of _CHUNK elements, and
+    remainders holds each m mod n (uint64). Elements lie in [1, 2^63).
+
+    A schoolbook long division of m in s-bit limbs, most significant first,
+    with every n < 2^(64 - s): a remainder r < n becomes r * 2^s + limb <
+    2^64, and the quotient digits, each below 2^s <= 2^50, sum exactly in
+    uint64 over a chunk.
+    """
+    s = min(64 - int(elements.max(initial=1)).bit_length(), 50)
+    limbs = [m >> j & ((1 << s) - 1) for j in reversed(range(0, m.bit_length(), s))]
+    remainders = np.zeros(len(elements), dtype=np.uint64)
+    sums = []
+    for start in range(0, len(elements), _CHUNK):
+        n = elements[start : start + _CHUNK].astype(np.uint64)
+        r = remainders[start : start + _CHUNK]
+        q = np.empty_like(n)
+        chunk_sum = 0
+        for limb in limbs:
+            r <<= s
+            r |= limb
+            np.divmod(r, n, out=(q, r))
+            chunk_sum = (chunk_sum << s) + int(q.sum())
+        sums.append(chunk_sum)
+    return sums, remainders
 
 
 def reciprocal_sum(elements: Iterable[int], modulus: FactoredInt) -> Fraction:
     """Exact sum of 1/n over elements, all of which must divide modulus.
 
     The sum is num/m with num = sum(m // n) over the fixed common
-    denominator m, reduced once at the end. num comes from one schoolbook
-    long division of m by every element at once: m is walked in 32-bit
-    limbs, most significant first, over uint64 arrays of at most _CHUNK
-    elements. At each limb a remainder r < n becomes r * 2^32 + limb, which
-    stays below 2^64 because n < 2^32; its quotient digit is below 2^32,
-    so a chunk's column of digits sums exactly in uint64, and num is the
-    Horner sum of those columns. The final remainders are exactly m mod n,
-    so a zero remainder proves that n divides m.
+    denominator m, reduced once at the end; limb_division divides m by
+    _CHUNK elements at a time, so memory stays bounded by the chunk.
 
     Elements must lie below 2^32 (family members stay below MAX_SIEVE_X);
     a larger one raises ParameterError before any division. The first
@@ -235,32 +264,18 @@ def reciprocal_sum(elements: Iterable[int], modulus: FactoredInt) -> Fraction:
         raise ParameterError(
             f"element {int(big)} is not below 2**32, the limb division's range"
         )
-    n_limbs = (m.bit_length() + 31) // 32
-    limbs = np.frombuffer(m.to_bytes(4 * n_limbs, "big"), dtype=">u4")
-    limbs = limbs.astype(np.uint64)
-    columns = np.empty(n_limbs, dtype=np.uint64)
     num = 0
     for start in range(0, elements.size, _CHUNK):
         chunk = elements[start : start + _CHUNK]
         bad = chunk < 1
-        n = np.where(bad, 1, chunk).astype(np.uint64)
-        r = np.zeros_like(n)
-        q = np.empty_like(n)
-        for j, limb in enumerate(limbs):
-            r <<= _LIMB_SHIFT
-            r |= limb
-            np.divmod(r, n, out=(q, r))
-            columns[j] = q.sum()
-        bad |= r != 0
+        (chunk_sum,), remainders = limb_division(m, np.where(bad, 1, chunk))
+        bad |= remainders != 0
         if bad.any():
             raise DivisibilityError(
                 f"element {int(chunk[np.argmax(bad)])} does not divide the modulus",
                 failing_parameter="modulus",
             )
-        chunk_num = 0
-        for column in columns.tolist():
-            chunk_num = (chunk_num << 32) + column
-        num += chunk_num
+        num += chunk_sum
     return Fraction(num, m)
 
 
@@ -272,12 +287,13 @@ def choose_lambda(
 ):
     """Pick the largest element-boundary cutoff leaving a small remainder.
 
-    Walks the pool downward, keeping every element while the kept sum stays
-    strictly below alpha. Returns (lambda', chosen ascending, remainder)
-    with 0 < remainder <= 1/(lambda' * x'), the jump-size bound: the
-    boundary sits on the first element not taken (or just below the last
-    pool element when the whole pool is consumed). Every pool element must
-    divide the modulus.
+    Walks the pool (ints in [1, 2^32)) downward, keeping every element while
+    the kept sum stays strictly below alpha. Returns (lambda', chosen
+    ascending, remainder) with 0 < remainder <= 1/(lambda' * x'), the
+    jump-size bound: the boundary sits on the first element not taken (or
+    just below the last pool element when the whole pool is consumed).
+    Every pool element must divide the modulus (one limb_division checks
+    them all); the largest that does not raises DivisibilityError.
 
     Raises InfeasibleMass when even the whole pool leaves a remainder
     exceeding that bound.
@@ -285,31 +301,34 @@ def choose_lambda(
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    pool = sorted(int(n) for n in pool)
-    if not pool:
+    pool = np.sort(np.asarray(pool, dtype=np.int64))
+    if not pool.size:
         raise InfeasibleMass(
             "empty pool cannot approximate a positive value",
             failing_parameter="alpha",
             suggestion="enlarge x' or lower y'",
         )
     m = modulus.value
+    descending = pool[::-1]
+    remainders = limb_division(m, descending)[1]
+    if remainders.any():
+        e = descending[np.argmax(remainders != 0)]
+        raise DivisibilityError(f"pool element {e} does not divide the modulus")
     # Compare num/m against alpha without reducing: num*ad <=> an*m.
     an, ad = alpha.numerator, alpha.denominator
     an_m = an * m
     num = 0
     taken = 0
-    for e in reversed(pool):
+    for e in descending.tolist():
         step = m // e
-        if m % e != 0:
-            raise DivisibilityError(f"pool element {e} does not divide the modulus")
         if (num + step) * ad >= an_m:
             break
         num += step
         taken += 1
-    if taken < len(pool):
-        boundary = pool[-taken - 1]
+    if taken < pool.size:
+        boundary = int(pool[-taken - 1])
     else:
-        boundary = max(pool[0] - 1, 1)
+        boundary = max(int(pool[0]) - 1, 1)
     remainder = alpha - Fraction(num, m)
     if remainder * boundary > 1:  # remainder > 1/(lambda' x') = 1/boundary
         raise InfeasibleMass(
@@ -319,5 +338,5 @@ def choose_lambda(
             suggestion="increase x', lower y', or shrink alpha",
         )
     lam = Fraction(boundary, x_prime)
-    chosen = pool[len(pool) - taken :]
+    chosen = pool[pool.size - taken :].tolist()
     return lam, chosen, remainder

@@ -67,6 +67,17 @@ def test_construct_infeasible_exit_2():
     assert out["suggestion"]
 
 
+def test_construct_above_the_sieve_bound_exit_7():
+    """x above the sieve's memory bound is a typed refusal naming x, not a
+    usage error."""
+    p = run_cli("construct", "--r", "1", "--x", "100000000")
+    assert p.returncode == 7
+    out = json.loads(p.stdout)
+    assert out["code"] == "sieve_bound"
+    assert out["failing_parameter"] == "x"
+    assert "100000000" in out["message"] and "60000000" in out["message"]
+
+
 def test_construct_unsupported_denominator_exit_3():
     p = run_cli("construct", "--r", "1/1048576", "--x", "100000", "--k", "3")
     assert p.returncode == 3

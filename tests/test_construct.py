@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densefrac import dickman
-from densefrac.arith import is_prime
+from densefrac.arith import factorize, is_prime
 from densefrac.construct import (
     ConstructionConfig,
     StagePlan,
@@ -514,6 +514,48 @@ def test_constructor_guard_fires_on_a_lying_layer(name, liar, message, monkeypat
         construct_dense(Fraction(1, 3), 10**4)
 
 
+def _eliminate_repeating_its_first_pick():
+    """eliminate_prime, except that once it has picked a set T, each later
+    step that picks returns that T again, with the remainder it implies."""
+    first = []
+
+    def lying(c_over_d, N, S, p, l):
+        T, rem = eliminate_prime(c_over_d, N, S, p, l)
+        if first and T:
+            T = first[0]
+            rem = c_over_d + sum(Fraction(1, n) for n in T)
+        elif T:
+            first.append(T)
+        return T, rem
+
+    return lying
+
+
+def _eliminate_picking_nothing():
+    """eliminate_prime, except that it returns c/d unchanged, as if the
+    prime had been cancelled with no member."""
+    return lambda c_over_d, N, S, p, l: ([], c_over_d)
+
+
+@pytest.mark.parametrize(
+    "liar, message",
+    [
+        (_eliminate_repeating_its_first_pick, "B-sets overlap"),
+        (_eliminate_picking_nothing, "remainder escaped the divisor certificate"),
+    ],
+    ids=["repeated-pick", "nothing-picked"],
+)
+def test_elimination_step_guard_fires_on_a_lying_layer(liar, message, monkeypatch):
+    """_eliminate_step's own guards catch an elimination that telescopes
+    but lies: one that picks members an earlier step already took, and one
+    that leaves p^l in the remainder's denominator."""
+    import densefrac.construct as construct
+
+    monkeypatch.setattr(construct, "eliminate_prime", liar())
+    with pytest.raises(AssertionError, match=message):
+        construct_dense(Fraction(1, 3), 10**4)
+
+
 def _next_prime(n):
     return next(q for q in itertools.count(n + 1) if is_prime(q))
 
@@ -540,9 +582,13 @@ def test_mass_pass_refuses_a_lying_sieve(intruder, monkeypatch):
         n = intruder(params)
         assert params.cutoff < n <= params.x and n not in fam.members
         admitted.append(n)
-        member = fam._member.copy()
-        member[n] = True
-        return SmoothFamily(params, fam._lpf, fam._expo, fam._m2m1, member)
+        row = int(np.searchsorted(fam.table[0], n))
+        # P and its multiplicity as the sieve records them: over primes <= y
+        top, mult = [(q, e) for q, e in factorize(n).factors if q <= params.y][-1]
+        values = (n, top, mult, n % 2 == 1)
+        return SmoothFamily(
+            params, tuple(np.insert(col, row, v) for col, v in zip(fam.table, values))
+        )
 
     monkeypatch.setattr(construct, "build_family", lying)
     with pytest.raises(DivisibilityError) as err:

@@ -313,6 +313,30 @@ def test_eliminate_rejects_elements_beyond_int64():
         eliminate_prime(Fraction(1, 3), N, [3 * 2**62, 3 * 2**63], 3, 1)
 
 
+@pytest.mark.parametrize(
+    "S, message",
+    [
+        ([5 * 2**40 * 7, 5 * 2**33, 5], "element 38482906972160 does not divide N"),
+        ([5 * 2**33, 5 * 7, 5], "element 35 does not divide N"),
+        ([5 * 2**33, 5 * 2**32, 5 * 3, 5], None),
+    ],
+    ids=["large-fails", "small-fails", "all-divide"],
+)
+def test_eliminate_checks_elements_from_2_32_exactly(S, message):
+    """Elements from 2^32 up (never family members) are checked exactly
+    too, the largest failing element is reported, and the outcome is the
+    element-wise reference's."""
+    N = FactoredInt.from_factors([(2, 40), (3, 2), (5, 1)])
+    for d in (5, 15):
+        case = (Fraction(1, d), N, S, 5, 1)
+        got = _outcome(eliminate_prime, *case)
+        assert got == _outcome(_eliminate_scalar, *case)
+        if message:
+            assert got == (DivisibilityError, message)
+        else:
+            assert sum(Fraction(1, n) for n in got[0]) == got[1] - Fraction(1, d)
+
+
 def test_eliminate_power_beyond_int64():
     """p^l >= 2^63: no int64 element is a multiple of it."""
     N = factorize(2**64 * 3)

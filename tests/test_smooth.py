@@ -1,8 +1,10 @@
 import functools
+import gc
 import hashlib
 import math
 import random
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -18,11 +20,13 @@ from densefrac.errors import (
     DivisibilityError,
     InfeasibleMass,
     ParameterError,
+    SieveBoundExceeded,
 )
 from densefrac.smooth import (
     SmoothParams,
     build_family,
     choose_lambda,
+    limb_division,
     reciprocal_sum,
 )
 from oracles import factor_over
@@ -121,8 +125,33 @@ def test_sub_family_rejects_non_subsets():
     # w-conditions that agree on y'-smooth integers are a sub-family
     pool = base.sub_family(SmoothParams(x=500, y=7, w=7, lam=Fraction(0), k=3))
     assert pool.members.tolist() == base.members[
-        (base.members <= 500) & (base._lpf[base.members] <= 7)
+        (base.members <= 500) & (base.table[1] <= 7)  # the P(n) column
     ].tolist()
+
+
+@pytest.mark.parametrize("y, k", [(100_000, 2), (177, 3)])
+def test_family_holds_no_dense_sieve_array(y, k):
+    """Nothing reachable from a family or its views is an array longer than
+    the members table: the sieve's length-(x+1) arrays die in build_family."""
+    x = 100_000
+    fam = build_family(SmoothParams(x=x, y=y, w=31, lam=Fraction(0), k=k))
+    view = fam.sub_family(SmoothParams(x=x // 2, y=7, w=7, lam=Fraction(0), k=k))
+    view.slice(5, 1)
+    view.exact_power_of_two_members(1, 7)
+    rows = fam.table[0].size  # at most x: one row per member in [1, x]
+    seen = set()
+    stack = [fam, view]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            assert obj.size <= rows
+            if obj.base is not None:
+                stack.append(obj.base)
+        stack.extend(gc.get_referents(obj))
+    assert id(fam.table[1]) in seen and id(view.members) in seen
 
 
 def _member_predicates(n, params):
@@ -219,7 +248,7 @@ def test_partition_identity(mid_family):
     params = mid_family.params
     members = mid_family.members
     for y_prime in (10, 30):
-        core = members[mid_family._lpf[members] <= y_prime]
+        core = members[mid_family.table[1] <= y_prime]  # P(n) <= y'
         total = len(core)
         union = set(int(v) for v in core)
         for p in [q for q in range(y_prime + 1, params.y + 1) if factorize(q).factors == ((q, 1),)]:
@@ -357,6 +386,35 @@ def test_reciprocal_sum_matches_scalar_loop(case, form, chunk):
     assert got == _outcome(_reciprocal_sum_scalar, elements, modulus)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.one_of(st.integers(1, 2**64), st.integers(1, 2**2100)),
+    elements=st.lists(
+        st.one_of(
+            st.integers(1, 2**32 - 1),
+            st.integers(2**32 - 2**8, 2**32 - 1),
+            st.integers(1, 2**20),
+            st.integers(1, 7),
+            st.integers(2**32, 2**63 - 1),
+        ),
+        max_size=40,
+    ),
+    chunk=st.sampled_from([8, smooth._CHUNK]),
+)
+def test_limb_division_matches_python(m, elements, chunk):
+    """Remainders equal m % n and chunk sums equal the sums of m // n, over
+    chunk boundaries (chunks of 8), for elements just below 2^32 and for
+    int64 elements above it (narrower limbs)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smooth, "_CHUNK", chunk)
+        sums, remainders = limb_division(m, np.array(elements, dtype=np.int64))
+    assert remainders.tolist() == [m % n for n in elements]
+    assert sums == [
+        sum(m // n for n in elements[i : i + chunk])
+        for i in range(0, len(elements), chunk)
+    ]
+
+
 def test_reciprocal_sum_largest_element():
     """r * 2^32 + limb peaks below 2^64 when n = 2^32 - 1 divides m."""
     top = 2**32 - 1  # 3 * 5 * 17 * 257 * 65537
@@ -432,8 +490,9 @@ def test_choose_lambda_properties(mid_family):
 
 
 def test_resource_guard():
-    with pytest.raises(ParameterError):
+    with pytest.raises(SieveBoundExceeded) as err:
         SmoothParams(x=10**9, y=10**6, w=10**6, lam=Fraction(0), k=2)
+    assert err.value.failing_parameter == "x"
 
 
 def test_family_census_at_1e6():
