@@ -19,9 +19,12 @@ Planning sieves [1, x] once and fixes every stage input: the cutoff, the
 bounds y' and x', and the moduli D(p0) and D(p0') (p0' the next prime above
 y'; its odd part is D0(y')). The family's exact mass is summed once, and
 the cutoff and stage-one remainder take the members below the cutoff off it.
-Per plan, construct_dense takes the stage-one family and the stage-two pool
-as views of the sieve and passes each stage the view it reads as an
-argument; the plan holds no view, so no view outlives the construction.
+The candidates for y' are judged on slice sizes that one census of the
+sieve's members table counts per range (SmoothFamily.census); no slice is
+built to be measured. Per plan, construct_dense takes the stage-one family
+and the stage-two pool as views of the sieve and passes each stage the
+view it reads as an argument; the plan holds no view, so no view outlives
+the construction.
 
 Every step re-verifies its divisibility certificate and exact telescoping;
 nothing is trusted from asymptotics. Where the source analysis needs "x
@@ -35,6 +38,7 @@ satisfies the odd-expansion precondition within the size budget.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -230,10 +234,6 @@ def _primes_between(lo: int, hi: int) -> list:
     return primes_in(lo, hi) if lo <= hi else []
 
 
-def _count_above(arr: np.ndarray, cutoff: int) -> int:
-    return int(arr.size - np.searchsorted(arr, cutoff, side="right"))
-
-
 def _spec_y_doubleprime(x: int, k: int) -> int:
     """Largest bound with prod_{p <= y''} p^k <= x^(2/3) (exact compare)."""
     prod = 1
@@ -319,23 +319,6 @@ def _exit_prime(cutoff: int, k: int) -> int:
     return best
 
 
-def _stage_one_deficit(fam0: SmoothFamily, y_p: int, cutoff: int):
-    """(q, l) pairs of the stage-one q-loop whose slice above the cutoff
-    holds fewer than q-1 members (no |S| >= q-1 guarantee)."""
-    out = []
-    for q in _primes_between(y_p, fam0.params.w):
-        for l in range(1, fam0.params.k):
-            if _count_above(fam0.slice(q, l), cutoff) < q - 1:
-                out.append((q, l))
-    return out
-
-
-def _stage_two_pool(fam0: SmoothFamily, y_p: int, x_p: int) -> SmoothFamily:
-    """A(x', y'; y', 0), a view of the planning sieve."""
-    params = SmoothParams(x=x_p, y=y_p, w=y_p, lam=Fraction(0), k=fam0.params.k)
-    return fam0.sub_family(params)
-
-
 def _ladders(pool: SmoothFamily, q_e: int) -> list:
     """(q, slice) for every q'-ladder the early Breusch hand-off cannot
     absorb: primes q in [q_e, y'), powers 1..k-1, over the pool's A0."""
@@ -361,7 +344,11 @@ def _select_y_prime(
     q-loop slice holds |S| >= q-1 members above the current cutoff and
     (b) every stage-two ladder that the early Breusch hand-off cannot absorb
     is thick enough for the subset-sum heuristic. Falls back to the least
-    deficient candidate with a warning."""
+    deficient candidate with a warning.
+
+    Candidates read sizes off censuses of the planning family: one over
+    (cutoff, x] for the stage-one slices and powers-of-two stocks, one over
+    A0 in (0, x'] per distinct x' for the pool A(x', y'; y', 0)'s ladders."""
     k = fam0.params.k
     top = min(fam0.params.w, 30, fam0.params.y)
     if override is not None:
@@ -382,29 +369,33 @@ def _select_y_prime(
         )
     candidates = [v for v in range(top, 5, -1) if not is_prime(v)]
     q_e = _exit_prime(cutoff, k)
-    best = None
-    best_score = None
+    primes = primes_in(2, fam0.params.w)
+    slices, pow2 = fam0.census(cutoff, fam0.params.x)
+    # per prime q, the levels l < k that are thin: in stage one (|S| < q-1)
+    # and, per x', in the stage-two ladders (|S| < _ladder_threshold(q))
+    thin_one = (slices[primes, 1:] < np.array(primes)[:, None] - 1).sum(axis=1)
+    ample = np.array([[_ladder_threshold(q)] for q in primes])
+    thin_ladders = {}
+    best = best_score = None
     for y_p in candidates:
         # The powers-of-two cleanup needs one exactly divisible element with
         # a y'-smooth odd part per level; an empty stock is a hard veto.
-        if any(
-            not _count_above(fam0.exact_power_of_two_members(l, y_p), cutoff)
-            for l in range(1, k)
-        ):
+        if not pow2[1:, y_p].all():
             continue
         x_p = _x_prime(y_p, k, cutoff, x_prime_override)
         if x_p < y_p:
             continue
         if x_p > cutoff:  # plan.validate() rejects this x' whatever y' is
             return y_p, []
-        deficit1 = _stage_one_deficit(fam0, y_p, cutoff)
-        deficit2 = sum(
-            int(ladder.size) < _ladder_threshold(q)
-            for q, ladder in _ladders(_stage_two_pool(fam0, y_p, x_p), q_e)
-        )
+        if x_p not in thin_ladders:
+            ladders = fam0.census(0, x_p, a0=True)[0][primes, 1:]
+            thin_ladders[x_p] = (ladders < ample).sum(axis=1)
+        i = bisect_left(primes, y_p)  # stage one: [y', w]; ladders: [q_e, y')
+        deficit1 = int(thin_one[i:].sum())
+        deficit2 = int(thin_ladders[x_p][bisect_left(primes, q_e) : i].sum())
         if not deficit1 and not deficit2:
             return y_p, []
-        score = (len(deficit1), deficit2)
+        score = (deficit1, deficit2)
         if best_score is None or score < best_score:
             best, best_score = y_p, score
     if best is None:
@@ -570,7 +561,9 @@ def _resolve_plan(
 
 
 def _sum_recips(elements) -> Fraction:
-    return sum((Fraction(1, int(n)) for n in elements), Fraction(0))
+    elements = [int(n) for n in elements]
+    lcm = math.lcm(*elements)
+    return Fraction(sum(lcm // n for n in elements), lcm)
 
 
 def _eliminate_step(trace, stage, removed, rem, n_mod, S, p, l):
@@ -750,6 +743,8 @@ def stage_two(
         pool.members_a0, remainder, x_p, plan.d_pool
     )
     boundary = lam_p.numerator * x_p // lam_p.denominator
+    q2, k = plan.q2_primes, config.k
+    ladders = {(q, l): pool.slice(q, l, a0=True) for q in q2 for l in range(1, k)}
 
     # Each attempt drops one more of the smallest chosen elements back into
     # the residual; at least one chosen element stays.
@@ -760,7 +755,7 @@ def stage_two(
             c_start += Fraction(1, boundary)
         try:
             result = _stage_two_attempt(
-                c_start, chosen[drop:], boundary, pool, plan, config, kept
+                c_start, chosen[drop:], boundary, ladders, plan, config, kept
             )
         except (EliminationFailed, BreuschPreconditionFailed, BoundExceeded):
             if drop == attempts - 1:
@@ -782,14 +777,14 @@ def _stage_two_attempt(
     c_start: Fraction,
     selection: list,
     boundary: int,
-    pool: SmoothFamily,
+    ladders: dict,
     plan: StagePlan,
     config: ConstructionConfig,
     kept: np.ndarray,
 ) -> StageTwoResult:
-    """Stage two at one cut: the q'-loop over pool members above boundary
-    (eliminating over the pool modulus D(p0')), the odd expansion and the
-    four-set repair."""
+    """Stage two at one cut: the q'-loop over the members above boundary of
+    the pool's ladders {(q, l): slice} (eliminating over the pool modulus
+    D(p0')), the odd expansion and the four-set repair."""
     k, x, cap = config.k, config.x, plan.cutoff
     c, n_mod = c_start, plan.d_pool
     trace = StageTrace()
@@ -804,9 +799,9 @@ def _stage_two_attempt(
                 early_prime = q
                 break
         for l in range(k - 1, 0, -1):
-            s_all = pool.slice(q, l, a0=True)
-            s_sel = s_all[s_all > boundary]
-            c, n_mod = _eliminate_step(trace, "q'-loop", removed, c, n_mod, s_sel, q, l)
+            rung = ladders[q, l]
+            rung = rung[rung > boundary]
+            c, n_mod = _eliminate_step(trace, "q'-loop", removed, c, n_mod, rung, q, l)
 
     if expansion is None:
         expansion = _try_expansion(c, cap, x)
@@ -892,7 +887,8 @@ def construct_dense(r, x: int, **options) -> Representation:
             SmoothParams(x=x, y=plan.y, w=plan.w, lam=plan.lam, k=config.k)
         )
         kept, alpha, trace1 = stage_one(config, plan, fam_l)
-        pool = _stage_two_pool(fam0, plan.y_prime, plan.x_prime)
+        y_p, x_p = plan.y_prime, plan.x_prime  # the pool A(x', y'; y', 0)
+        pool = fam0.sub_family(SmoothParams(x_p, y_p, y_p, Fraction(0), config.k))
         try:
             s2 = stage_two(alpha, plan, config, pool, kept)
             break

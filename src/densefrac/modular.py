@@ -2,11 +2,11 @@
 
 The solver mirrors the inductive proof that t nonzero residues reach at
 least min(p, t+1) sums: it grows the achievable set one residue at a time,
-extending existing sums by single elements and keeping the first witness
-found for each residue. With at least p-1 residues every target is
-guaranteed. With fewer the solver is still exact, and it usually succeeds
-(random residue sets cover Z_p once their size is a small power of log p);
-only the guarantee is lost.
+extending existing sums by single elements (one rotation of a p-bit set)
+and keeping the first witness found for each residue. With at least p-1
+residues every target is guaranteed. With fewer the solver is still exact,
+and it usually succeeds (random residue sets cover Z_p once their size is
+a small power of log p); only the guarantee is lost.
 
 eliminate_prime applies a witness to cancel the factor p^l from a running
 denominator: given c/d with d | N and a stock S of divisors of N exactly
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,45 +45,42 @@ def _check_prime(p: int) -> None:
         raise ParameterError(f"{p} is not prime")
 
 
-def _grow_achievable(
-    residues: Iterable[int], p: int, target: int
-) -> Dict[int, Tuple[int, ...]]:
-    """Insert residues one at a time; stop once target is reachable.
-
-    Returns the achievable map {residue: first witness}. Insertion order is
-    the input order; witnesses are never overwritten, so results are
-    deterministic.
-    """
-    reached: Dict[int, Tuple[int, ...]] = {0: ()}
-    if target == 0:
-        return reached
-    for i, x in enumerate(residues):
-        fresh = []
-        for s, wit in reached.items():
-            t = (s + x) % p
-            if t not in reached:
-                fresh.append((t, wit + (i,)))
-        for t, wit in fresh:
-            if t not in reached:
-                reached[t] = wit
-        if target in reached:
-            break
-    return reached
-
-
 def _solve(
     rs: Iterable[int], target: int, p: int, t: int
 ) -> Optional[SubsetWitness]:
     """First-found subset of the t residues rs, each in [1, p) for p prime,
     summing to target in [0, p) mod p; None when the target is unreachable
     (possible only with fewer than p-1 residues). The empty witness answers
-    target 0. rs is read only up to the first witness found."""
-    reached = _grow_achievable(rs, p, target)
-    if target not in reached:
+    target 0. rs is read only up to the first witness found.
+
+    The reached sums are the bits of a p-bit int, grown by one residue x
+    at a time: the sums first reached at that step are the rotation of the
+    reached set by x less the set itself. Each sum s != 0 was first reached
+    at one step i, from s - x_i, reached before step i; walking that back
+    to 0 gives the indices of s's witness, the first one found."""
+    if target == 0:
+        return SubsetWitness(indices=(), achieved=0)
+    mask = (1 << p) - 1
+    reached = 1  # the empty sum 0
+    steps = []  # (x, the sums first reached by adding x)
+    for x in rs:
+        new = (reached << x | reached >> (p - x)) & mask & ~reached
+        reached |= new
+        steps.append((x, new))
+        if reached >> target & 1:
+            break
+    else:
         if t >= p - 1:
             raise AssertionError(f"coverage guarantee violated for p={p}, t={t}")
         return None
-    return SubsetWitness(indices=reached[target], achieved=target)
+    indices = []
+    s, i = target, len(steps) - 1
+    while s:
+        while not steps[i][1] >> s & 1:
+            i -= 1
+        indices.append(i)
+        s = (s - steps[i][0]) % p
+    return SubsetWitness(indices=tuple(reversed(indices)), achieved=target)
 
 
 def _as_int64(S) -> np.ndarray:

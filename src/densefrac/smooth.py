@@ -5,7 +5,8 @@ y-smooth, k-free, and squarefree with respect to primes exceeding w
 (d^2 | n implies P(d) <= w). A0 is the odd members excluding the values
 m^2 + m - 1. Slices group members by their largest prime factor and its
 exact multiplicity; they are the ammunition for denominator-prime
-elimination.
+elimination. A census counts every slice over a range of n, off the same
+table, without building one.
 
 One vectorized sieve over [1, x], walking only the primes <= y (members
 are y-smooth), finds the members and, exact for each, P(n) and its
@@ -159,11 +160,48 @@ class SmoothFamily:
         P(n) is 2 when the odd part is 1, so the bound is max(p_max, 2).
         """
         n, lpf, _, _ = self.table
-        if l not in self._pow2_rows:
-            self._pow2_rows[l] = np.flatnonzero(n % 2 ** (l + 1) == 2**l)
-        lo, hi = self._pow2_rows[l].searchsorted(self._bounds).tolist()
-        rows = self._pow2_rows[l][lo:hi]
+        rows = self._power_of_two_rows(l)
+        lo, hi = rows.searchsorted(self._bounds).tolist()
+        rows = rows[lo:hi]
         return n[rows[lpf[rows] <= min(max(p_max, 2), self.params.y)]]
+
+    def _power_of_two_rows(self, l: int) -> np.ndarray:
+        """Table rows of the n exactly divisible by 2^l (made once per sieve)."""
+        if l not in self._pow2_rows:
+            n = self.table[0]
+            self._pow2_rows[l] = np.flatnonzero(n % 2 ** (l + 1) == 2**l)
+        return self._pow2_rows[l]
+
+    def census(self, lo: int, hi: int, a0: bool = False):
+        """Slice and powers-of-two stock sizes over the members lo < n <= hi.
+
+        Returns (slices, pow2): slices[p, l] members of slice(p, l, a0), for
+        p <= y and 1 <= l < k (1 itself counts at [1, 0]); pow2[l, p]
+        members of exact_power_of_two_members(l, p) (none when a0), for
+        1 <= l < k and 2 <= p <= y. The range is one run of table rows, so
+        the keys P(n)*k + multiplicity are counted a _BLOCK of rows at a
+        time in their own dtype; no array spans the range.
+        """
+        k, y = self.params.k, self.params.y
+        n, lpf, expo, flag = self.table
+        lo = max(lo, self.params.cutoff)
+        bounds = (lo, max(lo, min(hi, self.params.x)))
+        lo, hi = n.searchsorted(bounds, side="right").tolist()
+        slices = np.zeros((y + 1) * k, dtype=np.int64)
+        for start in range(lo, hi, _BLOCK):
+            run = slice(start, min(start + _BLOCK, hi))
+            keys = lpf[run].astype(self._keys.dtype)
+            keys *= k
+            keys += expo[run]
+            if a0:
+                keys = keys[flag[run]]
+            slices += np.bincount(keys, minlength=slices.size)[: slices.size]
+        pow2 = np.zeros((k, y + 1), dtype=np.int64)
+        for l in range(1, 1 if a0 else k):  # A0 is odd
+            rows = self._power_of_two_rows(l)
+            rows = rows[rows.searchsorted(lo) : rows.searchsorted(hi)]
+            pow2[l] = np.bincount(lpf[rows], minlength=y + 1)[: y + 1].cumsum()
+        return slices.reshape(y + 1, k), pow2
 
 
 def build_family(params: SmoothParams) -> SmoothFamily:

@@ -50,3 +50,18 @@ def certificate_fields(r, S, x):
         "size": size,
         "max_element": max(S, default=None),
     }
+
+
+def first_found_witness(residues, p, target):
+    """The subset-sum solver's reference: a dict {sum mod p: witness},
+    grown one residue at a time (index i extends every sum reached before
+    it), never overwriting a witness and stopping once target is reached.
+    Returns target's witness, a tuple of increasing indices, or None."""
+    reached = {0: ()}
+    for i, x in enumerate(residues):
+        if target in reached:
+            break
+        fresh = [((s + x) % p, wit + (i,)) for s, wit in reached.items()]
+        for t, wit in fresh:
+            reached.setdefault(t, wit)
+    return reached.get(target)

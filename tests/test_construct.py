@@ -17,6 +17,7 @@ from densefrac.construct import (
     ConstructionConfig,
     StagePlan,
     _plan_full,
+    _select_y_prime,
     construct_dense,
     four_set_repair,
     modulus_product,
@@ -176,6 +177,26 @@ def test_plan_bounds_invariants():
     assert plan.p_primes == sorted(plan.p_primes, reverse=True)
     assert all(plan.w < p <= plan.y for p in plan.p_primes)
     assert all(plan.y_prime <= q <= plan.w for q in plan.q_primes)
+
+
+@pytest.mark.parametrize(
+    "r, x, y_prime, deficits",
+    [
+        (Fraction(2, 3), 10**4, 10, (0, 3)),
+        (Fraction(1, 2), 2000, 6, (0, 2)),
+        (Fraction(1, 8), 10**5, 10, (1, 0)),
+    ],
+)
+def test_select_y_prime_thin_fallback(r, x, y_prime, deficits):
+    """When every candidate leaves thin slices, the least deficient y' is
+    chosen and the warning names its (stage-one, ladder) deficit counts."""
+    _, plan, fam0, _ = _plan_full(r, x)
+    warning = (
+        f"every y' candidate leaves thin slices (best {y_prime}, deficits "
+        f"{deficits}); relying on opportunistic eliminations"
+    )
+    assert _select_y_prime(fam0, plan.cutoff, None, None) == (y_prime, [warning])
+    assert (plan.y_prime, plan.warnings) == (y_prime, [warning])
 
 
 def test_stage_two_empty_loop_expansion():

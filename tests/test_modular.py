@@ -12,7 +12,7 @@ from densefrac.arith import FactoredInt, factorize
 from densefrac.errors import DivisibilityError, EliminationFailed, ParameterError
 import densefrac.modular as modular
 from densefrac.modular import SubsetWitness, _check_prime, _solve, eliminate_prime
-from oracles import factor_over, subset_sums_mod_p
+from oracles import factor_over, first_found_witness, subset_sums_mod_p
 
 
 def solve(residues, target, p):
@@ -49,6 +49,20 @@ def test_witness_sums_to_target():
         else:
             assert sum(residues[i] for i in w.indices) % p == target % p
             assert len(set(w.indices)) == len(w.indices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_witness_is_the_first_found(data):
+    """The solver's witness is the dict reference's: the first one found."""
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 31, 61, 127, 251]))
+    residues = data.draw(st.lists(st.integers(1, p - 1), max_size=min(2 * p, 300)))
+    target = data.draw(st.integers(0, p - 1))
+    w = solve(residues, target, p)
+    want = first_found_witness(residues, p, target)
+    assert (None if w is None else w.indices) == want
+    if w is not None:
+        assert w.achieved == target
 
 
 def test_coverage_examples():

@@ -109,6 +109,37 @@ def test_sub_family_matches_fresh_sieve(case):
             assert got.tolist() == fresh.exact_power_of_two_members(l, p_max).tolist()
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=_sub_family_case(), data=st.data())
+def test_census_counts_slices_and_stocks(case, data):
+    """census(lo, hi, a0) counts, over lo < n <= hi, the members of every
+    slice(p, l, a0) and of exact_power_of_two_members(l, p_max), on the
+    planning family and on a view of it."""
+    base = build_family(case[0])
+    for fam in (base, base.sub_family(case[1])):
+        params = fam.params
+        lo = data.draw(st.integers(-1, params.x + 1))
+        hi = data.draw(st.integers(-1, params.x + 1))
+
+        def in_range(arr):
+            return int(((arr > lo) & (arr <= hi)).sum())
+
+        for a0 in (False, True):
+            slices, pow2 = fam.census(lo, hi, a0)
+            assert slices.shape == (params.y + 1, params.k)
+            assert pow2.shape == (params.k, params.y + 1)
+            # every member but 1 lies in exactly one slice; 1 counts at [1, 0]
+            assert slices.sum() == in_range(fam.members_a0 if a0 else fam.members)
+            for p in primes_in(2, params.y):
+                for l in range(1, 2 if p > params.w else params.k):
+                    assert slices[p, l] == in_range(fam.slice(p, l, a0))
+            # the stock changes with p_max only where p_max crosses a prime
+            for l in range(1, params.k):
+                for p_max in [2, params.y] + primes_in(2, params.y):
+                    stock = fam.exact_power_of_two_members(l, p_max)
+                    assert pow2[l, p_max] == (0 if a0 else in_range(stock))
+
+
 def test_sub_family_rejects_non_subsets():
     base = build_family(SmoothParams(x=1000, y=100, w=10, lam=Fraction(0), k=3))
     cut = base.sub_family(SmoothParams(x=1000, y=100, w=10, lam=Fraction(1, 2), k=3))
