@@ -16,9 +16,11 @@ therefore disjoint from everything odd; the not-m^2+m-1 membership rule
 makes the two repair sets disjoint from each other.
 
 Planning sieves [1, x] once and fixes every stage input: the cutoff, the
-bounds y' and x', and the moduli D(p0) and D(p0') (p0' the next prime above
-y'; its odd part is D0(y')). The family's exact mass is summed once, and
-the cutoff and stage-one remainder take the members below the cutoff off it.
+bounds y' and x', and the moduli D(p0) and D(p0'), the products over the
+primes <= y and <= y' (the odd part of D(p0') is D0(y')). The moduli, the
+y' candidates and both stages' prime loops read the sieve's prime list
+(SmoothFamily.primes). The family's exact mass is summed once, and the
+cutoff and stage-one remainder take the members below the cutoff off it.
 The candidates for y' are judged on slice sizes that one census of the
 sieve's members table counts per range (SmoothFamily.census); no slice is
 built to be measured. Per plan, construct_dense takes the stage-one family
@@ -38,7 +40,7 @@ satisfies the odd-expansion precondition within the size budget.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -46,14 +48,7 @@ from typing import Optional
 import numpy as np
 
 from . import dickman
-from .arith import (
-    FactoredInt,
-    exact_multiplicity,
-    factorize,
-    is_prime,
-    largest_prime_factor,
-    primes_in,
-)
+from .arith import FactoredInt, exact_multiplicity, largest_prime_factor, primes_in
 from .errors import (
     BoundExceeded,
     BreuschPreconditionFailed,
@@ -79,6 +74,8 @@ MAX_STAGE_TWO_ATTEMPTS = 48
 MAX_DELTA_RETUNES = 3
 MAX_K = 64
 _MASS_CHUNK = 1 << 13  # planning sums the family's mass per this many members
+_TRIAL_BOUND = 10**6  # r's denominator is trial-divided this far, past any y
+_SMALL_PRIMES = primes_in(2, 64)  # y'' and the exit prime may lie above y
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ class ConstructionConfig:
 
 @dataclass
 class StagePlan:
-    """Derived bounds, moduli and descending prime lists for both stages."""
+    """Derived bounds and moduli; each stage reads its primes between them."""
 
     x: int
     y: int
@@ -108,11 +105,8 @@ class StagePlan:
     y_prime: int
     x_prime: int
     y_doubleprime: int
-    d_p0: FactoredInt  # D(p0), p0 the next prime above y
-    d_pool: FactoredInt  # D(p0'), p0' the next prime above y'; odd part D0(y')
-    p_primes: list
-    q_primes: list
-    q2_primes: list
+    d_p0: FactoredInt  # D(p0), over the primes <= y
+    d_pool: FactoredInt  # D(p0'), over the primes <= y'; odd part D0(y')
     warnings: list = field(default_factory=list)
 
     def validate(self):
@@ -208,37 +202,22 @@ class Representation:
         }
 
 
-def modulus_product(z: int, w: int, k: int) -> FactoredInt:
-    """D(z) = prod_{p<z, p<=w} p^(k-1) * prod_{w<p<z} p (1 when z <= 2).
-
-    The odd part D0(z) is modulus_product(z, w, k).odd_part().
-    """
-    if z <= 2:
-        return FactoredInt.one()
-    return FactoredInt.from_factors(
-        [(p, k - 1 if p <= w else 1) for p in primes_in(2, z - 1)]
-    )
+def modulus_product(primes: list, w: int, k: int) -> FactoredInt:
+    """prod_{p<=w} p^(k-1) * prod_{p>w} p over the ascending primes given:
+    D(z) over the primes below z (1 for none); its odd part is D0(z)."""
+    return FactoredInt.from_factors([(p, k - 1 if p <= w else 1) for p in primes])
 
 
-def _next_prime_above(n: int) -> int:
-    # Bertrand: a prime exists in (n, 2n); scan a couple of windows anyway.
-    lo = n + 1
-    while True:
-        ps = primes_in(lo, 2 * lo + 16)
-        if ps:
-            return ps[0]
-        lo = 2 * lo + 17
-
-
-def _primes_between(lo: int, hi: int) -> list:
-    return primes_in(lo, hi) if lo <= hi else []
+def _between(primes: list, lo: int, hi: int) -> list:
+    """The primes lo <= p <= hi of the ascending list primes, descending."""
+    return primes[bisect_left(primes, lo) : bisect_right(primes, hi)][::-1]
 
 
 def _spec_y_doubleprime(x: int, k: int) -> int:
     """Largest bound with prod_{p <= y''} p^k <= x^(2/3) (exact compare)."""
     prod = 1
     last = 1
-    for p in primes_in(2, 64):
+    for p in _SMALL_PRIMES:
         cand = prod * p**k
         if cand**3 > x * x:
             break
@@ -311,7 +290,7 @@ def _exit_prime(cutoff: int, k: int) -> int:
     worst = 5 * 3 ** max(k - 1, 2)
     if worst > cutoff:
         return best
-    for q in primes_in(5, 64):
+    for q in _SMALL_PRIMES[2:]:
         if worst > cutoff:
             break
         best = q
@@ -324,7 +303,7 @@ def _ladders(pool: SmoothFamily, q_e: int) -> list:
     absorb: primes q in [q_e, y'), powers 1..k-1, over the pool's A0."""
     return [
         (q, pool.slice(q, l, a0=True))
-        for q in _primes_between(q_e, pool.params.y - 1)
+        for q in _between(pool.primes, q_e, pool.params.y - 1)
         for l in range(1, pool.params.k)
     ]
 
@@ -351,6 +330,7 @@ def _select_y_prime(
     A0 in (0, x'] per distinct x' for the pool A(x', y'; y', 0)'s ladders."""
     k = fam0.params.k
     top = min(fam0.params.w, 30, fam0.params.y)
+    primes = fam0.primes[: bisect_right(fam0.primes, fam0.params.w)]
     if override is not None:
         y_p = override
         if y_p > top or y_p < 4:
@@ -358,7 +338,7 @@ def _select_y_prime(
                 f"y' override {y_p} outside [4, min(w, 30, y)] = [4, {top}]",
                 failing_parameter="y_prime",
             )
-        while is_prime(y_p):
+        while y_p in primes:
             y_p -= 1
         return max(y_p, 4), []
     if top < 6:
@@ -367,9 +347,8 @@ def _select_y_prime(
             failing_parameter="x",
             suggestion="increase x",
         )
-    candidates = [v for v in range(top, 5, -1) if not is_prime(v)]
+    candidates = [v for v in range(top, 5, -1) if v not in primes]
     q_e = _exit_prime(cutoff, k)
-    primes = primes_in(2, fam0.params.w)
     slices, pow2 = fam0.census(cutoff, fam0.params.x)
     # per prime q, the levels l < k that are thin: in stage one (|S| < q-1)
     # and, per x', in the stage-two ladders (|S| < _ladder_threshold(q))
@@ -411,6 +390,22 @@ def _select_y_prime(
     return best, warnings
 
 
+def _factor_denominator(b: int) -> Optional[list]:
+    """b's prime factors [(p, e)] ascending, by trial division by every
+    d <= _TRIAL_BOUND that stops once d^2 exceeds the cofactor (then 1 or a
+    prime). None when the cofactor left is at least (_TRIAL_BOUND + 1)^2:
+    its prime factors all exceed _TRIAL_BOUND."""
+    factors, d = [], 2
+    while d * d <= b:
+        if d > _TRIAL_BOUND:
+            return None
+        if b % d == 0:
+            factors.append((d, exact_multiplicity(b, d)))
+            b //= d ** factors[-1][1]
+        d += 1 if d == 2 else 2
+    return factors + [(b, 1)] if b > 1 else factors
+
+
 def _plan_full(
     r,
     x: int,
@@ -443,8 +438,15 @@ def _plan_full(
         raise ParameterError(f"unknown lambda mode {lambda_mode!r}")
 
     b = r.denominator
-    b_fact = factorize(b)
-    b_maxexp = max((e for _, e in b_fact.factors), default=0)
+    b_factors = _factor_denominator(b)
+    y = max(2, int(x ** ((1.0 - epsilon) / 2.0)))
+    if b_factors is None:
+        raise UnsupportedDenominator(
+            f"P({b}) > {_TRIAL_BOUND} exceeds y = {y}",
+            failing_parameter="r",
+            suggestion="use a denominator with smaller prime factors",
+        )
+    b_maxexp = max((e for _, e in b_factors), default=0)
     if k is None:
         k_res = max(3, b_maxexp + 1)
         if k_res > MAX_K:
@@ -464,12 +466,11 @@ def _plan_full(
                 suggestion=f"raise k above {b_maxexp}",
             )
 
-    y = max(2, int(x ** ((1.0 - epsilon) / 2.0)))
-    w = max(2, int(x ** ((1.0 - epsilon) / k_res)))
-    w = min(w, y)
-    if largest_prime_factor(b) > w:
+    w = min(max(2, int(x ** ((1.0 - epsilon) / k_res))), y)
+    p_b = b_factors[-1][0] if b_factors else 1
+    if p_b > w:
         raise UnsupportedDenominator(
-            f"P({b}) = {largest_prime_factor(b)} exceeds w = {w}",
+            f"P({b}) = {p_b} exceeds w = {w}",
             failing_parameter="r",
             suggestion="increase x or decrease epsilon",
         )
@@ -483,7 +484,7 @@ def _plan_full(
         )
 
     fam0 = build_family(SmoothParams(x=x, y=y, w=w, lam=Fraction(0), k=k_res))
-    d_p0 = modulus_product(_next_prime_above(y), w, k_res)
+    d_p0 = modulus_product(fam0.primes, w, k_res)  # no prime lies in (y, p0)
     chunks = range(0, fam0.members.size, _MASS_CHUNK)
     parts = [reciprocal_sum(fam0.members[i : i + _MASS_CHUNK], d_p0) for i in chunks]
     mass = [f.numerator * (d_p0.value // f.denominator) for f in parts]
@@ -550,10 +551,7 @@ def _resolve_plan(
         x_prime=x_p,
         y_doubleprime=y_pp,
         d_p0=d_p0,
-        d_pool=modulus_product(_next_prime_above(y_p), y_p, k),
-        p_primes=sorted(_primes_between(w + 1, y), reverse=True),
-        q_primes=sorted(_primes_between(y_p, w), reverse=True),
-        q2_primes=sorted(_primes_between(y_pp, y_p - 1), reverse=True),
+        d_pool=modulus_product(fam0.primes[: bisect_right(fam0.primes, y_p)], y_p, k),
         warnings=warnings,
     )
     plan.validate()
@@ -599,9 +597,9 @@ def stage_one(
     plan: StagePlan,
     family: SmoothFamily,
 ):
-    """Run the descending prime loops and the powers-of-two cleanup, each
-    step through _eliminate_step, over family, the view A(x, y; w, lambda)
-    of the planning sieve.
+    """Run the descending loops over the sieve's primes in (w, y] and
+    [y', w] and the powers-of-two cleanup, each step through _eliminate_step,
+    over family, the view A(x, y; w, lambda) of the planning sieve.
 
     The cleanup eliminates 2^l for l = k-1 down to 1 from the members
     exactly divisible by 2^l whose odd part is y'-smooth; at p = 2 one
@@ -628,12 +626,12 @@ def stage_one(
     trace = StageTrace()
     removed_all: set = set()
 
-    for p in plan.p_primes:
+    for p in _between(family.primes, plan.w + 1, plan.y):
         rem, n_mod = _eliminate_step(
             trace, "p-loop", removed_all, rem, n_mod, family.slice(p, 1), p, 1
         )
 
-    for q in plan.q_primes:
+    for q in _between(family.primes, plan.y_prime, plan.w):
         for l in range(k - 1, 0, -1):
             rem, n_mod = _eliminate_step(
                 trace, "q-loop", removed_all, rem, n_mod, family.slice(q, l), q, l
@@ -642,7 +640,7 @@ def stage_one(
     # When y' itself is prime the q-loop has eliminated it, so the cleanup
     # element's odd part must stay strictly below y' (plans normalize y'
     # non-prime; the guard keeps hand-built plans honest).
-    odd_cap = plan.y_prime - 1 if is_prime(plan.y_prime) else plan.y_prime
+    odd_cap = plan.y_prime - 1 if plan.y_prime in family.primes else plan.y_prime
     for l in range(k - 1, 0, -1):
         stock = family.exact_power_of_two_members(l, odd_cap)
         rem, n_mod = _eliminate_step(
@@ -720,9 +718,9 @@ def stage_two(
     pool is the plan's odd pool A(x', y'; y', 0), a view of the planning
     sieve, and the plan's D(p0') is its modulus; repair elements must avoid
     the ascending stage-one set kept. Chooses the odd pool cut, runs the
-    descending q'-loop (exiting early once the residual already satisfies
-    the odd-expansion precondition within the size budget), expands, and
-    repairs overlaps. On failure the cut is shifted up one element and the
+    q'-loop down the sieve's primes in [y'', y') (exiting early once the
+    residual already satisfies the odd-expansion precondition within the
+    size budget), expands, and repairs overlaps. On failure the cut is shifted up one element and the
     attempt repeats with fresh residue targets; the last attempt's error is
     raised. Everything is deterministic.
     """
@@ -733,18 +731,16 @@ def stage_two(
             f"stage-two input {remainder} has denominator 1; nothing to expand",
             failing_parameter="remainder",
         )
-    x_p = plan.x_prime
     if plan.d_pool.odd_part().value % remainder.denominator != 0:
         raise DivisibilityError(
             f"remainder denominator does not divide D0(y'={plan.y_prime})",
             failing_parameter="remainder",
         )
-    lam_p, chosen, c_start = choose_lambda(
-        pool.members_a0, remainder, x_p, plan.d_pool
-    )
-    boundary = lam_p.numerator * x_p // lam_p.denominator
-    q2, k = plan.q2_primes, config.k
-    ladders = {(q, l): pool.slice(q, l, a0=True) for q in q2 for l in range(1, k)}
+    boundary, chosen, c_start = choose_lambda(pool.members_a0, remainder, plan.d_pool)
+    ladders = {
+        q: {l: pool.slice(q, l, a0=True) for l in range(config.k - 1, 0, -1)}
+        for q in _between(pool.primes, plan.y_doubleprime, plan.y_prime - 1)
+    }
 
     # Each attempt drops one more of the smallest chosen elements back into
     # the residual; at least one chosen element stays.
@@ -783,23 +779,23 @@ def _stage_two_attempt(
     kept: np.ndarray,
 ) -> StageTwoResult:
     """Stage two at one cut: the q'-loop over the members above boundary of
-    the pool's ladders {(q, l): slice} (eliminating over the pool modulus
-    D(p0')), the odd expansion and the four-set repair."""
-    k, x, cap = config.k, config.x, plan.cutoff
+    the pool's ladders {q: {l: slice}}, primes and powers descending
+    (eliminating over the pool modulus D(p0')), the odd expansion and the
+    four-set repair."""
+    x, cap = config.x, plan.cutoff
     c, n_mod = c_start, plan.d_pool
     trace = StageTrace()
     removed: set = set()
     early_prime: Optional[int] = None
     expansion: Optional[OddExpansion] = None
 
-    for q in plan.q2_primes:
+    for q, rungs in ladders.items():
         if breusch_bound(c.denominator) <= cap:
             expansion = _try_expansion(c, cap, x)
             if expansion is not None:
                 early_prime = q
                 break
-        for l in range(k - 1, 0, -1):
-            rung = ladders[q, l]
+        for l, rung in rungs.items():
             rung = rung[rung > boundary]
             c, n_mod = _eliminate_step(trace, "q'-loop", removed, c, n_mod, rung, q, l)
 

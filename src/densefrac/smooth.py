@@ -10,9 +10,11 @@ table, without building one.
 
 One vectorized sieve over [1, x], walking only the primes <= y (members
 are y-smooth), finds the members and, exact for each, P(n) and its
-multiplicity; only these rows are kept. That one sieve serves every family
-a construction draws on: sub-families (higher cutoff, smaller x or y) are
-views of its rows, not new sieves (SmoothFamily.sub_family).
+multiplicity; only these rows are kept, with the primes <= y the sieve
+found on its way. That one sieve serves every family a construction draws
+on: sub-families (higher cutoff, smaller x or y) are views of its rows, not
+new sieves (SmoothFamily.sub_family), and a construction reads every prime
+<= y off its prime list.
 Lambda thresholds are element boundaries (members strictly greater than
 lambda*x), so a stored rational cutoff reproduces the family exactly.
 
@@ -32,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import FactoredInt, is_prime, primes_in
+from .arith import FactoredInt
 from .errors import (
     DivisibilityError,
     InfeasibleMass,
@@ -90,12 +92,14 @@ class SmoothFamily:
     <= y, its multiplicity, A0 flag), at the rows cutoff < n <= x with
     P(n) <= y. Slices are ranges of the rows ordered by (P(n), multiplicity,
     n); views (sub_family) share the table, that order and the powers-of-two
-    rows. Arrays are never written after construction.
+    rows. Arrays are never written after construction. primes holds the
+    sieve's primes <= y ascending; every view shares the one list.
     """
 
-    def __init__(self, params: SmoothParams, table):
+    def __init__(self, params: SmoothParams, table, primes: list):
         self.params = params
         self.table = table
+        self.primes = primes
         keys = table[1].astype(np.min_scalar_type((params.y + 1) * params.k))
         keys = keys * params.k + table[2]
         self._order = np.argsort(keys, kind="stable")
@@ -144,7 +148,7 @@ class SmoothFamily:
             raise ParameterError(f"slice power {l} outside 1..k-1 (k={params.k})")
         if p > params.w and l != 1:
             raise ParameterError(f"slice power must be 1 for p={p} > w={params.w}")
-        if not is_prime(p):
+        if self.primes[bisect_right(self.primes, p) - 1] != p:
             raise ParameterError(f"slice base {p} is not prime")
         key = np.array((p * params.k + l, p * params.k + l + 1), self._keys.dtype)
         lo, hi = self._keys.searchsorted(key).tolist()
@@ -207,7 +211,8 @@ class SmoothFamily:
 def build_family(params: SmoothParams) -> SmoothFamily:
     """Sieve [1, x] over the primes <= y and materialize A(x, y; w, lambda).
 
-    One ascending loop over the primes p <= y writes p at the multiples of
+    One ascending loop over 2..y takes each p that no smaller prime has
+    written as prime (the family's primes), writes p at the multiples of
     p and, for each p^l <= x, writes l and multiplies the y-smooth part by
     p at the multiples of p^l. Larger primes overwrite smaller ones, so
     P(n) and its multiplicity are exact on y-smooth n, which are the n
@@ -216,13 +221,16 @@ def build_family(params: SmoothParams) -> SmoothFamily:
     """
     x, y, w, k = params.x, params.y, params.w, params.k
     idx_t = np.int32 if x < 2**31 else np.int64
-    primes = primes_in(2, y)
+    primes = []
     lpf = np.zeros(x + 1, dtype=idx_t)
     lpf[1] = 1
     expo = np.zeros(x + 1, dtype=np.uint8)
     # divides n, so idx_t holds it
     smooth_part = np.ones(x + 1, dtype=idx_t)
-    for p in primes:
+    for p in range(2, y + 1):
+        if lpf[p]:  # a smaller prime divides p
+            continue
+        primes.append(p)
         lpf[p::p] = p
         pl, l = p, 1
         while pl <= x:
@@ -246,7 +254,7 @@ def build_family(params: SmoothParams) -> SmoothFamily:
     # n = m^2 + m - 1 just when 4n + 5 = (2m + 1)^2; sqrt is exact on squares
     root = np.sqrt(4 * n + 5).astype(np.int64)
     a0 = (n & 1).astype(bool) & (root * root != 4 * n + 5)
-    return SmoothFamily(params, (n, lpf, expo, a0))
+    return SmoothFamily(params, (n, lpf, expo, a0), primes)
 
 
 def limb_division(m: int, elements: np.ndarray):
@@ -317,19 +325,15 @@ def reciprocal_sum(elements: Iterable[int], modulus: FactoredInt) -> Fraction:
     return Fraction(num, m)
 
 
-def choose_lambda(
-    pool: Sequence[int],
-    alpha: Fraction,
-    x_prime: int,
-    modulus: FactoredInt,
-):
+def choose_lambda(pool: Sequence[int], alpha: Fraction, modulus: FactoredInt):
     """Pick the largest element-boundary cutoff leaving a small remainder.
 
     Walks the pool (ints in [1, 2^32)) downward, keeping every element while
-    the kept sum stays strictly below alpha. Returns (lambda', chosen
-    ascending, remainder) with 0 < remainder <= 1/(lambda' * x'), the
-    jump-size bound: the boundary sits on the first element not taken (or
-    just below the last pool element when the whole pool is consumed).
+    the kept sum stays strictly below alpha. Returns (boundary, chosen
+    ascending, remainder) with 0 < remainder <= 1/boundary, the jump-size
+    bound: the boundary sits on the first element not taken (or just below
+    the last pool element when the whole pool is consumed); lambda' is
+    boundary / x'.
     Every pool element must divide the modulus (one limb_division checks
     them all); the largest that does not raises DivisibilityError.
 
@@ -368,13 +372,12 @@ def choose_lambda(
     else:
         boundary = max(int(pool[0]) - 1, 1)
     remainder = alpha - Fraction(num, m)
-    if remainder * boundary > 1:  # remainder > 1/(lambda' x') = 1/boundary
+    if remainder * boundary > 1:
         raise InfeasibleMass(
             f"pool mass falls short: remainder {remainder} exceeds jump bound "
             f"1/{boundary}",
             failing_parameter="alpha",
             suggestion="increase x', lower y', or shrink alpha",
         )
-    lam = Fraction(boundary, x_prime)
     chosen = pool[pool.size - taken :].tolist()
-    return lam, chosen, remainder
+    return boundary, chosen, remainder

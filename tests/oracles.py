@@ -1,8 +1,10 @@
 """Brute-force oracles for the tests. They import nothing from densefrac,
 so a fault in the library cannot hide in its own reference."""
 
+import json
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 
 def subset_sums_mod_p(residues, p):
@@ -49,6 +51,27 @@ def certificate_fields(r, S, x):
         "harmonic_bound_ok": reciprocal_sum(range(max(x - size, 0) + 1, x + 1)) <= r,
         "size": size,
         "max_element": max(S, default=None),
+    }
+
+
+def document_facts(text):
+    """The three exact claims of a certificate document, re-checked from its
+    JSON text alone. Each part's denominators are the running sums of its
+    first element and gaps; over all parts, sum_exact is that they are
+    positive and their reciprocals sum to r (over their one lcm), distinct
+    that none repeats, and max_ok that they are positive and at most x."""
+    doc = json.loads(text)
+    S = []
+    for part in doc["parts"].values():
+        if part["first"] is not None:
+            S += accumulate([part["first"], *part["deltas"]])
+    positive = all(n >= 1 for n in S)
+    lcm = math.lcm(*S) if positive else 1
+    total = Fraction(sum(lcm // n for n in S), lcm) if positive else None
+    return {
+        "sum_exact": total == Fraction(doc["r"]),
+        "distinct": len(set(S)) == len(S),
+        "max_ok": positive and max(S, default=0) <= doc["x"],
     }
 
 

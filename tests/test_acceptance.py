@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from densefrac import dickman
+from densefrac.arith import primes_in
 from densefrac.construct import (
     construct_dense,
     four_set_repair,
@@ -151,8 +152,6 @@ def test_criterion_5_sieve_ground_truth():
         assert core + rest == fam.members.size
     # slice op agrees with the lpf grouping on sampled primes
     rng = random.Random(5)
-    from densefrac.arith import primes_in
-
     sample = rng.sample(primes_in(11, 997), 25) + [2, 3, 5, 7, 999983]
     for p in sample:
         want = set(int(v) for v in members[lpf == p])
@@ -167,7 +166,8 @@ def test_criterion_6_summation_cross_check(mid_family):
     t0 = time.time()
     rng = random.Random(606)
     members = [int(v) for v in mid_family.members]
-    plan_modulus = modulus_product(181, mid_family.params.w, mid_family.params.k)
+    primes = primes_in(2, 180)
+    plan_modulus = modulus_product(primes, mid_family.params.w, mid_family.params.k)
     for _ in range(100):
         sample = sorted(rng.sample(members, 1000))
         fixed = reciprocal_sum(sample, plan_modulus)

@@ -21,6 +21,7 @@ from densefrac.certificate import (
 from densefrac.construct import construct_dense
 from densefrac.errors import ParameterError
 from densefrac.verify import check
+from oracles import document_facts
 
 
 def test_frac_round_trip():
@@ -261,3 +262,4 @@ def test_document_bytes_are_pinned(r, x, options, digest):
     text = document_from_representation(rep).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert CertificateDocument.from_json(text).to_json() == text
+    assert document_facts(text) == {"sum_exact": True, "distinct": True, "max_ok": True}

@@ -83,6 +83,15 @@ def test_construct_unsupported_denominator_exit_3():
     assert p.returncode == 3
 
 
+@pytest.mark.parametrize("b", [2**61 - 1, 2**89 - 1])
+def test_construct_huge_prime_denominator_exit_3(b):
+    """A prime denominator far above 10^6 is refused, not factored."""
+    p = run_cli("construct", "--r", f"1/{b}", "--x", "1000", timeout=30)
+    assert p.returncode == 3
+    out = json.loads(p.stdout)
+    assert (out["code"], out["failing_parameter"]) == ("unsupported_denominator", "r")
+
+
 @pytest.fixture(scope="module")
 def cert_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("certs") / "cert.json"

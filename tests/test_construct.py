@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import random
+import time
 import types
 from fractions import Fraction
 
@@ -12,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densefrac import dickman
-from densefrac.arith import factorize, is_prime
+from densefrac.arith import factorize, is_prime, primes_in
 from densefrac.construct import (
     ConstructionConfig,
     StagePlan,
     _plan_full,
+    _resolve_plan,
     _select_y_prime,
     construct_dense,
     four_set_repair,
@@ -40,13 +42,13 @@ from oracles import factor_over
 
 
 def test_modulus_product_examples():
-    d = modulus_product(7, 10, 3)
+    d = modulus_product([2, 3, 5], 10, 3)
     assert d.value == 900
     assert d.factors == ((2, 2), (3, 2), (5, 2))
     assert d.odd_part().value == 225
-    assert modulus_product(2, 10, 3).value == 1
+    assert modulus_product([], 10, 3).value == 1
     # primes above w enter to the first power
-    d = modulus_product(12, 3, 3)
+    d = modulus_product([2, 3, 5, 7, 11], 3, 3)
     assert d.value == 4 * 9 * 5 * 7 * 11
 
 
@@ -62,11 +64,8 @@ def _toy_plan(r):
         y_prime=3,
         x_prime=10,
         y_doubleprime=2,
-        d_p0=modulus_product(7, 5, 2),
-        d_pool=modulus_product(5, 3, 2),
-        p_primes=[],
-        q_primes=[5, 3],
-        q2_primes=[],
+        d_p0=modulus_product([2, 3, 5], 5, 2),
+        d_pool=modulus_product([2, 3], 3, 2),
     )
 
 
@@ -142,8 +141,8 @@ def test_plan_adaptive_window():
         fam = build_family(
             SmoothParams(x=10**5, y=plan.y, w=plan.w, lam=plan.lam, k=config.k)
         )
-        p0 = next(p for p in range(plan.y + 1, 2 * plan.y + 2) if is_prime(p))
-        rem = r - reciprocal_sum(fam.members, modulus_product(p0, plan.w, config.k))
+        d_p0 = modulus_product(primes_in(2, plan.y), plan.w, config.k)
+        rem = r - reciprocal_sum(fam.members, d_p0)
         assert plan.initial_remainder == rem
         if mode == "adaptive":
             assert 0 < rem <= config.delta
@@ -154,6 +153,28 @@ def test_plan_adaptive_window():
 def test_plan_unsupported_denominator():
     with pytest.raises(UnsupportedDenominator):
         _plan_full(Fraction(1, 2**20), 10**6, k=3)
+
+
+@pytest.mark.parametrize("b", [2**61 - 1, 2**89 - 1])
+def test_plan_refuses_a_huge_prime_factor_without_factoring(b):
+    """A cofactor of b left at or above (10^6 + 1)^2 by trial division up to
+    10^6 has every prime factor above 10^6 > y, so r is refused at once
+    with a message naming y, before the k checks (4b is not 2-free)."""
+    for k in (None, 2):
+        t0 = time.perf_counter()
+        with pytest.raises(UnsupportedDenominator) as ei:
+            _plan_full(Fraction(1, 4 * b), 1000, k=k)
+        assert time.perf_counter() - t0 < 1.0
+        assert ei.value.failing_parameter == "r"
+        assert str(ei.value) == f"P({4 * b}) > 1000000 exceeds y = 22"
+
+
+def test_plan_names_a_prime_factor_found_by_trial_division():
+    """10^12 + 39 is prime and below (10^6 + 1)^2: trial division up to 10^6
+    proves it, and the refusal names P(b) and w as before."""
+    with pytest.raises(UnsupportedDenominator) as ei:
+        _plan_full(Fraction(1, 10**12 + 39), 1000)
+    assert str(ei.value) == "P(1000000000039) = 1000000000039 exceeds w = 7"
 
 
 def test_plan_infeasible_mass():
@@ -174,9 +195,10 @@ def test_plan_bounds_invariants():
     config, plan, *_ = _plan_full(Fraction(1, 3), 10**5)
     assert plan.y_doubleprime <= plan.y_prime <= plan.w <= plan.y <= plan.x
     assert plan.x_prime <= plan.cutoff
-    assert plan.p_primes == sorted(plan.p_primes, reverse=True)
-    assert all(plan.w < p <= plan.y for p in plan.p_primes)
-    assert all(plan.y_prime <= q <= plan.w for q in plan.q_primes)
+    # the moduli are the products over the primes <= y and <= y'
+    assert plan.d_p0 == modulus_product(primes_in(2, plan.y), plan.w, config.k)
+    y_p = plan.y_prime
+    assert plan.d_pool == modulus_product(primes_in(2, y_p), y_p, config.k)
 
 
 @pytest.mark.parametrize(
@@ -219,11 +241,8 @@ def test_stage_two_empty_loop_expansion():
         y_prime=6,
         x_prime=100,
         y_doubleprime=6,
-        d_p0=modulus_product(307, 20, 2),
-        d_pool=modulus_product(7, 6, 2),
-        p_primes=[],
-        q_primes=[],
-        q2_primes=[],
+        d_p0=modulus_product(primes_in(2, 300), 20, 2),
+        d_pool=modulus_product([2, 3, 5], 6, 2),
     )
     pool = build_family(SmoothParams(x=100, y=6, w=6, lam=Fraction(0), k=2))
     kept = np.empty(0, dtype=np.int64)
@@ -421,8 +440,12 @@ def test_one_sieve_per_construction(r, retried, monkeypatch):
     """Every family a construction uses is a view of the planning sieve,
     through delta retunes (all three at 10^5) and stage-two retries (10/11
     and 19/21); the stage-two pool is taken once per plan, outside stage
-    two and the retune's target search, which read it as an argument."""
+    two and the retune's target search, which read it as an argument. The
+    sieve is also the one source of primes: construct and smooth neither
+    sieve for primes (primes_in) nor trial-divide (is_prime) while it runs."""
+    import densefrac.arith as arith
     import densefrac.construct as construct
+    import densefrac.smooth as smooth
 
     calls = []
     sieve = construct.build_family
@@ -456,12 +479,29 @@ def test_one_sieve_per_construction(r, retried, monkeypatch):
     monkeypatch.setattr(construct, "stage_two", marking("stage_two"))
     monkeypatch.setattr(construct, "_alpha_targets", marking("_alpha_targets"))
     monkeypatch.setattr(SmoothFamily, "sub_family", counting_views)
+    prime_calls = []
+
+    def spying(name):
+        fn = getattr(arith, name)
+
+        def run(*args):
+            prime_calls.append(name)
+            return fn(*args)
+
+        return run
+
+    for module in (construct, smooth):
+        for name in ("primes_in", "is_prime"):
+            # raising=False: a module that does not import the name would
+            # resolve a call to it here, so the spy sees it either way
+            monkeypatch.setattr(module, name, spying(name), raising=False)
     rep = construct_dense(r, 10**5)
     assert rep.certificate.all_ok
     assert rep.config.delta != Fraction(1, 20)  # delta was retuned
     assert (rep.stage_two_attempts > 1) == retried
     assert len(calls) == 1
     assert views_inside == []
+    assert prime_calls == []
 
 
 def test_representation_holds_no_sieve():
@@ -532,6 +572,49 @@ def test_constructor_guard_fires_on_a_lying_layer(name, liar, message, monkeypat
 
     monkeypatch.setattr(construct, name, liar)
     with pytest.raises(AssertionError, match=message):
+        construct_dense(Fraction(1, 3), 10**4)
+
+
+def _plan_lacking(field, q):
+    """_resolve_plan, except that the plan's modulus field lacks the prime q."""
+
+    def lying(*args):
+        plan = _resolve_plan(*args)
+        d = getattr(plan, field)
+        return dataclasses.replace(plan, **{field: d.div_prime(q, d.multiplicity(q))})
+
+    return lying
+
+
+def _stage_one_gaining_a_prime_above_y_prime(config, plan, family):
+    """stage_one, except that the remainder it returns gains 1/q for q the
+    next prime above y'."""
+    kept, rem, trace = stage_one(config, plan, family)
+    return kept, rem + Fraction(1, _next_prime(plan.y_prime)), trace
+
+
+@pytest.mark.parametrize(
+    "name, liar, error, message",
+    [
+        ("_resolve_plan", _plan_lacking("d_p0", 3), DivisibilityError,
+         r"^b = 3 does not divide D\(p0\)$"),
+        ("_resolve_plan", _plan_lacking("d_pool", 3), AssertionError,
+         r"^stage-one remainder denominator escapes D0\(y'\)$"),
+        ("stage_one", _stage_one_gaining_a_prime_above_y_prime, DivisibilityError,
+         r"^remainder denominator does not divide D0\(y'=10\)$"),
+    ],
+    ids=["d_p0-lacks-3", "d_pool-lacks-3", "remainder-gains-11"],
+)
+def test_modulus_guard_fires_on_a_lying_layer(name, liar, error, message, monkeypatch):
+    """The checks of each stage against the plan's moduli catch a layer
+    that lies: a plan whose D(p0) lacks a prime of b (stage one's entry), a
+    plan whose D(p0') lacks a prime the stage-one remainder keeps (stage
+    one's exit), and a stage one whose remainder gains a prime above y'
+    (stage two's entry)."""
+    import densefrac.construct as construct
+
+    monkeypatch.setattr(construct, name, liar)
+    with pytest.raises(error, match=message):
         construct_dense(Fraction(1, 3), 10**4)
 
 
@@ -607,9 +690,8 @@ def test_mass_pass_refuses_a_lying_sieve(intruder, monkeypatch):
         # P and its multiplicity as the sieve records them: over primes <= y
         top, mult = [(q, e) for q, e in factorize(n).factors if q <= params.y][-1]
         values = (n, top, mult, n % 2 == 1)
-        return SmoothFamily(
-            params, tuple(np.insert(col, row, v) for col, v in zip(fam.table, values))
-        )
+        table = tuple(np.insert(col, row, v) for col, v in zip(fam.table, values))
+        return SmoothFamily(params, table, fam.primes)
 
     monkeypatch.setattr(construct, "build_family", lying)
     with pytest.raises(DivisibilityError) as err:

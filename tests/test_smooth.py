@@ -35,7 +35,7 @@ from oracles import factor_over
 def test_toy_family_members(toy_family):
     assert toy_family.members.tolist() == [1, 2, 3, 5, 6, 10, 15, 30]
     assert toy_family.members.size == 8
-    mass = reciprocal_sum(toy_family.members, modulus_product(7, 30, 2))
+    mass = reciprocal_sum(toy_family.members, modulus_product([2, 3, 5], 30, 2))
     assert mass == Fraction(12, 5)
 
 
@@ -471,7 +471,7 @@ def test_reciprocal_sum_memory_is_chunked():
     """The 173 227-member family at 10^6 is divided chunk by chunk: the
     peak allocation stays well below one full-length uint64 array."""
     fam = build_family(SmoothParams(x=10**6, y=501, w=63, lam=Fraction(0), k=3))
-    modulus = modulus_product(503, 63, 3)
+    modulus = modulus_product(primes_in(2, 501), 63, 3)
     assert fam.members.size == 173_227
     tracemalloc.start()
     try:
@@ -483,16 +483,16 @@ def test_reciprocal_sum_memory_is_chunked():
 
 
 def test_choose_lambda_spec_example():
-    lam, chosen, rem = choose_lambda([3, 15], Fraction(41, 100), 30, factorize(15))
+    boundary, chosen, rem = choose_lambda([3, 15], Fraction(41, 100), factorize(15))
     assert chosen == [3, 15]
     assert rem == Fraction(1, 100)
-    assert lam == Fraction(2, 30)
+    assert boundary == 2
     assert rem <= Fraction(1, 2)
 
 
 def test_choose_lambda_mass_error():
     with pytest.raises(InfeasibleMass):
-        choose_lambda([3, 15], Fraction(2, 5) + 1, 30, factorize(15))
+        choose_lambda([3, 15], Fraction(2, 5) + 1, factorize(15))
 
 
 def test_choose_lambda_refuses_a_pool_element_outside_the_modulus():
@@ -500,7 +500,7 @@ def test_choose_lambda_refuses_a_pool_element_outside_the_modulus():
     with pytest.raises(
         DivisibilityError, match="pool element 7 does not divide the modulus"
     ):
-        choose_lambda([3, 7, 15], Fraction(1, 2), 30, factorize(15))
+        choose_lambda([3, 7, 15], Fraction(1, 2), factorize(15))
 
 
 def test_choose_lambda_properties(mid_family):
@@ -510,11 +510,10 @@ def test_choose_lambda_properties(mid_family):
     for _ in range(25):
         alpha = Fraction(rng.randint(1, 50), rng.randint(51, 400))
         try:
-            lam, chosen, rem = choose_lambda(pool, alpha, mid_family.params.x, modulus)
+            boundary, chosen, rem = choose_lambda(pool, alpha, modulus)
         except InfeasibleMass:
             continue
         assert rem > 0
-        boundary = lam.numerator * mid_family.params.x // lam.denominator
         assert rem * boundary <= 1
         assert all(n > boundary for n in chosen)
         assert sum(Fraction(1, n) for n in chosen) + rem == alpha
@@ -531,7 +530,7 @@ def test_family_census_at_1e6():
     counts, and its exact reciprocal mass over D(503) pinned by sha256."""
     fam = build_family(SmoothParams(x=10**6, y=501, w=63, lam=Fraction(0), k=3))
     assert (fam.members.size, fam.members_a0.size) == (173227, 87475)
-    mass = reciprocal_sum(fam.members, modulus_product(503, 63, 3))
+    mass = reciprocal_sum(fam.members, modulus_product(primes_in(2, 501), 63, 3))
     assert (
         hashlib.sha256(f"{mass.numerator}/{mass.denominator}".encode()).hexdigest()
         == "56b8ab12200a190a2dafe1c9077369a110a85074738be834f5877d67eb3bae66"
