@@ -34,7 +34,11 @@ sufficiently large" (notably the sub-y' prime ladders, which are log-thin
 at desk scale), the planner substitutes runtime-checked parameter policy:
 y' is lowered until slice censuses support the eliminations, and the
 stage-two descending prime loop exits early once the residual already
-satisfies the odd-expansion precondition within the size budget.
+satisfies the odd-expansion precondition within the size budget. Two
+bounded retries cover the rest: stage two shifts its cut up one element at
+a time, and construct_dense retunes delta (unless the caller pinned it)
+from the measured stage-one remainder. Both catch the same typed stage
+errors (_RETRIED) and re-raise the last one when their cap is reached.
 """
 
 from __future__ import annotations
@@ -76,6 +80,9 @@ MAX_K = 64
 _MASS_CHUNK = 1 << 13  # planning sums the family's mass per this many members
 _TRIAL_BOUND = 10**6  # r's denominator is trial-divided this far, past any y
 _SMALL_PRIMES = primes_in(2, 64)  # y'' and the exit prime may lie above y
+# The stage errors after which stage two shifts its cut and construct_dense
+# retunes delta; any other error ends the construction at once.
+_RETRIED = (EliminationFailed, BreuschPreconditionFailed, BoundExceeded)
 
 
 @dataclass(frozen=True)
@@ -296,16 +303,6 @@ def _exit_prime(cutoff: int, k: int) -> int:
         best = q
         worst *= q ** (k - 1)
     return best
-
-
-def _ladders(pool: SmoothFamily, q_e: int) -> list:
-    """(q, slice) for every q'-ladder the early Breusch hand-off cannot
-    absorb: primes q in [q_e, y'), powers 1..k-1, over the pool's A0."""
-    return [
-        (q, pool.slice(q, l, a0=True))
-        for q in _between(pool.primes, q_e, pool.params.y - 1)
-        for l in range(1, pool.params.k)
-    ]
 
 
 def _x_prime(y_p: int, k: int, cutoff: int, override: Optional[int]) -> int:
@@ -709,20 +706,20 @@ def _try_expansion(c: Fraction, cap: int, x: int) -> Optional[OddExpansion]:
 def stage_two(
     remainder: Fraction,
     plan: StagePlan,
-    config: ConstructionConfig,
     pool: SmoothFamily,
     kept: np.ndarray,
 ) -> StageTwoResult:
     """Represent the stage-one remainder over (0, lambda*x] denominators.
 
     pool is the plan's odd pool A(x', y'; y', 0), a view of the planning
-    sieve, and the plan's D(p0') is its modulus; repair elements must avoid
-    the ascending stage-one set kept. Chooses the odd pool cut, runs the
-    q'-loop down the sieve's primes in [y'', y') (exiting early once the
-    residual already satisfies the odd-expansion precondition within the
-    size budget), expands, and repairs overlaps. On failure the cut is shifted up one element and the
-    attempt repeats with fresh residue targets; the last attempt's error is
-    raised. Everything is deterministic.
+    sieve whose k the ladders use, and the plan's D(p0') is its modulus;
+    repair elements must avoid the ascending stage-one set kept. Chooses
+    the odd pool cut, runs the q'-loop down the sieve's primes in [y'', y')
+    (exiting early once the residual already satisfies the odd-expansion
+    precondition within the size budget), expands, and repairs overlaps.
+    After a _RETRIED error the cut shifts up one element and the attempt
+    repeats with fresh residue targets, at most MAX_STAGE_TWO_ATTEMPTS
+    times; the last attempt's error is raised. Everything is deterministic.
     """
     if remainder <= 0:
         raise RemainderNonPositive(f"stage-two input {remainder} not positive")
@@ -738,7 +735,7 @@ def stage_two(
         )
     boundary, chosen, c_start = choose_lambda(pool.members_a0, remainder, plan.d_pool)
     ladders = {
-        q: {l: pool.slice(q, l, a0=True) for l in range(config.k - 1, 0, -1)}
+        q: {l: pool.slice(q, l, a0=True) for l in range(pool.params.k - 1, 0, -1)}
         for q in _between(pool.primes, plan.y_doubleprime, plan.y_prime - 1)
     }
 
@@ -751,9 +748,9 @@ def stage_two(
             c_start += Fraction(1, boundary)
         try:
             result = _stage_two_attempt(
-                c_start, chosen[drop:], boundary, ladders, plan, config, kept
+                c_start, chosen[drop:], boundary, ladders, plan, kept
             )
-        except (EliminationFailed, BreuschPreconditionFailed, BoundExceeded):
+        except _RETRIED:
             if drop == attempts - 1:
                 raise
             continue
@@ -775,14 +772,13 @@ def _stage_two_attempt(
     boundary: int,
     ladders: dict,
     plan: StagePlan,
-    config: ConstructionConfig,
     kept: np.ndarray,
 ) -> StageTwoResult:
     """Stage two at one cut: the q'-loop over the members above boundary of
     the pool's ladders {q: {l: slice}}, primes and powers descending
     (eliminating over the pool modulus D(p0')), the odd expansion and the
     four-set repair."""
-    x, cap = config.x, plan.cutoff
+    x, cap = plan.x, plan.cutoff
     c, n_mod = c_start, plan.d_pool
     trace = StageTrace()
     removed: set = set()
@@ -839,14 +835,22 @@ def _stage_two_attempt(
 
 def _alpha_targets(plan: StagePlan, pool: SmoothFamily) -> list:
     """Masses of the plan's stage-two pool that would park the cut boundary
-    below the needed ladders' rungs: most ambitious first (the full
-    heuristic threshold per ladder), then graded fallbacks keeping fewer
-    rungs, for runs whose delta budget cannot afford the full cut."""
+    below the rungs of the ladders the early Breusch hand-off cannot absorb
+    (primes q in [q_e, y'), powers 1..k-1, over the pool's A0): most
+    ambitious first (the full heuristic threshold per ladder), then graded
+    fallbacks keeping fewer rungs, for runs whose delta budget cannot afford
+    the full cut."""
     members = pool.members_a0.tolist()
     if not members:
         return []
-    q_e = _exit_prime(plan.cutoff, pool.params.k)
-    ladders = [(q, ladder) for q, ladder in _ladders(pool, q_e) if ladder.size]
+    k = pool.params.k
+    q_e = _exit_prime(plan.cutoff, k)
+    ladders = [
+        (q, ladder)
+        for q in _between(pool.primes, q_e, pool.params.y - 1)
+        for ladder in (pool.slice(q, l, a0=True) for l in range(1, k))
+        if ladder.size
+    ]
     targets = []
     for keep_cap in (None, 4, 3, 2):
         bound = None
@@ -868,59 +872,43 @@ def _alpha_targets(plan: StagePlan, pool: SmoothFamily) -> list:
 def construct_dense(r, x: int, **options) -> Representation:
     """End-to-end construction of a dense Egyptian fraction for r below x.
 
-    Plans parameters, runs both stages (retuning delta from the measured
-    stage-one remainder when stage two proves infeasible and delta was not
-    pinned by the caller), assembles the five-part representation and
-    certifies it independently. Every representation comes from both
-    stages; an r equal to the whole family's mass is refused, as no cutoff
-    leaves it a positive remainder. All errors carry the failing parameter.
+    Plans parameters, runs both stages, assembles the five-part
+    representation and certifies it independently. When stage two fails
+    with a _RETRIED error, delta is retuned from the measured stage-one
+    remainder and the plan resolved again, at most MAX_DELTA_RETUNES times
+    and never when the caller pinned delta; the last error is raised. Every
+    representation comes from both stages; an r equal to the whole family's
+    mass is refused, as no cutoff leaves it a positive remainder. All errors
+    carry the failing parameter.
     """
     config, plan, fam0, mass = _plan_full(r, x, **options)
-    r, x = config.r, config.x
+    r, x, k = config.r, config.x, config.k
+    retunes = MAX_DELTA_RETUNES if options.get("delta") is None else 0
 
-    for retune in range(MAX_DELTA_RETUNES + 1):
-        fam_l = fam0.sub_family(
-            SmoothParams(x=x, y=plan.y, w=plan.w, lam=plan.lam, k=config.k)
-        )
+    for retune in range(retunes + 1):
+        fam_l = fam0.sub_family(SmoothParams(x, plan.y, plan.w, plan.lam, k))
         kept, alpha, trace1 = stage_one(config, plan, fam_l)
-        y_p, x_p = plan.y_prime, plan.x_prime  # the pool A(x', y'; y', 0)
-        pool = fam0.sub_family(SmoothParams(x_p, y_p, y_p, Fraction(0), config.k))
+        y_p = plan.y_prime  # the pool A(x', y'; y', 0)
+        pool = fam0.sub_family(SmoothParams(plan.x_prime, y_p, y_p, Fraction(0), k))
         try:
-            s2 = stage_two(alpha, plan, config, pool, kept)
+            s2 = stage_two(alpha, plan, pool, kept)
             break
-        except (
-            EliminationFailed,
-            BreuschPreconditionFailed,
-            BoundExceeded,
-            InfeasibleMass,
-            RemainderNonPositive,
-        ):
-            if retune == MAX_DELTA_RETUNES or options.get("delta") is not None:
+        except _RETRIED:
+            if retune == retunes:
                 raise
-            delta_new = None
-            for target in _alpha_targets(plan, pool):
-                cand = config.delta + (target - alpha)
-                if 0 < cand < r and cand != config.delta:
-                    delta_new = cand
-                    break
-            if delta_new is None:
+            deltas = (config.delta + (t - alpha) for t in _alpha_targets(plan, pool))
+            delta = next((d for d in deltas if 0 < d < r and d != config.delta), None)
+            if delta is None:
                 raise
-            config = replace(config, delta=delta_new)
-            plan = _resolve_plan(config, fam0, plan.d_p0, mass)
+        config = replace(config, delta=delta)
+        plan = _resolve_plan(config, fam0, plan.d_p0, mass)
 
-    small = np.array(s2.a_prime + s2.c_minus + s2.d1 + s2.d2, dtype=np.int64)
-    denominators = np.sort(np.concatenate([kept, small]))
+    rep = Representation(config, plan, kept, s2, None, trace1)  # certified below
+    denominators = rep.denominators()
     repeated = denominators[1:][denominators[1:] == denominators[:-1]]
     if repeated.size:
         raise AssertionError(f"representation parts overlap: {repeated[:5].tolist()}")
-    cert = check(r, denominators, x)
+    cert = rep.certificate = check(r, denominators, x)
     if not (cert.sum_exact and cert.distinct and cert.max_ok):
         raise AssertionError("final certificate failed: " + repr(cert))
-    return Representation(
-        config=config,
-        plan=plan,
-        a=kept,
-        stage_two=s2,
-        certificate=cert,
-        stage_one_trace=trace1,
-    )
+    return rep

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from densefrac import dickman
 from densefrac.arith import factorize, is_prime, primes_in
 from densefrac.construct import (
+    MAX_STAGE_TWO_ATTEMPTS,
     ConstructionConfig,
     StagePlan,
     _plan_full,
@@ -36,7 +37,13 @@ from densefrac.errors import (
     UnsupportedDenominator,
 )
 from densefrac.modular import eliminate_prime
-from densefrac.smooth import SmoothFamily, SmoothParams, build_family, reciprocal_sum
+from densefrac.smooth import (
+    SmoothFamily,
+    SmoothParams,
+    build_family,
+    choose_lambda,
+    reciprocal_sum,
+)
 from densefrac.verify import check, tree_sum
 from oracles import factor_over
 
@@ -223,14 +230,6 @@ def test_select_y_prime_thin_fallback(r, x, y_prime, deficits):
 
 def test_stage_two_empty_loop_expansion():
     """With no q'-loop primes, stage two is choose-cut plus odd expansion."""
-    config = ConstructionConfig(
-        r=Fraction(1, 2),
-        x=10**5,
-        k=2,
-        epsilon=0.1,
-        delta=Fraction(1, 20),
-        lambda_mode="adaptive",
-    )
     plan = StagePlan(
         x=10**5,
         y=300,
@@ -246,7 +245,7 @@ def test_stage_two_empty_loop_expansion():
     )
     pool = build_family(SmoothParams(x=100, y=6, w=6, lam=Fraction(0), k=2))
     kept = np.empty(0, dtype=np.int64)
-    res = stage_two(Fraction(2, 15), plan, config, pool, kept)
+    res = stage_two(Fraction(2, 15), plan, pool, kept)
     total = (
         tree_sum(res.a_prime)
         + tree_sum(sorted(set(res.c_terms) - set(res.a_prime)))
@@ -265,10 +264,9 @@ def test_stage_two_empty_loop_expansion():
 
 
 def test_stage_two_denominator_one_rejected(toy_family):
-    config = _toy_config(Fraction(5, 2))
     kept = np.empty(0, dtype=np.int64)
     with pytest.raises(ParameterError):
-        stage_two(Fraction(2, 1), _toy_plan(Fraction(5, 2)), config, toy_family, kept)
+        stage_two(Fraction(2, 1), _toy_plan(Fraction(5, 2)), toy_family, kept)
 
 
 def test_four_set_repair_collision_example():
@@ -504,6 +502,100 @@ def test_one_sieve_per_construction(r, retried, monkeypatch):
     assert prime_calls == []
 
 
+def _elimination_failed(prime, multiples):
+    return {
+        "code": "elimination_failed",
+        "message": f"no subset of {multiples} multiples reaches the residue "
+        f"needed to cancel {prime}^2",
+        "failing_parameter": "S",
+        "suggestion": "enlarge S (lower lambda'), or switch x",
+        "prime": prime,
+        "power": 2,
+    }
+
+
+_NO_CUT = {
+    "code": "breusch_precondition",
+    "message": "stage two exhausted the pool without a viable cut",
+    "failing_parameter": None,
+    "suggestion": "increase x or delta",
+}
+
+# (r, x, options, stage_one calls, the refusal's as_dict()): one target per
+# way out of the two retry loops. A change meant to keep refusals as they
+# are must keep these.
+GOLDEN_REFUSALS = [
+    # three retunes, then stage two's last cut fails
+    ("23/26", 12578, {}, 4, _elimination_failed(7, 0)),
+    # three retunes, then stage two has no cut to try
+    ("3/2", 1342, {}, 4, _NO_CUT),
+    # the retuned plan's _resolve_plan finds no y'
+    ("1/4", 1022, {}, 1, {
+        "code": "infeasible_mass",
+        "message": "no stage-two bound y' admits a pool below lambda*x",
+        "failing_parameter": "x",
+        "suggestion": "increase x or delta, or decrease r",
+    }),
+    # no pool target yields a new delta in (0, r)
+    ("10/33", 3132, {}, 1, _elimination_failed(7, 1)),
+    # delta pinned, so no retune
+    ("50/33", 8611, {"delta": Fraction(1, 30)}, 1, _NO_CUT),
+    ("25/17", 22549, {"delta": Fraction(1, 30)}, 1, _elimination_failed(5, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "r, x, options, calls, refusal",
+    GOLDEN_REFUSALS,
+    ids=[f"{r}-{x}" for r, x, *_ in GOLDEN_REFUSALS],
+)
+def test_refusals_are_pinned(r, x, options, calls, refusal, monkeypatch):
+    """Each golden refusal ends in the same error after the same number of
+    stage-one runs (one per delta tried)."""
+    import densefrac.construct as construct
+
+    runs = []
+    run_stage_one = construct.stage_one
+
+    def counting(*args):
+        runs.append(args)
+        return run_stage_one(*args)
+
+    monkeypatch.setattr(construct, "stage_one", counting)
+    with pytest.raises(DensefracError) as refused:
+        construct_dense(Fraction(r), x, **options)
+    assert (len(runs), refused.value.as_dict()) == (calls, refusal)
+
+
+@pytest.mark.parametrize(
+    "r, x, cuts", [(Fraction(1, 3), 10**4, 10), (Fraction(1, 3), 10**5, 164)]
+)
+def test_stage_two_attempts_are_capped(r, x, cuts, monkeypatch):
+    """When every attempt fails, stage two tries min(MAX_STAGE_TWO_ATTEMPTS
+    + 1, len(chosen)) cuts, each retried error type in turn, and raises the
+    last attempt's error."""
+    import densefrac.construct as construct
+
+    config, plan, fam0, _ = _plan_full(r, x)
+    fam_l = fam0.sub_family(SmoothParams(x, plan.y, plan.w, plan.lam, config.k))
+    kept, alpha, _ = stage_one(config, plan, fam_l)
+    y_p = plan.y_prime
+    pool = fam0.sub_family(SmoothParams(plan.x_prime, y_p, y_p, Fraction(0), config.k))
+    assert len(choose_lambda(pool.members_a0, alpha, plan.d_pool)[1]) == cuts
+    attempts = []
+
+    def failing(*args):
+        attempts.append(args)
+        error = construct._RETRIED[len(attempts) % len(construct._RETRIED)]
+        raise error(f"attempt {len(attempts)}")
+
+    monkeypatch.setattr(construct, "_stage_two_attempt", failing)
+    want = min(MAX_STAGE_TWO_ATTEMPTS + 1, cuts)
+    with pytest.raises(construct._RETRIED, match=f"^attempt {want}$"):
+        stage_two(alpha, plan, pool, kept)
+    assert len(attempts) == want
+
+
 def test_representation_holds_no_sieve():
     """The plan and the representation hold no view of the sieve: nothing
     reachable from a Representation is a SmoothFamily or an array longer
@@ -543,7 +635,7 @@ def _dropping_last(fn, part):
 
 def _stage_two_reusing_a_kept_member(*args):
     result = stage_two(*args)
-    kept = args[4]
+    kept = args[3]
     result.d1 = result.d1 + [int(kept[0])]
     return result
 
