@@ -17,18 +17,19 @@ makes the two repair sets disjoint from each other.
 
 Planning sieves [1, x] once and fixes every stage input: the cutoff, the
 bounds y' and x', and the moduli D(p0) and D(p0'), the products over the
-primes <= y and <= y' (the odd part of D(p0') is D0(y')). The moduli, the
-y' candidates and both stages' prime loops read the sieve's prime list
-(SmoothFamily.primes). The family's exact mass is summed once, and the
-cutoff and stage-one remainder take the members below the cutoff off it.
-The candidates for y' are judged on slice sizes that one census of the
-sieve's members table counts per range (SmoothFamily.census); no slice is
-built to be measured. Per plan, construct_dense takes the stage-one family
-and the stage-two pool as views of the sieve and passes each stage the
-view it reads as an argument; the plan holds no view, so no view outlives
-the construction.
+primes <= y and <= y' (the odd part of D(p0') is D0(y')), kept as plain
+ints. The moduli, the y' candidates and both stages' prime loops read the
+sieve's prime list (SmoothFamily.primes). The family's exact mass is
+summed once, and the cutoff and stage-one remainder take the members below
+the cutoff off it. The candidates for y' are judged on slice sizes that
+one census of the sieve's members table counts per range
+(SmoothFamily.census); no slice is built to be measured. Per plan,
+construct_dense takes the stage-one family and the stage-two pool as views
+of the sieve and passes each stage the view it reads as an argument; the
+plan holds no view, so no view outlives the construction.
 
-Every step re-verifies its divisibility certificate and exact telescoping;
+Every step divides one prime out of its divisor certificate (an int that p
+must divide) and re-verifies that certificate and the exact telescoping;
 nothing is trusted from asymptotics. Where the source analysis needs "x
 sufficiently large" (notably the sub-y' prime ladders, which are log-thin
 at desk scale), the planner substitutes runtime-checked parameter policy:
@@ -52,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from . import dickman
-from .arith import FactoredInt, exact_multiplicity, largest_prime_factor, primes_in
+from .arith import exact_multiplicity, largest_prime_factor, primes_in
 from .errors import (
     BoundExceeded,
     BreuschPreconditionFailed,
@@ -112,8 +113,8 @@ class StagePlan:
     y_prime: int
     x_prime: int
     y_doubleprime: int
-    d_p0: FactoredInt  # D(p0), over the primes <= y
-    d_pool: FactoredInt  # D(p0'), over the primes <= y'; odd part D0(y')
+    d_p0: int  # D(p0), over the primes <= y
+    d_pool: int  # D(p0'), over the primes <= y'; odd part D0(y')
     warnings: list = field(default_factory=list)
 
     def validate(self):
@@ -122,11 +123,12 @@ class StagePlan:
                 f"plan bounds out of order: y''={self.y_doubleprime} "
                 f"y'={self.y_prime} w={self.w} y={self.y} x={self.x}"
             )
-        if self.x_prime > self.cutoff:
-            raise ParameterError(
+        if self.x_prime > self.cutoff:  # only a pinned x' can get here
+            raise InfeasibleMass(
                 f"x'={self.x_prime} exceeds lambda*x={self.cutoff}; stage-two "
                 "pool would collide with the kept family",
                 failing_parameter="x_prime",
+                suggestion="lower x' or increase x",
             )
 
 
@@ -137,7 +139,7 @@ class StageStep:
     power: int
     removed: tuple
     remainder_after: Fraction
-    divisor_certificate: FactoredInt
+    divisor_certificate: int
 
 
 @dataclass
@@ -209,10 +211,10 @@ class Representation:
         }
 
 
-def modulus_product(primes: list, w: int, k: int) -> FactoredInt:
-    """prod_{p<=w} p^(k-1) * prod_{p>w} p over the ascending primes given:
-    D(z) over the primes below z (1 for none); its odd part is D0(z)."""
-    return FactoredInt.from_factors([(p, k - 1 if p <= w else 1) for p in primes])
+def modulus_product(primes: list, w: int, k: int) -> int:
+    """prod_{p<=w} p^(k-1) * prod_{p>w} p over the primes given: D(z) over
+    the primes below z (1 for none); its odd part is D0(z)."""
+    return math.prod(p ** (k - 1) if p <= w else p for p in primes)
 
 
 def _between(primes: list, lo: int, hi: int) -> list:
@@ -234,7 +236,7 @@ def _spec_y_doubleprime(x: int, k: int) -> int:
 
 
 def _resolve_cutoff(
-    fam0: SmoothFamily, modulus: FactoredInt, mass: list, r, delta, cutoff=None
+    fam0: SmoothFamily, m: int, mass: list, r, delta, cutoff=None
 ):
     """(cutoff, r - sum_{n > cutoff} 1/n) over the members of fam0.
 
@@ -246,7 +248,6 @@ def _resolve_cutoff(
     r - delta: the largest element-boundary cutoff with remainder in
     (0, delta].
     """
-    m = modulus.value
     num = sum(mass)
     dn = r - delta
     # (num - step) / m < r - delta  <=>  num - step < ceil(dn * m)
@@ -324,16 +325,24 @@ def _select_y_prime(
 
     Candidates read sizes off censuses of the planning family: one over
     (cutoff, x] for the stage-one slices and powers-of-two stocks, one over
-    A0 in (0, x'] per distinct x' for the pool A(x', y'; y', 0)'s ladders."""
+    A0 in (0, x'] per distinct x' for the pool A(x', y'; y', 0)'s ladders.
+    A pinned y' below 4 is malformed (ParameterError); one above
+    min(w, 30, y) is a request this x cannot honour (InfeasibleMass)."""
     k = fam0.params.k
     top = min(fam0.params.w, 30, fam0.params.y)
     primes = fam0.primes[: bisect_right(fam0.primes, fam0.params.w)]
     if override is not None:
         y_p = override
-        if y_p > top or y_p < 4:
-            raise ParameterError(
-                f"y' override {y_p} outside [4, min(w, 30, y)] = [4, {top}]",
-                failing_parameter="y_prime",
+        if y_p < 4 or y_p > top:
+            message = f"y' override {y_p} outside [4, min(w, 30, y)] = [4, {top}]"
+            if y_p < 4:
+                raise ParameterError(message, failing_parameter="y_prime")
+            suggestion = "lower y' or increase x"
+            if top < 4:  # no y' at all fits below this x
+                message = f"y' override {y_p} exceeds min(w, 30, y) = {top}"
+                suggestion = "increase x"
+            raise InfeasibleMass(
+                message, failing_parameter="y_prime", suggestion=suggestion
             )
         while y_p in primes:
             y_p -= 1
@@ -484,8 +493,8 @@ def _plan_full(
     d_p0 = modulus_product(fam0.primes, w, k_res)  # no prime lies in (y, p0)
     chunks = range(0, fam0.members.size, _MASS_CHUNK)
     parts = [reciprocal_sum(fam0.members[i : i + _MASS_CHUNK], d_p0) for i in chunks]
-    mass = [f.numerator * (d_p0.value // f.denominator) for f in parts]
-    total = Fraction(sum(mass), d_p0.value)
+    mass = [f.numerator * (d_p0 // f.denominator) for f in parts]
+    total = Fraction(sum(mass), d_p0)
     if total < r:
         raise InfeasibleMass(
             f"family reciprocal mass {float(total):.6f} < r = {r}",
@@ -510,7 +519,7 @@ def _plan_full(
 def _resolve_plan(
     config: ConstructionConfig,
     fam0: SmoothFamily,
-    d_p0: FactoredInt,
+    d_p0: int,
     mass: list,
 ) -> StagePlan:
     """Turn a config into a full plan."""
@@ -582,8 +591,10 @@ def _eliminate_step(trace, stage, removed, rem, n_mod, S, p, l):
         if overlap:
             raise AssertionError(f"B-sets overlap at {sorted(overlap)}")
         removed.update(t_set)
-    n_mod = n_mod.div_prime(p, 1)
-    if n_mod.value % rem.denominator != 0:
+    n_mod, residue = divmod(n_mod, p)
+    if residue:
+        raise AssertionError(f"{stage} divisor certificate lacks the prime {p}")
+    if n_mod % rem.denominator != 0:
         raise AssertionError(f"{stage} remainder escaped the divisor certificate")
     trace.record(stage, p, l, t_set, rem, n_mod)
     return rem, n_mod
@@ -609,7 +620,7 @@ def stage_one(
     if family.params.cutoff != plan.cutoff or family.params.y != plan.y:
         raise ParameterError("family was not built with the plan's parameters")
     n_mod = plan.d_p0
-    if n_mod.value % r.denominator != 0:
+    if n_mod % r.denominator != 0:
         raise DivisibilityError(
             f"b = {r.denominator} does not divide D(p0)", failing_parameter="r"
         )
@@ -644,7 +655,8 @@ def stage_one(
             trace, "2-cleanup", removed_all, rem, n_mod, stock, 2, l
         )
 
-    if plan.d_pool.odd_part().value % rem.denominator != 0:
+    d0 = plan.d_pool >> exact_multiplicity(plan.d_pool, 2)  # D0(y')
+    if d0 % rem.denominator != 0:
         raise AssertionError("stage-one remainder denominator escapes D0(y')")
     if not (0 < rem < r):
         raise RemainderNonPositive(f"stage-one remainder {rem} left (0, r)")
@@ -728,7 +740,8 @@ def stage_two(
             f"stage-two input {remainder} has denominator 1; nothing to expand",
             failing_parameter="remainder",
         )
-    if plan.d_pool.odd_part().value % remainder.denominator != 0:
+    d0 = plan.d_pool >> exact_multiplicity(plan.d_pool, 2)  # D0(y')
+    if d0 % remainder.denominator != 0:
         raise DivisibilityError(
             f"remainder denominator does not divide D0(y'={plan.y_prime})",
             failing_parameter="remainder",

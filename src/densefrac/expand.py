@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .arith import FactoredInt, factorize, largest_prime_factor, primes_in
+from .arith import factorize, largest_prime_factor, primes_in
 from .errors import BoundExceeded, ParameterError
 
 _FALLBACK_FACTOR = 15
@@ -73,9 +73,10 @@ def _divisor_subset(divs: list[int], target: int) -> Optional[list[int]]:
     return chosen[:] if rec(0, target) else None
 
 
-def _all_divisors(f: FactoredInt) -> list[int]:
+def _all_divisors(factors) -> list[int]:
+    """The divisors of prod(p^e) over the pairs (p, e) in factors."""
     divs = [1]
-    for p, e in f.factors:
+    for p, e in factors:
         divs = [d * p**j for d in divs for j in range(e + 1)]
     return divs
 

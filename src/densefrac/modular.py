@@ -9,10 +9,11 @@ and it usually succeeds (random residue sets cover Z_p once their size is
 a small power of log p); only the guarantee is lost.
 
 eliminate_prime applies a witness to cancel the factor p^l from a running
-denominator: given c/d with d | N and a stock S of divisors of N exactly
-divisible by p^l, it finds T subset of S, |T| < p, with the denominator of
-c/d + sum(1/n for n in T) dividing N/p. S may be any sequence of ints or an
-int64 array, with every value in int64. A slice is checked (n | N by one
+denominator: given c/d with d | N, the modulus N a plain int, and a stock
+S of divisors of N exactly divisible by p^l, it finds T subset of S,
+|T| < p, with the denominator of c/d + sum(1/n for n in T) dividing N/p.
+It reads p's multiplicity in N off N itself. S may be any sequence of ints
+or an int64 array, with every value in int64. A slice is checked (n | N by one
 limb division) and reduced mod p in array passes; residues are made only
 as far as the solver reads them, Python ints only for T and error texts.
 """
@@ -27,7 +28,7 @@ import numpy as np
 
 # factorize stays importable from here: perfbench/tracing.py counts its calls
 # through this module's namespace.
-from .arith import FactoredInt, exact_multiplicity, factorize, is_prime  # noqa: F401
+from .arith import exact_multiplicity, factorize, is_prime  # noqa: F401
 from .errors import DivisibilityError, EliminationFailed, ParameterError
 from .smooth import limb_division
 
@@ -96,16 +97,16 @@ def _as_int64(S) -> np.ndarray:
 
 def eliminate_prime(
     c_over_d: Fraction,
-    N: FactoredInt,
+    N: int,
     S: Sequence[int],
     p: int,
     l: int,
 ) -> Tuple[list[int], Fraction]:
     """Cancel the factor p^l from the denominator of c/d.
 
-    Requires p^l exactly dividing N, d | N, and every n in S dividing N
-    with exact p-multiplicity l. S is any sequence of ints or an int64
-    array (it is not modified); a value outside int64 raises
+    Requires p^l exactly dividing the int N >= 1, d | N, and every n in S
+    dividing N with exact p-multiplicity l. S is any sequence of ints or an
+    int64 array (it is not modified); a value outside int64 raises
     ParameterError. Returns (T, c'/d') with T a sorted list of Python ints
     from S, |T| < p, c'/d' = c/d + sum(1/n for n in T) and d' | N/p.
 
@@ -129,14 +130,13 @@ def eliminate_prime(
     _check_prime(p)
     if l < 1:
         raise ParameterError(f"need l >= 1, got {l}")
-    if N.multiplicity(p) != l:
+    mult = exact_multiplicity(N, p)
+    if mult != l:
         raise ParameterError(
-            f"p^l = {p}^{l} must exactly divide N (multiplicity "
-            f"{N.multiplicity(p)})"
+            f"p^l = {p}^{l} must exactly divide N (multiplicity {mult})"
         )
     c, d = c_over_d.numerator, c_over_d.denominator
-    nval = N.value
-    if nval % d != 0:
+    if N % d != 0:
         raise DivisibilityError(f"denominator {d} does not divide N")
     ascending = _as_int64(S)
     if not (ascending[1:] > ascending[:-1]).all():
@@ -145,7 +145,7 @@ def eliminate_prime(
             raise ParameterError("S must not contain duplicates")
     elements = ascending[::-1]
     n_pos = ascending.size - int(np.searchsorted(ascending, 1))
-    remainders = limb_division(nval, elements[:n_pos])[1]
+    remainders = limb_division(N, elements[:n_pos])[1]
     if remainders.any():  # the largest element that fails is reported
         bad = elements[np.argmax(remainders != 0)]
         raise DivisibilityError(f"element {bad} does not divide N")
@@ -177,7 +177,7 @@ def eliminate_prime(
 
     if d_mult < l:
         return [], c_over_d  # N/d is a multiple of p: nothing to cancel
-    unit = nval // pl % p
+    unit = N // pl % p
     target = -c * unit * pow(d // pl % p, -1, p) % p
     if target == 0:
         return [], c_over_d
@@ -197,7 +197,7 @@ def eliminate_prime(
     T = [int(elements[i]) for i in witness.indices]
     if len(T) >= p:
         raise AssertionError("witness cardinality >= p")
-    result = Fraction(c * (nval // d) + sum(nval // n for n in T), nval)
-    if (nval // p) % result.denominator != 0:
+    result = Fraction(c * (N // d) + sum(N // n for n in T), N)
+    if (N // p) % result.denominator != 0:
         raise AssertionError("postcondition d' | N/p violated")
     return sorted(T), result

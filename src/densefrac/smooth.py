@@ -18,9 +18,10 @@ new sieves (SmoothFamily.sub_family), and a construction reads every prime
 Lambda thresholds are element boundaries (members strictly greater than
 lambda*x), so a stored rational cutoff reproduces the family exactly.
 
-limb_division divides one big m by many elements at once, vectorized over
-limbs of m; its quotient sums give exact reciprocal masses over the common
-denominator m, and a zero remainder is the proof that an element divides m.
+limb_division divides one big int m by many elements at once, vectorized
+over limbs of m; its quotient sums give exact reciprocal masses over the
+common denominator m, and a zero remainder is the proof that an element
+divides m. Moduli are plain ints throughout.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import FactoredInt
 from .errors import (
     DivisibilityError,
     InfeasibleMass,
@@ -286,8 +286,8 @@ def limb_division(m: int, elements: np.ndarray):
     return sums, remainders
 
 
-def reciprocal_sum(elements: Iterable[int], modulus: FactoredInt) -> Fraction:
-    """Exact sum of 1/n over elements, all of which must divide modulus.
+def reciprocal_sum(elements: Iterable[int], m: int) -> Fraction:
+    """Exact sum of 1/n over elements, all of which must divide the int m.
 
     The sum is num/m with num = sum(m // n) over the fixed common
     denominator m, reduced once at the end; limb_division divides m by
@@ -298,7 +298,6 @@ def reciprocal_sum(elements: Iterable[int], modulus: FactoredInt) -> Fraction:
     element, in input order, that is below 1 or does not divide m raises
     DivisibilityError.
     """
-    m = modulus.value
     if not isinstance(elements, np.ndarray):
         # object dtype keeps every int exact: numpy turns a list holding
         # both -1 and 2**63 into float64
@@ -325,7 +324,7 @@ def reciprocal_sum(elements: Iterable[int], modulus: FactoredInt) -> Fraction:
     return Fraction(num, m)
 
 
-def choose_lambda(pool: Sequence[int], alpha: Fraction, modulus: FactoredInt):
+def choose_lambda(pool: Sequence[int], alpha: Fraction, m: int):
     """Pick the largest element-boundary cutoff leaving a small remainder.
 
     Walks the pool (ints in [1, 2^32)) downward, keeping every element while
@@ -334,8 +333,8 @@ def choose_lambda(pool: Sequence[int], alpha: Fraction, modulus: FactoredInt):
     bound: the boundary sits on the first element not taken (or just below
     the last pool element when the whole pool is consumed); lambda' is
     boundary / x'.
-    Every pool element must divide the modulus (one limb_division checks
-    them all); the largest that does not raises DivisibilityError.
+    Every pool element must divide the int modulus m (one limb_division
+    checks them all); the largest that does not raises DivisibilityError.
 
     Raises InfeasibleMass when even the whole pool leaves a remainder
     exceeding that bound.
@@ -350,7 +349,6 @@ def choose_lambda(pool: Sequence[int], alpha: Fraction, modulus: FactoredInt):
             failing_parameter="alpha",
             suggestion="enlarge x' or lower y'",
         )
-    m = modulus.value
     descending = pool[::-1]
     remainders = limb_division(m, descending)[1]
     if remainders.any():

@@ -100,9 +100,7 @@ def test_criterion_4_eliminate_prime_property_suite():
         rng.shuffle(others)
         others = others[:3]
         exps = {q: rng.randint(3, 4) for q in others}
-        from densefrac.arith import FactoredInt
-
-        N = FactoredInt.from_factors(sorted([(p, l)] + list(exps.items())))
+        N = p**l * math.prod(q**e for q, e in exps.items())
         divisors = [1]
         for q, e in exps.items():
             divisors = [d * q**j for d in divisors for j in range(e + 1)]
@@ -115,7 +113,7 @@ def test_criterion_4_eliminate_prime_property_suite():
         value = Fraction(c, d)
         T, res = eliminate_prime(value, N, S, p, l)
         assert len(T) < p
-        assert (N.value // p) % res.denominator == 0
+        assert (N // p) % res.denominator == 0
         assert res == value + sum(Fraction(1, n) for n in T)
         done += 1
     elapsed = time.time() - t0

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from densefrac.arith import (
-    FactoredInt,
     exact_multiplicity,
     factorize,
     largest_prime_factor,
@@ -15,9 +14,12 @@ from densefrac.errors import ParameterError
 
 
 def test_factorize_examples():
-    assert factorize(360).factors == ((2, 3), (3, 2), (5, 1))
-    assert factorize(1).factors == ()
-    assert factorize(1).value == 1
+    assert factorize(360) == ((2, 3), (3, 2), (5, 1))
+    assert factorize(1) == ()
+    # an lcm takes the larger exponent of each prime
+    a, b = dict(factorize(360)), dict(factorize(2100))
+    lcm = dict(factorize(math.lcm(360, 2100)))
+    assert lcm == {p: max(a.get(p, 0), b.get(p, 0)) for p in a | b}
     # trial-division oracle for the primorial
     n = 9699690
     m, fs = n, []
@@ -30,7 +32,7 @@ def test_factorize_examples():
                 e += 1
             fs.append((p, e))
         p += 1
-    assert factorize(n).factors == tuple(fs) == tuple((q, 1) for q in [2, 3, 5, 7, 11, 13, 17, 19])
+    assert factorize(n) == tuple(fs) == tuple((q, 1) for q in [2, 3, 5, 7, 11, 13, 17, 19])
 
 
 def test_factorize_roundtrip_random():
@@ -38,9 +40,8 @@ def test_factorize_roundtrip_random():
     for _ in range(300):
         n = rng.randint(1, 100_000)
         f = factorize(n)
-        assert f.value == n
-        assert math.prod(p**e for p, e in f.factors) == n
-        assert all(f.factors[i][0] < f.factors[i + 1][0] for i in range(len(f.factors) - 1))
+        assert math.prod(p**e for p, e in f) == n
+        assert all(f[i][0] < f[i + 1][0] for i in range(len(f) - 1))
 
 
 def test_prime_factor_conventions():
@@ -60,27 +61,6 @@ def test_primes_in():
     assert primes_in(14, 16) == []
     with pytest.raises(ParameterError):
         primes_in(5, 4)
-
-
-def test_factored_int_invariants():
-    f = FactoredInt.from_factors([(2, 3), (3, 2), (5, 1)])
-    assert f.value == 360
-    assert f.multiplicity(3) == 2 and f.multiplicity(7) == 0
-    assert f.odd_part().value == 45
-    with pytest.raises(ParameterError):
-        FactoredInt(12, ((3, 1), (2, 2)))  # primes out of order
-    with pytest.raises(ParameterError):
-        FactoredInt(10, ((2, 1),))  # product mismatch
-
-
-def test_factored_int_lcm_and_division():
-    a = dict(factorize(360).factors)
-    b = dict(factorize(2100).factors)
-    l = factorize(math.lcm(360, 2100))
-    assert dict(l.factors) == {p: max(a.get(p, 0), b.get(p, 0)) for p in a | b}
-    assert l.div_prime(2, 1).value == l.value // 2
-    with pytest.raises(ParameterError):
-        factorize(9).div_prime(2, 1)
 
 
 def test_fraction_field_properties():

@@ -67,6 +67,24 @@ def test_construct_infeasible_exit_2():
     assert out["suggestion"]
 
 
+@pytest.mark.parametrize(
+    "r, x, flag, value",
+    [
+        ("1/2", "533", "--x-prime", "50"),
+        ("2/5", "1672", "--y-prime", "12"),
+        ("7/8", "451", "--y-prime", "4"),
+    ],
+)
+def test_construct_unhonourable_pin_exit_2(r, x, flag, value):
+    """A well-formed x' or y' that the plan at this x cannot honour is
+    infeasible (exit 2), not a usage error."""
+    p = run_cli("construct", "--r", r, "--x", x, flag, value)
+    assert p.returncode == 2
+    out = json.loads(p.stdout)
+    assert out["code"] == "infeasible_mass"
+    assert out["failing_parameter"] == flag[2:].replace("-", "_")
+
+
 def test_construct_above_the_sieve_bound_exit_7():
     """x above the sieve's memory bound is a typed refusal naming x, not a
     usage error."""

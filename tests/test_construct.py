@@ -13,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densefrac import dickman
-from densefrac.arith import factorize, is_prime, primes_in
+from densefrac.arith import exact_multiplicity, factorize, is_prime, primes_in
 from densefrac.construct import (
     MAX_STAGE_TWO_ATTEMPTS,
     ConstructionConfig,
     StagePlan,
+    StageTrace,
+    _eliminate_step,
     _plan_full,
     _resolve_plan,
     _select_y_prime,
@@ -49,14 +51,10 @@ from oracles import factor_over
 
 
 def test_modulus_product_examples():
-    d = modulus_product([2, 3, 5], 10, 3)
-    assert d.value == 900
-    assert d.factors == ((2, 2), (3, 2), (5, 2))
-    assert d.odd_part().value == 225
-    assert modulus_product([], 10, 3).value == 1
+    assert modulus_product([2, 3, 5], 10, 3) == 900 == 2**2 * 3**2 * 5**2
+    assert modulus_product([], 10, 3) == 1
     # primes above w enter to the first power
-    d = modulus_product([2, 3, 5, 7, 11], 3, 3)
-    assert d.value == 4 * 9 * 5 * 7 * 11
+    assert modulus_product([2, 3, 5, 7, 11], 3, 3) == 4 * 9 * 5 * 7 * 11
 
 
 def _toy_plan(r):
@@ -103,7 +101,7 @@ def test_stage_one_toy_run(toy_family):
     assert rem + tree_sum(kept.tolist()) == r
     # every remainder divides its divisor certificate
     for step in trace.steps:
-        assert step.divisor_certificate.value % step.remainder_after.denominator == 0
+        assert step.divisor_certificate % step.remainder_after.denominator == 0
     # processed primes descending with matching slices
     assert [s.prime for s in trace.steps] == [5, 3, 2]
     assert trace.steps[0].removed == (15,)
@@ -393,9 +391,9 @@ def test_stage_trace_smoothing_monotonicity():
         for step in rep.stage_one_trace.steps:
             den = step.remainder_after.denominator
             cert = step.divisor_certificate
-            assert cert.value % den == 0
+            assert cert % den == 0
             if step.stage in ("p-loop", "q-loop"):
-                f = factor_over(den, [q for q, _ in cert.factors])
+                f = factor_over(den, [q for q, _ in factorize(cert)])
                 assert f.get(step.prime, 0) <= step.power - 1
                 if step.power == 1:
                     assert max(f, default=1) < step.prime
@@ -522,8 +520,8 @@ _NO_CUT = {
 }
 
 # (r, x, options, stage_one calls, the refusal's as_dict()): one target per
-# way out of the two retry loops. A change meant to keep refusals as they
-# are must keep these.
+# way out of the two retry loops, then pins of x' and y' that the plan cannot
+# honour. A change meant to keep refusals as they are must keep these.
 GOLDEN_REFUSALS = [
     # three retunes, then stage two's last cut fails
     ("23/26", 12578, {}, 4, _elimination_failed(7, 0)),
@@ -541,6 +539,28 @@ GOLDEN_REFUSALS = [
     # delta pinned, so no retune
     ("50/33", 8611, {"delta": Fraction(1, 30)}, 1, _NO_CUT),
     ("25/17", 22549, {"delta": Fraction(1, 30)}, 1, _elimination_failed(5, 1)),
+    # x' pinned above lambda*x
+    ("1/2", 533, {"x_prime": 50}, 0, {
+        "code": "infeasible_mass",
+        "message": "x'=50 exceeds lambda*x=44; stage-two pool would collide "
+        "with the kept family",
+        "failing_parameter": "x_prime",
+        "suggestion": "lower x' or increase x",
+    }),
+    # y' pinned above min(w, 30, y)
+    ("2/5", 1672, {"y_prime": 12}, 0, {
+        "code": "infeasible_mass",
+        "message": "y' override 12 outside [4, min(w, 30, y)] = [4, 9]",
+        "failing_parameter": "y_prime",
+        "suggestion": "lower y' or increase x",
+    }),
+    # y' pinned where min(w, 30, y) < 4 leaves no y' at all
+    ("7/8", 451, {"y_prime": 4}, 0, {
+        "code": "infeasible_mass",
+        "message": "y' override 4 exceeds min(w, 30, y) = 3",
+        "failing_parameter": "y_prime",
+        "suggestion": "increase x",
+    }),
 ]
 
 
@@ -673,7 +693,7 @@ def _plan_lacking(field, q):
     def lying(*args):
         plan = _resolve_plan(*args)
         d = getattr(plan, field)
-        return dataclasses.replace(plan, **{field: d.div_prime(q, d.multiplicity(q))})
+        return dataclasses.replace(plan, **{field: d // q ** exact_multiplicity(d, q)})
 
     return lying
 
@@ -752,6 +772,15 @@ def test_elimination_step_guard_fires_on_a_lying_layer(liar, message, monkeypatc
         construct_dense(Fraction(1, 3), 10**4)
 
 
+def test_elimination_step_refuses_a_certificate_without_the_prime():
+    """Dividing p out of a divisor certificate that p does not divide is
+    refused even where the floor quotient would still pass the escape
+    check: 33 // 5 = 6 is a multiple of the remainder's denominator 3."""
+    message = "^q-loop divisor certificate lacks the prime 5$"
+    with pytest.raises(AssertionError, match=message):
+        _eliminate_step(StageTrace(), "q-loop", set(), Fraction(1, 3), 33, [], 5, 1)
+
+
 def _next_prime(n):
     return next(q for q in itertools.count(n + 1) if is_prime(q))
 
@@ -780,7 +809,7 @@ def test_mass_pass_refuses_a_lying_sieve(intruder, monkeypatch):
         admitted.append(n)
         row = int(np.searchsorted(fam.table[0], n))
         # P and its multiplicity as the sieve records them: over primes <= y
-        top, mult = [(q, e) for q, e in factorize(n).factors if q <= params.y][-1]
+        top, mult = [(q, e) for q, e in factorize(n) if q <= params.y][-1]
         values = (n, top, mult, n % 2 == 1)
         table = tuple(np.insert(col, row, v) for col, v in zip(fam.table, values))
         return SmoothFamily(params, table, fam.primes)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densefrac.arith import FactoredInt, factorize
+from densefrac.arith import exact_multiplicity, factorize
 from densefrac.errors import DivisibilityError, EliminationFailed, ParameterError
 import densefrac.modular as modular
 from densefrac.modular import SubsetWitness, _check_prime, _solve, eliminate_prime
@@ -100,33 +100,33 @@ def test_determinism():
 
 
 def test_eliminate_examples():
-    T, res = eliminate_prime(Fraction(1, 3), factorize(12), [3, 6, 12], 3, 1)
+    T, res = eliminate_prime(Fraction(1, 3), 12, [3, 6, 12], 3, 1)
     assert T == [6] and res == Fraction(1, 2)
     assert (12 // 3) % res.denominator == 0
-    T, res = eliminate_prime(Fraction(1, 4), factorize(12), [3, 6], 3, 1)
+    T, res = eliminate_prime(Fraction(1, 4), 12, [3, 6], 3, 1)
     assert T == [] and res == Fraction(1, 4)
-    T, res = eliminate_prime(Fraction(1, 5), factorize(60), [5, 10, 15, 20], 5, 1)
+    T, res = eliminate_prime(Fraction(1, 5), 60, [5, 10, 15, 20], 5, 1)
     assert T == [20] and res == Fraction(1, 4)
     assert (60 // 5) % res.denominator == 0
 
 
 def test_eliminate_preconditions():
     with pytest.raises(ParameterError):
-        eliminate_prime(Fraction(1, 3), factorize(12), [3, 6], 3, 2)  # 3^2 not || 12
+        eliminate_prime(Fraction(1, 3), 12, [3, 6], 3, 2)  # 3^2 not || 12
     with pytest.raises(DivisibilityError):
-        eliminate_prime(Fraction(1, 7), factorize(12), [3, 6], 3, 1)  # 7 does not divide 12
+        eliminate_prime(Fraction(1, 7), 12, [3, 6], 3, 1)  # 7 does not divide 12
     with pytest.raises(ParameterError):
         # element with wrong multiplicity
-        eliminate_prime(Fraction(1, 5), factorize(300), [25, 10], 5, 2)
+        eliminate_prime(Fraction(1, 5), 300, [25, 10], 5, 2)
     with pytest.raises(ParameterError, match="every element of S"):
         # empty S, and d = 4 lacks the 3^1 that exactly divides N = 12
-        eliminate_prime(Fraction(1, 4), factorize(12), [], 3, 1)
+        eliminate_prime(Fraction(1, 4), 12, [], 3, 1)
 
 
 def test_eliminate_unreachable():
     # two equal residues cannot reach every target mod 7
-    N = factorize(7 * 16)
-    got = subset_sums_mod_p([(N.value // 7) % 7, (N.value // 14) % 7], 7)
+    N = 7 * 16
+    got = subset_sums_mod_p([(N // 7) % 7, (N // 14) % 7], 7)
     assert len(got) < 7
     with pytest.raises(EliminationFailed):
         # craft a c/d whose target falls outside the reachable set
@@ -140,9 +140,7 @@ def _random_valid_instance(rng):
     others = rng.sample([2, 3, 5, 7, 11, 13], k=4)
     others = [q for q in others if q != p][:3]
     exps = {q: rng.randint(2, 4) for q in others}
-    n_f = FactoredInt.from_factors(
-        sorted([(p, l)] + [(q, e) for q, e in exps.items()])
-    )
+    n_f = p**l * math.prod(q**e for q, e in exps.items())
     # S: distinct divisors of N / p^l times p^l
     divisors = [1]
     for q, e in exps.items():
@@ -164,7 +162,7 @@ def _eliminate_via_lcm(c_over_d, N, S, p, l):
     c, d = c_over_d.numerator, c_over_d.denominator
     elements = sorted(S, reverse=True)
     M = math.lcm(d, *elements)
-    assert factor_over(M, [q for q, _ in N.factors])[p] == l
+    assert factor_over(M, [q for q, _ in factorize(N)])[p] == l
     m0 = M // d
     target = (-c * m0) % p
     if target == 0:
@@ -182,14 +180,13 @@ def _eliminate_scalar(c_over_d, N, S, p, l):
     _check_prime(p)
     if l < 1:
         raise ParameterError(f"need l >= 1, got {l}")
-    if N.multiplicity(p) != l:
+    if exact_multiplicity(N, p) != l:
         raise ParameterError(
             f"p^l = {p}^{l} must exactly divide N (multiplicity "
-            f"{N.multiplicity(p)})"
+            f"{exact_multiplicity(N, p)})"
         )
     c, d = c_over_d.numerator, c_over_d.denominator
-    nval = N.value
-    if nval % d != 0:
+    if N % d != 0:
         raise DivisibilityError(f"denominator {d} does not divide N")
     elements = sorted({int(n) for n in S}, reverse=True)
     if len(elements) != len(S):
@@ -198,7 +195,7 @@ def _eliminate_scalar(c_over_d, N, S, p, l):
     for n in elements:
         if n < 1:
             raise ParameterError(f"elements of S must be positive, got {n}")
-        if nval % n != 0:
+        if N % n != 0:
             raise DivisibilityError(f"element {n} does not divide N")
         m, e = n, 0
         while m % p == 0:
@@ -220,7 +217,7 @@ def _eliminate_scalar(c_over_d, N, S, p, l):
             )
     if d_mult < l:
         return [], c_over_d
-    unit = nval // p**l % p
+    unit = N // p**l % p
     target = -c * unit * pow(d_cof % p, -1, p) % p
     if target == 0:
         return [], c_over_d
@@ -236,7 +233,7 @@ def _eliminate_scalar(c_over_d, N, S, p, l):
             suggestion="enlarge S (lower lambda'), or switch x",
         )
     T = [elements[i] for i in witness.indices]
-    result = Fraction(c * (nval // d) + sum(nval // n for n in T), nval)
+    result = Fraction(c * (N // d) + sum(N // n for n in T), N)
     return sorted(T), result
 
 
@@ -249,7 +246,7 @@ def test_eliminate_randomized_properties():
             continue
         T, res = eliminate_prime(c_over_d, N, S, p, l)
         assert len(T) < p
-        assert (N.value // p) % res.denominator == 0
+        assert (N // p) % res.denominator == 0
         assert res == c_over_d + sum(Fraction(1, n) for n in T)
         # residues taken from N, not from the lcm, pick the same witness
         assert (T, res) == _eliminate_via_lcm(c_over_d, N, S, p, l)
@@ -279,7 +276,7 @@ def _elimination_case(draw):
     l = draw(st.integers(1, 2))
     others = [q for q in (2, 3, 5, 7, 11) if q != p][:3]
     exps = [draw(st.integers(1, 3)) for _ in others]
-    N = FactoredInt.from_factors(sorted([(p, l)] + list(zip(others, exps))))
+    N = p**l * math.prod(q**e for q, e in zip(others, exps))
     cofactors = [1]
     for q, e in zip(others, exps):
         cofactors = [m * q**j for m in cofactors for j in range(e + 1)]
@@ -322,7 +319,7 @@ def test_eliminate_matches_scalar_reference(case):
 
 
 def test_eliminate_rejects_elements_beyond_int64():
-    N = factorize(2**70 * 3)
+    N = 2**70 * 3
     with pytest.raises(ParameterError, match="int64"):
         eliminate_prime(Fraction(1, 3), N, [3 * 2**62, 3 * 2**63], 3, 1)
 
@@ -340,7 +337,7 @@ def test_eliminate_checks_elements_from_2_32_exactly(S, message):
     """Elements from 2^32 up (never family members) are checked exactly
     too, the largest failing element is reported, and the outcome is the
     element-wise reference's."""
-    N = FactoredInt.from_factors([(2, 40), (3, 2), (5, 1)])
+    N = 2**40 * 3**2 * 5
     for d in (5, 15):
         case = (Fraction(1, d), N, S, 5, 1)
         got = _outcome(eliminate_prime, *case)
@@ -353,7 +350,7 @@ def test_eliminate_checks_elements_from_2_32_exactly(S, message):
 
 def test_eliminate_power_beyond_int64():
     """p^l >= 2^63: no int64 element is a multiple of it."""
-    N = factorize(2**64 * 3)
+    N = 2**64 * 3
     for S in ([], [3], [2**62, 3]):
         for d in (1, 2**64):
             case = (Fraction(1, d), N, S, 2, 64)
@@ -374,12 +371,12 @@ def _witness_of_p_elements(rs, target, p, t):
     [
         (
             _witness_one_short,
-            (Fraction(1, 5), factorize(60), [5, 10, 15, 20], 5, 1),
+            (Fraction(1, 5), 60, [5, 10, 15, 20], 5, 1),
             r"postcondition d' \| N/p violated",
         ),
         (
             _witness_of_p_elements,
-            (Fraction(1, 3), factorize(12), [3, 6, 12], 3, 1),
+            (Fraction(1, 3), 12, [3, 6, 12], 3, 1),
             "witness cardinality >= p",
         ),
     ],

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densefrac import smooth
-from densefrac.arith import FactoredInt, factorize, primes_in
+from densefrac.arith import factorize, primes_in
 from densefrac.construct import modulus_product
 from densefrac.errors import (
     DensefracError,
@@ -190,11 +190,11 @@ def _member_predicates(n, params):
     if not (params.cutoff < n <= params.x):
         return False
     f = factorize(n)
-    if f.factors and f.factors[-1][0] > params.y:
+    if f and f[-1][0] > params.y:
         return False
-    if any(e >= params.k for _, e in f.factors):
+    if any(e >= params.k for _, e in f):
         return False
-    if any(e >= 2 and p > params.w for p, e in f.factors):
+    if any(e >= 2 and p > params.w for p, e in f):
         return False
     return True
 
@@ -282,7 +282,7 @@ def test_partition_identity(mid_family):
         core = members[mid_family.table[1] <= y_prime]  # P(n) <= y'
         total = len(core)
         union = set(int(v) for v in core)
-        for p in [q for q in range(y_prime + 1, params.y + 1) if factorize(q).factors == ((q, 1),)]:
+        for p in [q for q in range(y_prime + 1, params.y + 1) if factorize(q) == ((q, 1),)]:
             lmax = 1 if p > params.w else params.k - 1
             for l in range(1, lmax + 1):
                 s = mid_family.slice(p, l)
@@ -312,25 +312,24 @@ def test_squarefree_census_mobius():
 
 
 def test_reciprocal_sum(toy_family):
-    assert reciprocal_sum([2, 3, 6], factorize(6)) == 1
-    assert reciprocal_sum([3, 15], factorize(15)) == Fraction(2, 5)
-    assert reciprocal_sum([], factorize(30)) == 0
+    assert reciprocal_sum([2, 3, 6], 6) == 1
+    assert reciprocal_sum([3, 15], 15) == Fraction(2, 5)
+    assert reciprocal_sum([], 30) == 0
     with pytest.raises(DivisibilityError):
-        reciprocal_sum([4], factorize(30))
+        reciprocal_sum([4], 30)
 
 
 def test_reciprocal_sum_matches_fractions(mid_family):
     rng = random.Random(5)
     sample = sorted(rng.sample([int(v) for v in mid_family.members], 500))
-    modulus = factorize(math.lcm(*sample))
+    modulus = math.lcm(*sample)
     got = reciprocal_sum(sample, modulus)
     want = sum(Fraction(1, n) for n in sample)
     assert got == want
 
 
-def _reciprocal_sum_scalar(elements, modulus):
+def _reciprocal_sum_scalar(elements, m):
     """The one-Python-step-per-element loop reciprocal_sum once was."""
-    m = modulus.value
     num = 0
     for n in elements:
         n = int(n)
@@ -360,10 +359,8 @@ def _limb_division_case(draw):
         value *= p
         flat.append(p)
     flat += [2] * (bits - value.bit_length())
-    modulus = FactoredInt.from_factors(
-        sorted((p, flat.count(p)) for p in set(flat))
-    )
-    assert modulus.value.bit_length() == bits
+    modulus = math.prod(flat)
+    assert modulus.bit_length() == bits
     elements = []
     if flat:
         picks = st.lists(st.integers(0, len(flat) - 1), max_size=12, unique=True)
@@ -449,7 +446,7 @@ def test_limb_division_matches_python(m, elements, chunk):
 def test_reciprocal_sum_largest_element():
     """r * 2^32 + limb peaks below 2^64 when n = 2^32 - 1 divides m."""
     top = 2**32 - 1  # 3 * 5 * 17 * 257 * 65537
-    modulus = FactoredInt.from_factors(((2, 2000),) + factorize(top).factors)
+    modulus = 2**2000 * top
     elements = [1, 2, top, 65537, 2**31, 2 * 65537 * 257]
     want = _reciprocal_sum_scalar(elements, modulus)
     for form, as_input in _AS_INPUT.items():
@@ -459,7 +456,7 @@ def test_reciprocal_sum_largest_element():
 @pytest.mark.parametrize("big", [2**32, 2**63, 2**70])
 def test_reciprocal_sum_rejects_elements_from_2_32(big):
     """An element >= 2^32 is refused before any divisibility check."""
-    modulus = factorize(30)
+    modulus = 30
     for elements in ([7, big], [big, 7], [1, 7, 2, big]):
         forms = ["list", "generator"] + (["int64 array"] if big < 2**63 else [])
         for form in forms:
@@ -483,7 +480,7 @@ def test_reciprocal_sum_memory_is_chunked():
 
 
 def test_choose_lambda_spec_example():
-    boundary, chosen, rem = choose_lambda([3, 15], Fraction(41, 100), factorize(15))
+    boundary, chosen, rem = choose_lambda([3, 15], Fraction(41, 100), 15)
     assert chosen == [3, 15]
     assert rem == Fraction(1, 100)
     assert boundary == 2
@@ -492,7 +489,7 @@ def test_choose_lambda_spec_example():
 
 def test_choose_lambda_mass_error():
     with pytest.raises(InfeasibleMass):
-        choose_lambda([3, 15], Fraction(2, 5) + 1, factorize(15))
+        choose_lambda([3, 15], Fraction(2, 5) + 1, 15)
 
 
 def test_choose_lambda_refuses_a_pool_element_outside_the_modulus():
@@ -500,12 +497,12 @@ def test_choose_lambda_refuses_a_pool_element_outside_the_modulus():
     with pytest.raises(
         DivisibilityError, match="pool element 7 does not divide the modulus"
     ):
-        choose_lambda([3, 7, 15], Fraction(1, 2), factorize(15))
+        choose_lambda([3, 7, 15], Fraction(1, 2), 15)
 
 
 def test_choose_lambda_properties(mid_family):
     pool = mid_family.members_a0.tolist()[:400]
-    modulus = factorize(math.lcm(*pool))
+    modulus = math.lcm(*pool)
     rng = random.Random(23)
     for _ in range(25):
         alpha = Fraction(rng.randint(1, 50), rng.randint(51, 400))

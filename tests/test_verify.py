@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import densefrac.verify as verify
 from densefrac import dickman
-from densefrac.arith import factorize, primes_in
+from densefrac.arith import primes_in
 from densefrac.construct import construct_dense
 from densefrac.smooth import reciprocal_sum
 from densefrac.verify import (
@@ -303,8 +303,7 @@ def test_tree_sum_vs_fixed_denominator(mid_family):
     members = [int(v) for v in mid_family.members]
     for _ in range(10):
         sample = sorted(rng.sample(members, 300))
-        modulus = factorize(math.lcm(*sample))
-        assert tree_sum(sample) == reciprocal_sum(sample, modulus)
+        assert tree_sum(sample) == reciprocal_sum(sample, math.lcm(*sample))
 
 
 def test_harmonic_segment_exact_matches_direct():
