@@ -16,10 +16,6 @@ from densefrac.errors import ParameterError
 def test_factorize_examples():
     assert factorize(360) == ((2, 3), (3, 2), (5, 1))
     assert factorize(1) == ()
-    # an lcm takes the larger exponent of each prime
-    a, b = dict(factorize(360)), dict(factorize(2100))
-    lcm = dict(factorize(math.lcm(360, 2100)))
-    assert lcm == {p: max(a.get(p, 0), b.get(p, 0)) for p in a | b}
     # trial-division oracle for the primorial
     n = 9699690
     m, fs = n, []
@@ -34,6 +30,24 @@ def test_factorize_examples():
         p += 1
     assert factorize(n) == tuple(fs) == tuple((q, 1) for q in [2, 3, 5, 7, 11, 13, 17, 19])
 
+
+
+def test_factored_int_lcm_and_division():
+    # moduli are plain ints: an lcm takes the larger exponent of each prime
+    a, b = dict(factorize(360)), dict(factorize(2100))
+    l = math.lcm(360, 2100)
+    assert dict(factorize(l)) == {p: max(a.get(p, 0), b.get(p, 0)) for p in a | b}
+    # dividing one prime out lowers its multiplicity by one and keeps the rest
+    q, r = divmod(l, 2)
+    assert r == 0
+    assert exact_multiplicity(q, 2) == exact_multiplicity(l, 2) - 1
+    assert {p: e for p, e in factorize(q) if p != 2} == {
+        p: e for p, e in factorize(l) if p != 2
+    }
+    # a prime that does not divide leaves a remainder and has multiplicity 0
+    assert divmod(9, 2)[1] != 0 and exact_multiplicity(9, 2) == 0
+    with pytest.raises(ParameterError):
+        exact_multiplicity(0, 2)
 
 def test_factorize_roundtrip_random():
     rng = random.Random(42)
