@@ -5,10 +5,11 @@ nothing from the construction and shares no modulus with it. It holds the
 denominators as one sorted numpy array: int64 when every value fits, and
 object (exact Python ints) otherwise. Reciprocal sums are re-computed by
 the verifier's own kernel over a common denominator it derives from its
-input alone: the denominator starts at the lcm of the first block and
-grows to the lcm of what it has read whenever a long division of it by the
-next block leaves a remainder; every counted quotient comes from a
-division whose remainder is zero, the proof that the element divides the
+input alone. It is divided by a whole block at once, in limbs as wide as
+the block's largest element allows; when a division leaves a remainder,
+the denominator grows, over the largest late cofactors first, until it is
+the lcm of what it has read. Every counted quotient comes from a division
+whose remainder is zero, the proof that the element divides the
 denominator. What would take the denominator past a bit cap is summed
 over chunk-lcm leaves, and the (numerator, denominator) pairs are added by
 a balanced tree of reduced integer pairs. The harmonic-minimality
@@ -43,13 +44,18 @@ _BLOCK = 128 * _LEAF
 
 #: Bit length past which a run's common denominator is not grown. The lcm
 #: of a whole representation is about 762 bits at x = 10^6 and 2096 bits at
-#: 10^7. At r = 1, x = 10^7 (2-vCPU Xeon VM) tree_sum took 2.05 s with a
-#: 2048-bit cap, as long as chunk-lcm leaves alone, and 0.71 s and 0.70 s
-#: with 4096 and 8192 bits; the lower cap bounds the limbs per division.
+#: 10^7. At r = 1, x = 10^7 (2-vCPU Xeon VM) tree_sum took 1.56 s with a
+#: 2048-bit cap, mostly in chunk-lcm leaves, and 0.45 s with 4096 and 8192
+#: bits alike; the lower cap bounds the limbs per division.
 _RUN_BITS = 4096
 
-#: Denominators a run takes are below 2^32, so that r * 2^32 + limb < 2^64.
+#: Denominators a run takes are below 2^32, so that _divide's limbs are at
+#: least 32 bits wide.
 _RUN_BOUND = 2**32
+
+#: Widest limb _divide cuts: _BLOCK = 2^12 quotient digits below 2^52 sum
+#: below 2^64.
+_WIDTH = 52
 
 
 @dataclass(frozen=True)
@@ -73,63 +79,81 @@ class Certificate:
         )
 
 
-def _limbs(m: int) -> list:
-    """m's 32-bit limbs, most significant first."""
-    size = (m.bit_length() + 31) // 32
-    return np.frombuffer(m.to_bytes(4 * size, "big"), dtype=">u4").tolist()
+def _limbs(m: int, width: int) -> list:
+    """m's width-bit limbs, most significant first."""
+    mask = (1 << width) - 1
+    return [m >> j & mask for j in reversed(range(0, m.bit_length(), width))]
 
 
-def _divide(limbs: list, n: np.ndarray) -> tuple[int, np.ndarray]:
-    """(sum of m // n, m mod n) for every n of a uint64 array, 0 < n < 2^32,
-    with m given by its limbs: a schoolbook long division of m by the whole
-    array at once. Each remainder, shifted one limb up with the next limb
-    below it, stays under n * 2^32 <= 2^64, so its quotient digit is below
-    2^32 and a digit column sums exactly in uint64 for under 2^32 elements;
-    the columns are added into the total as they come, most significant
-    first."""
+def _divide(cut: tuple, n: np.ndarray) -> tuple[int, np.ndarray]:
+    """(sum of m // n, m mod n) for every n of a uint64 array, with m given
+    by its cut (width, limbs): a schoolbook long division of m by the whole
+    array at once, one width-bit limb at a time, most significant first.
+    Every n is below 2^(64 - width), so a remainder shifted one limb up with
+    the next limb below it stays under n * 2^width <= 2^64, and its quotient
+    digit is below 2^width. With width <= _WIDTH, a digit column of up to
+    _BLOCK elements sums exactly in uint64; the columns are added into the
+    total as they come."""
+    width, limbs = cut
     rem = np.zeros_like(n)
     digit = np.empty_like(n)
     total = 0
     for limb in limbs:
-        rem <<= 32
+        rem <<= width
         rem |= limb
         np.divmod(rem, n, out=(digit, rem))
-        total = (total << 32) + int(digit.sum())
+        total = (total << width) + int(digit.sum())
     return total, rem
 
 
 def _join(run: tuple, n: np.ndarray) -> Optional[tuple]:
-    """The run (m, num, limbs), whose reciprocal sum so far is num / m,
-    with every 1/n of the uint64 array n added; None when that would take m
-    past _RUN_BITS.
+    """The run (m, num, cut), whose reciprocal sum so far is num / m and
+    whose cut holds m's limbs (_divide), with every 1/n of the uint64 array
+    n added; None when that would take m past _RUN_BITS.
 
-    An element joins only through a division that leaves remainder 0, the
-    proof that it divides m. For the elements that leave a remainder, m
-    grows to m' = lcm(m, those) = m * lcm(n / gcd(m mod n, n)): the
-    numerator so far, without their quotients, is scaled by m' / m, and m'
-    is divided by them alone.
+    The limbs are as wide as the largest n allows, up to _WIDTH. An element
+    joins only through a division that leaves remainder 0, the proof that
+    it divides m. The elements that leave a remainder are late: m grows in
+    passes, each to m' = m * lcm of the largest late cofactors
+    n / gcd(m mod n, n), 4 * _LEAF of them on the first pass and twice as
+    many on each later one, which is lcm(m, those n). The numerator so far,
+    with the quotients of the elements that divided m but without those of
+    the late ones, is scaled by m' / m, and m' is divided by the late
+    elements alone; the ones it leaves a remainder for are late on the next
+    pass. The largest elements of a block carry nearly all of its prime
+    powers, so one or two passes usually empty the late set, and the pass
+    that takes all of them (at most the sixth) always does. Every m' divides
+    lcm(m, n), the final one equals it, and the run is refused exactly when
+    that lcm would take m past _RUN_BITS.
     """
-    m, num, limbs = run
-    total, rem = _divide(limbs, n)
+    m, num, cut = run
+    width = min(64 - int(n.max(initial=1)).bit_length(), _WIDTH)
+    if cut[0] != width:
+        cut = width, _limbs(m, width)
+    total, rem = _divide(cut, n)
     late = rem != 0
-    # m' is a multiple of every late n, so one pass empties late; its
-    # remainders are what shows it.
+    budget = _RUN_BITS - m.bit_length()
+    grown, top = 1, 4 * _LEAF
     while late.any():
         n, rem = n[late], rem[late]
-        cofactors = (n // np.gcd(rem, n)).tolist()
-        budget = _RUN_BITS - m.bit_length()
+        stale, _ = _divide(cut, n)
+        cofactors = n // np.gcd(rem, n)
+        if cofactors.size > top:
+            cofactors = np.partition(cofactors, -top)[-top:]
+        cofactors = cofactors.tolist()
         scale = 1
         for i in range(0, len(cofactors), _LEAF):
             scale = lcm(scale, *cofactors[i : i + _LEAF])
-            if scale.bit_length() > budget:
+            if (grown * scale).bit_length() > budget:
                 return None
-        stale, _ = _divide(limbs, n)
+        grown *= scale
         m *= scale
-        limbs = _limbs(m)
+        cut = width, _limbs(m, width)
         num = (num + total - stale) * scale
-        total, rem = _divide(limbs, n)
+        total, rem = _divide(cut, n)
         late = rem != 0
-    return m, num + total, limbs
+        top *= 2
+    return m, num + total, cut
 
 
 def tree_sum(elements) -> Fraction:
@@ -167,7 +191,7 @@ def tree_sum(elements) -> Fraction:
 
     if not isinstance(elements, (range, np.ndarray)):
         elements = int_array(elements)
-    run = (1, 0, [1])  # (m, num, limbs of m): nothing joined yet
+    run = (1, 0, (_WIDTH, [1]))  # (m, num, cut of m): nothing joined yet
     runs = isinstance(elements, np.ndarray) and elements.dtype == np.int64
     for start in range(0, len(elements), _BLOCK):
         block = elements[start : start + _BLOCK]

@@ -267,6 +267,68 @@ def test_tree_sum_leaves_after_the_run_passes_the_cap(monkeypatch):
     assert [run is not None for run in joins] == [True, False]
 
 
+def test_tree_sum_grows_the_run_in_several_passes(monkeypatch):
+    """300 distinct primes in (2^8, 2^12) after tiled small values: the
+    largest late cofactors of the first pass are primes only, so m needs
+    further passes for the rest, and ends as the block's lcm."""
+    xs = _blocks_of_small_values(1)
+    xs[-300:] = primes_in(2**8, 2**12)[:300]
+    divisions = []
+    divide = verify._divide
+
+    def counting(cut, n):
+        divisions.append(n.size)
+        return divide(cut, n)
+
+    monkeypatch.setattr(verify, "_divide", counting)
+    joins = _record_joins(monkeypatch)
+    assert tree_sum(xs) == oracle_sum(xs.tolist())
+    assert [m for m, _, _ in joins] == [math.lcm(*xs.tolist())]
+    # one division of the block, then two per growth pass
+    assert len(divisions) >= 1 + 2 * 2
+
+
+@pytest.mark.parametrize("extra, joined", [(0, True), (1, False)])
+def test_tree_sum_cap_holds_across_growth_passes(monkeypatch, extra, joined):
+    """Small values, about 200 distinct primes near 2^20 and a power of two
+    that brings the block's lcm to _RUN_BITS - 1 bits, or to _RUN_BITS: m
+    grows in two passes, each below the cap on its own, and the block
+    joins exactly when one pass over every cofactor would."""
+    primes = primes_in(2**20, 2**21)
+    small = math.lcm(*_SMALL.tolist())
+    count = max(
+        k for k in range(1, _RUN_BITS // 20)
+        if (small * math.prod(primes[:k])).bit_length() < _RUN_BITS
+    )
+    base = small * math.prod(primes[:count])
+    xs = _blocks_of_small_values(1)
+    xs[:count] = primes[:count]
+    xs[count] = 16 << (_RUN_BITS - 1 + extra - base.bit_length())
+    joins = _record_joins(monkeypatch)
+    assert tree_sum(xs) == oracle_sum(xs.tolist())
+    assert [run is not None for run in joins] == [joined]
+    if joined:
+        assert joins[0][0].bit_length() == _RUN_BITS - 1
+
+
+@pytest.mark.parametrize("large, want_width", [([], 52), ([2**32 - 17, 2**32 - 5], 32)])
+def test_tree_sum_limb_width_at_the_ends_of_its_range(monkeypatch, large, want_width):
+    """Mostly 1s and every prime below 2^11, twice: the first block grows m
+    past 1000 bits, and the second divides it whole. At the top, in 52-bit
+    limbs, a 1's quotient digits are m's limbs, so a column of them sums
+    near 2^64. At the bottom, with primes just below 2^32, a remainder
+    shifted up by 32 bits comes near 2^64. One bit wider and either would
+    overflow uint64."""
+    primes = primes_in(2, 2**11) + large
+    block = np.ones(_BLOCK, dtype=np.int64)
+    block[-len(primes) :] = primes
+    xs = np.tile(block, 2)
+    joins = _record_joins(monkeypatch)
+    assert tree_sum(xs) == oracle_sum(xs.tolist())
+    m, _, (width, _) = joins[-1]
+    assert len(joins) == 2 and m.bit_length() > 1000 and width == want_width
+
+
 def test_tree_sum_leaves_after_a_block_past_the_cap(monkeypatch):
     """The first block's own lcm passes _RUN_BITS: it and every later
     block are summed by chunk-lcm leaves."""
