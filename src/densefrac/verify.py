@@ -136,7 +136,6 @@ def _join(run: tuple, n: np.ndarray) -> Optional[tuple]:
     grown, top = 1, 4 * _LEAF
     while late.any():
         n, rem = n[late], rem[late]
-        stale, _ = _divide(cut, n)
         cofactors = n // np.gcd(rem, n)
         if cofactors.size > top:
             cofactors = np.partition(cofactors, -top)[-top:]
@@ -146,6 +145,7 @@ def _join(run: tuple, n: np.ndarray) -> Optional[tuple]:
             scale = lcm(scale, *cofactors[i : i + _LEAF])
             if (grown * scale).bit_length() > budget:
                 return None
+        stale, _ = _divide(cut, n)
         grown *= scale
         m *= scale
         cut = width, _limbs(m, width)
