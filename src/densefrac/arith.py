@@ -13,7 +13,8 @@ rationals are stdlib
 `fractions.Fraction` (always reduced, positive denominator). Bulk
 reciprocal sums over a family never reduce pairwise: see
 `densefrac.smooth.limb_division`, which divides a common denominator m
-by every element at once, giving sums of m // n and each m mod n.
+by every element at once, giving sums of m // n and each m mod n
+(`limb_remainders` gives the remainders alone).
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ denominator: given c/d with d | N, the modulus N a plain int, and a stock
 S of divisors of N exactly divisible by p^l, it finds T subset of S,
 |T| < p, with the denominator of c/d + sum(1/n for n in T) dividing N/p.
 It reads p's multiplicity in N off N itself. S may be any sequence of ints
-or an int64 array, with every value in int64. A slice is checked (n | N by one
-limb division) and reduced mod p in array passes; residues are made only
-as far as the solver reads them, Python ints only for T and error texts.
+or an int64 array, with every value in int64. A slice is checked in two
+array passes, n | N on limb_remainders' remainders and p^l | n; residues
+are made from Python ints only as far as the solver reads them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 # through this module's namespace.
 from .arith import exact_multiplicity, factorize, is_prime  # noqa: F401
 from .errors import DivisibilityError, EliminationFailed, ParameterError
-from .smooth import limb_division
+from .smooth import limb_remainders
 
 
 @dataclass(frozen=True)
@@ -120,12 +120,15 @@ def eliminate_prime(
 
     The subset sum is posed over the residues of N/n mod p. For n exactly
     divisible by p^l, N/n = (N/p^l) / (n/p^l) with both factors prime to
-    p, so each residue is (N/p^l mod p) * inv(n/p^l mod p); the cofactors
-    n/p^l mod p come from one array pass over S. Any common multiple
+    p, so each residue is (N/p^l mod p) * inv(n/p^l mod p), made only for
+    the elements the solver reads. Any common multiple
     M of d and S carrying exactly p^l gives residues that differ from
     these by the unit N/M, so the witness does not depend on the choice of
-    common multiple. The check n | N stays exact, on limb_division's
-    remainders; an S already strictly ascending is not sorted again.
+    common multiple. Every n in S is proven to divide N by a zero remainder
+    (limb_remainders) before the solver runs. Since n | N and p^l exactly
+    divides N, p^l | n already means multiplicity exactly l, so that one
+    array test is the multiplicity check. An S already strictly ascending
+    is not sorted again.
     """
     _check_prime(p)
     if l < 1:
@@ -144,25 +147,23 @@ def eliminate_prime(
         if (ascending[1:] == ascending[:-1]).any():
             raise ParameterError("S must not contain duplicates")
     elements = ascending[::-1]
-    n_pos = ascending.size - int(np.searchsorted(ascending, 1))
-    remainders = limb_division(N, elements[:n_pos])[1]
+    n_pos = ascending.size
+    if n_pos and ascending[0] < 1:
+        n_pos -= int(np.searchsorted(ascending, 1))
+    remainders = limb_remainders(N, elements[:n_pos])
     if remainders.any():  # the largest element that fails is reported
         bad = elements[np.argmax(remainders != 0)]
         raise DivisibilityError(f"element {bad} does not divide N")
     if n_pos < elements.size:
         raise ParameterError(f"elements of S must be positive, got {elements[n_pos]}")
 
-    # Every element divides N, so its p-multiplicity is at most l: it is
-    # exactly l iff p^l divides it (the cofactor test guards the same).
+    # Every element divides N, which p^l exactly divides, so an element's
+    # p-multiplicity is exactly l iff p^l divides it.
     pl = p**l
     if pl < 2**63:
         exact = elements % pl == 0
-        cof = elements // pl
-        cof %= p
-        exact &= cof != 0
     else:  # no int64 element is a multiple of p^l
-        cof = np.zeros(elements.size, dtype=np.int64)
-        exact = cof != 0
+        exact = np.zeros(elements.size, dtype=bool)
     d_mult = exact_multiplicity(d, p)
     if d_mult != l and not exact.any():
         raise ParameterError(
@@ -183,7 +184,7 @@ def eliminate_prime(
         return [], c_over_d
     # The solver stops at its first witness, typically within the first 2%
     # of a slice, so the residues are made as it reads them.
-    residues = (unit * pow(int(m), -1, p) % p for m in cof)
+    residues = (unit * pow(n // pl % p, -1, p) % p for n in map(int, elements))
     witness = _solve(residues, target, p, elements.size)
     if witness is None:
         raise EliminationFailed(

@@ -20,8 +20,10 @@ lambda*x), so a stored rational cutoff reproduces the family exactly.
 
 limb_division divides one big int m by many elements at once, vectorized
 over limbs of m; its quotient sums give exact reciprocal masses over the
-common denominator m, and a zero remainder is the proof that an element
-divides m. Moduli are plain ints throughout.
+common denominator m (reciprocal_sum). limb_remainders is the same long
+division without quotients, for callers that only need the proof that an
+element divides m, a zero remainder (choose_lambda, elimination). Moduli
+are plain ints throughout.
 """
 
 from __future__ import annotations
@@ -262,6 +264,7 @@ def limb_division(m: int, elements: np.ndarray):
 
     sums[i] is the sum of m // n over the i-th run of _CHUNK elements, and
     remainders holds each m mod n (uint64). Elements lie in [1, 2^63).
+    A caller that needs no sums takes limb_remainders.
 
     A schoolbook long division of m in s-bit limbs, most significant first,
     with every n < 2^(64 - s): a remainder r < n becomes r * 2^s + limb <
@@ -284,6 +287,25 @@ def limb_division(m: int, elements: np.ndarray):
             chunk_sum = (chunk_sum << s) + int(q.sum())
         sums.append(chunk_sum)
     return sums, remainders
+
+
+def limb_remainders(m: int, elements: np.ndarray) -> np.ndarray:
+    """Every m mod n (uint64) for the elements n in [1, 2^63); m >= 0.
+
+    limb_division's long division without its quotients: the head of m,
+    below 2^64, is reduced in one step (the remainder starts at 0), then
+    s-bit limbs with every n < 2^(64 - s) follow. An m below 2^64 costs one
+    np.remainder.
+    """
+    n = elements.astype(np.uint64)
+    s = 64 - int(n.max(initial=1)).bit_length()
+    tail = -(-max(m.bit_length() - 64, 0) // s) * s
+    r = np.remainder(np.uint64(m >> tail), n)
+    for j in reversed(range(0, tail, s)):
+        r <<= s
+        r |= m >> j & ((1 << s) - 1)
+        r %= n
+    return r
 
 
 def reciprocal_sum(elements: Iterable[int], m: int) -> Fraction:
@@ -333,7 +355,7 @@ def choose_lambda(pool: Sequence[int], alpha: Fraction, m: int):
     bound: the boundary sits on the first element not taken (or just below
     the last pool element when the whole pool is consumed); lambda' is
     boundary / x'.
-    Every pool element must divide the int modulus m (one limb_division
+    Every pool element must divide the int modulus m (limb_remainders
     checks them all); the largest that does not raises DivisibilityError.
 
     Raises InfeasibleMass when even the whole pool leaves a remainder
@@ -350,7 +372,7 @@ def choose_lambda(pool: Sequence[int], alpha: Fraction, m: int):
             suggestion="enlarge x' or lower y'",
         )
     descending = pool[::-1]
-    remainders = limb_division(m, descending)[1]
+    remainders = limb_remainders(m, descending)
     if remainders.any():
         e = descending[np.argmax(remainders != 0)]
         raise DivisibilityError(f"pool element {e} does not divide the modulus")

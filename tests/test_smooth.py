@@ -27,6 +27,7 @@ from densefrac.smooth import (
     build_family,
     choose_lambda,
     limb_division,
+    limb_remainders,
     reciprocal_sum,
 )
 from oracles import factor_over
@@ -414,9 +415,15 @@ def test_reciprocal_sum_matches_scalar_loop(case, form, chunk):
     assert got == _outcome(_reciprocal_sum_scalar, elements, modulus)
 
 
+@pytest.mark.parametrize("kernel", [limb_division, limb_remainders])
 @settings(max_examples=200, deadline=None)
 @given(
-    m=st.one_of(st.integers(1, 2**64), st.integers(1, 2**2100)),
+    m=st.one_of(
+        st.integers(1, 2**64),
+        st.integers(2**63, 2**65 - 1),  # 64 and 65 bits
+        st.integers(1, 2**2100),
+        st.integers(2**2099, 2**2100 - 1),
+    ),
     elements=st.lists(
         st.one_of(
             st.integers(1, 2**32 - 1),
@@ -424,23 +431,31 @@ def test_reciprocal_sum_matches_scalar_loop(case, form, chunk):
             st.integers(1, 2**20),
             st.integers(1, 7),
             st.integers(2**32, 2**63 - 1),
+            st.integers(2**63 - 2**8, 2**63 - 1),
         ),
         max_size=40,
     ),
     chunk=st.sampled_from([8, smooth._CHUNK]),
 )
-def test_limb_division_matches_python(m, elements, chunk):
-    """Remainders equal m % n and chunk sums equal the sums of m // n, over
-    chunk boundaries (chunks of 8), for elements just below 2^32 and for
-    int64 elements above it (narrower limbs)."""
+@example(m=2**64 - 1, elements=[2**32 - 1, 3], chunk=8)
+@example(m=2**2100 - 1, elements=[1, 2**32 - 1, 2**63 - 1], chunk=8)
+@example(m=2**65 - 1, elements=[], chunk=8)
+def test_limb_division_matches_python(kernel, m, elements, chunk):
+    """Remainders equal m % n and limb_division's chunk sums equal the sums
+    of m // n, over chunk boundaries (chunks of 8), for elements just below
+    2^32 and for int64 elements above it (narrower limbs, 1 bit wide near
+    2^63). limb_remainders reduces an m below 2^64 in its head step alone."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(smooth, "_CHUNK", chunk)
-        sums, remainders = limb_division(m, np.array(elements, dtype=np.int64))
+        got = kernel(m, np.array(elements, dtype=np.int64))
+    sums, remainders = got if kernel is limb_division else (None, got)
+    assert remainders.dtype == np.uint64
     assert remainders.tolist() == [m % n for n in elements]
-    assert sums == [
-        sum(m // n for n in elements[i : i + chunk])
-        for i in range(0, len(elements), chunk)
-    ]
+    if sums is not None:
+        assert sums == [
+            sum(m // n for n in elements[i : i + chunk])
+            for i in range(0, len(elements), chunk)
+        ]
 
 
 def test_reciprocal_sum_largest_element():

@@ -35,16 +35,23 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_verify(src: Path, name: str):
-    """src/densefrac/verify.py imported as the package `name`."""
-    pkg = src / "densefrac"
+def load_ref(ref: str, tmp: str, module: str):
+    """src/densefrac/<module>.py of the git revision ref, exported into the
+    directory tmp (git archive) and imported under the package name
+    densefrac_ref."""
+    archive = subprocess.run(
+        ["git", "archive", ref, "src/densefrac"],
+        cwd=ROOT, check=True, capture_output=True,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+    pkg = Path(tmp) / "src" / "densefrac"
     spec = importlib.util.spec_from_file_location(
-        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+        "densefrac_ref", pkg / "__init__.py", submodule_search_locations=[str(pkg)]
     )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.verify")
+    package = importlib.util.module_from_spec(spec)
+    sys.modules["densefrac_ref"] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"densefrac_ref.{module}")
 
 
 def cases() -> dict:
@@ -82,12 +89,7 @@ def main(argv=None) -> int:
     trees = {"here": importlib.import_module("densefrac.verify")}
     with tempfile.TemporaryDirectory() as tmp:
         if args.ref:
-            archive = subprocess.run(
-                ["git", "archive", args.ref, "src/densefrac"],
-                cwd=ROOT, check=True, capture_output=True,
-            ).stdout
-            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-            trees = {args.ref: load_verify(Path(tmp) / "src", "densefrac_ref"), **trees}
+            trees = {args.ref: load_ref(args.ref, tmp, "verify"), **trees}
         inputs = cases()
         header = f"{'case':<22}{'size':>9}" + "".join(f"{k:>14}" for k in trees)
         print(header + ("  change" if args.ref else "") + "   (ns per denominator)")
