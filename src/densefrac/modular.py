@@ -121,14 +121,13 @@ def eliminate_prime(
     The subset sum is posed over the residues of N/n mod p. For n exactly
     divisible by p^l, N/n = (N/p^l) / (n/p^l) with both factors prime to
     p, so each residue is (N/p^l mod p) * inv(n/p^l mod p), made only for
-    the elements the solver reads. Any common multiple
-    M of d and S carrying exactly p^l gives residues that differ from
-    these by the unit N/M, so the witness does not depend on the choice of
-    common multiple. Every n in S is proven to divide N by a zero remainder
-    (limb_remainders) before the solver runs. Since n | N and p^l exactly
-    divides N, p^l | n already means multiplicity exactly l, so that one
-    array test is the multiplicity check. An S already strictly ascending
-    is not sorted again.
+    the elements the solver reads. Any common multiple M of d and S
+    carrying exactly p^l gives residues that differ from these by the unit
+    N/M, so the witness does not depend on the choice of common multiple.
+    Every n in S is proven to divide N by a zero remainder (limb_remainders)
+    before the solver runs; since p^l exactly divides N, p^l | n then means
+    multiplicity exactly l. An S already strictly ascending is not sorted
+    again.
     """
     _check_prime(p)
     if l < 1:
