@@ -4,16 +4,20 @@ P(1) = 1: the largest prime factor of 1 is 1, the convention of classical
 multiplicative number theory. "A prime power p^l exactly divides n" means
 p^l | n and p^(l+1) does not.
 
-Factorization here is by trial division: it serves one-off queries on
-small integers (the odd expander's moduli and P(d) of its inputs, tests),
-while the sieved families in `densefrac.smooth` carry P(n) for bulk work.
+The sieved families in `densefrac.smooth` carry the primes <= y and P(n)
+for bulk work. SMALL_PRIMES, the primes below 64, holds the primes a run
+needs above y or without a family: the planner's y'' and exit-prime
+ladders, and the odd expander's, whose denominators divide D0(y') with
+y' <= 30. Trial division is left to is_prime, for
+`densefrac.modular.eliminate_prime`'s p, and to factorize, which no run
+calls (the tests and the benchmark's tracer reach it).
+
 Moduli are plain ints: the construction builds its own from the sieve's
 primes and asks them only for p | m and the multiplicity of p. Exact
-rationals are stdlib
-`fractions.Fraction` (always reduced, positive denominator). Bulk
-reciprocal sums over a family never reduce pairwise: see
-`densefrac.smooth.limb_division`, which divides a common denominator m
-by every element at once, giving sums of m // n and each m mod n
+rationals are stdlib `fractions.Fraction` (always reduced, positive
+denominator). Bulk reciprocal sums over a family never reduce pairwise:
+see `densefrac.smooth.limb_division`, which divides a common denominator
+m by every element at once, giving sums of m // n and each m mod n
 (`limb_remainders` gives the remainders alone).
 """
 
@@ -22,9 +26,9 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-import numpy as np
-
 from .errors import ParameterError
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
 def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
@@ -48,15 +52,6 @@ def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(factors)
 
 
-def largest_prime_factor(n: int) -> int:
-    """P(n); P(1) = 1."""
-    if n < 1:
-        raise ParameterError(f"P(n) requires n >= 1, got {n}")
-    if n == 1:
-        return 1
-    return factorize(n)[-1][0]
-
-
 def exact_multiplicity(n: int, p: int) -> int:
     """Largest l with p^l | n (so p^l exactly divides n)."""
     if n < 1:
@@ -69,22 +64,5 @@ def exact_multiplicity(n: int, p: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division, for single small n (slice bases, y' candidates, p)."""
+    """Trial division, for single small n (eliminate_prime's p)."""
     return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
-
-
-def primes_in(lo: int, hi: int) -> list[int]:
-    """Ascending primes in the closed interval [lo, hi]."""
-    if lo > hi:
-        raise ParameterError(f"empty-ordered interval [{lo}, {hi}]")
-    if hi < 2:
-        return []
-    sieve = np.ones(hi + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(hi) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    start = max(lo, 2)
-    return (np.nonzero(sieve[start : hi + 1])[0] + start).tolist()
-
-

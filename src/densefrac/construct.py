@@ -19,7 +19,9 @@ Planning sieves [1, x] once and fixes every stage input: the cutoff, the
 bounds y' and x', and the moduli D(p0) and D(p0'), the products over the
 primes <= y and <= y' (the odd part of D(p0') is D0(y')), kept as plain
 ints. The moduli, the y' candidates and both stages' prime loops read the
-sieve's prime list (SmoothFamily.primes). The family's exact mass is
+sieve's prime list (SmoothFamily.primes); the bound y'' and the exit
+prime, which may lie above y, and the odd expander read the table
+arith.SMALL_PRIMES, so no prime is found anew. The family's exact mass is
 summed once, and the cutoff and stage-one remainder take the members below
 the cutoff off it. The candidates for y' are judged on slice sizes that
 one census of the sieve's members table counts per range
@@ -53,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from . import dickman
-from .arith import exact_multiplicity, largest_prime_factor, primes_in
+from .arith import SMALL_PRIMES, exact_multiplicity
 from .errors import (
     BoundExceeded,
     BreuschPreconditionFailed,
@@ -64,7 +66,7 @@ from .errors import (
     RemainderNonPositive,
     UnsupportedDenominator,
 )
-from .expand import OddExpansion, breusch_bound, expand_odd
+from .expand import _factor, breusch_bound, expand_odd
 from .modular import eliminate_prime
 from .smooth import (
     SmoothFamily,
@@ -80,7 +82,6 @@ MAX_DELTA_RETUNES = 3
 MAX_K = 64
 _MASS_CHUNK = 1 << 13  # planning sums the family's mass per this many members
 _TRIAL_BOUND = 10**6  # r's denominator is trial-divided this far, past any y
-_SMALL_PRIMES = primes_in(2, 64)  # y'' and the exit prime may lie above y
 # The stage errors after which stage two shifts its cut and construct_dense
 # retunes delta; any other error ends the construction at once.
 _RETRIED = (EliminationFailed, BreuschPreconditionFailed, BoundExceeded)
@@ -226,7 +227,7 @@ def _spec_y_doubleprime(x: int, k: int) -> int:
     """Largest bound with prod_{p <= y''} p^k <= x^(2/3) (exact compare)."""
     prod = 1
     last = 1
-    for p in _SMALL_PRIMES:
+    for p in SMALL_PRIMES:  # y'' may lie above y
         cand = prod * p**k
         if cand**3 > x * x:
             break
@@ -298,7 +299,7 @@ def _exit_prime(cutoff: int, k: int) -> int:
     worst = 5 * 3 ** max(k - 1, 2)
     if worst > cutoff:
         return best
-    for q in _SMALL_PRIMES[2:]:
+    for q in SMALL_PRIMES[2:]:  # the exit prime may lie above y
         if worst > cutoff:
             break
         best = q
@@ -696,11 +697,11 @@ def four_set_repair(a_prime, c_terms):
     return sorted(a_set), sorted(c_set - a_set), d1, d2
 
 
-def _try_expansion(c: Fraction, cap: int, x: int) -> Optional[OddExpansion]:
+def _try_expansion(c: Fraction, cap: int, x: int) -> Optional[tuple]:
     """Tiered odd expansion: first with every term below sqrt(x) (any
     collision repair then stays inside x), then below the full cap."""
     d = c.denominator
-    pd = largest_prime_factor(d)
+    pd = max(_factor(d), default=1)
     if d == 1 or c * pd >= 1:
         return None
     t1 = min(cap, math.isqrt(x) - 1)
@@ -796,7 +797,7 @@ def _stage_two_attempt(
     trace = StageTrace()
     removed: set = set()
     early_prime: Optional[int] = None
-    expansion: Optional[OddExpansion] = None
+    expansion: Optional[tuple] = None
 
     for q, rungs in ladders.items():
         if breusch_bound(c.denominator) <= cap:
@@ -817,7 +818,7 @@ def _stage_two_attempt(
                 suggestion="increase x or decrease delta",
             )
 
-    c_terms = sorted(expansion.terms)
+    c_terms = list(expansion)
     a_prime, c_minus, d1, d2 = four_set_repair(
         set(selection).difference(removed), c_terms
     )

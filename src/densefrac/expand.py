@@ -7,6 +7,13 @@ turns each divisor into the term M/e. Moduli are tried in ascending order,
 growing prime exponents, so results are canonical; at pipeline scale the
 inputs are tiny and the searches trivial.
 
+Every prime here is read off `arith.SMALL_PRIMES`, the primes below 64:
+d and each modulus are factored by dividing out the table's primes, so the
+domain is P(d) <= 61, and a d with a larger prime factor is refused
+(ParameterError). The pipeline stays inside it: stage two expands
+residuals whose denominators divide D0(y'), and planning caps y' at
+min(w, 30, y).
+
 The documented size target for the terms is 5 * lcm(d, 3^2 * prod of odd
 primes 3 < p <= P(d)) (breusch_bound); expansions are found within it in
 practice, and a fallback tier searches moduli up to 15 times that bound.
@@ -15,35 +22,35 @@ practice, and a fallback tier searches moduli up to 15 times that bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .arith import factorize, largest_prime_factor, primes_in
+from .arith import SMALL_PRIMES, exact_multiplicity
 from .errors import BoundExceeded, ParameterError
 
 _FALLBACK_FACTOR = 15
 _NODE_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class OddExpansion:
-    """Distinct odd terms with sum(1/t) equal to the input exactly."""
+def _factor(d: int) -> dict:
+    """{p: e} with p^e exactly dividing d, read off SMALL_PRIMES; raises
+    ParameterError unless d >= 1 is a product of them (P(d) <= 61)."""
+    factors = {p: exact_multiplicity(d, p) for p in SMALL_PRIMES if d % p == 0}
+    if math.prod(p**e for p, e in factors.items()) != d:
+        raise ParameterError(
+            f"{d} is not a product of primes below 64", failing_parameter="c_over_d"
+        )
+    return factors
 
-    terms: Tuple[int, ...]
 
-    def value(self) -> Fraction:
-        return sum((Fraction(1, t) for t in self.terms), Fraction(0))
+def _bound(d: int, pd: int) -> int:
+    return 5 * math.lcm(d, 9 * math.prod(q for q in SMALL_PRIMES[2:] if q <= pd))
 
 
 def breusch_bound(d: int) -> int:
     """5 * lcm(d, 3^2 * prod of odd primes 3 < p <= P(d))."""
-    pd = largest_prime_factor(d)
-    g = 9
-    for q in primes_in(5, max(pd, 5)):
-        if q <= pd:
-            g *= q
-    return 5 * math.lcm(d, g)
+    return _bound(d, max(_factor(d), default=1))
 
 
 def _divisor_subset(divs: list[int], target: int) -> Optional[list[int]]:
@@ -81,10 +88,10 @@ def _all_divisors(factors) -> list[int]:
     return divs
 
 
-def _modulus_candidates(d: int, limit: int) -> list[int]:
-    """Odd moduli lcm(d, g), g smooth over the ladder primes, ascending."""
-    pd = largest_prime_factor(d)
-    ladder = primes_in(3, max(pd, 7))
+def _modulus_candidates(d: int, pd: int, limit: int) -> list[int]:
+    """Odd moduli lcm(d, g), g smooth over the ladder: the odd primes of
+    SMALL_PRIMES up to max(P(d), 7), ascending."""
+    ladder = SMALL_PRIMES[1 : bisect_right(SMALL_PRIMES, max(pd, 7))]
     out = set()
 
     def rec(i: int, g: int):
@@ -101,8 +108,9 @@ def _modulus_candidates(d: int, limit: int) -> list[int]:
     return sorted(out)
 
 
-def expand_odd(c_over_d: Fraction, max_term: Optional[int] = None) -> OddExpansion:
-    """Exact odd-denominator expansion of c/d (d odd, 0 < c/d < 1/P(d)).
+def expand_odd(c_over_d: Fraction, max_term: Optional[int] = None) -> Tuple[int, ...]:
+    """Exact odd-denominator expansion of c/d (d odd, 0 < c/d < 1/P(d),
+    P(d) <= 61): distinct odd terms, ascending, with sum(1/t) = c/d.
 
     With max_term set, only expansions whose terms stay below it are
     accepted (used by the pipeline to keep repair products inside x);
@@ -114,18 +122,18 @@ def expand_odd(c_over_d: Fraction, max_term: Optional[int] = None) -> OddExpansi
         raise ParameterError(f"expansion input must be positive, got {v}")
     if d % 2 == 0:
         raise ParameterError(f"denominator must be odd, got {d}")
-    pd = largest_prime_factor(d)
+    pd = max(_factor(d), default=1)
     if v * pd >= 1:
         raise ParameterError(
             f"need c/d < 1/P(d): {v} >= 1/{pd}",
             failing_parameter="c_over_d",
         )
-    limit = breusch_bound(d) * _FALLBACK_FACTOR
+    limit = _bound(d, pd) * _FALLBACK_FACTOR
     if max_term is not None:
         limit = min(limit, max_term * (c + 1) * 4)
-    for m in _modulus_candidates(d, limit):
+    for m in _modulus_candidates(d, pd, limit):
         target = c * (m // d)
-        divs = _all_divisors(factorize(m))
+        divs = _all_divisors(_factor(m).items())
         if max_term is not None:
             divs = [e for e in divs if m // e <= max_term]
         if sum(divs) < target:
@@ -134,12 +142,11 @@ def expand_odd(c_over_d: Fraction, max_term: Optional[int] = None) -> OddExpansi
         if subset is None:
             continue
         terms = tuple(sorted(m // e for e in subset))
-        exp = OddExpansion(terms=terms)
-        if exp.value() != v:
+        if sum((Fraction(1, t) for t in terms), Fraction(0)) != v:
             raise AssertionError("expansion self-check failed")
         if len(set(terms)) != len(terms) or any(t % 2 == 0 for t in terms):
             raise AssertionError("expansion terms not distinct odd")
-        return exp
+        return terms
     raise BoundExceeded(
         f"no odd expansion of {v} within term bound "
         f"{max_term if max_term is not None else limit}",

@@ -26,8 +26,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-# factorize stays importable from here: perfbench/tracing.py counts its calls
-# through this module's namespace.
+# factorize has no caller in a run; it stays importable from here only because
+# perfbench/tracing.py counts its calls (always 0) through this namespace.
 from .arith import exact_multiplicity, factorize, is_prime  # noqa: F401
 from .errors import DivisibilityError, EliminationFailed, ParameterError
 from .smooth import limb_remainders

@@ -4,7 +4,7 @@ so a fault in the library cannot hide in its own reference."""
 import json
 import math
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress
 
 
 def subset_sums_mod_p(residues, p):
@@ -15,6 +15,35 @@ def subset_sums_mod_p(residues, p):
         for size in range(len(residues) + 1)
         for subset in combinations(residues, size)
     }
+
+
+def primes_in(lo, hi):
+    """Ascending primes in the closed interval [lo, hi], by a bytearray
+    sieve of Eratosthenes; ValueError when lo > hi."""
+    if lo > hi:
+        raise ValueError(f"empty-ordered interval [{lo}, {hi}]")
+    if hi < 2:
+        return []
+    sieve = bytearray([1]) * (hi + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(hi) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, hi + 1, p)))
+    start = max(lo, 2)
+    return list(compress(range(start, hi + 1), sieve[start:]))
+
+
+def largest_prime_factor(n):
+    """P(n) by trial division; P(1) = 1. ValueError when n < 1."""
+    if n < 1:
+        raise ValueError(f"P(n) requires n >= 1, got {n}")
+    largest, p = 1, 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            largest = p
+        p += 1
+    return max(largest, n)
 
 
 def factor_over(n, primes):

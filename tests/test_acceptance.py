@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from densefrac import dickman
-from densefrac.arith import primes_in
 from densefrac.construct import (
     construct_dense,
     four_set_repair,
@@ -27,7 +26,7 @@ from densefrac.expand import expand_odd
 from densefrac.modular import _solve, eliminate_prime
 from densefrac.smooth import SmoothParams, build_family, reciprocal_sum
 from densefrac.verify import tree_sum
-from oracles import subset_sums_mod_p
+from oracles import primes_in, reciprocal_sum as oracle_sum, subset_sums_mod_p
 
 
 def report(num, label, t0):
@@ -235,10 +234,10 @@ def test_criterion_8_breusch_contract():
         if v * 7 >= 1:
             continue
         e = expand_odd(v)
-        assert e.value() == v
-        assert all(t % 2 == 1 for t in e.terms)
-        assert len(set(e.terms)) == len(e.terms)
-        assert max(e.terms) <= 5 * math.lcm(v.denominator, 9 * 5 * 7)
+        assert oracle_sum(e) == v
+        assert all(t % 2 == 1 for t in e)
+        assert len(set(e)) == len(e)
+        assert max(e) <= 5 * math.lcm(v.denominator, 9 * 5 * 7)
         checked += 1
     # pipeline-realistic residuals: denominators divide D0 of the hand-off
     # moduli; terms stay under x^(2/3) for x = 10^6 via the sqrt(x) tier.
@@ -248,15 +247,15 @@ def test_criterion_8_breusch_contract():
         if v * 5 >= 1:
             break
         e = expand_odd(v, max_term=x_tier)
-        assert e.value() == v
-        assert max(e.terms) <= x_tier < 10**4
+        assert oracle_sum(e) == v
+        assert max(e) <= x_tier < 10**4
     for c in rng.sample(range(12, 2205), 30):
         v = Fraction(c, 11025)
         if v * 7 >= 1:
             continue
         e = expand_odd(v, max_term=x_tier)
-        assert e.value() == v
-        assert max(e.terms) < 10**4
+        assert oracle_sum(e) == v
+        assert max(e) < 10**4
     elapsed = time.time() - t0
     assert elapsed < 60.0
     report(8, "odd expansions exact, bounded; residual terms < x^(2/3)", t0)

@@ -4,13 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from densefrac.arith import (
-    exact_multiplicity,
-    factorize,
-    largest_prime_factor,
-    primes_in,
-)
+from densefrac.arith import SMALL_PRIMES, exact_multiplicity, factorize
 from densefrac.errors import ParameterError
+from oracles import largest_prime_factor, primes_in
 
 
 def test_factorize_examples():
@@ -59,6 +55,7 @@ def test_factorize_roundtrip_random():
 
 
 def test_prime_factor_conventions():
+    # the oracle's P(n), which the tests use in place of a library function
     assert largest_prime_factor(1) == 1
     assert largest_prime_factor(45) == 5
 
@@ -70,11 +67,16 @@ def test_exact_multiplicity():
 
 
 def test_primes_in():
+    # the oracle's sieve, which the tests use in place of a library function
     assert primes_in(8, 12) == [11]
     assert primes_in(2, 13) == [2, 3, 5, 7, 11, 13]
     assert primes_in(14, 16) == []
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValueError):
         primes_in(5, 4)
+
+
+def test_small_primes_table():
+    assert SMALL_PRIMES == tuple(primes_in(2, 63))
 
 
 def test_fraction_field_properties():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densefrac import dickman
-from densefrac.arith import exact_multiplicity, factorize, is_prime, primes_in
+from densefrac.arith import exact_multiplicity, factorize, is_prime
 from densefrac.construct import (
     MAX_STAGE_TWO_ATTEMPTS,
     ConstructionConfig,
@@ -47,7 +47,7 @@ from densefrac.smooth import (
     reciprocal_sum,
 )
 from densefrac.verify import check, tree_sum
-from oracles import factor_over
+from oracles import factor_over, primes_in
 
 
 def test_modulus_product_examples():
@@ -437,11 +437,14 @@ def test_one_sieve_per_construction(r, retried, monkeypatch):
     through delta retunes (all three at 10^5) and stage-two retries (10/11
     and 19/21); the stage-two pool is taken once per plan, outside stage
     two and the retune's target search, which read it as an argument. The
-    sieve is also the one source of primes: construct and smooth neither
-    sieve for primes (primes_in) nor trial-divide (is_prime) while it runs."""
+    sieve and the table arith.SMALL_PRIMES are the only sources of primes:
+    construct, smooth and expand neither sieve for primes (primes_in) nor
+    trial-divide (is_prime, largest_prime_factor, factorize) while it runs."""
     import densefrac.arith as arith
     import densefrac.construct as construct
+    import densefrac.expand as expand
     import densefrac.smooth as smooth
+    import oracles
 
     calls = []
     sieve = construct.build_family
@@ -478,7 +481,7 @@ def test_one_sieve_per_construction(r, retried, monkeypatch):
     prime_calls = []
 
     def spying(name):
-        fn = getattr(arith, name)
+        fn = getattr(arith, name, None) or getattr(oracles, name)
 
         def run(*args):
             prime_calls.append(name)
@@ -486,8 +489,8 @@ def test_one_sieve_per_construction(r, retried, monkeypatch):
 
         return run
 
-    for module in (construct, smooth):
-        for name in ("primes_in", "is_prime"):
+    for module in (construct, smooth, expand):
+        for name in ("primes_in", "is_prime", "largest_prime_factor", "factorize"):
             # raising=False: a module that does not import the name would
             # resolve a call to it here, so the spy sees it either way
             monkeypatch.setattr(module, name, spying(name), raising=False)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densefrac import smooth
-from densefrac.arith import factorize, primes_in
+from densefrac.arith import factorize
 from densefrac.construct import modulus_product
 from densefrac.errors import (
     DensefracError,
@@ -30,7 +30,7 @@ from densefrac.smooth import (
     limb_remainders,
     reciprocal_sum,
 )
-from oracles import factor_over
+from oracles import factor_over, primes_in
 
 
 def test_toy_family_members(toy_family):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import densefrac.verify as verify
 from densefrac import dickman
-from densefrac.arith import primes_in
 from densefrac.construct import construct_dense
 from densefrac.smooth import reciprocal_sum
 from densefrac.verify import (
@@ -24,7 +23,7 @@ from densefrac.verify import (
     harmonic_segment_le,
     tree_sum,
 )
-from oracles import certificate_fields, reciprocal_sum as oracle_sum
+from oracles import certificate_fields, primes_in, reciprocal_sum as oracle_sum
 
 
 def test_check_examples():

@@ -56,9 +56,9 @@ def load_ref(ref: str, tmp: str, module: str):
 
 def cases() -> dict:
     """{name: input of tree_sum}, each built with fixed seeds."""
-    from densefrac.arith import primes_in
     from densefrac.construct import construct_dense
     from densefrac.verify import _BLOCK as block, _RUN_BITS as cap
+    from oracles import primes_in
 
     rng = np.random.default_rng(0)
     primes_21 = np.array(primes_in(2, 2**21), dtype=np.int64)
@@ -86,6 +86,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "tests"))  # the stdlib prime sieve in oracles.py
     trees = {"here": importlib.import_module("densefrac.verify")}
     with tempfile.TemporaryDirectory() as tmp:
         if args.ref:
