@@ -489,7 +489,9 @@ def test_one_sieve_per_construction(r, retried, monkeypatch):
 
         return run
 
-    for module in (construct, smooth, expand):
+    # arith too, for a call through the module (arith.factorize); modular's
+    # own is_prime, eliminate_prime's prime check, is left unspied
+    for module in (construct, smooth, expand, arith):
         for name in ("primes_in", "is_prime", "largest_prime_factor", "factorize"):
             # raising=False: a module that does not import the name would
             # resolve a call to it here, so the spy sees it either way
