@@ -16,8 +16,8 @@ Moduli are plain ints: the construction builds its own from the sieve's
 primes and asks them only for p | m and the multiplicity of p. Exact
 rationals are stdlib `fractions.Fraction` (always reduced, positive
 denominator). Bulk reciprocal sums over a family never reduce pairwise:
-see `densefrac.smooth.limb_division`, which divides a common denominator
-m by every element at once, giving sums of m // n and each m mod n
+see `densefrac.smooth.reciprocal_sum`, which divides a common denominator
+m by every element at once, summing m // n and proving each m mod n zero
 (`limb_remainders` gives the remainders alone).
 """
 

@@ -141,9 +141,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as err:
-        _emit(err.as_dict())
-        return USAGE_EXIT
     except DensefracError as err:
         _emit(err.as_dict())
         return err.exit_code

@@ -14,6 +14,7 @@ beside a certificate's exact density.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -31,66 +32,45 @@ STEPS_PER_UNIT = 2**14
 GRID_STEP = 1.0 / STEPS_PER_UNIT
 
 
-class RhoEvaluator:
-    """Immutable piecewise representation of rho on [0, U_MAX].
-
-    Safe for concurrent queries once built. Absolute error of `rho` is
-    well below 1e-8 at GRID_STEP.
-    """
-
-    def __init__(self):
-        self._grid = self._march()
-
-    def _march(self) -> np.ndarray:
-        n = STEPS_PER_UNIT
-        h = GRID_STEP
-        u = np.arange(0, U_MAX * n + 1, dtype=np.float64) * h
-        rho = np.empty_like(u)
-        rho[: n + 1] = 1.0
-        seg = slice(n, 2 * n + 1)
-        rho[seg] = 1.0 - np.log(u[seg])
-        for m in range(2, U_MAX):
-            lo = m * n
-            t = u[lo : lo + n + 1]
-            f = rho[lo - n : lo + 1] / t
-            cum = np.concatenate(([0.0], np.cumsum((f[:-1] + f[1:]) * (h / 2.0))))
-            # Gregory end correction: -(h^2/12) * (f'(t_j) - f'(t_0)).
-            fp = np.gradient(f, h)
-            cum -= (h * h / 12.0) * (fp - fp[0])
-            rho[lo : lo + n + 1] = rho[lo] - cum
-        # True rho(u) underflows double precision near U_MAX; pin the grid to
-        # the positive non-increasing invariant (absolute error stays ~1e-15).
-        rho = np.maximum(np.minimum.accumulate(rho), 1e-300)
-        return rho
-
-    def rho(self, u: float) -> float:
-        """rho(u) for 0 < u <= U_MAX."""
-        if not (u > 0.0):
-            raise ParameterError(f"rho domain is (0, u_max], got {u}")
-        if u > U_MAX:
-            raise ParameterError(f"rho({u}) beyond cached domain u_max={float(U_MAX)}")
-        if u <= 1.0:
-            return 1.0
-        if u <= 2.0:
-            return 1.0 - math.log(u)
-        x = u / GRID_STEP
-        i = min(int(x), len(self._grid) - 2)
-        frac = x - i
-        return float(self._grid[i] * (1.0 - frac) + self._grid[i + 1] * frac)
-
-
-_default_evaluator: RhoEvaluator | None = None
-
-
-def default_evaluator() -> RhoEvaluator:
-    global _default_evaluator
-    if _default_evaluator is None:
-        _default_evaluator = RhoEvaluator()
-    return _default_evaluator
+@functools.cache
+def _grid() -> np.ndarray:
+    """rho on [0, U_MAX] at GRID_STEP, marched once per process."""
+    n = STEPS_PER_UNIT
+    h = GRID_STEP
+    u = np.arange(0, U_MAX * n + 1, dtype=np.float64) * h
+    rho = np.empty_like(u)
+    rho[: n + 1] = 1.0
+    seg = slice(n, 2 * n + 1)
+    rho[seg] = 1.0 - np.log(u[seg])
+    for m in range(2, U_MAX):
+        lo = m * n
+        t = u[lo : lo + n + 1]
+        f = rho[lo - n : lo + 1] / t
+        cum = np.concatenate(([0.0], np.cumsum((f[:-1] + f[1:]) * (h / 2.0))))
+        # Gregory end correction: -(h^2/12) * (f'(t_j) - f'(t_0)).
+        fp = np.gradient(f, h)
+        cum -= (h * h / 12.0) * (fp - fp[0])
+        rho[lo : lo + n + 1] = rho[lo] - cum
+    # True rho(u) underflows double precision near U_MAX; pin the grid to
+    # the positive non-increasing invariant (absolute error stays ~1e-15).
+    return np.maximum(np.minimum.accumulate(rho), 1e-300)
 
 
 def rho(u: float) -> float:
-    return default_evaluator().rho(u)
+    """rho(u) for 0 < u <= U_MAX; absolute error well below 1e-8."""
+    if not (u > 0.0):
+        raise ParameterError(f"rho domain is (0, u_max], got {u}")
+    if u > U_MAX:
+        raise ParameterError(f"rho({u}) beyond cached domain u_max={float(U_MAX)}")
+    if u <= 1.0:
+        return 1.0
+    if u <= 2.0:
+        return 1.0 - math.log(u)
+    grid = _grid()
+    x = u / GRID_STEP
+    i = min(int(x), len(grid) - 2)
+    frac = x - i
+    return float(grid[i] * (1.0 - frac) + grid[i + 1] * frac)
 
 
 def c_of_r(r) -> float:

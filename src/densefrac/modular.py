@@ -13,14 +13,14 @@ denominator: given c/d with d | N, the modulus N a plain int, and a stock
 S of divisors of N exactly divisible by p^l, it finds T subset of S,
 |T| < p, with the denominator of c/d + sum(1/n for n in T) dividing N/p.
 It reads p's multiplicity in N off N itself. S may be any sequence of ints
-or an int64 array, with every value in int64. A slice is checked in two
-array passes, n | N on limb_remainders' remainders and p^l | n; residues
-are made from Python ints only as far as the solver reads them.
+or an int64 array, taken in through smooth._as_int64, so every value lies
+in int64. A slice is checked in two array passes, n | N on
+limb_remainders' remainders and p^l | n; residues are made from Python
+ints only as far as the solver reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -30,15 +30,7 @@ import numpy as np
 # perfbench/tracing.py counts its calls (always 0) through this namespace.
 from .arith import exact_multiplicity, factorize, is_prime  # noqa: F401
 from .errors import DivisibilityError, EliminationFailed, ParameterError
-from .smooth import limb_remainders
-
-
-@dataclass(frozen=True)
-class SubsetWitness:
-    """Indices (strictly increasing, into the input list) summing to a residue."""
-
-    indices: Tuple[int, ...]
-    achieved: int
+from .smooth import _as_int64, limb_remainders
 
 
 def _check_prime(p: int) -> None:
@@ -48,11 +40,12 @@ def _check_prime(p: int) -> None:
 
 def _solve(
     rs: Iterable[int], target: int, p: int, t: int
-) -> Optional[SubsetWitness]:
-    """First-found subset of the t residues rs, each in [1, p) for p prime,
-    summing to target in [0, p) mod p; None when the target is unreachable
-    (possible only with fewer than p-1 residues). The empty witness answers
-    target 0. rs is read only up to the first witness found.
+) -> Optional[Tuple[int, ...]]:
+    """The indices (strictly increasing, into rs) of the first-found subset
+    of the t residues rs, each in [1, p) for p prime, summing to target in
+    [0, p) mod p; None when the target is unreachable (possible only with
+    fewer than p-1 residues). The empty tuple answers target 0. rs is read
+    only up to the first witness found.
 
     The reached sums are the bits of a p-bit int, grown by one residue x
     at a time: the sums first reached at that step are the rotation of the
@@ -60,7 +53,7 @@ def _solve(
     at one step i, from s - x_i, reached before step i; walking that back
     to 0 gives the indices of s's witness, the first one found."""
     if target == 0:
-        return SubsetWitness(indices=(), achieved=0)
+        return ()
     mask = (1 << p) - 1
     reached = 1  # the empty sum 0
     steps = []  # (x, the sums first reached by adding x)
@@ -81,18 +74,7 @@ def _solve(
             i -= 1
         indices.append(i)
         s = (s - steps[i][0]) % p
-    return SubsetWitness(indices=tuple(reversed(indices)), achieved=target)
-
-
-def _as_int64(S) -> np.ndarray:
-    if isinstance(S, np.ndarray) and S.dtype == np.int64:
-        return S
-    vals = list(map(int, S))
-    try:
-        return np.array(vals, dtype=np.int64)
-    except OverflowError:
-        big = next(n for n in vals if not -(2**63) <= n < 2**63)
-        raise ParameterError(f"elements of S must fit in int64, got {big}") from None
+    return tuple(reversed(indices))
 
 
 def eliminate_prime(
@@ -106,8 +88,9 @@ def eliminate_prime(
 
     Requires p^l exactly dividing the int N >= 1, d | N, and every n in S
     dividing N with exact p-multiplicity l. S is any sequence of ints or an
-    int64 array (it is not modified); a value outside int64 raises
-    ParameterError. Returns (T, c'/d') with T a sorted list of Python ints
+    int64 array (it is not modified). A value outside int64 raises
+    ParameterError, and so does an element below 1 once every positive
+    element divides N. Returns (T, c'/d') with T a sorted list of Python ints
     from S, |T| < p, c'/d' = c/d + sum(1/n for n in T) and d' | N/p.
 
     With |S| >= p - 1 success is guaranteed. A thinner S is attempted all
@@ -194,7 +177,7 @@ def eliminate_prime(
             failing_parameter="S",
             suggestion="enlarge S (lower lambda'), or switch x",
         )
-    T = [int(elements[i]) for i in witness.indices]
+    T = [int(elements[i]) for i in witness]
     if len(T) >= p:
         raise AssertionError("witness cardinality >= p")
     result = Fraction(c * (N // d) + sum(N // n for n in T), N)

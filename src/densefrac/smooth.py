@@ -18,12 +18,13 @@ new sieves (SmoothFamily.sub_family), and a construction reads every prime
 Lambda thresholds are element boundaries (members strictly greater than
 lambda*x), so a stored rational cutoff reproduces the family exactly.
 
-limb_division divides one big int m by many elements at once, vectorized
+reciprocal_sum divides one big int m by many elements at once, vectorized
 over limbs of m; its quotient sums give exact reciprocal masses over the
-common denominator m (reciprocal_sum). limb_remainders is the same long
-division without quotients, for callers that only need the proof that an
-element divides m, a zero remainder (choose_lambda, elimination). Moduli
-are plain ints throughout.
+common denominator m. limb_remainders is the same long division without
+quotients, for callers that only need the proof that an element divides m,
+a zero remainder (choose_lambda, elimination). Each of these kernels takes
+its elements through _as_int64, so every element lies in int64. Moduli are
+plain ints throughout.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -47,9 +48,8 @@ from .errors import (
 #: Resource guard: sieving above this bound is refused (memory budget).
 MAX_SIEVE_X = 60_000_000
 
-#: limb_division divides by _CHUNK elements at a time, so its few uint64
-#: arrays stay small; reciprocal_sum takes elements below _ELEMENT_BOUND.
-_ELEMENT_BOUND = 2**32
+#: reciprocal_sum divides by _CHUNK elements at a time, so its few uint64
+#: arrays stay small.
 _CHUNK = 1 << 13
 _BLOCK = 1 << 16  # build_family reads the sieve this many integers at a time
 
@@ -259,40 +259,23 @@ def build_family(params: SmoothParams) -> SmoothFamily:
     return SmoothFamily(params, (n, lpf, expo, a0), primes)
 
 
-def limb_division(m: int, elements: np.ndarray):
-    """Divide m by every element at once: (sums, remainders).
-
-    sums[i] is the sum of m // n over the i-th run of _CHUNK elements, and
-    remainders holds each m mod n (uint64). Elements lie in [1, 2^63).
-    A caller that needs no sums takes limb_remainders.
-
-    A schoolbook long division of m in s-bit limbs, most significant first,
-    with every n < 2^(64 - s): a remainder r < n becomes r * 2^s + limb <
-    2^64, and the quotient digits, each below 2^s <= 2^50, sum exactly in
-    uint64 over a chunk.
-    """
-    s = min(64 - int(elements.max(initial=1)).bit_length(), 50)
-    limbs = [m >> j & ((1 << s) - 1) for j in reversed(range(0, m.bit_length(), s))]
-    remainders = np.zeros(len(elements), dtype=np.uint64)
-    sums = []
-    for start in range(0, len(elements), _CHUNK):
-        n = elements[start : start + _CHUNK].astype(np.uint64)
-        r = remainders[start : start + _CHUNK]
-        q = np.empty_like(n)
-        chunk_sum = 0
-        for limb in limbs:
-            r <<= s
-            r |= limb
-            np.divmod(r, n, out=(q, r))
-            chunk_sum = (chunk_sum << s) + int(q.sum())
-        sums.append(chunk_sum)
-    return sums, remainders
+def _as_int64(values) -> np.ndarray:
+    """values as an int64 array: an int64 array as it is, any other
+    iterable of ints converted; a value outside int64 raises ParameterError."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values
+    vals = list(map(int, values))
+    try:
+        return np.array(vals, dtype=np.int64)
+    except OverflowError:
+        big = next(v for v in vals if not -(2**63) <= v < 2**63)
+        raise ParameterError(f"element {big} does not fit in int64") from None
 
 
 def limb_remainders(m: int, elements: np.ndarray) -> np.ndarray:
     """Every m mod n (uint64) for the elements n in [1, 2^63); m >= 0.
 
-    limb_division's long division without its quotients: the head of m,
+    reciprocal_sum's long division without its quotients: the head of m,
     below 2^64, is reduced in one step (the remainder starts at 0), then
     s-bit limbs with every n < 2^(64 - s) follow. An m below 2^64 costs one
     np.remainder.
@@ -312,51 +295,55 @@ def reciprocal_sum(elements: Iterable[int], m: int) -> Fraction:
     """Exact sum of 1/n over elements, all of which must divide the int m.
 
     The sum is num/m with num = sum(m // n) over the fixed common
-    denominator m, reduced once at the end; limb_division divides m by
-    _CHUNK elements at a time, so memory stays bounded by the chunk.
+    denominator m, reduced once at the end. Elements are any iterable of
+    ints or an int64 array; a value outside int64 raises ParameterError
+    before any division. The first element, in input order, that is below
+    1 or does not divide m raises DivisibilityError.
 
-    Elements must lie below 2^32 (family members stay below MAX_SIEVE_X);
-    a larger one raises ParameterError before any division. The first
-    element, in input order, that is below 1 or does not divide m raises
-    DivisibilityError.
+    A schoolbook long division of m by _CHUNK elements at a time, so memory
+    stays bounded by the chunk: s-bit limbs of m, most significant first,
+    with every n of the chunk below 2^(64 - s). A remainder r < n becomes
+    r * 2^s + limb < 2^64, and the quotient digits, each below 2^s <= 2^50,
+    sum exactly in uint64 over a chunk.
     """
-    if not isinstance(elements, np.ndarray):
-        # object dtype keeps every int exact: numpy turns a list holding
-        # both -1 and 2**63 into float64
-        elements = np.array([int(n) for n in elements], dtype=object)
-    if elements.size == 0:
-        return Fraction(0, m)
-    if elements.max() >= _ELEMENT_BOUND:
-        big = elements[np.argmax(elements >= _ELEMENT_BOUND)]
-        raise ParameterError(
-            f"element {int(big)} is not below 2**32, the limb division's range"
-        )
+    elements = _as_int64(elements)
     num = 0
     for start in range(0, elements.size, _CHUNK):
         chunk = elements[start : start + _CHUNK]
         bad = chunk < 1
-        (chunk_sum,), remainders = limb_division(m, np.where(bad, 1, chunk))
-        bad |= remainders != 0
+        n = np.where(bad, 1, chunk).astype(np.uint64)
+        s = min(64 - int(n.max()).bit_length(), 50)
+        r = np.zeros_like(n)
+        q = np.empty_like(n)
+        chunk_sum = 0
+        for j in reversed(range(0, m.bit_length(), s)):
+            r <<= s
+            r |= m >> j & ((1 << s) - 1)
+            np.divmod(r, n, out=(q, r))
+            chunk_sum = (chunk_sum << s) + int(q.sum())
+        bad |= r != 0
         if bad.any():
             raise DivisibilityError(
-                f"element {int(chunk[np.argmax(bad)])} does not divide the modulus",
+                f"element {chunk[np.argmax(bad)]} does not divide the modulus",
                 failing_parameter="modulus",
             )
         num += chunk_sum
     return Fraction(num, m)
 
 
-def choose_lambda(pool: Sequence[int], alpha: Fraction, m: int):
+def choose_lambda(pool: Iterable[int], alpha: Fraction, m: int):
     """Pick the largest element-boundary cutoff leaving a small remainder.
 
-    Walks the pool (ints in [1, 2^32)) downward, keeping every element while
+    Walks the pool downward, keeping every element while
     the kept sum stays strictly below alpha. Returns (boundary, chosen
     ascending, remainder) with 0 < remainder <= 1/boundary, the jump-size
     bound: the boundary sits on the first element not taken (or just below
     the last pool element when the whole pool is consumed); lambda' is
     boundary / x'.
-    Every pool element must divide the int modulus m (limb_remainders
-    checks them all); the largest that does not raises DivisibilityError.
+    The pool is any iterable of ints or an int64 array. A value outside
+    int64, or a pool element below 1, raises ParameterError; every pool
+    element must divide the int modulus m (limb_remainders checks them all),
+    and the largest that does not raises DivisibilityError.
 
     Raises InfeasibleMass when even the whole pool leaves a remainder
     exceeding that bound.
@@ -364,13 +351,15 @@ def choose_lambda(pool: Sequence[int], alpha: Fraction, m: int):
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    pool = np.sort(np.asarray(pool, dtype=np.int64))
+    pool = np.sort(_as_int64(pool))
     if not pool.size:
         raise InfeasibleMass(
             "empty pool cannot approximate a positive value",
             failing_parameter="alpha",
             suggestion="enlarge x' or lower y'",
         )
+    if pool[0] < 1:
+        raise ParameterError(f"pool elements must be positive, got {pool[0]}")
     descending = pool[::-1]
     remainders = limb_remainders(m, descending)
     if remainders.any():

@@ -41,11 +41,10 @@ def test_rho_at_three_vs_quadrature():
 
 
 def test_rho_monotone_positive_grid():
-    ev = dickman.default_evaluator()
     prev = 1.0
     u = 0.25
     while u <= dickman.U_MAX:
-        v = ev.rho(u)
+        v = dickman.rho(u)
         assert 0 < v <= prev + 1e-15
         prev = v
         u += 0.25

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from densefrac.arith import exact_multiplicity, factorize
 from densefrac.errors import DivisibilityError, EliminationFailed, ParameterError
 import densefrac.modular as modular
-from densefrac.modular import SubsetWitness, _check_prime, _solve, eliminate_prime
+from densefrac.modular import _check_prime, _solve, eliminate_prime
 from oracles import factor_over, first_found_witness, subset_sums_mod_p
 
 
@@ -27,13 +27,13 @@ def solver_reaches(residues, p):
 
 def test_witness_examples():
     w = solve([1, 1, 1, 1], 3, 5)
-    assert w.indices == (0, 1, 2) and w.achieved == 3
+    assert w == (0, 1, 2)
     w = solve([2, 3], 5, 7)
-    assert w.indices == (0, 1)
+    assert w == (0, 1)
     assert solve([1, 1], 4, 5) is None
     assert solver_reaches([1, 1], 5) == {0, 1, 2}
     w = solve([4, 2, 6], 0, 7)
-    assert w.indices == ()
+    assert w == ()
 
 
 def test_witness_sums_to_target():
@@ -47,8 +47,8 @@ def test_witness_sums_to_target():
         if w is None:
             assert target not in subset_sums_mod_p(residues, p)
         else:
-            assert sum(residues[i] for i in w.indices) % p == target % p
-            assert len(set(w.indices)) == len(w.indices)
+            assert sum(residues[i] for i in w) % p == target % p
+            assert len(set(w)) == len(w)
 
 
 @settings(max_examples=300, deadline=None)
@@ -60,9 +60,9 @@ def test_witness_is_the_first_found(data):
     target = data.draw(st.integers(0, p - 1))
     w = solve(residues, target, p)
     want = first_found_witness(residues, p, target)
-    assert (None if w is None else w.indices) == want
+    assert w == want
     if w is not None:
-        assert w.achieved == target
+        assert sum(residues[i] for i in w) % p == target
 
 
 def test_coverage_examples():
@@ -169,7 +169,7 @@ def _eliminate_via_lcm(c_over_d, N, S, p, l):
         return [], c_over_d
     residues = [(M // n) % p for n in elements]
     witness = solve(residues, target, p)
-    T = [elements[i] for i in witness.indices]
+    T = [elements[i] for i in witness]
     num = c * m0 + sum(M // n for n in T)
     return sorted(T), Fraction(num, M)
 
@@ -232,7 +232,7 @@ def _eliminate_scalar(c_over_d, N, S, p, l):
             failing_parameter="S",
             suggestion="enlarge S (lower lambda'), or switch x",
         )
-    T = [elements[i] for i in witness.indices]
+    T = [elements[i] for i in witness]
     result = Fraction(c * (N // d) + sum(N // n for n in T), N)
     return sorted(T), result
 
@@ -358,12 +358,11 @@ def test_eliminate_power_beyond_int64():
 
 
 def _witness_one_short(rs, target, p, t):
-    w = _solve(rs, target, p, t)
-    return SubsetWitness(indices=w.indices[:-1], achieved=w.achieved)
+    return _solve(rs, target, p, t)[:-1]
 
 
 def _witness_of_p_elements(rs, target, p, t):
-    return SubsetWitness(indices=tuple(range(p)), achieved=target)
+    return tuple(range(p))
 
 
 @pytest.mark.parametrize(

@@ -22,11 +22,11 @@ from densefrac.errors import (
     ParameterError,
     SieveBoundExceeded,
 )
+from densefrac.modular import eliminate_prime
 from densefrac.smooth import (
     SmoothParams,
     build_family,
     choose_lambda,
-    limb_division,
     limb_remainders,
     reciprocal_sum,
 )
@@ -347,11 +347,12 @@ _ODD_PRIMES = primes_in(3, 1000)
 
 
 @st.composite
-def _limb_division_case(draw):
-    """A modulus of a set bit length, divisors of it below 2^32 and maybe
-    one more value (a non-divisor, 0 or a negative) at the first, a middle
-    or the last position."""
+def _reciprocal_sum_case(draw):
+    """A modulus of a set bit length, divisors of it below 2^32 or below
+    2^63 and maybe one more value (a non-divisor, 0 or a negative) at the
+    first, a middle or the last position."""
     bits = draw(st.sampled_from([1, 31, 32, 33, 64, 65, 2100]))
+    bound = draw(st.sampled_from([2**32, 2**63]))
     flat = []
     value = 1
     for p in draw(st.lists(st.sampled_from(_ODD_PRIMES), max_size=300)):
@@ -368,13 +369,14 @@ def _limb_division_case(draw):
         for pick in draw(st.lists(picks, max_size=40)):
             n = 1
             for i in pick:
-                if n * flat[i] < 2**32:
+                if n * flat[i] < bound:
                     n *= flat[i]
             elements.append(n)
     extra = draw(
         st.one_of(
             st.none(),
             st.integers(1, 2**32 - 1),
+            st.integers(2**32, 2**63 - 1),
             st.just(0),
             st.integers(-(2**40), -1),
         )
@@ -401,13 +403,24 @@ _AS_INPUT = {
 
 @settings(max_examples=300, deadline=None)
 @given(
-    case=_limb_division_case(),
+    case=_reciprocal_sum_case(),
     form=st.sampled_from(sorted(_AS_INPUT)),
     chunk=st.sampled_from([8, smooth._CHUNK]),
 )
+@example(  # 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657: 1-bit limbs
+    case=(
+        2**2037 * (2**63 - 1),
+        [1, 2, 7, 49, 73 * 127, 2**62, 7 * 2**59, (2**63 - 1) // 7, 2**63 - 1],
+    ),
+    form="int64 array",
+    chunk=8,
+)
+@example(case=(2**64 - 1, [2**32 - 1, 3, 2**32 + 1]), form="list", chunk=8)
 def test_reciprocal_sum_matches_scalar_loop(case, form, chunk):
-    """Same Fraction, or same error type and text, as the scalar loop; a
-    chunk of 8 puts failing elements in later chunks."""
+    """Same Fraction, or same error type and text, as the scalar loop, for
+    moduli up to 2100 bits and divisors up to 2^63 - 1 (narrower limbs, 1
+    bit wide near 2^63); a chunk of 8 sums across chunks and puts failing
+    elements in later chunks."""
     modulus, elements = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(smooth, "_CHUNK", chunk)
@@ -415,7 +428,7 @@ def test_reciprocal_sum_matches_scalar_loop(case, form, chunk):
     assert got == _outcome(_reciprocal_sum_scalar, elements, modulus)
 
 
-@pytest.mark.parametrize("kernel", [limb_division, limb_remainders])
+@pytest.mark.parametrize("kernel", [limb_remainders])
 @settings(max_examples=200, deadline=None)
 @given(
     m=st.one_of(
@@ -441,21 +454,14 @@ def test_reciprocal_sum_matches_scalar_loop(case, form, chunk):
 @example(m=2**2100 - 1, elements=[1, 2**32 - 1, 2**63 - 1], chunk=8)
 @example(m=2**65 - 1, elements=[], chunk=8)
 def test_limb_division_matches_python(kernel, m, elements, chunk):
-    """Remainders equal m % n and limb_division's chunk sums equal the sums
-    of m // n, over chunk boundaries (chunks of 8), for elements just below
-    2^32 and for int64 elements above it (narrower limbs, 1 bit wide near
-    2^63). limb_remainders reduces an m below 2^64 in its head step alone."""
+    """Remainders equal m % n, for elements just below 2^32 and for int64
+    elements above it (narrower limbs, 1 bit wide near 2^63).
+    limb_remainders reduces an m below 2^64 in its head step alone."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(smooth, "_CHUNK", chunk)
-        got = kernel(m, np.array(elements, dtype=np.int64))
-    sums, remainders = got if kernel is limb_division else (None, got)
+        remainders = kernel(m, np.array(elements, dtype=np.int64))
     assert remainders.dtype == np.uint64
     assert remainders.tolist() == [m % n for n in elements]
-    if sums is not None:
-        assert sums == [
-            sum(m // n for n in elements[i : i + chunk])
-            for i in range(0, len(elements), chunk)
-        ]
 
 
 def test_reciprocal_sum_largest_element():
@@ -468,15 +474,46 @@ def test_reciprocal_sum_largest_element():
         assert reciprocal_sum(as_input(elements), modulus) == want, form
 
 
-@pytest.mark.parametrize("big", [2**32, 2**63, 2**70])
+@pytest.mark.parametrize("big", [2**63, 2**70, -(2**63) - 1])
 def test_reciprocal_sum_rejects_elements_from_2_32(big):
-    """An element >= 2^32 is refused before any divisibility check."""
+    """An element outside int64 is refused before any divisibility check
+    (elements from 2^32 up to 2^63 - 1 are summed)."""
     modulus = 30
     for elements in ([7, big], [big, 7], [1, 7, 2, big]):
-        forms = ["list", "generator"] + (["int64 array"] if big < 2**63 else [])
-        for form in forms:
-            with pytest.raises(ParameterError, match=f"element {big} "):
+        for form in ["list", "generator"]:
+            with pytest.raises(ParameterError, match=f"element {big} does not fit"):
                 reciprocal_sum(_AS_INPUT[form](elements), modulus)
+
+
+_KERNELS = {
+    "reciprocal_sum": lambda S: reciprocal_sum(S, 3),
+    "choose_lambda": lambda S: choose_lambda(S, Fraction(1), 3),
+    "eliminate_prime": lambda S: eliminate_prime(Fraction(1, 3), 3, S, 3, 1),
+}
+_NOT_POSITIVE = {
+    "reciprocal_sum": (DivisibilityError, "element {} does not divide the modulus"),
+    "choose_lambda": (ParameterError, "pool elements must be positive, got {}"),
+    "eliminate_prime": (ParameterError, "elements of S must be positive, got {}"),
+}
+
+
+@pytest.mark.parametrize("value", [0, -3, 2**63, 2**70, -(2**63) - 1])
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+def test_kernels_refuse_bad_elements_with_typed_errors(kernel, value):
+    """0, a negative and values outside int64 end in a typed error in each
+    constructor kernel, from a list, a generator or an int64 array, and
+    never in ZeroDivisionError or OverflowError."""
+    if -(2**63) <= value < 2**63:
+        forms = ["list", "generator", "int64 array"]
+        error, text = _NOT_POSITIVE[kernel]
+    else:
+        forms = ["list", "generator"]
+        error, text = ParameterError, "element {} does not fit in int64"
+    for form in forms:
+        with pytest.raises(DensefracError) as caught:
+            _KERNELS[kernel](_AS_INPUT[form]([value, 3]))
+        assert type(caught.value) is error, form
+        assert str(caught.value) == text.format(value), form
 
 
 def test_reciprocal_sum_memory_is_chunked():
