@@ -22,9 +22,10 @@ reciprocal_sum divides one big int m by many elements at once, vectorized
 over limbs of m; its quotient sums give exact reciprocal masses over the
 common denominator m. limb_remainders is the same long division without
 quotients, for callers that only need the proof that an element divides m,
-a zero remainder (choose_lambda, elimination). Each of these kernels takes
-its elements through _as_int64, so every element lies in int64. Moduli are
-plain ints throughout.
+a zero remainder (choose_lambda, elimination). reciprocal_sum,
+choose_lambda and modular.eliminate_prime take their elements through
+_as_int64, which refuses a value outside int64. Moduli are plain ints
+throughout.
 """
 
 from __future__ import annotations
