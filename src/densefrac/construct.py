@@ -23,12 +23,18 @@ sieve's prime list (SmoothFamily.primes); the bound y'' and the exit
 prime, which may lie above y, and the odd expander read the table
 arith.SMALL_PRIMES, so no prime is found anew. The family's exact mass is
 summed once, and the cutoff and stage-one remainder take the members below
-the cutoff off it. The candidates for y' are judged on slice sizes that
+the cutoff off it. The sieve, D(p0) and that mass depend on r only through
+(x, y, w, k), so the module keeps the last ones in a single entry keyed by
+(x, y, w, k): a construction at the same key reads them, any other drops
+the entry before it sieves, and an entry is stored only once its mass pass
+has succeeded. The candidates for y' are judged on slice sizes that
 one census of the sieve's members table counts per range
 (SmoothFamily.census); no slice is built to be measured. Per plan,
 construct_dense takes the stage-one family and the stage-two pool as views
 of the sieve and passes each stage the view it reads as an argument; the
-plan holds no view, so no view outlives the construction.
+plan holds no view, so no view outlives the construction. The sieve itself
+outlives it in the entry, which is safe to share because a family's
+arrays are read-only.
 
 Every step divides one prime out of its divisor certificate (an int that p
 must divide) and re-verifies that certificate and the exact telescoping;
@@ -85,6 +91,8 @@ _TRIAL_BOUND = 10**6  # r's denominator is trial-divided this far, past any y
 # The stage errors after which stage two shifts its cut and construct_dense
 # retunes delta; any other error ends the construction at once.
 _RETRIED = (EliminationFailed, BreuschPreconditionFailed, BoundExceeded)
+# The last planning sieve: ((x, y, w, k), (family, D(p0), mass)), or None.
+_planning = None
 
 
 @dataclass(frozen=True)
@@ -236,8 +244,34 @@ def _spec_y_doubleprime(x: int, k: int) -> int:
     return max(last, 2)
 
 
+def _planning_sieve(x: int, y: int, w: int, k: int):
+    """(A(x, y; w, 0), D(p0), the sums of D(p0) // n over its members per
+    chunk of _MASS_CHUNK), from the module's entry when its key is
+    (x, y, w, k). On a miss the entry is dropped before the sieve runs, so
+    two families are never held at once, and it is stored only after the
+    mass pass, so a refused sieve is never kept."""
+    global _planning
+    key = (x, y, w, k)
+    if _planning is not None and _planning[0] == key:
+        return _planning[1]
+    _planning = None
+    fam0 = build_family(SmoothParams(x=x, y=y, w=w, lam=Fraction(0), k=k))
+    d_p0 = modulus_product(fam0.primes, w, k)  # no prime lies in (y, p0)
+    chunks = range(0, fam0.members.size, _MASS_CHUNK)
+    parts = [reciprocal_sum(fam0.members[i : i + _MASS_CHUNK], d_p0) for i in chunks]
+    mass = tuple(f.numerator * (d_p0 // f.denominator) for f in parts)
+    _planning = key, (fam0, d_p0, mass)
+    return fam0, d_p0, mass
+
+
+def _clear_planning_sieve() -> None:
+    """Drop the kept planning sieve; the next construction sieves anew."""
+    global _planning
+    _planning = None
+
+
 def _resolve_cutoff(
-    fam0: SmoothFamily, m: int, mass: list, r, delta, cutoff=None
+    fam0: SmoothFamily, m: int, mass: tuple, r, delta, cutoff=None
 ):
     """(cutoff, r - sum_{n > cutoff} 1/n) over the members of fam0.
 
@@ -490,11 +524,7 @@ def _plan_full(
             f"delta must lie in (0, r), got {delta}", failing_parameter="delta"
         )
 
-    fam0 = build_family(SmoothParams(x=x, y=y, w=w, lam=Fraction(0), k=k_res))
-    d_p0 = modulus_product(fam0.primes, w, k_res)  # no prime lies in (y, p0)
-    chunks = range(0, fam0.members.size, _MASS_CHUNK)
-    parts = [reciprocal_sum(fam0.members[i : i + _MASS_CHUNK], d_p0) for i in chunks]
-    mass = [f.numerator * (d_p0 // f.denominator) for f in parts]
+    fam0, d_p0, mass = _planning_sieve(x, y, w, k_res)
     total = Fraction(sum(mass), d_p0)
     if total < r:
         raise InfeasibleMass(
@@ -521,7 +551,7 @@ def _resolve_plan(
     config: ConstructionConfig,
     fam0: SmoothFamily,
     d_p0: int,
-    mass: list,
+    mass: tuple,
 ) -> StagePlan:
     """Turn a config into a full plan."""
     r, x, k, delta = config.r, config.x, config.k, config.delta

@@ -12,16 +12,18 @@ eliminate_prime applies a witness to cancel the factor p^l from a running
 denominator: given c/d with d | N, the modulus N a plain int, and a stock
 S of divisors of N exactly divisible by p^l, it finds T subset of S,
 |T| < p, with the denominator of c/d + sum(1/n for n in T) dividing N/p.
-It reads p's multiplicity in N off N itself. S may be any sequence of ints
-or an int64 array, taken in through smooth._as_int64, so every value lies
-in int64. A slice is checked in two array passes, n | N on
-limb_remainders' remainders and p^l | n; residues are made from Python
-ints only as far as the solver reads them.
+It reads p's multiplicity in N off N itself, and checks that p is prime
+by trial division once per p (the verdict is cached). S may be any
+sequence of ints or an int64 array, taken in through smooth._as_int64, so
+every value is an integer in int64. A slice is checked in two array
+passes, n | N on limb_remainders' remainders and p^l | n; residues are
+made from Python ints only as far as the solver reads them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,8 +35,15 @@ from .errors import DivisibilityError, EliminationFailed, ParameterError
 from .smooth import _as_int64, limb_remainders
 
 
+@lru_cache(maxsize=1024, typed=True)
+def _is_prime(p: int) -> bool:
+    """is_prime(p), kept per p: a construction eliminates over the same few
+    primes <= y thousands of times."""
+    return is_prime(p)
+
+
 def _check_prime(p: int) -> None:
-    if not is_prime(p):
+    if not _is_prime(p):
         raise ParameterError(f"{p} is not prime")
 
 

@@ -14,7 +14,9 @@ multiplicity; only these rows are kept, with the primes <= y the sieve
 found on its way. That one sieve serves every family a construction draws
 on: sub-families (higher cutoff, smaller x or y) are views of its rows, not
 new sieves (SmoothFamily.sub_family), and a construction reads every prime
-<= y off its prime list.
+<= y off its prime list. Every array a family holds is read-only
+(flags.writeable is False), and its prime list is a tuple, so views and
+constructions that share one sieve cannot write into each other's rows.
 Lambda thresholds are element boundaries (members strictly greater than
 lambda*x), so a stored rational cutoff reproduces the family exactly.
 
@@ -24,14 +26,15 @@ common denominator m. limb_remainders is the same long division without
 quotients, for callers that only need the proof that an element divides m,
 a zero remainder (choose_lambda, elimination). reciprocal_sum,
 choose_lambda and modular.eliminate_prime take their elements through
-_as_int64, which refuses a value outside int64. Moduli are plain ints
-throughout.
+_as_int64, which refuses a non-integral value and a value outside int64.
+Moduli are plain ints throughout.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,28 +98,30 @@ class SmoothFamily:
     <= y, its multiplicity, A0 flag), at the rows cutoff < n <= x with
     P(n) <= y. Slices are ranges of the rows ordered by (P(n), multiplicity,
     n); views (sub_family) share the table, that order and the powers-of-two
-    rows. Arrays are never written after construction. primes holds the
-    sieve's primes <= y ascending; every view shares the one list.
+    rows. Every array the family holds is made read-only here, the table's
+    columns included, so a write to one raises ValueError. primes holds the
+    sieve's primes <= y ascending, as one tuple that every view shares.
     """
 
-    def __init__(self, params: SmoothParams, table, primes: list):
+    def __init__(self, params: SmoothParams, table, primes):
         self.params = params
-        self.table = table
-        self.primes = primes
+        self.table = tuple(map(_read_only, table))
+        self.primes = tuple(primes)
         keys = table[1].astype(np.min_scalar_type((params.y + 1) * params.k))
         keys = keys * params.k + table[2]
-        self._order = np.argsort(keys, kind="stable")
-        self._keys = keys[self._order]
+        self._order = _read_only(np.argsort(keys, kind="stable"))
+        self._keys = _read_only(keys[self._order])
         self._pow2_rows: dict = {}
         self._cut()
 
     def _cut(self):
         n, lpf, _, a0 = self.table
         bounds = (self.params.cutoff, self.params.x)
-        self._bounds = lo, hi = n.searchsorted(bounds, side="right")
+        self._bounds = lo, hi = _read_only(n.searchsorted(bounds, side="right"))
         smooth = lpf[lo:hi] <= self.params.y
-        self.members = n[lo:hi] if smooth.all() else n[lo:hi][smooth]
-        self.members_a0 = n[lo:hi][smooth & a0[lo:hi]]
+        members = n[lo:hi] if smooth.all() else n[lo:hi][smooth]
+        self.members = _read_only(members)
+        self.members_a0 = _read_only(n[lo:hi][smooth & a0[lo:hi]])
 
     def sub_family(self, params: SmoothParams) -> "SmoothFamily":
         """The family for params as a view of this family's sieve.
@@ -176,7 +181,8 @@ class SmoothFamily:
         """Table rows of the n exactly divisible by 2^l (made once per sieve)."""
         if l not in self._pow2_rows:
             n = self.table[0]
-            self._pow2_rows[l] = np.flatnonzero(n % 2 ** (l + 1) == 2**l)
+            rows = np.flatnonzero(n % 2 ** (l + 1) == 2**l)
+            self._pow2_rows[l] = _read_only(rows)
         return self._pow2_rows[l]
 
     def census(self, lo: int, hi: int, a0: bool = False):
@@ -260,12 +266,23 @@ def build_family(params: SmoothParams) -> SmoothFamily:
     return SmoothFamily(params, (n, lpf, expo, a0), primes)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _as_int64(values) -> np.ndarray:
     """values as an int64 array: an int64 array as it is, any other
-    iterable of ints converted; a value outside int64 raises ParameterError."""
+    iterable of ints converted. A value that is not an integer (has no
+    __index__, as 2.5) or lies outside int64 raises ParameterError."""
     if isinstance(values, np.ndarray) and values.dtype == np.int64:
         return values
-    vals = list(map(int, values))
+    vals = []
+    for v in values:
+        try:
+            vals.append(operator.index(v))
+        except TypeError:
+            raise ParameterError(f"element {v} is not an integer") from None
     try:
         return np.array(vals, dtype=np.int64)
     except OverflowError:

@@ -5,6 +5,7 @@ import math
 import random
 import time
 import types
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -439,13 +440,15 @@ def test_one_sieve_per_construction(r, retried, monkeypatch):
     two and the retune's target search, which read it as an argument. The
     sieve and the table arith.SMALL_PRIMES are the only sources of primes:
     construct, smooth and expand neither sieve for primes (primes_in) nor
-    trial-divide (is_prime, largest_prime_factor, factorize) while it runs."""
+    trial-divide (is_prime, largest_prime_factor, factorize) while it runs.
+    The kept planning sieve is cleared first, so the construction sieves."""
     import densefrac.arith as arith
     import densefrac.construct as construct
     import densefrac.expand as expand
     import densefrac.smooth as smooth
     import oracles
 
+    construct._clear_planning_sieve()
     calls = []
     sieve = construct.build_family
 
@@ -503,6 +506,108 @@ def test_one_sieve_per_construction(r, retried, monkeypatch):
     assert len(calls) == 1
     assert views_inside == []
     assert prime_calls == []
+
+
+def _spy_planning(monkeypatch):
+    """Wrap construct.build_family and construct.reciprocal_sum. Records
+    each sieve's params (sieves) and member count (sizes), whether the
+    family of the sieve before it was still alive on entry (alive), and
+    the element count of each mass-pass call (terms)."""
+    import densefrac.construct as construct
+
+    spy = types.SimpleNamespace(sieves=[], sizes=[], alive=[], terms=[])
+    refs = []
+    sieve, mass = construct.build_family, construct.reciprocal_sum
+
+    def building(params):
+        spy.alive.append(bool(refs) and refs[-1]() is not None)
+        spy.sieves.append(params)
+        fam = sieve(params)
+        refs.append(weakref.ref(fam))
+        spy.sizes.append(fam.members.size)
+        return fam
+
+    def summing(elements, m):
+        spy.terms.append(len(elements))
+        return mass(elements, m)
+
+    monkeypatch.setattr(construct, "build_family", building)
+    monkeypatch.setattr(construct, "reciprocal_sum", summing)
+    return spy
+
+
+def _document(rep) -> str:
+    from densefrac.certificate import document_from_representation
+
+    return document_from_representation(rep).to_json()
+
+
+def _cold_document(r, x, **options) -> str:
+    """The document of r at x built from a cleared planning sieve."""
+    import densefrac.construct as construct
+
+    construct._clear_planning_sieve()
+    return _document(construct_dense(r, x, **options))
+
+
+def test_planning_sieve_is_kept_across_targets(monkeypatch):
+    """1/3 and 1 at 10^5 plan over the same (x, y, w, k): after a clear,
+    one sieve and one mass pass over its members serve both."""
+    import densefrac.construct as construct
+
+    construct._clear_planning_sieve()
+    spy = _spy_planning(monkeypatch)
+    for r in (Fraction(1, 3), Fraction(1)):
+        assert construct_dense(r, 10**5).certificate.all_ok
+    assert len(spy.sieves) == 1
+    assert sum(spy.terms) == spy.sizes[0]
+    assert len(spy.terms) == -(-spy.sizes[0] // construct._MASS_CHUNK)
+
+
+def test_another_key_drops_the_kept_sieve_first(monkeypatch):
+    """3/8 needs k = 4, so between 1/3 and 1 (k = 3) at 10^5 it sieves
+    anew, and 1 after it sieves anew too. Each family is dead by the time
+    the next sieve starts: a miss never holds two families."""
+    import densefrac.construct as construct
+
+    construct._clear_planning_sieve()
+    spy = _spy_planning(monkeypatch)
+    for r in (Fraction(1, 3), Fraction(3, 8), Fraction(1)):
+        assert construct_dense(r, 10**5).certificate.all_ok
+    assert [params.k for params in spy.sieves] == [3, 4, 3]
+    assert spy.alive == [False, False, False]
+    assert sum(spy.terms) == sum(spy.sizes)
+
+
+def test_planning_key_holds_k():
+    """Keys that differ only in k are two sieves; the same key is one."""
+    import densefrac.construct as construct
+
+    construct._clear_planning_sieve()
+    fam3 = construct._planning_sieve(10**4, 63, 10, 3)[0]
+    fam4, d_p0, mass = construct._planning_sieve(10**4, 63, 10, 4)
+    assert fam3.params.k == 3 and fam4.params.k == 4
+    assert construct._planning_sieve(10**4, 63, 10, 4)[0] is fam4
+    assert d_p0 == modulus_product(fam4.primes, 10, 4)
+    assert Fraction(sum(mass), d_p0) == reciprocal_sum(fam4.members, d_p0)
+
+
+def test_kept_sieve_documents_match_cold_ones():
+    """Every document made through the kept sieve, on a hit or a miss, is
+    byte-identical to the one made from a cleared planning sieve."""
+    import densefrac.construct as construct
+
+    targets = [
+        (Fraction(1, 3), {}),
+        (Fraction(1), {}),  # hit
+        (Fraction(1, 2), {"lambda_mode": "formula"}),  # hit
+        (Fraction(3, 8), {}),  # k = 4: miss
+        (Fraction(5, 8), {"delta": Fraction(1, 30)}),  # hit
+        (Fraction(1, 2), {}),  # miss
+    ]
+    construct._clear_planning_sieve()
+    warm = [_document(construct_dense(r, 10**5, **opts)) for r, opts in targets]
+    assert warm == [_cold_document(r, 10**5, **opts) for r, opts in targets]
 
 
 def _elimination_failed(prime, multiples):
@@ -624,7 +729,8 @@ def test_stage_two_attempts_are_capped(r, x, cuts, monkeypatch):
 def test_representation_holds_no_sieve():
     """The plan and the representation hold no view of the sieve: nothing
     reachable from a Representation is a SmoothFamily or an array longer
-    than x, so the sieve is freed when construct_dense returns."""
+    than x, so keeping a representation never keeps a sieve alive; only
+    construct's one planning-sieve entry holds it between constructions."""
     x = 10**5
     rep = construct_dense(Fraction(1, 3), x)
     seen = set()
@@ -790,7 +896,7 @@ def _next_prime(n):
     return next(q for q in itertools.count(n + 1) if is_prime(q))
 
 
-@pytest.mark.parametrize(
+_INTRUDERS = pytest.mark.parametrize(
     "intruder",
     [
         lambda params: 2 * _next_prime(params.y),
@@ -799,13 +905,11 @@ def _next_prime(n):
     ],
     ids=["not-y-smooth", "divisible-by-p^k", "square-of-a-prime-above-w"],
 )
-def test_mass_pass_refuses_a_lying_sieve(intruder, monkeypatch):
-    """A sieve that admits one integer its family must exclude is caught by
-    the planning mass pass: the intruder does not divide D(p0), so
-    reciprocal_sum's remainder proof raises before any plan is made."""
-    import densefrac.construct as construct
 
-    admitted = []
+
+def _lying_sieve(intruder, admitted: list):
+    """build_family, except that each family also holds intruder(params),
+    an integer it must exclude; the intruders are appended to admitted."""
 
     def lying(params):
         fam = build_family(params)
@@ -819,8 +923,41 @@ def test_mass_pass_refuses_a_lying_sieve(intruder, monkeypatch):
         table = tuple(np.insert(col, row, v) for col, v in zip(fam.table, values))
         return SmoothFamily(params, table, fam.primes)
 
-    monkeypatch.setattr(construct, "build_family", lying)
+    return lying
+
+
+@_INTRUDERS
+def test_mass_pass_refuses_a_lying_sieve(intruder, monkeypatch):
+    """A sieve that admits one integer its family must exclude is caught by
+    the planning mass pass: the intruder does not divide D(p0), so
+    reciprocal_sum's remainder proof raises before any plan is made. The
+    kept planning sieve is cleared first, so the lying sieve runs."""
+    import densefrac.construct as construct
+
+    construct._clear_planning_sieve()
+    admitted = []
+    monkeypatch.setattr(construct, "build_family", _lying_sieve(intruder, admitted))
     with pytest.raises(DivisibilityError) as err:
         construct_dense(Fraction(1, 3), 10**4)
     assert str(err.value) == f"element {admitted[0]} does not divide the modulus"
     assert err.traceback[-1].name == "reciprocal_sum"
+
+
+@_INTRUDERS
+def test_a_refused_sieve_is_not_kept(intruder, monkeypatch):
+    """After the lying sieve's DivisibilityError, an honest construction at
+    the same (x, y, w, k) sieves anew and certifies, with the document of a
+    construction from a cleared planning sieve."""
+    import densefrac.construct as construct
+
+    cold = _cold_document(Fraction(1, 3), 10**4)
+    construct._clear_planning_sieve()
+    with monkeypatch.context() as patched:
+        patched.setattr(construct, "build_family", _lying_sieve(intruder, []))
+        with pytest.raises(DivisibilityError):
+            construct_dense(Fraction(1, 3), 10**4)
+    spy = _spy_planning(monkeypatch)
+    rep = construct_dense(Fraction(1, 3), 10**4)
+    assert rep.certificate.all_ok
+    assert len(spy.sieves) == 1
+    assert _document(rep) == cold

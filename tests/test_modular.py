@@ -123,6 +123,17 @@ def test_eliminate_preconditions():
         eliminate_prime(Fraction(1, 4), 12, [], 3, 1)
 
 
+@pytest.mark.parametrize("p", [4, 9, 15, 91, 561])
+def test_eliminate_refuses_a_composite_p_on_every_call(p):
+    """The prime check's verdict is cached per p, and a p that is not
+    prime is refused on each call, the first and every later one."""
+    for _ in range(3):
+        with pytest.raises(ParameterError, match=f"^{p} is not prime$"):
+            eliminate_prime(Fraction(1, p), p, [p], p, 1)
+    for q in (2, 3, 7, 2**31 - 1):
+        assert eliminate_prime(Fraction(0), q, [q], q, 1) == ([], Fraction(0))
+
+
 def test_eliminate_unreachable():
     # two equal residues cannot reach every target mod 7
     N = 7 * 16

@@ -161,6 +161,26 @@ def test_sub_family_rejects_non_subsets():
     ].tolist()
 
 
+def test_family_arrays_are_read_only():
+    """A family and its views share one sieve, so every array they hold is
+    read-only: the table's columns, members, members_a0, the slice order
+    and keys, the row bounds and each powers-of-two row set. A write raises
+    ValueError; the prime list is a tuple."""
+    base = build_family(SmoothParams(x=1000, y=100, w=10, lam=Fraction(0), k=3))
+    cut = base.sub_family(SmoothParams(x=1000, y=100, w=10, lam=Fraction(1, 2), k=3))
+    pool = base.sub_family(SmoothParams(x=500, y=7, w=7, lam=Fraction(0), k=3))
+    for fam in (base, cut, pool):
+        for l in (1, 2):
+            fam.exact_power_of_two_members(l, 7)
+        held = [*fam.table, *fam._pow2_rows.values()]
+        held += [v for v in vars(fam).values() if isinstance(v, np.ndarray)]
+        assert len(held) == 4 + 2 + 5
+        for array in held:
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+        assert isinstance(fam.primes, tuple)
+
+
 @pytest.mark.parametrize("y, k", [(100_000, 2), (177, 3)])
 def test_family_holds_no_dense_sieve_array(y, k):
     """Nothing reachable from a family or its views is an array longer than
@@ -497,21 +517,34 @@ _NOT_POSITIVE = {
 }
 
 
-@pytest.mark.parametrize("value", [0, -3, 2**63, 2**70, -(2**63) - 1])
+@pytest.mark.parametrize(
+    "value",
+    [0, -3, 2**63, 2**70, -(2**63) - 1, 2.5]
+    + [pytest.param(np.array([2.5, 3.9]), id="float64-array")],
+)
 @pytest.mark.parametrize("kernel", sorted(_KERNELS))
 def test_kernels_refuse_bad_elements_with_typed_errors(kernel, value):
-    """0, a negative and values outside int64 end in a typed error in each
-    constructor kernel, from a list, a generator or an int64 array, and
-    never in ZeroDivisionError or OverflowError."""
-    if -(2**63) <= value < 2**63:
-        forms = ["list", "generator", "int64 array"]
-        error, text = _NOT_POSITIVE[kernel]
+    """0, a negative, a non-integral value and values outside int64 end in
+    a typed error in each constructor kernel, from a list, a generator, an
+    int64 array or a float64 array, and never in ZeroDivisionError or
+    OverflowError; a non-integral value is never truncated."""
+    if isinstance(value, np.ndarray):  # the whole input
+        inputs = {"float64 array": value}
+        error, text = ParameterError, f"element {value[0]} is not an integer"
     else:
-        forms = ["list", "generator"]
-        error, text = ParameterError, "element {} does not fit in int64"
-    for form in forms:
+        if isinstance(value, float):
+            forms = ["list", "generator"]
+            error, text = ParameterError, "element {} is not an integer"
+        elif -(2**63) <= value < 2**63:
+            forms = ["list", "generator", "int64 array"]
+            error, text = _NOT_POSITIVE[kernel]
+        else:
+            forms = ["list", "generator"]
+            error, text = ParameterError, "element {} does not fit in int64"
+        inputs = {form: _AS_INPUT[form]([value, 3]) for form in forms}
+    for form, elements in inputs.items():
         with pytest.raises(DensefracError) as caught:
-            _KERNELS[kernel](_AS_INPUT[form]([value, 3]))
+            _KERNELS[kernel](elements)
         assert type(caught.value) is error, form
         assert str(caught.value) == text.format(value), form
 

@@ -27,6 +27,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CONSTRUCT = "src/densefrac/construct.py"
 SMOOTH = "src/densefrac/smooth.py"
 MODULAR = "src/densefrac/modular.py"
 EXPAND = "src/densefrac/expand.py"
@@ -36,7 +37,44 @@ TIMEOUT_S = 900  # per pytest run; a run that hangs is reported as an error
 #: (name, file, ((old, new), ...), test files). Each edit weakens one guard
 #: or one step of a kernel; the listed tests are the ones that must catch it.
 MUTANTS = [
+    # The planning sieve kept across constructions at one (x, y, w, k).
+    (
+        "planning-sieve key drops k",
+        CONSTRUCT,
+        (("key = (x, y, w, k)", "key = (x, y, w)"),),
+        ["tests/test_construct.py"],
+    ),
+    (
+        "planning-sieve entry stored before the mass pass",
+        CONSTRUCT,
+        (
+            (
+                "    chunks = range(0, fam0.members.size, _MASS_CHUNK)\n",
+                "    _planning = key, (fam0, d_p0, ())\n"
+                "    chunks = range(0, fam0.members.size, _MASS_CHUNK)\n",
+            ),
+        ),
+        ["tests/test_construct.py"],
+    ),
+    (
+        "family arrays stay writeable",
+        SMOOTH,
+        (("    a.flags.writeable = False\n", "    pass\n"),),
+        ["tests/test_smooth.py"],
+    ),
+    (
+        "prime-check cache answers True for every p",
+        MODULAR,
+        (("    return is_prime(p)\n", "    return True\n"),),
+        ["tests/test_modular.py"],
+    ),
     # The constructor kernels' one int64 intake and division loop.
+    (
+        "intake truncates non-integral values",
+        SMOOTH,
+        (("vals.append(operator.index(v))", "vals.append(int(v))"),),
+        ["tests/test_smooth.py"],
+    ),
     (
         "intake wraps values outside int64",
         SMOOTH,
