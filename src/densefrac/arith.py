@@ -17,7 +17,8 @@ primes and asks them only for p | m and the multiplicity of p. Exact
 rationals are stdlib `fractions.Fraction` (always reduced, positive
 denominator). Bulk reciprocal sums over a family never reduce pairwise:
 see `densefrac.smooth.reciprocal_sum`, which divides a common denominator
-m by every element at once, summing m // n and proving each m mod n zero
+m by every element at once, summing m // n (in all, or per group of
+elements for the planner's cutoff walk) and proving each m mod n zero
 (`limb_remainders` gives the remainders alone).
 """
 
@@ -53,9 +54,11 @@ def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
 
 
 def exact_multiplicity(n: int, p: int) -> int:
-    """Largest l with p^l | n (so p^l exactly divides n)."""
+    """Largest l with p^l | n (so p^l exactly divides n); n >= 1, p >= 2."""
     if n < 1:
         raise ParameterError(f"exact_multiplicity requires n >= 1, got {n}")
+    if p < 2:  # 1 and -1 divide n forever, and 0 divides nothing
+        raise ParameterError(f"exact_multiplicity requires p >= 2, got {p}")
     l = 0
     while n % p == 0:
         n //= p

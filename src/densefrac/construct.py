@@ -22,19 +22,23 @@ ints. The moduli, the y' candidates and both stages' prime loops read the
 sieve's prime list (SmoothFamily.primes); the bound y'' and the exit
 prime, which may lie above y, and the odd expander read the table
 arith.SMALL_PRIMES, so no prime is found anew. The family's exact mass is
-summed once, and the cutoff and stage-one remainder take the members below
-the cutoff off it. The sieve, D(p0) and that mass depend on r only through
-(x, y, w, k), so the module keeps the last ones in a single entry keyed by
-(x, y, w, k): a construction at the same key reads them, any other drops
-the entry before it sieves, and an entry is stored only once its mass pass
-has succeeded. The candidates for y' are judged on slice sizes that
-one census of the sieve's members table counts per range
-(SmoothFamily.census); no slice is built to be measured. Per plan,
+summed once, per group of _MASS_GROUP members, and the cutoff and
+stage-one remainder take the members below the cutoff off it, whole groups
+first. The sieve depends on r only through (x, y), and D(p0) and that mass
+through (x, y, w, k), so the module keeps one entry: the sieve of one x,
+which serves every y up to its own and every w and k, and per (y, w, k)
+the family as a view of it, with its D(p0) and mass. A construction at the
+same x and a y the sieve covers reads them, making a new view and mass
+pass for a new (y, w, k); another x or a larger y drops the entry before it
+sieves. A sieve is stored only once its first mass pass has succeeded, and
+a view only once its own has. The candidates for y' are judged on slice
+sizes that one census of the planning family's members table counts per
+range (SmoothFamily.census); no slice is built to be measured. Per plan,
 construct_dense takes the stage-one family and the stage-two pool as views
 of the sieve and passes each stage the view it reads as an argument; the
-plan holds no view, so no view outlives the construction. The sieve itself
-outlives it in the entry, which is safe to share because a family's
-arrays are read-only.
+plan holds no view, so no view outlives the construction. The sieve and
+the planning views outlive it in the entry, which is safe to share because
+a family's arrays are read-only.
 
 Every step divides one prime out of its divisor certificate (an int that p
 must divide) and re-verifies that certificate and the exact telescoping;
@@ -86,12 +90,12 @@ from .verify import Certificate, check
 MAX_STAGE_TWO_ATTEMPTS = 48
 MAX_DELTA_RETUNES = 3
 MAX_K = 64
-_MASS_CHUNK = 1 << 13  # planning sums the family's mass per this many members
+_MASS_GROUP = 1 << 8  # planning sums the family's mass per this many members
 _TRIAL_BOUND = 10**6  # r's denominator is trial-divided this far, past any y
 # The stage errors after which stage two shifts its cut and construct_dense
 # retunes delta; any other error ends the construction at once.
 _RETRIED = (EliminationFailed, BreuschPreconditionFailed, BoundExceeded)
-# The last planning sieve: ((x, y, w, k), (family, D(p0), mass)), or None.
+# The planning sieve: (family, {(y, w, k): (view, D(p0), mass)}), or None.
 _planning = None
 
 
@@ -246,21 +250,28 @@ def _spec_y_doubleprime(x: int, k: int) -> int:
 
 def _planning_sieve(x: int, y: int, w: int, k: int):
     """(A(x, y; w, 0), D(p0), the sums of D(p0) // n over its members per
-    chunk of _MASS_CHUNK), from the module's entry when its key is
-    (x, y, w, k). On a miss the entry is dropped before the sieve runs, so
-    two families are never held at once, and it is stored only after the
-    mass pass, so a refused sieve is never kept."""
+    group of _MASS_GROUP), from the module's entry: one sieve of [1, x] and,
+    per (y, w, k) asked of it, that family as a view with its D(p0) and
+    mass. The sieve serves every y up to its own; another x or a larger y
+    drops the entry before it sieves, so two sieves are never held at once.
+    A sieve is stored only after its first mass pass, and a view only after
+    its own, so a refused family is never kept."""
     global _planning
-    key = (x, y, w, k)
-    if _planning is not None and _planning[0] == key:
-        return _planning[1]
-    _planning = None
-    fam0 = build_family(SmoothParams(x=x, y=y, w=w, lam=Fraction(0), k=k))
+    params = SmoothParams(x=x, y=y, w=w, lam=Fraction(0), k=k)
+    key = (y, w, k)
+    if _planning is None or _planning[0].params.x != x or _planning[0].params.y < y:
+        _planning = None
+        sieve = fam0 = build_family(params)
+        views = {}
+    else:
+        sieve, views = _planning
+        if key in views:
+            return views[key]
+        fam0 = sieve.sub_family(params)
     d_p0 = modulus_product(fam0.primes, w, k)  # no prime lies in (y, p0)
-    chunks = range(0, fam0.members.size, _MASS_CHUNK)
-    parts = [reciprocal_sum(fam0.members[i : i + _MASS_CHUNK], d_p0) for i in chunks]
-    mass = tuple(f.numerator * (d_p0 // f.denominator) for f in parts)
-    _planning = key, (fam0, d_p0, mass)
+    mass = reciprocal_sum(fam0.members, d_p0, _MASS_GROUP)
+    views[key] = fam0, d_p0, mass
+    _planning = sieve, views
     return fam0, d_p0, mass
 
 
@@ -276,8 +287,8 @@ def _resolve_cutoff(
     """(cutoff, r - sum_{n > cutoff} 1/n) over the members of fam0.
 
     mass holds the sums of m // n (m the modulus) over the members, per
-    chunk of _MASS_CHUNK. The walk goes upward taking mass off the total,
-    whole chunks first, then each m // n inside the chunk that holds the
+    group of _MASS_GROUP. The walk goes upward taking mass off the total,
+    whole groups first, then each m // n inside the group that holds the
     cutoff. A given cutoff (formula lambda) ends the walk there; without
     one (adaptive lambda) it ends before the mass above would drop below
     r - delta: the largest element-boundary cutoff with remainder in
@@ -296,13 +307,13 @@ def _resolve_cutoff(
         )
     members = fam0.members
     taken = 0
-    for chunk_sum in mass:  # whole chunks while the walk would take all of one
-        end = min(taken + _MASS_CHUNK, members.size)
-        if (num - chunk_sum < floor) if adaptive else (members[end - 1] > cutoff):
+    for group_sum in mass:  # whole groups while the walk would take all of one
+        end = min(taken + _MASS_GROUP, members.size)
+        if (num - group_sum < floor) if adaptive else (members[end - 1] > cutoff):
             break
-        num -= chunk_sum
+        num -= group_sum
         taken = end
-    for e in members[taken : taken + _MASS_CHUNK].tolist():
+    for e in members[taken : taken + _MASS_GROUP].tolist():
         step = m // e
         if (num - step < floor) if adaptive else (e > cutoff):
             break
@@ -458,7 +469,7 @@ def _plan_full(
     y_prime: Optional[int] = None,
     x_prime: Optional[int] = None,
 ):
-    """(config, plan, planning family, its sums of D(p0) // n per chunk)."""
+    """(config, plan, planning family, its sums of D(p0) // n per group)."""
     r = Fraction(r)
     if r <= 0:
         raise ParameterError(f"r must be positive, got {r}", failing_parameter="r")

@@ -8,23 +8,29 @@ exact multiplicity; they are the ammunition for denominator-prime
 elimination. A census counts every slice over a range of n, off the same
 table, without building one.
 
-One vectorized sieve over [1, x], walking only the primes <= y (members
-are y-smooth), finds the members and, exact for each, P(n) and its
-multiplicity; only these rows are kept, with the primes <= y the sieve
-found on its way. That one sieve serves every family a construction draws
-on: sub-families (higher cutoff, smaller x or y) are views of its rows, not
-new sieves (SmoothFamily.sub_family), and a construction reads every prime
-<= y off its prime list. Every array a family holds is read-only
-(flags.writeable is False), and its prime list is a tuple, so views and
-constructions that share one sieve cannot write into each other's rows.
-Lambda thresholds are element boundaries (members strictly greater than
-lambda*x), so a stored rational cutoff reproduces the family exactly.
+One vectorized sieve over [1, x], walking only the primes <= y, finds the
+y-smooth n and, exact for each, P(n) and its multiplicity; a second pass
+over the primes up to sqrt(x) adds the largest exponent of any prime in n
+and the largest q with q^2 | n. Only these rows are kept, with the primes
+<= y the sieve found on its way, and the k- and w-conditions are not
+applied: that one sieve serves every family of any y' <= y, w and k a run
+draws on. Families are views of its rows, not new sieves
+(SmoothFamily.sub_family): each (y', min(w, y'), k) picks its members
+table once, and higher cutoffs and smaller x are ranges of it; a
+construction reads every prime <= y' off its prime list. Every array a
+family holds is read-only (flags.writeable is False), and its prime list
+is a tuple, so views and constructions that share one sieve cannot write
+into each other's rows. Lambda thresholds are element boundaries (members
+strictly greater than lambda*x), so a stored rational cutoff reproduces
+the family exactly.
 
 reciprocal_sum divides one big int m by many elements at once, vectorized
 over limbs of m; its quotient sums give exact reciprocal masses over the
-common denominator m. limb_remainders is the same long division without
-quotients, for callers that only need the proof that an element divides m,
-a zero remainder (choose_lambda, elimination). reciprocal_sum,
+common denominator m, in all or per group of elements (the planner's
+mass, walked a group at a time). limb_remainders is the same long
+division without quotients, for callers that only need the proof that an
+element divides m, a zero remainder (choose_lambda, elimination).
+reciprocal_sum,
 choose_lambda and modular.eliminate_prime take their elements through
 _as_int64, which refuses a non-integral value and a value outside int64.
 Moduli are plain ints throughout.
@@ -38,7 +44,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -56,6 +62,10 @@ MAX_SIEVE_X = 60_000_000
 #: arrays stay small.
 _CHUNK = 1 << 13
 _BLOCK = 1 << 16  # build_family reads the sieve this many integers at a time
+#: Row numbers are kept in int32 (tables have at most MAX_SIEVE_X < 2^31
+#: rows), half the memory of intp; a slice widens its few rows back to intp,
+#: which numpy gathers with about twice as fast.
+_ROW = np.int32
 
 
 @dataclass(frozen=True)
@@ -94,48 +104,83 @@ class SmoothParams:
 class SmoothFamily:
     """Materialized family: ascending arrays of the members and of A0.
 
-    A family reads one sieve's members table, the arrays (n ascending, P(n)
-    <= y, its multiplicity, A0 flag), at the rows cutoff < n <= x with
-    P(n) <= y. Slices are ranges of the rows ordered by (P(n), multiplicity,
-    n); views (sub_family) share the table, that order and the powers-of-two
-    rows. Every array the family holds is made read-only here, the table's
-    columns included, so a write to one raises ValueError. primes holds the
-    sieve's primes <= y ascending, as one tuple that every view shares.
+    A family is a view of one sieve's table, whose rows are every y-smooth
+    n in (cutoff, x] of the sieve, ascending, with the columns (n, P(n),
+    its multiplicity, the largest exponent of any prime in n, the largest
+    prime q with q^2 | n or 0). The family's conditions P(n) <= y', largest
+    exponent < k and q <= w pick the rows of a members table (n, P(n),
+    multiplicity, A0 flag), made once per sieve for each (y', min(w, y'),
+    k) with the rows' order by (P(n), multiplicity, n) and its
+    powers-of-two rows, and shared by every view with those conditions
+    (sub_family). A family reads its members table at the rows
+    cutoff' < n <= x'; a slice is a range of the order. Every array the
+    family holds is made read-only here, the table's columns included, so
+    a write to one raises ValueError. primes holds the sieve's primes
+    <= y' ascending, as a tuple.
     """
 
     def __init__(self, params: SmoothParams, table, primes):
         self.params = params
         self.table = tuple(map(_read_only, table))
-        self.primes = tuple(primes)
-        keys = table[1].astype(np.min_scalar_type((params.y + 1) * params.k))
-        keys = keys * params.k + table[2]
-        self._order = _read_only(np.argsort(keys, kind="stable"))
-        self._keys = _read_only(keys[self._order])
-        self._pow2_rows: dict = {}
+        self._primes = tuple(primes)
+        self._members_tables: dict = {}
         self._cut()
 
     def _cut(self):
-        n, lpf, _, a0 = self.table
-        bounds = (self.params.cutoff, self.params.x)
-        self._bounds = lo, hi = _read_only(n.searchsorted(bounds, side="right"))
-        smooth = lpf[lo:hi] <= self.params.y
-        members = n[lo:hi] if smooth.all() else n[lo:hi][smooth]
-        self.members = _read_only(members)
-        self.members_a0 = _read_only(n[lo:hi][smooth & a0[lo:hi]])
+        params = self.params
+        self.primes = self._primes[: bisect_right(self._primes, params.y)]
+        self._columns, self._order, self._keys, self._pow2_rows = self._members_table()
+        n = self._columns[0]
+        bounds = n.searchsorted((params.cutoff, params.x), side="right")
+        self._bounds = lo, hi = _read_only(bounds.astype(_ROW))
+        self.members = n[lo:hi]
+
+    @property
+    def members_a0(self) -> np.ndarray:
+        """The A0 members, ascending; made on each access."""
+        n, _, _, a0 = self._columns
+        lo, hi = self._bounds
+        return _read_only(n[lo:hi][a0[lo:hi]])
+
+    def _members_table(self):
+        """((n, P(n), multiplicity, A0 flag), the rows in order of the key
+        P(n)*k + multiplicity, the keys in that order, {l: powers-of-two
+        rows}) over the sieve's rows that meet this family's conditions;
+        made once per (y, min(w, y), k)."""
+        y, w, k = self.params.y, self.params.w, self.params.k
+        conditions = (y, min(w, y), k)  # on y-smooth n, q <= P(n) <= y
+        if conditions not in self._members_tables:
+            n, lpf, expo, top, square = self.table
+            admitted = (lpf <= y) & (top < k) & (square <= w)
+            n = n[admitted].astype(np.int64)
+            lpf, expo = lpf[admitted], expo[admitted]
+            # A0: odd, and none of the m^2 + m - 1 up to the largest n
+            a0 = (n & 1).astype(bool)
+            m = np.arange(1, math.isqrt(int(n.max(initial=0))) + 2)
+            special = m * m + m - 1
+            at = n.searchsorted(special)
+            inside = at < n.size
+            at = at[inside]
+            a0[at[n[at] == special[inside]]] = False
+            keys = lpf.astype(np.min_scalar_type((y + 1) * k)) * k + expo
+            order = _read_only(np.argsort(keys, kind="stable").astype(_ROW))
+            columns = tuple(map(_read_only, (n, lpf, expo, a0)))
+            sorted_keys = _read_only(keys[order])
+            self._members_tables[conditions] = columns, order, sorted_keys, {}
+        return self._members_tables[conditions]
 
     def sub_family(self, params: SmoothParams) -> "SmoothFamily":
-        """The family for params as a view of this family's sieve.
+        """The family for params as another view of this family's sieve.
 
-        Needs the same k, x' <= x, y' <= y, a cutoff at or above this one and
-        min(w', y') == min(w, y'); anything else raises ParameterError.
+        Any k and w: the table holds the facts both conditions read. Needs
+        x' <= x, y' <= y and a cutoff at or above this one; anything else
+        raises ParameterError.
         """
         base = self.params
         if (
-            params.k != base.k
-            or params.x > base.x
+            params.x > base.x
             or params.y > base.y
             or params.cutoff < base.cutoff
-            or min(params.w, params.y) != min(base.w, params.y)
         ):
             raise ParameterError(f"{params} is not a sub-family of {base}")
         view = copy.copy(self)
@@ -162,8 +207,8 @@ class SmoothFamily:
         lo, hi = self._keys.searchsorted(key).tolist()
         rows = self._order[lo:hi]  # ascending: the sort is stable
         lo, hi = rows.searchsorted(self._bounds).tolist()
-        rows = rows[lo:hi]
-        n, _, _, flag = self.table
+        rows = rows[lo:hi].astype(np.intp)
+        n, _, _, flag = self._columns
         return n[rows[flag[rows]]] if a0 else n[rows]
 
     def exact_power_of_two_members(self, l: int, p_max: int) -> np.ndarray:
@@ -171,18 +216,19 @@ class SmoothFamily:
 
         P(n) is 2 when the odd part is 1, so the bound is max(p_max, 2).
         """
-        n, lpf, _, _ = self.table
+        n, lpf, _, _ = self._columns
         rows = self._power_of_two_rows(l)
         lo, hi = rows.searchsorted(self._bounds).tolist()
-        rows = rows[lo:hi]
-        return n[rows[lpf[rows] <= min(max(p_max, 2), self.params.y)]]
+        rows = rows[lo:hi].astype(np.intp)
+        return n[rows[lpf[rows] <= max(p_max, 2)]]
 
     def _power_of_two_rows(self, l: int) -> np.ndarray:
-        """Table rows of the n exactly divisible by 2^l (made once per sieve)."""
+        """Members-table rows of the n exactly divisible by 2^l (made once
+        per members table)."""
         if l not in self._pow2_rows:
-            n = self.table[0]
+            n = self._columns[0]
             rows = np.flatnonzero(n % 2 ** (l + 1) == 2**l)
-            self._pow2_rows[l] = _read_only(rows)
+            self._pow2_rows[l] = _read_only(rows.astype(_ROW))
         return self._pow2_rows[l]
 
     def census(self, lo: int, hi: int, a0: bool = False):
@@ -191,12 +237,12 @@ class SmoothFamily:
         Returns (slices, pow2): slices[p, l] members of slice(p, l, a0), for
         p <= y and 1 <= l < k (1 itself counts at [1, 0]); pow2[l, p]
         members of exact_power_of_two_members(l, p) (none when a0), for
-        1 <= l < k and 2 <= p <= y. The range is one run of table rows, so
-        the keys P(n)*k + multiplicity are counted a _BLOCK of rows at a
-        time in their own dtype; no array spans the range.
+        1 <= l < k and 2 <= p <= y. The range is one run of members-table
+        rows, so the keys P(n)*k + multiplicity are counted a _BLOCK of rows
+        at a time in their own dtype; no array spans the range.
         """
         k, y = self.params.k, self.params.y
-        n, lpf, expo, flag = self.table
+        n, lpf, expo, flag = self._columns
         lo = max(lo, self.params.cutoff)
         bounds = (lo, max(lo, min(hi, self.params.x)))
         lo, hi = n.searchsorted(bounds, side="right").tolist()
@@ -225,13 +271,15 @@ def build_family(params: SmoothParams) -> SmoothFamily:
     p and, for each p^l <= x, writes l and multiplies the y-smooth part by
     p at the multiples of p^l. Larger primes overwrite smaller ones, so
     P(n) and its multiplicity are exact on y-smooth n, which are the n
-    whose y-smooth part is n itself, once it is zeroed at multiples of p^k
-    and of q^2 for q > w. Only the members' rows are kept.
+    whose y-smooth part is n itself. Only their rows are kept, above the
+    cutoff; once those arrays are freed, a second loop over the primes up
+    to sqrt(x) writes each row's largest exponent and largest q with
+    q^2 | n, so the table serves every k and w (sub_family).
     """
-    x, y, w, k = params.x, params.y, params.w, params.k
+    x, y = params.x, params.y
     idx_t = np.int32 if x < 2**31 else np.int64
     primes = []
-    lpf = np.zeros(x + 1, dtype=idx_t)
+    lpf = np.zeros(x + 1, dtype=np.min_scalar_type(y))
     lpf[1] = 1
     expo = np.zeros(x + 1, dtype=np.uint8)
     # divides n, so idx_t holds it
@@ -247,10 +295,6 @@ def build_family(params: SmoothParams) -> SmoothFamily:
             smooth_part[pl::pl] *= p
             pl *= p
             l += 1
-    for p in primes[: bisect_right(primes, math.isqrt(x))]:
-        smooth_part[p**k :: p**k] = 0
-        if p > w:
-            smooth_part[p * p :: p * p] = 0
 
     rows = []
     for lo in range(params.cutoff + 1, x + 1, _BLOCK):
@@ -258,12 +302,20 @@ def build_family(params: SmoothParams) -> SmoothFamily:
         own = smooth_part[lo:hi] == np.arange(lo, hi, dtype=idx_t)
         rows.append(np.flatnonzero(own) + lo)
     del smooth_part
-    n = np.concatenate(rows)
+    n = np.concatenate(rows).astype(idx_t)
     lpf, expo = lpf[n], expo[n]  # the dense sieve arrays are freed here
-    # n = m^2 + m - 1 just when 4n + 5 = (2m + 1)^2; sqrt is exact on squares
-    root = np.sqrt(4 * n + 5).astype(np.int64)
-    a0 = (n & 1).astype(bool) & (root * root != 4 * n + 5)
-    return SmoothFamily(params, (n, lpf, expo, a0), primes)
+    top = np.ones(x + 1, dtype=np.uint8)
+    top[:2] = 0
+    square = np.zeros(x + 1, dtype=np.min_scalar_type(math.isqrt(x)))
+    for p in primes[: bisect_right(primes, math.isqrt(x))]:
+        square[p * p :: p * p] = p
+        pl, l = p * p, 2
+        while pl <= x:
+            np.maximum(top[pl::pl], l, out=top[pl::pl])
+            pl *= p
+            l += 1
+    top, square = top[n], square[n]  # and the last dense arrays here
+    return SmoothFamily(params, (n, lpf, expo, top, square), primes)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -309,44 +361,54 @@ def limb_remainders(m: int, elements: np.ndarray) -> np.ndarray:
     return r
 
 
-def reciprocal_sum(elements: Iterable[int], m: int) -> Fraction:
+def reciprocal_sum(elements: Iterable[int], m: int, group: Optional[int] = None):
     """Exact sum of 1/n over elements, all of which must divide the int m.
 
     The sum is num/m with num = sum(m // n) over the fixed common
     denominator m, reduced once at the end. Elements are any iterable of
     ints or an int64 array; a value outside int64 raises ParameterError
     before any division. The first element, in input order, that is below
-    1 or does not divide m raises DivisibilityError.
+    1 or does not divide m raises DivisibilityError. With group=g, for
+    1 <= g <= _CHUNK, returns instead the tuple of the sums of m // n over
+    each run of g consecutive elements in input order (the last run may be
+    shorter), with the same proof: the mass in pieces a walk can take whole.
 
-    A schoolbook long division of m by _CHUNK elements at a time, so memory
-    stays bounded by the chunk: s-bit limbs of m, most significant first,
-    with every n of the chunk below 2^(64 - s). A remainder r < n becomes
-    r * 2^s + limb < 2^64, and the quotient digits, each below 2^s <= 2^50,
-    sum exactly in uint64 over a chunk.
+    A schoolbook long division of m by _CHUNK elements at a time (a whole
+    number of groups), so memory stays bounded by the chunk: s-bit limbs of
+    m, most significant first, with every n of the chunk below 2^(64 - s).
+    A remainder r < n becomes r * 2^s + limb < 2^64, and the quotient
+    digits, each below 2^s <= 2^50, sum exactly in uint64 over a group of at
+    most 2^13; each digit column is summed per group (np.add.reduceat) and
+    added into the groups' sums as it comes.
     """
+    size = _CHUNK if group is None else group
+    if not 1 <= size <= _CHUNK:
+        raise ParameterError(f"group must lie in [1, {_CHUNK}], got {group}")
     elements = _as_int64(elements)
-    num = 0
-    for start in range(0, elements.size, _CHUNK):
-        chunk = elements[start : start + _CHUNK]
+    sums = []
+    step = _CHUNK - _CHUNK % size
+    for start in range(0, elements.size, step):
+        chunk = elements[start : start + step]
         bad = chunk < 1
         n = np.where(bad, 1, chunk).astype(np.uint64)
         s = min(64 - int(n.max()).bit_length(), 50)
         r = np.zeros_like(n)
         q = np.empty_like(n)
-        chunk_sum = 0
+        heads = np.arange(0, n.size, size)
+        group_sums = np.zeros(heads.size, dtype=object)  # Python ints
         for j in reversed(range(0, m.bit_length(), s)):
             r <<= s
             r |= m >> j & ((1 << s) - 1)
             np.divmod(r, n, out=(q, r))
-            chunk_sum = (chunk_sum << s) + int(q.sum())
+            group_sums = (group_sums << s) + np.add.reduceat(q, heads).astype(object)
         bad |= r != 0
         if bad.any():
             raise DivisibilityError(
                 f"element {chunk[np.argmax(bad)]} does not divide the modulus",
                 failing_parameter="modulus",
             )
-        num += chunk_sum
-    return Fraction(num, m)
+        sums += group_sums.tolist()
+    return Fraction(sum(sums), m) if group is None else tuple(sums)
 
 
 def choose_lambda(pool: Iterable[int], alpha: Fraction, m: int):

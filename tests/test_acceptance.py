@@ -141,7 +141,8 @@ def test_criterion_5_sieve_ground_truth():
     assert fam.members.size == 607926
     # disjoint-union partition identity for y' in {10, 30}
     members = fam.members
-    _, lpf, expo, _ = fam.table
+    rows = np.searchsorted(fam.table[0], members)  # the members' table rows
+    lpf, expo = fam.table[1][rows], fam.table[2][rows]
     assert np.all(expo[members > 1] == 1)  # squarefree: every slice level is 1
     for y_prime in (10, 30):
         core = int(np.count_nonzero(lpf <= y_prime))

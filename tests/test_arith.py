@@ -66,6 +66,14 @@ def test_exact_multiplicity():
     assert exact_multiplicity(7, 5) == 0
 
 
+# 0 first: without the guard it raises ZeroDivisionError at once, where 1
+# and -1 would never return
+@pytest.mark.parametrize("p", [0, 1, -1, -2])
+def test_exact_multiplicity_refuses_p_below_2(p):
+    with pytest.raises(ParameterError, match=f"requires p >= 2, got {p}$"):
+        exact_multiplicity(12, p)
+
+
 def test_primes_in():
     # the oracle's sieve, which the tests use in place of a library function
     assert primes_in(8, 12) == [11]

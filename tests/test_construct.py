@@ -512,10 +512,10 @@ def _spy_planning(monkeypatch):
     """Wrap construct.build_family and construct.reciprocal_sum. Records
     each sieve's params (sieves) and member count (sizes), whether the
     family of the sieve before it was still alive on entry (alive), and
-    the element count of each mass-pass call (terms)."""
+    the element count (terms) and result (sums) of each mass-pass call."""
     import densefrac.construct as construct
 
-    spy = types.SimpleNamespace(sieves=[], sizes=[], alive=[], terms=[])
+    spy = types.SimpleNamespace(sieves=[], sizes=[], alive=[], terms=[], sums=[])
     refs = []
     sieve, mass = construct.build_family, construct.reciprocal_sum
 
@@ -527,9 +527,10 @@ def _spy_planning(monkeypatch):
         spy.sizes.append(fam.members.size)
         return fam
 
-    def summing(elements, m):
+    def summing(elements, m, *group):
         spy.terms.append(len(elements))
-        return mass(elements, m)
+        spy.sums.append(mass(elements, m, *group))
+        return spy.sums[-1]
 
     monkeypatch.setattr(construct, "build_family", building)
     monkeypatch.setattr(construct, "reciprocal_sum", summing)
@@ -552,7 +553,8 @@ def _cold_document(r, x, **options) -> str:
 
 def test_planning_sieve_is_kept_across_targets(monkeypatch):
     """1/3 and 1 at 10^5 plan over the same (x, y, w, k): after a clear,
-    one sieve and one mass pass over its members serve both."""
+    one sieve and one mass pass over its members serve both, and that pass
+    sums the mass per group of _MASS_GROUP members."""
     import densefrac.construct as construct
 
     construct._clear_planning_sieve()
@@ -560,27 +562,63 @@ def test_planning_sieve_is_kept_across_targets(monkeypatch):
     for r in (Fraction(1, 3), Fraction(1)):
         assert construct_dense(r, 10**5).certificate.all_ok
     assert len(spy.sieves) == 1
-    assert sum(spy.terms) == spy.sizes[0]
-    assert len(spy.terms) == -(-spy.sizes[0] // construct._MASS_CHUNK)
+    assert spy.terms == spy.sizes
+    assert len(spy.sums[0]) == -(-spy.sizes[0] // construct._MASS_GROUP)
 
 
-def test_another_key_drops_the_kept_sieve_first(monkeypatch):
-    """3/8 needs k = 4, so between 1/3 and 1 (k = 3) at 10^5 it sieves
-    anew, and 1 after it sieves anew too. Each family is dead by the time
-    the next sieve starts: a miss never holds two families."""
+def test_one_sieve_serves_every_k_at_one_x(monkeypatch):
+    """3/8 needs k = 4 between 1/3 and 1 (k = 3) at 10^5: the one sieve
+    serves all three, and each (y, w, k) gets its own view and mass pass,
+    kept for the next target at that key."""
     import densefrac.construct as construct
 
     construct._clear_planning_sieve()
     spy = _spy_planning(monkeypatch)
     for r in (Fraction(1, 3), Fraction(3, 8), Fraction(1)):
         assert construct_dense(r, 10**5).certificate.all_ok
-    assert [params.k for params in spy.sieves] == [3, 4, 3]
-    assert spy.alive == [False, False, False]
-    assert sum(spy.terms) == sum(spy.sizes)
+    assert [params.k for params in spy.sieves] == [3]
+    sieve, views = construct._planning
+    assert list(views) == [(177, 31, 3), (177, 13, 4)]
+    fam3, fam4 = (view[0] for view in views.values())
+    assert fam3 is sieve and fam4.table[0] is sieve.table[0]
+    assert spy.terms == [fam3.members.size, fam4.members.size]
+
+
+def test_another_key_drops_the_kept_sieve_first(monkeypatch):
+    """The sieve is kept by (x, y) and serves every smaller y: another x,
+    even one with the same (y, w, k), or a larger y (a smaller epsilon)
+    sieves anew, and a smaller y reads a view. Each family is dead by the
+    time the next sieve starts: a miss never holds two sieves. Every
+    document equals the one made from a cleared planning sieve."""
+    import densefrac.construct as construct
+
+    targets = [
+        (Fraction(1, 3), 10**4, {}),
+        (Fraction(1, 3), 10**5, {}),
+        (Fraction(1, 2), 10**5, {"epsilon": 0.05}),  # y = 237 > 177
+        (Fraction(1), 10**5, {}),  # a view at y = 177
+        (Fraction(1, 3), 10**5 - 1, {}),  # y, w and k as at 10^5
+    ]
+    cold = [_cold_document(r, x, **options) for r, x, options in targets]
+    construct._clear_planning_sieve()
+    spy = _spy_planning(monkeypatch)
+    warm = [_document(construct_dense(r, x, **options)) for r, x, options in targets]
+    assert [(params.x, params.y) for params in spy.sieves] == [
+        (10**4, 63),
+        (10**5, 177),
+        (10**5, 237),
+        (10**5 - 1, 177),
+    ]
+    assert spy.alive == [False, False, False, False]
+    assert [spy.terms[i] for i in (0, 1, 2, 4)] == spy.sizes
+    assert len(spy.terms) == 5
+    assert warm == cold
 
 
 def test_planning_key_holds_k():
-    """Keys that differ only in k are two sieves; the same key is one."""
+    """Keys that differ only in k, or in y below the sieve's, are views of
+    one sieve, each with its own D(p0) and mass; the same key is the same
+    view."""
     import densefrac.construct as construct
 
     construct._clear_planning_sieve()
@@ -588,8 +626,14 @@ def test_planning_key_holds_k():
     fam4, d_p0, mass = construct._planning_sieve(10**4, 63, 10, 4)
     assert fam3.params.k == 3 and fam4.params.k == 4
     assert construct._planning_sieve(10**4, 63, 10, 4)[0] is fam4
+    assert construct._planning_sieve(10**4, 63, 10, 3)[0] is fam3
     assert d_p0 == modulus_product(fam4.primes, 10, 4)
     assert Fraction(sum(mass), d_p0) == reciprocal_sum(fam4.members, d_p0)
+    small, d_small, _ = construct._planning_sieve(10**4, 40, 10, 3)
+    assert small.primes == fam3.primes[: len(small.primes)] and small.primes[-1] == 37
+    assert d_small == modulus_product(small.primes, 10, 3)
+    for fam in (fam4, small):
+        assert fam.table[0] is fam3.table[0]
 
 
 def test_kept_sieve_documents_match_cold_ones():
@@ -598,12 +642,13 @@ def test_kept_sieve_documents_match_cold_ones():
     import densefrac.construct as construct
 
     targets = [
-        (Fraction(1, 3), {}),
+        (Fraction(1, 2), {"epsilon": 0.05}),  # y = 237: the sieve
+        (Fraction(1, 3), {}),  # y = 177: a view
         (Fraction(1), {}),  # hit
         (Fraction(1, 2), {"lambda_mode": "formula"}),  # hit
-        (Fraction(3, 8), {}),  # k = 4: miss
+        (Fraction(3, 8), {}),  # k = 4: a new view
         (Fraction(5, 8), {"delta": Fraction(1, 30)}),  # hit
-        (Fraction(1, 2), {}),  # miss
+        (Fraction(1, 2), {}),  # hit
     ]
     construct._clear_planning_sieve()
     warm = [_document(construct_dense(r, 10**5, **opts)) for r, opts in targets]
@@ -909,7 +954,10 @@ _INTRUDERS = pytest.mark.parametrize(
 
 def _lying_sieve(intruder, admitted: list):
     """build_family, except that each family also holds intruder(params),
-    an integer it must exclude; the intruders are appended to admitted."""
+    an integer it must exclude; the intruders are appended to admitted.
+    The intruder's table row, added or overwritten, records the facts of a
+    member: its P(n) and multiplicity over the primes <= y, largest
+    exponent 1 and no square factor."""
 
     def lying(params):
         fam = build_family(params)
@@ -919,8 +967,12 @@ def _lying_sieve(intruder, admitted: list):
         row = int(np.searchsorted(fam.table[0], n))
         # P and its multiplicity as the sieve records them: over primes <= y
         top, mult = [(q, e) for q, e in factorize(n) if q <= params.y][-1]
-        values = (n, top, mult, n % 2 == 1)
-        table = tuple(np.insert(col, row, v) for col, v in zip(fam.table, values))
+        values = (n, top, mult, 1, 0)
+        if row < fam.table[0].size and fam.table[0][row] == n:
+            table = tuple(np.where(np.arange(col.size) == row, v, col)
+                          for col, v in zip(fam.table, values))
+        else:
+            table = tuple(np.insert(col, row, v) for col, v in zip(fam.table, values))
         return SmoothFamily(params, table, fam.primes)
 
     return lying

@@ -141,40 +141,107 @@ def test_census_counts_slices_and_stocks(case, data):
                     assert pow2[l, p_max] == (0 if a0 else in_range(stock))
 
 
+@functools.lru_cache(maxsize=None)
+def _one_sieve(x):
+    """The one sieve of [1, x], at y = x^0.495 (a planner's y at epsilon
+    = 0.01); the w and k it is built with play no part in its table."""
+    return build_family(
+        SmoothParams(x=x, y=int(x**0.495), w=2, lam=Fraction(0), k=2)
+    )
+
+
+@st.composite
+def _view_case(draw):
+    """x in {10^3, 10^4} and a family A(x', y'; w, lambda) with k in 2..6,
+    y' <= y of the one sieve at x, and x' <= x."""
+    x = draw(st.sampled_from([10**3, 10**4]))
+    y_p = draw(st.integers(2, _one_sieve(x).params.y))
+    w = draw(st.one_of(st.integers(2, y_p), st.integers(2, x)))
+    k = draw(st.integers(2, 6))
+    x_p = draw(st.integers(y_p, x))
+    den = draw(st.integers(1, x_p))
+    lam = Fraction(draw(st.integers(0, den - 1)), den)
+    return x, SmoothParams(x=x_p, y=y_p, w=w, lam=lam, k=k)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_view_case(), data=st.data())
+def test_one_table_serves_every_view(case, data):
+    """A view of the one sieve at x, for any y' <= y, w and k, equals a cold
+    build_family at its parameters: members, members_a0, the primes, every
+    slice, every powers-of-two stock and the census of a random range. The
+    sieve is shared across examples, and each family is checked at x' and
+    then at x, so views read members tables that views of other bounds
+    made."""
+    x, params = case
+    full = SmoothParams(x=x, y=params.y, w=params.w, lam=params.lam, k=params.k)
+    for params in (params, full):
+        view = _one_sieve(x).sub_family(params)
+        cold = build_family(params)
+        assert view.members.tolist() == cold.members.tolist()
+        assert view.members_a0.tolist() == cold.members_a0.tolist()
+        assert view.primes == cold.primes
+        for p in cold.primes:
+            for l in range(1, 2 if p > params.w else params.k):
+                for a0 in (False, True):
+                    got = view.slice(p, l, a0)
+                    assert got.tolist() == cold.slice(p, l, a0).tolist()
+        for l in range(1, params.k):
+            for p_max in (1, params.y, *cold.primes):
+                got = view.exact_power_of_two_members(l, p_max)
+                want = cold.exact_power_of_two_members(l, p_max)
+                assert got.tolist() == want.tolist()
+        lo = data.draw(st.integers(-1, params.x + 1))
+        hi = data.draw(st.integers(-1, params.x + 1))
+        for a0 in (False, True):
+            for got, want in zip(view.census(lo, hi, a0), cold.census(lo, hi, a0)):
+                assert got.tolist() == want.tolist()
+
+
 def test_sub_family_rejects_non_subsets():
+    """A view refuses only what the table cannot serve: a larger x or y, or
+    a cutoff below this family's. Another k or w is a view of the same
+    table, with the members of a fresh sieve at those parameters."""
     base = build_family(SmoothParams(x=1000, y=100, w=10, lam=Fraction(0), k=3))
     cut = base.sub_family(SmoothParams(x=1000, y=100, w=10, lam=Fraction(1, 2), k=3))
     for fam, params in [
-        (base, SmoothParams(x=1000, y=100, w=10, lam=Fraction(0), k=2)),  # k
         (base, SmoothParams(x=1001, y=100, w=10, lam=Fraction(0), k=3)),  # x
         (base, SmoothParams(x=1000, y=101, w=10, lam=Fraction(0), k=3)),  # y
-        (base, SmoothParams(x=1000, y=50, w=20, lam=Fraction(0), k=3)),  # w
-        (base, SmoothParams(x=1000, y=50, w=5, lam=Fraction(0), k=3)),  # w
         (cut, SmoothParams(x=1000, y=100, w=10, lam=Fraction(1, 4), k=3)),  # cutoff
     ]:
         with pytest.raises(ParameterError):
             fam.sub_family(params)
-    # w-conditions that agree on y'-smooth integers are a sub-family
+    for params in [
+        SmoothParams(x=1000, y=100, w=10, lam=Fraction(0), k=2),  # k
+        SmoothParams(x=1000, y=100, w=10, lam=Fraction(0), k=6),  # k
+        SmoothParams(x=1000, y=50, w=20, lam=Fraction(0), k=3),  # w
+        SmoothParams(x=1000, y=50, w=5, lam=Fraction(0), k=3),  # w
+    ]:
+        view = base.sub_family(params)
+        assert view.members.tolist() == build_family(params).members.tolist()
+    # w-conditions that agree on y'-smooth integers give the same members
     pool = base.sub_family(SmoothParams(x=500, y=7, w=7, lam=Fraction(0), k=3))
+    top = base.table[1][np.searchsorted(base.table[0], base.members)]  # P(n)
     assert pool.members.tolist() == base.members[
-        (base.members <= 500) & (base.table[1] <= 7)  # the P(n) column
+        (base.members <= 500) & (top <= 7)
     ].tolist()
 
 
 def test_family_arrays_are_read_only():
     """A family and its views share one sieve, so every array they hold is
-    read-only: the table's columns, members, members_a0, the slice order
-    and keys, the row bounds and each powers-of-two row set. A write raises
-    ValueError; the prime list is a tuple."""
+    read-only: the table's columns, the members table's columns, members,
+    members_a0, the slice order and keys, the row bounds and each
+    powers-of-two row set. A write raises ValueError; the prime list is a
+    tuple."""
     base = build_family(SmoothParams(x=1000, y=100, w=10, lam=Fraction(0), k=3))
     cut = base.sub_family(SmoothParams(x=1000, y=100, w=10, lam=Fraction(1, 2), k=3))
     pool = base.sub_family(SmoothParams(x=500, y=7, w=7, lam=Fraction(0), k=3))
     for fam in (base, cut, pool):
         for l in (1, 2):
             fam.exact_power_of_two_members(l, 7)
-        held = [*fam.table, *fam._pow2_rows.values()]
+        held = [*fam.table, *fam._columns, *fam._pow2_rows.values(), fam.members_a0]
         held += [v for v in vars(fam).values() if isinstance(v, np.ndarray)]
-        assert len(held) == 4 + 2 + 5
+        assert len(held) == 5 + 4 + 2 + 1 + 4
         for array in held:
             with pytest.raises(ValueError, match="read-only"):
                 array[:1] = 0
@@ -299,8 +366,9 @@ def test_partition_identity(mid_family):
     """family = y'-smooth core plus slices over (y', y], exactly."""
     params = mid_family.params
     members = mid_family.members
+    top = mid_family.table[1][np.searchsorted(mid_family.table[0], members)]
     for y_prime in (10, 30):
-        core = members[mid_family.table[1] <= y_prime]  # P(n) <= y'
+        core = members[top <= y_prime]  # P(n) <= y'
         total = len(core)
         union = set(int(v) for v in core)
         for p in [q for q in range(y_prime + 1, params.y + 1) if factorize(q) == ((q, 1),)]:
@@ -446,6 +514,42 @@ def test_reciprocal_sum_matches_scalar_loop(case, form, chunk):
         mp.setattr(smooth, "_CHUNK", chunk)
         got = _outcome(reciprocal_sum, _AS_INPUT[form](elements), modulus)
     assert got == _outcome(_reciprocal_sum_scalar, elements, modulus)
+
+
+def _group_sums_scalar(elements, m, group):
+    """The sums of m // n per run of group elements, or the scalar loop's
+    error."""
+    _reciprocal_sum_scalar(elements, m)
+    runs = range(0, len(elements), group)
+    return tuple(sum(m // int(n) for n in elements[i : i + group]) for i in runs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_reciprocal_sum_case(),
+    form=st.sampled_from(sorted(_AS_INPUT)),
+    chunk=st.sampled_from([8, smooth._CHUNK]),
+    group=st.sampled_from([1, 3, 8]),
+)
+def test_reciprocal_sum_group_sums_match_scalar_loop(case, form, chunk, group):
+    """With group=g, the sums of m // n per run of g elements, or the same
+    error type and text as the scalar loop: the remainder proof holds in the
+    grouped form too, and a group never straddles a chunk (3 does not
+    divide a chunk of 8)."""
+    modulus, elements = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smooth, "_CHUNK", chunk)
+        got = _outcome(
+            lambda v, m: reciprocal_sum(v, m, group), _AS_INPUT[form](elements), modulus
+        )
+    want = _outcome(lambda v, m: _group_sums_scalar(v, m, group), elements, modulus)
+    assert got == want
+
+
+@pytest.mark.parametrize("group", [0, -1, smooth._CHUNK + 1])
+def test_reciprocal_sum_refuses_a_group_outside_the_chunk(group):
+    with pytest.raises(ParameterError, match=f"group must lie in .*, got {group}"):
+        reciprocal_sum([1, 2], 2, group)
 
 
 @pytest.mark.parametrize("kernel", [limb_remainders])

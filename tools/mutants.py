@@ -32,29 +32,87 @@ SMOOTH = "src/densefrac/smooth.py"
 MODULAR = "src/densefrac/modular.py"
 EXPAND = "src/densefrac/expand.py"
 ARITH = "src/densefrac/arith.py"
+VERIFY = "src/densefrac/verify.py"
 TIMEOUT_S = 900  # per pytest run; a run that hangs is reported as an error
 
 #: (name, file, ((old, new), ...), test files). Each edit weakens one guard
 #: or one step of a kernel; the listed tests are the ones that must catch it.
 MUTANTS = [
-    # The planning sieve kept across constructions at one (x, y, w, k).
+    # One sieve per x: (y, w, k) families as views of one table, and the
+    # planning mass summed per group.
     (
-        "planning-sieve key drops k",
+        "planning view key drops k",
         CONSTRUCT,
-        (("key = (x, y, w, k)", "key = (x, y, w)"),),
+        (("key = (y, w, k)", "key = (y, w)"),),
         ["tests/test_construct.py"],
     ),
     (
-        "planning-sieve entry stored before the mass pass",
+        "planning sieve stored before its first mass pass",
         CONSTRUCT,
         (
             (
-                "    chunks = range(0, fam0.members.size, _MASS_CHUNK)\n",
-                "    _planning = key, (fam0, d_p0, ())\n"
-                "    chunks = range(0, fam0.members.size, _MASS_CHUNK)\n",
+                "        views = {}\n",
+                "        views = {}\n        _planning = sieve, views\n",
             ),
         ),
         ["tests/test_construct.py"],
+    ),
+    (
+        "kept sieve serves another x",
+        CONSTRUCT,
+        (("_planning[0].params.x != x or ", ""),),
+        ["tests/test_construct.py"],
+    ),
+    (
+        "kept sieve serves a larger y",
+        CONSTRUCT,
+        ((" or _planning[0].params.y < y", ""),),
+        ["tests/test_construct.py"],
+    ),
+    (
+        "view drops the k-free condition",
+        SMOOTH,
+        (
+            (
+                "admitted = (lpf <= y) & (top < k) & (square <= w)",
+                "admitted = (lpf <= y) & (square <= w)",
+            ),
+        ),
+        ["tests/test_smooth.py"],
+    ),
+    (
+        "view drops the q <= w condition",
+        SMOOTH,
+        (
+            (
+                "admitted = (lpf <= y) & (top < k) & (square <= w)",
+                "admitted = (lpf <= y) & (top < k)",
+            ),
+        ),
+        ["tests/test_smooth.py"],
+    ),
+    (
+        "members tables keyed without w",
+        SMOOTH,
+        (("conditions = (y, min(w, y), k)", "conditions = (y, k)"),),
+        ["tests/test_smooth.py"],
+    ),
+    (
+        "A0 flags set only up to the first view's x'",
+        SMOOTH,
+        (
+            (
+                "math.isqrt(int(n.max(initial=0)))",
+                "math.isqrt(self.params.x)",
+            ),
+        ),
+        ["tests/test_smooth.py"],
+    ),
+    (
+        "grouped mass pass skips its zero-remainder check",
+        SMOOTH,
+        (("        bad |= r != 0\n", "        bad |= (r != 0) & (group is None)\n"),),
+        ["tests/test_smooth.py", "tests/test_construct.py"],
     ),
     (
         "family arrays stay writeable",
@@ -182,6 +240,52 @@ MUTANTS = [
         MODULAR,
         (("pow(n // pl % p, -1, p)", "pow(n % p, -1, p)"),),
         ["tests/test_modular.py"],
+    ),
+    # The verifier's kernel: limb width, growth budget, stale quotients.
+    (
+        "verifier limbs up to 53 bits",
+        VERIFY,
+        (("_WIDTH = 52", "_WIDTH = 53"),),
+        ["tests/test_verify.py"],
+    ),
+    (
+        "verifier limb width 65 - bits",
+        VERIFY,
+        (
+            (
+                "width = min(64 - int(n.max(initial=1)).bit_length(), _WIDTH)",
+                "width = min(65 - int(n.max(initial=1)).bit_length(), _WIDTH)",
+            ),
+        ),
+        ["tests/test_verify.py"],
+    ),
+    (
+        "verifier growth budget one bit too large",
+        VERIFY,
+        (
+            (
+                "budget = _RUN_BITS - m.bit_length()",
+                "budget = _RUN_BITS - m.bit_length() + 1",
+            ),
+        ),
+        ["tests/test_verify.py"],
+    ),
+    (
+        "verifier drops the stale quotients",
+        VERIFY,
+        (
+            (
+                "num = (num + total - stale) * scale",
+                "num = (num + total) * scale",
+            ),
+        ),
+        ["tests/test_verify.py"],
+    ),
+    (
+        "exact_multiplicity accepts p below 2",
+        ARITH,
+        (("    if p < 2:", "    if False:"),),
+        ["tests/test_arith.py"],
     ),
     # The odd expander's prime table.
     (
