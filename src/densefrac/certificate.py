@@ -185,7 +185,8 @@ def document_from_representation(rep) -> CertificateDocument:
         "epsilon": cfg.epsilon,
         "delta": frac_str(cfg.delta),
         "lambda": frac_str(plan.lam),
-        "lambda_mode": cfg.lambda_mode,
+        # One mode is left; the key goes with the next FORMAT_VERSION.
+        "lambda_mode": "adaptive",
         "y": plan.y,
         "w": plan.w,
         "y_prime": plan.y_prime,

@@ -56,7 +56,6 @@ def cmd_construct(args) -> int:
         opts["y_prime"] = args.y_prime
     if args.x_prime is not None:
         opts["x_prime"] = args.x_prime
-    opts["lambda_mode"] = getattr(args, "lambda")
     rep = construct_dense(parse_frac(args.r), args.x, **opts)
     doc = document_from_representation(rep)
     text = doc.to_json()
@@ -119,7 +118,6 @@ def build_parser() -> _Parser:
     c.add_argument("--k", type=int)
     c.add_argument("--epsilon", type=float)
     c.add_argument("--delta", help="stage-one remainder target, as a/b")
-    c.add_argument("--lambda", choices=["formula", "adaptive"], default="adaptive")
     c.add_argument("--y-prime", dest="y_prime", type=_positive_int)
     c.add_argument("--x-prime", dest="x_prime", type=_positive_int)
     c.add_argument("--out", help="write the certificate document to this file")

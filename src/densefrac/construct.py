@@ -64,7 +64,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import dickman
 from .arith import SMALL_PRIMES, exact_multiplicity
 from .errors import (
     BoundExceeded,
@@ -108,7 +107,6 @@ class ConstructionConfig:
     k: int
     epsilon: float
     delta: Fraction
-    lambda_mode: str
     y_prime_override: Optional[int] = None
     x_prime_override: Optional[int] = None
 
@@ -281,25 +279,22 @@ def _clear_planning_sieve() -> None:
     _planning = None
 
 
-def _resolve_cutoff(
-    fam0: SmoothFamily, m: int, mass: tuple, r, delta, cutoff=None
-):
-    """(cutoff, r - sum_{n > cutoff} 1/n) over the members of fam0.
+def _resolve_cutoff(fam0: SmoothFamily, m: int, mass: tuple, r, delta):
+    """(cutoff, r - sum_{n > cutoff} 1/n) over the members of fam0: the
+    largest element-boundary cutoff with remainder in (0, delta].
 
     mass holds the sums of m // n (m the modulus) over the members, per
     group of _MASS_GROUP. The walk goes upward taking mass off the total,
     whole groups first, then each m // n inside the group that holds the
-    cutoff. A given cutoff (formula lambda) ends the walk there; without
-    one (adaptive lambda) it ends before the mass above would drop below
-    r - delta: the largest element-boundary cutoff with remainder in
-    (0, delta].
+    cutoff, and stops before the mass above would drop below r - delta.
+    So delta alone sets the cutoff: pinning it to a remainder that some
+    cutoff leaves reaches that cutoff's family.
     """
     num = sum(mass)
     dn = r - delta
     # (num - step) / m < r - delta  <=>  num - step < ceil(dn * m)
     floor = -(-dn.numerator * m // dn.denominator)
-    adaptive = cutoff is None
-    if adaptive and num < floor:
+    if num < floor:
         raise InfeasibleMass(
             f"family mass sum falls short of r - delta = {dn}",
             failing_parameter="x",
@@ -309,24 +304,23 @@ def _resolve_cutoff(
     taken = 0
     for group_sum in mass:  # whole groups while the walk would take all of one
         end = min(taken + _MASS_GROUP, members.size)
-        if (num - group_sum < floor) if adaptive else (members[end - 1] > cutoff):
+        if num - group_sum < floor:
             break
         num -= group_sum
         taken = end
     for e in members[taken : taken + _MASS_GROUP].tolist():
         step = m // e
-        if (num - step < floor) if adaptive else (e > cutoff):
+        if num - step < floor:
             break
         num -= step
         taken += 1
-    if adaptive:
-        if num * r.denominator >= r.numerator * m:  # remainder not positive
-            raise InfeasibleMass(
-                "no cutoff leaves a remainder in (0, delta]",
-                failing_parameter="delta",
-                suggestion="increase delta or x",
-            )
-        cutoff = int(members[taken - 1]) if taken else 0
+    if num * r.denominator >= r.numerator * m:  # remainder not positive
+        raise InfeasibleMass(
+            "no cutoff leaves a remainder in (0, delta]",
+            failing_parameter="delta",
+            suggestion="increase delta or x",
+        )
+    cutoff = int(members[taken - 1]) if taken else 0
     return cutoff, r - Fraction(num, m)
 
 
@@ -465,7 +459,6 @@ def _plan_full(
     k: Optional[int] = None,
     epsilon: float = 0.1,
     delta=None,
-    lambda_mode: str = "adaptive",
     y_prime: Optional[int] = None,
     x_prime: Optional[int] = None,
 ):
@@ -486,8 +479,6 @@ def _plan_full(
             raise ParameterError(
                 f"x' must be >= 1, got {x_prime}", failing_parameter="x_prime"
             )
-    if lambda_mode not in ("adaptive", "formula"):
-        raise ParameterError(f"unknown lambda mode {lambda_mode!r}")
 
     b = r.denominator
     b_factors = _factor_denominator(b)
@@ -550,7 +541,6 @@ def _plan_full(
         k=k_res,
         epsilon=epsilon,
         delta=delta,
-        lambda_mode=lambda_mode,
         y_prime_override=y_prime,
         x_prime_override=x_prime,
     )
@@ -565,14 +555,8 @@ def _resolve_plan(
     mass: tuple,
 ) -> StagePlan:
     """Turn a config into a full plan."""
-    r, x, k, delta = config.r, config.x, config.k, config.delta
-    cutoff = None
-    if config.lambda_mode == "formula":
-        lam_f = math.exp(
-            -float(r - delta) * dickman.zeta(k) / dickman.rho(2.0 / (1.0 - config.epsilon))
-        )
-        cutoff = int(lam_f * x)
-    cutoff, rem0 = _resolve_cutoff(fam0, d_p0, mass, r, delta, cutoff)
+    x, k = config.x, config.k
+    cutoff, rem0 = _resolve_cutoff(fam0, d_p0, mass, config.r, config.delta)
     lam = Fraction(cutoff, x)
 
     y_p, warnings = _select_y_prime(
@@ -670,8 +654,8 @@ def stage_one(
     if not (0 < rem < r):
         raise RemainderNonPositive(
             f"initial remainder {rem} outside (0, {r})",
-            failing_parameter="lambda",
-            suggestion="use adaptive lambda mode or adjust delta",
+            failing_parameter="delta",
+            suggestion="plan from a delta in (0, r)",
         )
     trace = StageTrace()
     removed_all: set = set()

@@ -1,4 +1,4 @@
-"""Dickman rho, zeta(k), and the density constants of the theorem.
+"""Dickman rho and the density constants of the theorem.
 
 rho is the continuous solution of u*rho'(u) = -rho(u-1) with rho = 1 on
 (0, 1]; equivalently rho(u) = rho(a) - integral_a^u rho(t-1)/t dt. It is
@@ -7,9 +7,10 @@ fine grid (the lag-1 values are always fully available), with a Gregory
 end-correction that makes the cumulative quadrature fourth order. The
 closed form rho(u) = 1 - log(u) is used directly on [1, 2].
 
-The planner reads rho and zeta only to choose the formula cutoff lambda,
-never for correctness; the constants C(r) and 1 - e^(-r) are reported
-beside a certificate's exact density.
+Nothing here feeds the construction: the planner's cutoff comes from delta
+and the exact family mass alone. rho backs `densefrac rho`, and the
+constants C(r) and 1 - e^(-r) are reported beside a certificate's exact
+density.
 """
 
 from __future__ import annotations
@@ -84,16 +85,3 @@ def c_of_r(r) -> float:
 def density_upper_bound(r) -> float:
     """Unconditional ceiling 1 - exp(-r) on the achievable proportion."""
     return 1.0 - math.exp(-float(r))
-
-
-def zeta(k: int) -> float:
-    """zeta(k) for integer k >= 2, via Euler-Maclaurin (abs err << 1e-12)."""
-    if k < 2:
-        raise ParameterError(f"zeta requires integer k >= 2, got {k}")
-    N = 100
-    s = float(k)
-    head = sum(n**-s for n in range(1, N))
-    tail = N ** (1.0 - s) / (s - 1.0) + 0.5 * N**-s
-    tail += s * N ** (-s - 1.0) / 12.0
-    tail -= s * (s + 1.0) * (s + 2.0) * N ** (-s - 3.0) / 720.0
-    return head + tail

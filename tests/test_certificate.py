@@ -237,8 +237,6 @@ GOLDEN_DOCUMENTS = [
     ("1/2", 10**4, {}, "393aa205a931e517e12e4843da8b60e735c28ddde26fb83f2c6d08ee3b5d805a"),
     ("1", 10**4, {}, "f8c3d20f8e1d0f0ed892a2ac84707145b73f97b040bf26bd1b0a370d50cad90a"),
     ("19/21", 10**5, {}, "fa4627042daad6a2c1a39cc8327ea12482443d958a02e7c25f5b54fd0900ac6a"),
-    ("1/2", 10**5, {"lambda_mode": "formula"},
-     "565d8483b204f3a11f62c7ea6f155e20860557542b3b361c1f160db14069eb26"),
     ("1/12", 10**5, {}, "b0dd519de9ac8cb09db416dea19d4825ebcf9e4a325a53fb256954fbf1257a7c"),
     ("1/3", 10**5, {"k": 4}, "8f843d067f66663ec136270f6d24e9841565e5693c858075981e4f8de0659658"),
     ("1/2", 10**5, {"y_prime": 20},

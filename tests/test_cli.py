@@ -58,6 +58,14 @@ def test_construct_non_finite_eta_exit_64():
         assert p.returncode == 64 and "unrecognized arguments" in p.stderr
 
 
+def test_construct_lambda_flag_is_gone():
+    """delta alone sets the cutoff, so construct takes no --lambda, in either
+    of the modes it once named."""
+    for mode in ("adaptive", "formula"):
+        p = run_cli("construct", "--r", "1/2", "--x", "1000", "--lambda", mode)
+        assert p.returncode == 64 and "unrecognized arguments" in p.stderr
+
+
 def test_construct_infeasible_exit_2():
     p = run_cli("construct", "--r", "10/1", "--x", "1000")
     assert p.returncode == 2

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densefrac import dickman
 from densefrac.arith import exact_multiplicity, factorize, is_prime
 from densefrac.construct import (
     MAX_STAGE_TWO_ATTEMPTS,
@@ -82,7 +81,6 @@ def _toy_config(r):
         k=2,
         epsilon=0.1,
         delta=Fraction(1, 10),
-        lambda_mode="adaptive",
     )
 
 
@@ -126,34 +124,33 @@ def test_stage_one_rejects_nonpositive_remainder(toy_family):
         stage_one(_toy_config(Fraction(5, 6)), _toy_plan(Fraction(5, 6)), toy_family)
 
 
-def test_plan_formula_lambda():
-    config, plan, *_ = _plan_full(
-        1, 10**6, k=3, epsilon=0.1, delta=Fraction(1, 20), lambda_mode="formula"
-    )
-    lam_expected = math.exp(
-        -float(Fraction(19, 20)) * dickman.zeta(3) / dickman.rho(2.0 / 0.9)
-    )
-    assert abs(float(plan.lam) - lam_expected) <= 2.0 / 10**6
-    assert config.k == 3
-
-
 def test_plan_adaptive_window():
     """The plan's stored remainder is r minus the mass of a freshly sieved
-    lambda-family, in both lambda modes; the adaptive cutoff is the largest
-    element boundary leaving a remainder in (0, delta]."""
+    lambda-family, at the default delta and at two pins; the cutoff is the
+    largest element boundary leaving a remainder in (0, delta]. The smaller
+    pin leaves a remainder near 2*10^-6, and its walk stops 154 members
+    into a group."""
     r = Fraction(1, 2)
-    for mode in ("adaptive", "formula"):
-        config, plan, *_ = _plan_full(r, 10**5, lambda_mode=mode)
+    for delta in (None, Fraction(1, 30), Fraction(1, 10**4)):
+        config, plan, *_ = _plan_full(r, 10**5, delta=delta)
         fam = build_family(
             SmoothParams(x=10**5, y=plan.y, w=plan.w, lam=plan.lam, k=config.k)
         )
         d_p0 = modulus_product(primes_in(2, plan.y), plan.w, config.k)
         rem = r - reciprocal_sum(fam.members, d_p0)
         assert plan.initial_remainder == rem
-        if mode == "adaptive":
-            assert 0 < rem <= config.delta
-            # the smallest member above the cutoff could not also be given up
-            assert rem + Fraction(1, int(fam.members[0])) > config.delta
+        assert 0 < rem <= config.delta
+        # the smallest member above the cutoff could not also be given up
+        assert rem + Fraction(1, int(fam.members[0])) > config.delta
+
+
+def test_delta_below_every_remainder_is_refused():
+    """No cutoff leaves 1/2 at 10^5 a remainder in (0, 10^-6]: the last
+    member the walk may give up takes the remainder below zero. The plan is
+    refused on delta, and no plan with a remainder <= 0 is made."""
+    with pytest.raises(InfeasibleMass) as ei:
+        _plan_full(Fraction(1, 2), 10**5, delta=Fraction(1, 10**6))
+    assert ei.value.failing_parameter == "delta"
 
 
 def test_plan_unsupported_denominator():
@@ -339,8 +336,8 @@ def test_construct_dense_infeasible():
 @pytest.mark.parametrize("r, x", [(Fraction(3, 2), 3), (Fraction(7, 4), 4)])
 @pytest.mark.parametrize(
     "options",
-    [{}, {"lambda_mode": "formula"}, {"delta": 1}],
-    ids=["default", "formula", "delta=1"],
+    [{}, {"delta": 1}],
+    ids=["default", "delta=1"],
 )
 def test_r_equal_to_the_full_family_mass_is_refused(r, x, options):
     """The whole family ({1, 2} at x = 3, {1, 2, 4} at x = 4) sums to r;
@@ -367,14 +364,21 @@ def _target(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(r=_target(), x=st.integers(10**4, 10**5))
-def test_construct_ends_in_certificate_or_typed_refusal(r, x):
-    """A well-formed request yields an all_ok certificate or a typed error
-    other than ParameterError; an AssertionError fails the test."""
+@given(
+    r=_target(),
+    x=st.integers(10**4, 10**5),
+    share=st.one_of(st.none(), st.integers(1, 99)),
+)
+def test_construct_ends_in_certificate_or_typed_refusal(r, x, share):
+    """A well-formed request, with delta left to the planner or pinned in
+    (0, r), yields an all_ok certificate or a typed error other than
+    ParameterError and RemainderNonPositive (the plan's remainder lies in
+    (0, delta]); an AssertionError fails the test."""
+    options = {} if share is None else {"delta": r * Fraction(share, 100)}
     try:
-        rep = construct_dense(r, x)
+        rep = construct_dense(r, x, **options)
     except DensefracError as err:
-        assert not isinstance(err, ParameterError), err
+        assert not isinstance(err, (ParameterError, RemainderNonPositive)), err
     else:
         assert rep.certificate.all_ok
 
@@ -645,7 +649,7 @@ def test_kept_sieve_documents_match_cold_ones():
         (Fraction(1, 2), {"epsilon": 0.05}),  # y = 237: the sieve
         (Fraction(1, 3), {}),  # y = 177: a view
         (Fraction(1), {}),  # hit
-        (Fraction(1, 2), {"lambda_mode": "formula"}),  # hit
+        (Fraction(1, 2), {"delta": Fraction(1, 40)}),  # hit
         (Fraction(3, 8), {}),  # k = 4: a new view
         (Fraction(5, 8), {"delta": Fraction(1, 30)}),  # hit
         (Fraction(1, 2), {}),  # hit

@@ -82,12 +82,3 @@ def test_theorem_constant_relations(i):
     ub = dickman.density_upper_bound(r)
     assert c < ub
     assert c / ub > 1 - math.log(2)
-
-
-def test_zeta_series_oracle():
-    for k in (2, 3, 4, 6):
-        series = sum(n ** (-k) for n in range(1, 200_000))
-        tail_hi = (200_000 - 1) ** (1 - k) / (k - 1)
-        assert series < dickman.zeta(k) < series + tail_hi + 1e-12
-    assert abs(dickman.zeta(2) - math.pi**2 / 6) < 1e-12
-    assert abs(dickman.zeta(3) - 1.2020569) < 1e-7

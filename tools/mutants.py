@@ -126,6 +126,25 @@ MUTANTS = [
         (("    return is_prime(p)\n", "    return True\n"),),
         ["tests/test_modular.py"],
     ),
+    # The cutoff walk, whose one rule is delta's window.
+    (
+        "cutoff walk keeps a remainder that is not positive",
+        CONSTRUCT,
+        (
+            (
+                "    if num * r.denominator >= r.numerator * m:"
+                "  # remainder not positive\n",
+                "    if False:  # remainder not positive\n",
+            ),
+        ),
+        ["tests/test_construct.py"],
+    ),
+    (
+        "whole-group walk takes a group past r - delta",
+        CONSTRUCT,
+        (("        if num - group_sum < floor:\n", "        if num < floor:\n"),),
+        ["tests/test_construct.py"],
+    ),
     # The constructor kernels' one int64 intake and division loop.
     (
         "intake truncates non-integral values",

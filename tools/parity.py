@@ -32,7 +32,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RANDOM_OPTIONS = [
     {},
-    {"lambda_mode": "formula"},
     {"delta": "1/30"},
     {"k": 4},
     {"y_prime": 12},
