@@ -9,8 +9,8 @@ for bulk work. SMALL_PRIMES, the primes below 64, holds the primes a run
 needs above y or without a family: the planner's y'' and exit-prime
 ladders, and the odd expander's, whose denominators divide D0(y') with
 y' <= 30. Trial division is left to is_prime, for
-`densefrac.modular.eliminate_prime`'s p, and to factorize, which no run
-calls (the tests and the benchmark's tracer reach it).
+`densefrac.modular.eliminate_prime`'s p, and to factorize, for the
+planner's one factorization of r's denominator, bounded by TRIAL_BOUND.
 
 Moduli are plain ints: the construction builds its own from the sieve's
 primes and asks them only for p | m and the multiplicity of p. Exact
@@ -18,39 +18,38 @@ rationals are stdlib `fractions.Fraction` (always reduced, positive
 denominator). Bulk reciprocal sums over a family never reduce pairwise:
 see `densefrac.smooth.reciprocal_sum`, which divides a common denominator
 m by every element at once, summing m // n (in all, or per group of
-elements for the planner's cutoff walk) and proving each m mod n zero
+elements for the cutoff walk `mass_prefix`) and proving each m mod n zero
 (`limb_remainders` gives the remainders alone).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .errors import ParameterError
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+TRIAL_BOUND = 10**6  # factorize trial-divides this far, past any y
 
 
-def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
+def factorize(n: int) -> Optional[Tuple[Tuple[int, int], ...]]:
     """The pairs (p, e) with p^e exactly dividing n >= 1, primes ascending,
-    by trial division; factorize(1) is ()."""
+    by trial division by every d <= TRIAL_BOUND that stops once d^2 exceeds
+    the cofactor (then 1 or a prime); factorize(1) is (). None when the
+    cofactor left is at least (TRIAL_BOUND + 1)^2: its prime factors all
+    exceed TRIAL_BOUND."""
     if n < 1:
         raise ParameterError(f"factorize requires n >= 1, got {n}")
-    factors = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        factors.append((m, 1))
-    return tuple(factors)
+    factors, d = [], 2
+    while d * d <= n:
+        if d > TRIAL_BOUND:
+            return None
+        if n % d == 0:
+            factors.append((d, exact_multiplicity(n, d)))
+            n //= d ** factors[-1][1]
+        d += 1 if d == 2 else 2
+    return tuple(factors + [(n, 1)] if n > 1 else factors)
 
 
 def exact_multiplicity(n: int, p: int) -> int:

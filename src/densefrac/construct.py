@@ -21,10 +21,12 @@ primes <= y and <= y' (the odd part of D(p0') is D0(y')), kept as plain
 ints. The moduli, the y' candidates and both stages' prime loops read the
 sieve's prime list (SmoothFamily.primes); the bound y'' and the exit
 prime, which may lie above y, and the odd expander read the table
-arith.SMALL_PRIMES, so no prime is found anew. The family's exact mass is
-summed once, per group of _MASS_GROUP members, and the cutoff and
-stage-one remainder take the members below the cutoff off it, whole groups
-first. The sieve depends on r only through (x, y), and D(p0) and that mass
+arith.SMALL_PRIMES, so no prime is found anew; r's denominator alone is
+trial-divided (arith.factorize). The family's exact mass is summed once,
+per group of _MASS_GROUP members, and the cutoff and stage-one remainder
+take the members below the cutoff off it with smooth.mass_prefix, whole
+groups first, the walk that also sets stage two's cut (choose_lambda).
+The sieve depends on r only through (x, y), and D(p0) and that mass
 through (x, y, w, k), so the module keeps one entry: the sieve of one x,
 which serves every y up to its own and every w and k, and per (y, w, k)
 the family as a view of it, with its D(p0) and mass. A construction at the
@@ -64,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import SMALL_PRIMES, exact_multiplicity
+from .arith import SMALL_PRIMES, TRIAL_BOUND, exact_multiplicity, factorize
 from .errors import (
     BoundExceeded,
     BreuschPreconditionFailed,
@@ -78,10 +80,12 @@ from .errors import (
 from .expand import _factor, breusch_bound, expand_odd
 from .modular import eliminate_prime
 from .smooth import (
+    _MASS_GROUP,
     SmoothFamily,
     SmoothParams,
     build_family,
     choose_lambda,
+    mass_prefix,
     reciprocal_sum,
 )
 from .verify import Certificate, check
@@ -89,8 +93,6 @@ from .verify import Certificate, check
 MAX_STAGE_TWO_ATTEMPTS = 48
 MAX_DELTA_RETUNES = 3
 MAX_K = 64
-_MASS_GROUP = 1 << 8  # planning sums the family's mass per this many members
-_TRIAL_BOUND = 10**6  # r's denominator is trial-divided this far, past any y
 # The stage errors after which stage two shifts its cut and construct_dense
 # retunes delta; any other error ends the construction at once.
 _RETRIED = (EliminationFailed, BreuschPreconditionFailed, BoundExceeded)
@@ -284,36 +286,24 @@ def _resolve_cutoff(fam0: SmoothFamily, m: int, mass: tuple, r, delta):
     largest element-boundary cutoff with remainder in (0, delta].
 
     mass holds the sums of m // n (m the modulus) over the members, per
-    group of _MASS_GROUP. The walk goes upward taking mass off the total,
-    whole groups first, then each m // n inside the group that holds the
-    cutoff, and stops before the mass above would drop below r - delta.
-    So delta alone sets the cutoff: pinning it to a remainder that some
-    cutoff leaves reaches that cutoff's family.
+    group of _MASS_GROUP. The walk (mass_prefix) goes upward taking mass
+    off the total and stops before the mass above would drop below
+    r - delta. So delta alone sets the cutoff: pinning it to a remainder
+    that some cutoff leaves reaches that cutoff's family.
     """
-    num = sum(mass)
+    total = sum(mass)
     dn = r - delta
-    # (num - step) / m < r - delta  <=>  num - step < ceil(dn * m)
-    floor = -(-dn.numerator * m // dn.denominator)
-    if num < floor:
+    floor = -(-dn.numerator * m // dn.denominator)  # ceil(dn * m)
+    if total < floor:
         raise InfeasibleMass(
             f"family mass sum falls short of r - delta = {dn}",
             failing_parameter="x",
             suggestion="increase x or delta, or decrease r",
         )
+    # (total - below) / m < r - delta  <=>  below >= total - floor + 1
     members = fam0.members
-    taken = 0
-    for group_sum in mass:  # whole groups while the walk would take all of one
-        end = min(taken + _MASS_GROUP, members.size)
-        if num - group_sum < floor:
-            break
-        num -= group_sum
-        taken = end
-    for e in members[taken : taken + _MASS_GROUP].tolist():
-        step = m // e
-        if num - step < floor:
-            break
-        num -= step
-        taken += 1
+    taken, below = mass_prefix(members, m, mass, _MASS_GROUP, total - floor + 1)
+    num = total - below
     if num * r.denominator >= r.numerator * m:  # remainder not positive
         raise InfeasibleMass(
             "no cutoff leaves a remainder in (0, delta]",
@@ -436,22 +426,6 @@ def _select_y_prime(
     return best, warnings
 
 
-def _factor_denominator(b: int) -> Optional[list]:
-    """b's prime factors [(p, e)] ascending, by trial division by every
-    d <= _TRIAL_BOUND that stops once d^2 exceeds the cofactor (then 1 or a
-    prime). None when the cofactor left is at least (_TRIAL_BOUND + 1)^2:
-    its prime factors all exceed _TRIAL_BOUND."""
-    factors, d = [], 2
-    while d * d <= b:
-        if d > _TRIAL_BOUND:
-            return None
-        if b % d == 0:
-            factors.append((d, exact_multiplicity(b, d)))
-            b //= d ** factors[-1][1]
-        d += 1 if d == 2 else 2
-    return factors + [(b, 1)] if b > 1 else factors
-
-
 def _plan_full(
     r,
     x: int,
@@ -481,11 +455,11 @@ def _plan_full(
             )
 
     b = r.denominator
-    b_factors = _factor_denominator(b)
+    b_factors = factorize(b)
     y = max(2, int(x ** ((1.0 - epsilon) / 2.0)))
     if b_factors is None:
         raise UnsupportedDenominator(
-            f"P({b}) > {_TRIAL_BOUND} exceeds y = {y}",
+            f"P({b}) > {TRIAL_BOUND} exceeds y = {y}",
             failing_parameter="r",
             suggestion="use a denominator with smaller prime factors",
         )
@@ -591,6 +565,8 @@ def _resolve_plan(
 
 
 def _sum_recips(elements) -> Fraction:
+    """The sum of 1/n over the elements' lcm: the telescoping and four-set
+    assertions' cross-check, on a path apart from reciprocal_sum."""
     elements = [int(n) for n in elements]
     lcm = math.lcm(*elements)
     return Fraction(sum(lcm // n for n in elements), lcm)
@@ -879,8 +855,8 @@ def _alpha_targets(plan: StagePlan, pool: SmoothFamily) -> list:
     ambitious first (the full heuristic threshold per ladder), then graded
     fallbacks keeping fewer rungs, for runs whose delta budget cannot afford
     the full cut."""
-    members = pool.members_a0.tolist()
-    if not members:
+    members = pool.members_a0
+    if not members.size:
         return []
     k = pool.params.k
     q_e = _exit_prime(plan.cutoff, k)
@@ -900,9 +876,10 @@ def _alpha_targets(plan: StagePlan, pool: SmoothFamily) -> list:
             rung = int(ladder[-keep]) - 1
             bound = rung if bound is None else min(bound, rung)
         if bound is None:
-            bound = max(members[-1] // 2, 1)
-        kept = [n for n in members if n > bound]
-        t = _sum_recips(kept) + min(Fraction(1, 2 * (bound + 1)), Fraction(1, 16))
+            bound = max(int(members[-1]) // 2, 1)
+        kept = members[members > bound]
+        slack = min(Fraction(1, 2 * (bound + 1)), Fraction(1, 16))
+        t = reciprocal_sum(kept, plan.d_pool) + slack
         if t not in targets:
             targets.append(t)
     return targets

@@ -28,8 +28,9 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-# factorize has no caller in a run; it stays importable from here only because
-# perfbench/tracing.py counts its calls (always 0) through this namespace.
+# modular calls no factorize: the name stays here only because
+# perfbench/tracing.py counts calls through this namespace (always 0; the
+# planner calls arith.factorize through its own import).
 from .arith import exact_multiplicity, factorize, is_prime  # noqa: F401
 from .errors import DivisibilityError, EliminationFailed, ParameterError
 from .smooth import _as_int64, limb_remainders

@@ -26,14 +26,15 @@ the family exactly.
 
 reciprocal_sum divides one big int m by many elements at once, vectorized
 over limbs of m; its quotient sums give exact reciprocal masses over the
-common denominator m, in all or per group of elements (the planner's
-mass, walked a group at a time). limb_remainders is the same long
-division without quotients, for callers that only need the proof that an
-element divides m, a zero remainder (choose_lambda, elimination).
-reciprocal_sum,
-choose_lambda and modular.eliminate_prime take their elements through
-_as_int64, which refuses a non-integral value and a value outside int64.
-Moduli are plain ints throughout.
+common denominator m, in all or per group of elements. mass_prefix walks
+such group sums, whole groups first, for the longest run of leading
+elements whose mass stays below a limit: both cutoffs, the planner's
+lambda*x and stage two's lambda'*x' (choose_lambda), are that one walk.
+limb_remainders is the same long division without quotients, for
+elimination, which needs only the proof that an element divides m, a zero
+remainder. reciprocal_sum, choose_lambda and modular.eliminate_prime take
+their elements through _as_int64, which refuses a non-integral value and
+a value outside int64. Moduli are plain ints throughout.
 """
 
 from __future__ import annotations
@@ -62,9 +63,12 @@ MAX_SIEVE_X = 60_000_000
 #: arrays stay small.
 _CHUNK = 1 << 13
 _BLOCK = 1 << 16  # build_family reads the sieve this many integers at a time
-#: Row numbers are kept in int32 (tables have at most MAX_SIEVE_X < 2^31
-#: rows), half the memory of intp; a slice widens its few rows back to intp,
-#: which numpy gathers with about twice as fast.
+#: The cutoff walks sum the mass per this many elements, so a walk does at
+#: most this many big-int divisions.
+_MASS_GROUP = 1 << 8
+#: The sieve's integers and row numbers are kept in int32 (both are at most
+#: x <= MAX_SIEVE_X < 2^31), half the memory of intp; a slice widens its few
+#: rows back to intp, which numpy gathers with about twice as fast.
 _ROW = np.int32
 
 
@@ -277,13 +281,11 @@ def build_family(params: SmoothParams) -> SmoothFamily:
     q^2 | n, so the table serves every k and w (sub_family).
     """
     x, y = params.x, params.y
-    idx_t = np.int32 if x < 2**31 else np.int64
     primes = []
     lpf = np.zeros(x + 1, dtype=np.min_scalar_type(y))
     lpf[1] = 1
     expo = np.zeros(x + 1, dtype=np.uint8)
-    # divides n, so idx_t holds it
-    smooth_part = np.ones(x + 1, dtype=idx_t)
+    smooth_part = np.ones(x + 1, dtype=_ROW)  # divides n <= x < 2^31
     for p in range(2, y + 1):
         if lpf[p]:  # a smaller prime divides p
             continue
@@ -299,10 +301,10 @@ def build_family(params: SmoothParams) -> SmoothFamily:
     rows = []
     for lo in range(params.cutoff + 1, x + 1, _BLOCK):
         hi = min(lo + _BLOCK, x + 1)
-        own = smooth_part[lo:hi] == np.arange(lo, hi, dtype=idx_t)
+        own = smooth_part[lo:hi] == np.arange(lo, hi, dtype=_ROW)
         rows.append(np.flatnonzero(own) + lo)
     del smooth_part
-    n = np.concatenate(rows).astype(idx_t)
+    n = np.concatenate(rows).astype(_ROW)
     lpf, expo = lpf[n], expo[n]  # the dense sieve arrays are freed here
     top = np.ones(x + 1, dtype=np.uint8)
     top[:2] = 0
@@ -411,19 +413,46 @@ def reciprocal_sum(elements: Iterable[int], m: int, group: Optional[int] = None)
     return Fraction(sum(sums), m) if group is None else tuple(sums)
 
 
+def mass_prefix(elements: np.ndarray, m: int, sums, group: int, limit: int):
+    """(t, s): the longest run of leading elements whose sum s of m // n
+    stays below the int limit, and its length t.
+
+    sums are the sums of m // n per group of that many elements, as
+    reciprocal_sum(elements, m, group) returns them. Whole groups are taken
+    while their sum stays below limit, then the elements of the next group
+    one at a time. Every m // n is positive (each n divides m), so a group
+    is taken whole exactly when the element-by-element walk takes all of
+    it, and the walk does at most group divisions.
+    """
+    taken = total = 0
+    for group_sum in sums:
+        if total + group_sum >= limit:
+            break
+        total += group_sum
+        taken = min(taken + group, elements.size)
+    for e in elements[taken : taken + group].tolist():
+        step = m // e
+        if total + step >= limit:
+            break
+        total += step
+        taken += 1
+    return taken, total
+
+
 def choose_lambda(pool: Iterable[int], alpha: Fraction, m: int):
     """Pick the largest element-boundary cutoff leaving a small remainder.
 
-    Walks the pool downward, keeping every element while
-    the kept sum stays strictly below alpha. Returns (boundary, chosen
-    ascending, remainder) with 0 < remainder <= 1/boundary, the jump-size
-    bound: the boundary sits on the first element not taken (or just below
-    the last pool element when the whole pool is consumed); lambda' is
-    boundary / x'.
+    Walks the pool downward (mass_prefix over its group sums), keeping
+    every element while the kept sum stays strictly below alpha. Returns
+    (boundary, chosen ascending, remainder) with 0 < remainder <=
+    1/boundary, the jump-size bound: the boundary sits on the first element
+    not taken (or just below the last pool element when the whole pool is
+    consumed); lambda' is boundary / x'.
     The pool is any iterable of ints or an int64 array. A value outside
     int64, or a pool element below 1, raises ParameterError; every pool
-    element must divide the int modulus m (limb_remainders checks them all),
-    and the largest that does not raises DivisibilityError.
+    element must divide the int modulus m (the group sums' reciprocal_sum
+    checks them all), and the largest that does not raises
+    DivisibilityError.
 
     Raises InfeasibleMass when even the whole pool leaves a remainder
     exceeding that bound.
@@ -441,21 +470,10 @@ def choose_lambda(pool: Iterable[int], alpha: Fraction, m: int):
     if pool[0] < 1:
         raise ParameterError(f"pool elements must be positive, got {pool[0]}")
     descending = pool[::-1]
-    remainders = limb_remainders(m, descending)
-    if remainders.any():
-        e = descending[np.argmax(remainders != 0)]
-        raise DivisibilityError(f"pool element {e} does not divide the modulus")
-    # Compare num/m against alpha without reducing: num*ad <=> an*m.
-    an, ad = alpha.numerator, alpha.denominator
-    an_m = an * m
-    num = 0
-    taken = 0
-    for e in descending.tolist():
-        step = m // e
-        if (num + step) * ad >= an_m:
-            break
-        num += step
-        taken += 1
+    sums = reciprocal_sum(descending, m, _MASS_GROUP)
+    # num / m < alpha  <=>  num < ceil(alpha * m), for an int num
+    limit = -(-alpha.numerator * m // alpha.denominator)
+    taken, num = mass_prefix(descending, m, sums, _MASS_GROUP, limit)
     if taken < pool.size:
         boundary = int(pool[-taken - 1])
     else:

@@ -443,9 +443,10 @@ def test_one_sieve_per_construction(r, retried, monkeypatch):
     and 19/21); the stage-two pool is taken once per plan, outside stage
     two and the retune's target search, which read it as an argument. The
     sieve and the table arith.SMALL_PRIMES are the only sources of primes:
-    construct, smooth and expand neither sieve for primes (primes_in) nor
-    trial-divide (is_prime, largest_prime_factor, factorize) while it runs.
-    The kept planning sieve is cleared first, so the construction sieves."""
+    construct, smooth and expand never sieve for primes (primes_in) and
+    trial-divide (is_prime, largest_prime_factor, factorize) only once,
+    factorize on r's denominator in planning. The kept planning sieve is
+    cleared first, so the construction sieves."""
     import densefrac.arith as arith
     import densefrac.construct as construct
     import densefrac.expand as expand
@@ -491,7 +492,7 @@ def test_one_sieve_per_construction(r, retried, monkeypatch):
         fn = getattr(arith, name, None) or getattr(oracles, name)
 
         def run(*args):
-            prime_calls.append(name)
+            prime_calls.append((name, args))
             return fn(*args)
 
         return run
@@ -509,14 +510,16 @@ def test_one_sieve_per_construction(r, retried, monkeypatch):
     assert (rep.stage_two_attempts > 1) == retried
     assert len(calls) == 1
     assert views_inside == []
-    assert prime_calls == []
+    assert prime_calls == [("factorize", (r.denominator,))]
 
 
 def _spy_planning(monkeypatch):
     """Wrap construct.build_family and construct.reciprocal_sum. Records
     each sieve's params (sieves) and member count (sizes), whether the
     family of the sieve before it was still alive on entry (alive), and
-    the element count (terms) and result (sums) of each mass-pass call."""
+    the element count (terms) and result (sums) of each mass-pass call,
+    the grouped form; a delta retune's ungrouped target sums are not mass
+    passes."""
     import densefrac.construct as construct
 
     spy = types.SimpleNamespace(sieves=[], sizes=[], alive=[], terms=[], sums=[])
@@ -532,6 +535,8 @@ def _spy_planning(monkeypatch):
         return fam
 
     def summing(elements, m, *group):
+        if not group:
+            return mass(elements, m)
         spy.terms.append(len(elements))
         spy.sums.append(mass(elements, m, *group))
         return spy.sums[-1]

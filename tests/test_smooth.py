@@ -28,6 +28,7 @@ from densefrac.smooth import (
     build_family,
     choose_lambda,
     limb_remainders,
+    mass_prefix,
     reciprocal_sum,
 )
 from oracles import factor_over, primes_in
@@ -668,6 +669,50 @@ def test_reciprocal_sum_memory_is_chunked():
     assert peak < fam.members.nbytes / 3
 
 
+_WALK_M = 2**6 * 3**4 * 5**2 * 7 * 11 * 13
+_WALK_DIVISORS = [d for d in range(1, 2**6 * 3**4 + 1) if _WALK_M % d == 0]
+
+
+def _walk_scalar(elements, m, limit):
+    """The element-by-element walk: take each n while the sum of m // n
+    stays below limit."""
+    taken = total = 0
+    for n in elements:
+        if total + m // n >= limit:
+            break
+        total += m // n
+        taken += 1
+    return taken, total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    elements=st.lists(st.sampled_from(_WALK_DIVISORS), max_size=60),
+    group=st.integers(1, 70),
+    cut=st.integers(0, 61),
+    shift=st.sampled_from([-1, 0, 1]),
+)
+@example(elements=[], group=1, cut=0, shift=0)  # empty input
+@example(elements=[], group=3, cut=0, shift=1)
+@example(elements=[5, 7, 9, 2, 1], group=2, cut=5, shift=1)  # the whole input
+@example(elements=[5, 7, 9, 2, 1], group=5, cut=5, shift=1)
+@example(elements=[5, 7, 9, 2, 1], group=2, cut=4, shift=0)  # a prefix sum
+@example(elements=[5, 7, 9, 2, 1], group=2, cut=2, shift=-1)
+@example(elements=[5, 7, 9, 2, 1], group=1, cut=3, shift=1)
+def test_mass_prefix_matches_the_element_walk(elements, group, cut, shift):
+    """Whole groups first, then elements, takes what the plain walk takes:
+    at a limit equal to the sum of m // n over the first cut elements and
+    one either side of it, for every group size, the whole input (cut past
+    the end, shift 1) and the empty input."""
+    limit = sum(_WALK_M // n for n in elements[:cut]) + shift
+    as_array = np.array(elements, dtype=np.int64)
+    sums = reciprocal_sum(as_array, _WALK_M, group)
+    got = mass_prefix(as_array, _WALK_M, sums, group, limit)
+    assert got == _walk_scalar(elements, _WALK_M, limit)
+    if cut >= len(elements) and shift == 1:
+        assert got[0] == len(elements)
+
+
 def test_choose_lambda_spec_example():
     boundary, chosen, rem = choose_lambda([3, 15], Fraction(41, 100), 15)
     assert chosen == [3, 15]
@@ -682,10 +727,9 @@ def test_choose_lambda_mass_error():
 
 
 def test_choose_lambda_refuses_a_pool_element_outside_the_modulus():
-    """The walk reaches 7 after 15 and stops on it: 7 does not divide 15."""
-    with pytest.raises(
-        DivisibilityError, match="pool element 7 does not divide the modulus"
-    ):
+    """Every pool element is proven to divide 15 before the walk; 7 does
+    not."""
+    with pytest.raises(DivisibilityError, match="^element 7 does not divide the modulus"):
         choose_lambda([3, 7, 15], Fraction(1, 2), 15)
 
 

@@ -126,7 +126,8 @@ MUTANTS = [
         (("    return is_prime(p)\n", "    return True\n"),),
         ["tests/test_modular.py"],
     ),
-    # The cutoff walk, whose one rule is delta's window.
+    # The cutoff walks (delta's window; one walk for lambda and lambda'), and
+    # the planner's bounded factorization of r's denominator.
     (
         "cutoff walk keeps a remainder that is not positive",
         CONSTRUCT,
@@ -141,8 +142,25 @@ MUTANTS = [
     ),
     (
         "whole-group walk takes a group past r - delta",
-        CONSTRUCT,
-        (("        if num - group_sum < floor:\n", "        if num < floor:\n"),),
+        SMOOTH,
+        (
+            (
+                "        if total + group_sum >= limit:\n",
+                "        if total >= limit:\n",
+            ),
+        ),
+        ["tests/test_smooth.py", "tests/test_construct.py"],
+    ),
+    (
+        "walk takes the element that reaches its limit",
+        SMOOTH,
+        (("        if total + step >= limit:\n", "        if total + step > limit:\n"),),
+        ["tests/test_smooth.py", "tests/test_construct.py"],
+    ),
+    (
+        "factorize returns its partial factors past TRIAL_BOUND",
+        ARITH,
+        (("            return None\n", "            return tuple(factors)\n"),),
         ["tests/test_construct.py"],
     ),
     # The constructor kernels' one int64 intake and division loop.
