@@ -44,7 +44,11 @@ a family's arrays are read-only.
 
 Every step divides one prime out of its divisor certificate (an int that p
 must divide) and re-verifies that certificate and the exact telescoping;
-nothing is trusted from asymptotics. Where the source analysis needs "x
+nothing is trusted from asymptotics. A step hands the elimination only the
+p-1 largest members of its slice (all of a thinner one): the solver reads
+members in descending order, and p-1 nonzero residues reach every sum mod
+p, so its first witness, and with it every document and refusal, is the
+one the whole slice gives. Where the source analysis needs "x
 sufficiently large" (notably the sub-y' prime ladders, which are log-thin
 at desk scale), the planner substitutes runtime-checked parameter policy:
 y' is lowered until slice censuses support the eliminations, and the
@@ -575,8 +579,19 @@ def _sum_recips(elements) -> Fraction:
 def _eliminate_step(trace, stage, removed, rem, n_mod, S, p, l):
     """One elimination step of stage one (the p- and q-loops and the
     powers-of-two cleanup) or of stage two's q'-loop: when p^l divides the
-    remainder's denominator, add back members of the slice S that cancel it;
-    then divide one p out of the divisor certificate n_mod.
+    remainder's denominator, add back members of the slice S (ascending) that
+    cancel it; then divide one p out of the divisor certificate n_mod.
+
+    eliminate_prime is handed only the p-1 largest members of S, or all of S
+    when it is thinner. That is exact: the solver reads members in
+    descending order and stops at its first witness, and p-1 nonzero
+    residues reach every sum mod p, so the witness lies among the p-1
+    largest and T and the remainder are those of the whole slice. The
+    members left out stay in the kept set unchecked here: the zero
+    remainders of the mass passes already prove that every stage-one member
+    divides D(p0) (the planning pass) and every stage-two rung member
+    divides D(p0') (choose_lambda's pass over the pool), and the final check
+    re-sums the whole representation.
 
     Records the step in trace (counting it as thin when |S| < p-1), adds the
     members taken to the set removed and returns (remainder, certificate).
@@ -584,7 +599,7 @@ def _eliminate_step(trace, stage, removed, rem, n_mod, S, p, l):
     t_set = ()
     if exact_multiplicity(rem.denominator, p) >= l:
         before = rem
-        t_set, rem = eliminate_prime(before, n_mod, S, p, l)
+        t_set, rem = eliminate_prime(before, n_mod, S[1 - p :], p, l)
         if len(S) < p - 1:
             trace.thin_eliminations += 1
         if rem - before != _sum_recips(t_set):
@@ -894,8 +909,9 @@ def construct_dense(r, x: int, **options) -> Representation:
     remainder and the plan resolved again, at most MAX_DELTA_RETUNES times
     and never when the caller pinned delta; the last error is raised. Every
     representation comes from both stages; an r equal to the whole family's
-    mass is refused, as no cutoff leaves it a positive remainder. All errors
-    carry the failing parameter.
+    mass is refused, as no cutoff leaves it a positive remainder, and so is
+    a delta that leaves stage one an integer remainder. All errors carry the
+    failing parameter.
     """
     config, plan, fam0, mass = _plan_full(r, x, **options)
     r, x, k = config.r, config.x, config.k
@@ -904,6 +920,12 @@ def construct_dense(r, x: int, **options) -> Representation:
     for retune in range(retunes + 1):
         fam_l = fam0.sub_family(SmoothParams(x, plan.y, plan.w, plan.lam, k))
         kept, alpha, trace1 = stage_one(config, plan, fam_l)
+        if alpha.denominator == 1:  # possible only for delta near 1 or above
+            raise InfeasibleMass(
+                f"stage-one remainder {alpha} is an integer, which stage two refuses",
+                failing_parameter="delta",
+                suggestion="lower delta",
+            )
         y_p = plan.y_prime  # the pool A(x', y'; y', 0)
         pool = fam0.sub_family(SmoothParams(plan.x_prime, y_p, y_p, Fraction(0), k))
         try:

@@ -174,8 +174,8 @@ def eliminate_prime(
     target = -c * unit * pow(d // pl % p, -1, p) % p
     if target == 0:
         return [], c_over_d
-    # The solver stops at its first witness, typically within the first 2%
-    # of a slice, so the residues are made as it reads them.
+    # The solver stops at its first witness, so the residues are made as it
+    # reads them; on a slice longer than p - 1 it reads at most p - 1.
     residues = (unit * pow(n // pl % p, -1, p) % p for n in map(int, elements))
     witness = _solve(residues, target, p, elements.size)
     if witness is None:

@@ -383,6 +383,81 @@ def test_construct_ends_in_certificate_or_typed_refusal(r, x, share):
         assert rep.certificate.all_ok
 
 
+@st.composite
+def _request(draw):
+    """(r, x, options): r = a/b <= 3 with b <= 40, x in [10^2, 10^3],
+    [10^3, 10^4] or [10^4, 10^5], and any of epsilon, k (up to 6), delta,
+    y' and x' pinned, each now and then outside its domain."""
+    b = draw(st.integers(1, 40))
+    r = Fraction(draw(st.integers(1, 3 * b)), b)
+    low = draw(st.sampled_from([10**2, 10**3, 10**4]))
+    x = draw(st.integers(low, 10 * low))
+    options = draw(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "epsilon": st.floats(0.0, 0.5),
+                "k": st.integers(1, 6),
+                "delta": st.integers(0, 110).map(lambda s: r * Fraction(s, 100)),
+                "y_prime": st.integers(2, 30),
+                "x_prime": st.integers(0, x),
+            },
+        )
+    )
+    return r, x, options
+
+
+def _invalid_options(r, options):
+    """The pinned options outside their domains: delta in (0, r), epsilon
+    in (0, 1/2), k >= 2, y' >= 4 and x' >= 1."""
+    valid = {
+        "delta": lambda v: 0 < v < r,
+        "epsilon": lambda v: 0 < v < 0.5,
+        "k": lambda v: v >= 2,
+        "y_prime": lambda v: v >= 4,
+        "x_prime": lambda v: v >= 1,
+    }
+    return {name for name, v in options.items() if not valid[name](v)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(request=_request())
+def test_every_option_ends_in_certificate_or_typed_refusal(request):
+    """Over the whole option space a request yields an all_ok certificate
+    or a typed refusal. A ParameterError names one of the invalid options,
+    and only a request with one is refused so; no refusal is
+    RemainderNonPositive. Pinned k up to 6 and thin ladders of pinned y'
+    run elimination steps on capped and thin slices alike."""
+    r, x, options = request
+    invalid = _invalid_options(r, options)
+    try:
+        rep = construct_dense(r, x, **options)
+    except DensefracError as err:
+        assert not isinstance(err, RemainderNonPositive), err
+        if isinstance(err, ParameterError):
+            assert err.failing_parameter in invalid, err
+    else:
+        assert not invalid
+        assert rep.certificate.all_ok
+
+
+@pytest.mark.parametrize(
+    "r, x, options",
+    [
+        (Fraction(5, 3), 2969, {"delta": Fraction(1)}),
+        (Fraction(29, 10), 6793, {"epsilon": 0.3, "k": 2, "delta": Fraction(203, 100)}),
+    ],
+)
+def test_an_integer_stage_one_remainder_is_refused_on_delta(r, x, options):
+    """A delta pin this large leaves stage one an integer remainder (1 and
+    2), which stage two refuses as a malformed input: the request is valid,
+    so it is refused as infeasible on delta, not as a usage error."""
+    with pytest.raises(InfeasibleMass) as ei:
+        construct_dense(r, x, **options)
+    assert ei.value.failing_parameter == "delta"
+    assert "is an integer" in str(ei.value)
+
+
 def test_stage_trace_smoothing_monotonicity():
     """Primes leave the remainder's denominator from the top: after the step
     for prime p, every prime of the denominator is below p (the powers-of-two
@@ -944,6 +1019,73 @@ def test_elimination_step_refuses_a_certificate_without_the_prime():
     message = "^q-loop divisor certificate lacks the prime 5$"
     with pytest.raises(AssertionError, match=message):
         _eliminate_step(StageTrace(), "q-loop", set(), Fraction(1, 3), 33, [], 5, 1)
+
+
+@pytest.mark.parametrize("size", [3, 4, 5, 12])
+def test_elimination_step_hands_over_the_p_minus_1_largest_members(
+    size, monkeypatch
+):
+    """At p = 5 a slice of 3 members is thin and handed over whole; one of
+    4 or more hands over its 4 largest and is not thin."""
+    import densefrac.construct as construct
+
+    handed = []
+
+    def spy(c_over_d, N, S, p, l):
+        handed.append(np.array(S).tolist())
+        return eliminate_prime(c_over_d, N, S, p, l)
+
+    monkeypatch.setattr(construct, "eliminate_prime", spy)
+    S = np.array([5, 10, 15, 20, 30, 40, 45, 60, 90, 120, 180, 360])[-size:]
+    trace = StageTrace()
+    _eliminate_step(trace, "q-loop", set(), Fraction(2, 5), 360, S, 5, 1)
+    assert handed == [S[-min(size, 4) :].tolist()]
+    assert trace.thin_eliminations == (size < 4)
+
+
+def test_every_elimination_is_handed_the_p_minus_1_largest_members(monkeypatch):
+    """In all four loops (p-, q- and q'-loops and the powers-of-two cleanup)
+    eliminate_prime receives exactly the min(|S|, p-1) largest members of
+    the step's ascending slice S, and a step that succeeds counts as thin
+    iff |S| < p-1. 1/12 and 1/2 at k = 4 reach thin slices and slices of
+    exactly p-1 members; k = 4 eliminates q^3 as well."""
+    import densefrac.construct as construct
+
+    step, handed, seen = construct._eliminate_step, [], []
+
+    def spy_step(trace, stage, removed, rem, n_mod, S, p, l):
+        handed.clear()
+        before, thin = trace.thin_eliminations, None
+        try:
+            out = step(trace, stage, removed, rem, n_mod, S, p, l)
+            thin = trace.thin_eliminations - before
+            return out
+        finally:  # thin stays None when the elimination raised
+            if handed:
+                seen.append((stage, np.array(S), handed[0], p, l, thin))
+
+    def spy_eliminate(c_over_d, N, S, p, l):
+        handed.append(np.array(S))
+        return eliminate_prime(c_over_d, N, S, p, l)
+
+    monkeypatch.setattr(construct, "_eliminate_step", spy_step)
+    monkeypatch.setattr(construct, "eliminate_prime", spy_eliminate)
+    for r, options in (
+        (Fraction(1, 3), {}),
+        (Fraction(1, 12), {}),
+        (Fraction(1, 2), {"k": 4}),
+    ):
+        construct_dense(r, 10**5, **options)
+
+    kinds = set()
+    for stage, whole, given, p, l, thin in seen:
+        assert (whole[1:] > whole[:-1]).all()
+        assert given.tolist() == whole[max(whole.size - (p - 1), 0) :].tolist()
+        assert thin is None or thin == (whole.size < p - 1)
+        kinds.add((stage, (whole.size > p - 1) - (whole.size < p - 1)))
+    assert {stage for stage, _ in kinds} == {"p-loop", "q-loop", "2-cleanup", "q'-loop"}
+    assert {size for _, size in kinds} == {-1, 0, 1}  # thin, p-1 and capped
+    assert max(l for *_, l, _ in seen) == 3
 
 
 def _next_prime(n):

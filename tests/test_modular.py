@@ -329,6 +329,44 @@ def test_eliminate_matches_scalar_reference(case):
         assert all(type(n) is int for n in got[0])
 
 
+_PRIMES_TO_100 = [q for q in range(2, 101) if all(q % d for d in range(2, q))]
+
+
+@st.composite
+def _ample_slice_case(draw):
+    """A valid elimination on a strictly ascending slice of at least p-1
+    members: p prime up to 100, p^l exactly dividing N, each member p^l
+    times a divisor of N/p^l (256 to choose from), and c/d with d | N."""
+    p = draw(st.sampled_from(_PRIMES_TO_100))
+    l = draw(st.integers(1, 3))
+    others = [q for q in (2, 3, 5, 7, 11) if q != p][:4]
+    N = p**l * math.prod(q**3 for q in others)
+    cofactors = [1]
+    for q in others:
+        cofactors = [m * q**j for m in cofactors for j in range(4)]
+    chosen = draw(
+        st.lists(
+            st.sampled_from(cofactors), unique=True, min_size=p - 1, max_size=p + 20
+        )
+    )
+    S = np.array(sorted(p**l * m for m in chosen), dtype=np.int64)
+    d = draw(st.sampled_from(cofactors)) * p ** draw(st.sampled_from([l, l, l, 0]))
+    c = draw(st.integers(1, 4 * p))
+    return Fraction(c, d), N, S, p, l
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_ample_slice_case())
+def test_the_p_minus_1_largest_members_give_the_whole_slices_result(case):
+    """With |S| >= p-1 the solver's first witness lies among the p-1
+    largest members, so eliminating on S[1 - p:] returns the (T, result)
+    of the whole slice; the constructor hands over only those."""
+    c_over_d, N, S, p, l = case
+    assert eliminate_prime(c_over_d, N, S[1 - p :], p, l) == eliminate_prime(
+        c_over_d, N, S, p, l
+    )
+
+
 def test_eliminate_rejects_elements_beyond_int64():
     N = 2**70 * 3
     with pytest.raises(ParameterError, match="int64"):

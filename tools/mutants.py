@@ -211,6 +211,27 @@ MUTANTS = [
         ),
         ["tests/test_smooth.py"],
     ),
+    # Each elimination step hands over only the p-1 largest members of its
+    # slice. Counting thin steps on that capped slice is not listed: it is
+    # equivalent (min(|S|, p-1) < p-1 iff |S| < p-1), so nothing can kill it.
+    (
+        "elimination handed one member fewer than p-1",
+        CONSTRUCT,
+        (("S[1 - p :], p, l)", "S[2 - p :], p, l)"),),
+        ["tests/test_construct.py"],
+    ),
+    (
+        "elimination handed the p-1 smallest members",
+        CONSTRUCT,
+        (("S[1 - p :], p, l)", "S[: p - 1], p, l)"),),
+        ["tests/test_construct.py"],
+    ),
+    (
+        "thin_eliminations counts a slice of exactly p-1 members",
+        CONSTRUCT,
+        (("if len(S) < p - 1:", "if len(S) <= p - 1:"),),
+        ["tests/test_construct.py"],
+    ),
     # Elimination with one array pass per slice.
     (
         "eliminate_prime checks divisibility only of the elements the solver reads",

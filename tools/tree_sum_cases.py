@@ -13,8 +13,10 @@ The cases: the adversarial inputs that shaped the verifier (20k distinct
 primes below 2^21; 1..10^4 as a range and as an int64 array; 100k random
 ints up to 10^6; distinct primes near 2^20, about 2/3 of the run's bit cap
 per block, shuffled over 100 blocks, so that the run passes the cap) and
-the sorted denominators of r = 1 at x = 10^5, 10^6 and 10^7,
-built by this checkout's constructor. Writes nothing inside the checkout.
+the sorted denominators of r = 1 at x = 10^5, 10^6 and 10^7, and at 10^7
+with epsilon = 0.01 and k = 6 (its lcm, about 4200 bits, passes the
+verifier's 4096-bit cap), built by this checkout's constructor. Writes
+nothing inside the checkout.
 """
 
 from __future__ import annotations
@@ -76,6 +78,9 @@ def cases() -> dict:
     }
     for k in (5, 6, 7):
         out[f"r = 1, x = 10^{k}"] = construct_dense(Fraction(1), 10**k).denominators()
+    out["r = 1, x = 10^7, eps 0.01, k 6"] = construct_dense(
+        Fraction(1), 10**7, epsilon=0.01, k=6
+    ).denominators()
     return out
 
 
@@ -92,7 +97,7 @@ def main(argv=None) -> int:
         if args.ref:
             trees = {args.ref: load_ref(args.ref, tmp, "verify"), **trees}
         inputs = cases()
-        header = f"{'case':<22}{'size':>9}" + "".join(f"{k:>14}" for k in trees)
+        header = f"{'case':<32}{'size':>9}" + "".join(f"{k:>14}" for k in trees)
         print(header + ("  change" if args.ref else "") + "   (ns per denominator)")
         for name, elements in inputs.items():
             times = {k: [] for k in trees}
@@ -107,7 +112,7 @@ def main(argv=None) -> int:
                     print(f"{name}: the trees disagree", file=sys.stderr)
                     return 1
             ns = {k: statistics.median(v) / len(elements) * 1e9 for k, v in times.items()}
-            line = f"{name:<22}{len(elements):>9}" + "".join(f"{v:>14.1f}" for v in ns.values())
+            line = f"{name:<32}{len(elements):>9}" + "".join(f"{v:>14.1f}" for v in ns.values())
             if args.ref:
                 line += f"  {ns['here'] / ns[args.ref] - 1:+7.1%}"
             print(line, flush=True)
