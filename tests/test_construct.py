@@ -1021,28 +1021,6 @@ def test_elimination_step_refuses_a_certificate_without_the_prime():
         _eliminate_step(StageTrace(), "q-loop", set(), Fraction(1, 3), 33, [], 5, 1)
 
 
-@pytest.mark.parametrize("size", [3, 4, 5, 12])
-def test_elimination_step_hands_over_the_p_minus_1_largest_members(
-    size, monkeypatch
-):
-    """At p = 5 a slice of 3 members is thin and handed over whole; one of
-    4 or more hands over its 4 largest and is not thin."""
-    import densefrac.construct as construct
-
-    handed = []
-
-    def spy(c_over_d, N, S, p, l):
-        handed.append(np.array(S).tolist())
-        return eliminate_prime(c_over_d, N, S, p, l)
-
-    monkeypatch.setattr(construct, "eliminate_prime", spy)
-    S = np.array([5, 10, 15, 20, 30, 40, 45, 60, 90, 120, 180, 360])[-size:]
-    trace = StageTrace()
-    _eliminate_step(trace, "q-loop", set(), Fraction(2, 5), 360, S, 5, 1)
-    assert handed == [S[-min(size, 4) :].tolist()]
-    assert trace.thin_eliminations == (size < 4)
-
-
 def test_every_elimination_is_handed_the_p_minus_1_largest_members(monkeypatch):
     """In all four loops (p-, q- and q'-loops and the powers-of-two cleanup)
     eliminate_prime receives exactly the min(|S|, p-1) largest members of
@@ -1078,9 +1056,9 @@ def test_every_elimination_is_handed_the_p_minus_1_largest_members(monkeypatch):
         construct_dense(r, 10**5, **options)
 
     kinds = set()
-    for stage, whole, given, p, l, thin in seen:
+    for stage, whole, got, p, l, thin in seen:
         assert (whole[1:] > whole[:-1]).all()
-        assert given.tolist() == whole[max(whole.size - (p - 1), 0) :].tolist()
+        assert got.tolist() == whole[max(whole.size - (p - 1), 0) :].tolist()
         assert thin is None or thin == (whole.size < p - 1)
         kinds.add((stage, (whole.size > p - 1) - (whole.size < p - 1)))
     assert {stage for stage, _ in kinds} == {"p-loop", "q-loop", "2-cleanup", "q'-loop"}
