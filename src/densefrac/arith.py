@@ -18,8 +18,7 @@ rationals are stdlib `fractions.Fraction` (always reduced, positive
 denominator). Bulk reciprocal sums over a family never reduce pairwise:
 see `densefrac.smooth.reciprocal_sum`, which divides a common denominator
 m by every element at once, summing m // n (in all, or per group of
-elements for the cutoff walk `mass_prefix`) and proving each m mod n zero
-(`limb_remainders` gives the remainders alone).
+elements for the cutoff walk `mass_prefix`) and proving each m mod n zero.
 """
 
 from __future__ import annotations

@@ -568,12 +568,14 @@ def _resolve_plan(
     return plan
 
 
-def _sum_recips(elements) -> Fraction:
-    """The sum of 1/n over the elements' lcm: the telescoping and four-set
-    assertions' cross-check, on a path apart from reciprocal_sum."""
-    elements = [int(n) for n in elements]
-    lcm = math.lcm(*elements)
-    return Fraction(sum(lcm // n for n in elements), lcm)
+def _lcm_sum(elements) -> tuple[int, int]:
+    """(s, L) with L the lcm of the elements and s the sum of L // n, so the
+    sum of 1/n is s/L: the telescoping and four-set assertions' cross-check,
+    on a path apart from reciprocal_sum and from eliminate_prime's N // n.
+    The callers compare s/L with a fraction by cross-multiplying, so no
+    Fraction is normalised."""
+    L = math.lcm(*elements)
+    return sum(L // n for n in elements), L
 
 
 def _eliminate_step(trace, stage, removed, rem, n_mod, S, p, l):
@@ -593,6 +595,10 @@ def _eliminate_step(trace, stage, removed, rem, n_mod, S, p, l):
     divides D(p0') (choose_lambda's pass over the pool), and the final check
     re-sums the whole representation.
 
+    The telescoping is checked in integers, on _lcm_sum's path: with a/b
+    the remainder before the step, c/d the one after it, L the lcm of the
+    members taken and s the sum of L // n over them, (cb - ad) L = s bd.
+
     Records the step in trace (counting it as thin when |S| < p-1), adds the
     members taken to the set removed and returns (remainder, certificate).
     """
@@ -602,7 +608,10 @@ def _eliminate_step(trace, stage, removed, rem, n_mod, S, p, l):
         t_set, rem = eliminate_prime(before, n_mod, S[1 - p :], p, l)
         if len(S) < p - 1:
             trace.thin_eliminations += 1
-        if rem - before != _sum_recips(t_set):
+        a, b = before.numerator, before.denominator
+        c, d = rem.numerator, rem.denominator
+        s, L = _lcm_sum(t_set)
+        if (c * b - a * d) * L != s * b * d:  # rem - before != s/L
             raise AssertionError(f"{stage} telescoping broke at prime {p}")
         overlap = removed.intersection(t_set)
         if overlap:
@@ -786,7 +795,8 @@ def stage_two(
             continue
         # c_start + sum(chosen[drop:]) is the remainder whatever the drop.
         parts = result.a_prime + result.c_minus + result.d1 + result.d2
-        if _sum_recips(parts) != remainder:
+        s, L = _lcm_sum(parts)
+        if remainder.numerator * L != s * remainder.denominator:
             raise AssertionError("stage-two four-set identity broke")
         result.attempts = drop + 1
         return result

@@ -15,25 +15,26 @@ S of divisors of N exactly divisible by p^l, it finds T subset of S,
 It reads p's multiplicity in N off N itself, and checks that p is prime
 by trial division once per p (the verdict is cached). S may be any
 sequence of ints or an int64 array, taken in through smooth._as_int64, so
-every value is an integer in int64. A slice is checked in two array
-passes, n | N on limb_remainders' remainders and p^l | n; residues are
-made from Python ints only as far as the solver reads them.
+every value is an integer in int64, and then worked on as a list of Python
+ints: a step of the constructor hands over at most p-1 elements, too few
+for array passes to pay their fixed cost. Each element is proven to divide
+N by a zero N % n, largest first, and checked for p^l | n by n % p^l;
+residues are made only as far as the solver reads them.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
-
-import numpy as np
 
 # modular calls no factorize: the name stays here only because
 # perfbench/tracing.py counts calls through this namespace (always 0; the
 # planner calls arith.factorize through its own import).
 from .arith import exact_multiplicity, factorize, is_prime  # noqa: F401
 from .errors import DivisibilityError, EliminationFailed, ParameterError
-from .smooth import _as_int64, limb_remainders
+from .smooth import _as_int64
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -117,10 +118,9 @@ def eliminate_prime(
     the elements the solver reads. Any common multiple M of d and S
     carrying exactly p^l gives residues that differ from these by the unit
     N/M, so the witness does not depend on the choice of common multiple.
-    Every n in S is proven to divide N by a zero remainder (limb_remainders)
-    before the solver runs; since p^l exactly divides N, p^l | n then means
-    multiplicity exactly l. An S already strictly ascending is not sorted
-    again.
+    Every n in S is proven to divide N by a zero N % n before the solver
+    runs; since p^l exactly divides N, p^l | n then means multiplicity
+    exactly l. An S already strictly ascending is not sorted again.
     """
     _check_prime(p)
     if l < 1:
@@ -133,36 +133,32 @@ def eliminate_prime(
     c, d = c_over_d.numerator, c_over_d.denominator
     if N % d != 0:
         raise DivisibilityError(f"denominator {d} does not divide N")
-    ascending = _as_int64(S)
-    if not (ascending[1:] > ascending[:-1]).all():
-        ascending = np.sort(ascending)
-        if (ascending[1:] == ascending[:-1]).any():
+    ascending = _as_int64(S).tolist()
+    if not all(map(operator.lt, ascending, ascending[1:])):
+        ascending.sort()
+        if any(map(operator.eq, ascending, ascending[1:])):
             raise ParameterError("S must not contain duplicates")
     elements = ascending[::-1]
-    n_pos = ascending.size
-    if n_pos and ascending[0] < 1:
-        n_pos -= int(np.searchsorted(ascending, 1))
-    remainders = limb_remainders(N, elements[:n_pos])
-    if remainders.any():  # the largest element that fails is reported
-        bad = elements[np.argmax(remainders != 0)]
-        raise DivisibilityError(f"element {bad} does not divide N")
-    if n_pos < elements.size:
-        raise ParameterError(f"elements of S must be positive, got {elements[n_pos]}")
+    # Largest first, so the largest element that fails is reported, and every
+    # positive element is proven to divide N before a non-positive one is
+    # refused.
+    for n in elements:
+        if n < 1:
+            raise ParameterError(f"elements of S must be positive, got {n}")
+        if N % n:
+            raise DivisibilityError(f"element {n} does not divide N")
 
     # Every element divides N, which p^l exactly divides, so an element's
     # p-multiplicity is exactly l iff p^l divides it.
     pl = p**l
-    if pl < 2**63:
-        exact = elements % pl == 0
-    else:  # no int64 element is a multiple of p^l
-        exact = np.zeros(elements.size, dtype=bool)
+    inexact = [n for n in elements if n % pl]
     d_mult = exact_multiplicity(d, p)
-    if d_mult != l and not exact.any():
+    if d_mult != l and len(inexact) == len(elements):
         raise ParameterError(
             f"every element of S must be exactly divisible by {p}^{l}"
         )
-    if not exact.all():
-        n = int(elements[np.argmin(exact)])
+    if inexact:
+        n = inexact[0]
         raise ParameterError(
             f"element {n} has p-multiplicity {exact_multiplicity(n, p)}, "
             f"expected exactly {l}"
@@ -176,18 +172,18 @@ def eliminate_prime(
         return [], c_over_d
     # The solver stops at its first witness, so the residues are made as it
     # reads them; on a slice longer than p - 1 it reads at most p - 1.
-    residues = (unit * pow(n // pl % p, -1, p) % p for n in map(int, elements))
-    witness = _solve(residues, target, p, elements.size)
+    residues = (unit * pow(n // pl % p, -1, p) % p for n in elements)
+    witness = _solve(residues, target, p, len(elements))
     if witness is None:
         raise EliminationFailed(
-            f"no subset of {elements.size} multiples reaches the residue "
+            f"no subset of {len(elements)} multiples reaches the residue "
             f"needed to cancel {p}^{l}",
             prime=p,
             power=l,
             failing_parameter="S",
             suggestion="enlarge S (lower lambda'), or switch x",
         )
-    T = [int(elements[i]) for i in witness]
+    T = [elements[i] for i in witness]
     if len(T) >= p:
         raise AssertionError("witness cardinality >= p")
     result = Fraction(c * (N // d) + sum(N // n for n in T), N)

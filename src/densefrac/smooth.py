@@ -30,11 +30,9 @@ common denominator m, in all or per group of elements. mass_prefix walks
 such group sums, whole groups first, for the longest run of leading
 elements whose mass stays below a limit: both cutoffs, the planner's
 lambda*x and stage two's lambda'*x' (choose_lambda), are that one walk.
-limb_remainders is the same long division without quotients, for
-elimination, which needs only the proof that an element divides m, a zero
-remainder. reciprocal_sum, choose_lambda and modular.eliminate_prime take
-their elements through _as_int64, which refuses a non-integral value and
-a value outside int64. Moduli are plain ints throughout.
+reciprocal_sum, choose_lambda and modular.eliminate_prime take their
+elements through _as_int64, which refuses a non-integral value and a value
+outside int64. Moduli are plain ints throughout.
 """
 
 from __future__ import annotations
@@ -342,25 +340,6 @@ def _as_int64(values) -> np.ndarray:
     except OverflowError:
         big = next(v for v in vals if not -(2**63) <= v < 2**63)
         raise ParameterError(f"element {big} does not fit in int64") from None
-
-
-def limb_remainders(m: int, elements: np.ndarray) -> np.ndarray:
-    """Every m mod n (uint64) for the elements n in [1, 2^63); m >= 0.
-
-    reciprocal_sum's long division without its quotients: the head of m,
-    below 2^64, is reduced in one step (the remainder starts at 0), then
-    s-bit limbs with every n < 2^(64 - s) follow. An m below 2^64 costs one
-    np.remainder.
-    """
-    n = elements.astype(np.uint64)
-    s = 64 - int(n.max(initial=1)).bit_length()
-    tail = -(-max(m.bit_length() - 64, 0) // s) * s
-    r = np.remainder(np.uint64(m >> tail), n)
-    for j in reversed(range(0, tail, s)):
-        r <<= s
-        r |= m >> j & ((1 << s) - 1)
-        r %= n
-    return r
 
 
 def reciprocal_sum(elements: Iterable[int], m: int, group: Optional[int] = None):

@@ -893,6 +893,13 @@ def _dropping_last(fn, part):
     return lying
 
 
+def _eliminate_off_by_one_over_n(c_over_d, N, S, p, l):
+    """eliminate_prime, except that its remainder is off by 1/N while its T
+    is right."""
+    T, rem = eliminate_prime(c_over_d, N, S, p, l)
+    return T, rem + Fraction(1, N)
+
+
 def _stage_two_reusing_a_kept_member(*args):
     result = stage_two(*args)
     kept = args[3]
@@ -908,18 +915,25 @@ def _check_denying_the_sum(*args):
     "name, liar, message",
     [
         ("eliminate_prime", _dropping_last(eliminate_prime, 0), "telescoping broke"),
+        ("eliminate_prime", _eliminate_off_by_one_over_n, "telescoping broke"),
         ("four_set_repair", _dropping_last(four_set_repair, 1), "four-set identity broke"),
         ("stage_two", _stage_two_reusing_a_kept_member, "representation parts overlap"),
         ("check", _check_denying_the_sum, "final certificate failed"),
     ],
-    ids=["eliminate_prime", "four_set_repair", "stage_two", "check"],
+    ids=[
+        "eliminate_prime",
+        "eliminate_prime-remainder",
+        "four_set_repair",
+        "stage_two",
+        "check",
+    ],
 )
 def test_constructor_guard_fires_on_a_lying_layer(name, liar, message, monkeypatch):
     """Each run-time guard of the constructor catches the layer below it
     when that layer lies: an elimination that returns one member fewer than
-    it added, a four-set repair that loses an element of C minus A', a
-    stage two that reuses a stage-one member, and a final check that denies
-    the exact sum."""
+    it added, one whose remainder is off by 1/N, a four-set repair that
+    loses an element of C minus A', a stage two that reuses a stage-one
+    member, and a final check that denies the exact sum."""
     import densefrac.construct as construct
 
     monkeypatch.setattr(construct, name, liar)

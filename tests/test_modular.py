@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densefrac.arith import exact_multiplicity, factorize
@@ -306,9 +306,11 @@ def _elimination_case(draw):
         S += sometimes(faults, [])
     if S:
         S += sometimes(st.lists(st.sampled_from(S), max_size=2), [])
-    form = draw(st.sampled_from(["list", "shuffled", "int64"]))
+    form = draw(st.sampled_from(["list", "shuffled", "ascending", "int64"]))
     if form == "shuffled":
         S = draw(st.permutations(S))
+    elif form == "ascending":
+        S = sorted(S)
     elif form == "int64":
         S = np.array(S, dtype=np.int64)
     d = draw(st.sampled_from(cofactors)) * p ** sometimes(st.integers(0, l - 1), l)
@@ -319,6 +321,7 @@ def _elimination_case(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(case=_elimination_case())
+@example(case=(Fraction(1, 3), 12, [3, 3, 6], 3, 1))  # ascending, not strictly
 def test_eliminate_matches_scalar_reference(case):
     """Same (T, result), or the same exception type and text, as the
     element-wise reference, for any input form and any mix of faults."""
@@ -404,6 +407,46 @@ def test_eliminate_power_beyond_int64():
         for d in (1, 2**64):
             case = (Fraction(1, d), N, S, 2, 64)
             assert _outcome(eliminate_prime, *case) == _outcome(_eliminate_scalar, *case)
+
+
+@st.composite
+def _division_boundary_case(draw):
+    """Eliminations with N of 64, 65 or 2100 bits (wider when the elements
+    it must hold need more) and elements near 2^32, near 2^63 - 1 or small,
+    each p times a cofactor prime to p. Each element is left out of N now
+    and then, so that it fails to divide N; S may be empty."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    raw = draw(
+        st.lists(
+            st.one_of(
+                st.integers(2**32 - 2**8, 2**32 + 2**8),
+                st.integers(2**63 - 2**8, 2**63 - 1),
+                st.integers(1, 2**20),
+            ),
+            max_size=6,
+        )
+    )
+    cofactors = {m - (m % p == 0) for m in (max(r // p, 1) for r in raw)}
+    S = draw(st.permutations([p * m for m in cofactors]))
+    held = [n // p for n in S if draw(st.integers(0, 5))]
+    M = p * math.lcm(1, *held)
+    filler = 2 ** (draw(st.sampled_from([64, 65, 2100])) - 1) // M + 1
+    N = M * (filler + (filler % p == 0))
+    return Fraction(draw(st.integers(1, 50)), draw(st.sampled_from([1, p]))), N, S, p, 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_division_boundary_case())
+@example(case=(Fraction(1, 73), 2 * (2**63 - 1), [73, 146, 2**63 - 1], 73, 1))
+@example(case=(Fraction(1, 17), 2**64 - 1, [17, 17 * 257, 2**32 - 1], 17, 1))
+@example(case=(Fraction(1, 3), 2**65 - 2, [2**32 + 1, 3, 2**32 - 1], 3, 1))
+@example(case=(Fraction(1, 5), 5 * 2**2095, [], 5, 1))
+def test_eliminate_matches_scalar_at_division_boundaries(case):
+    """The n | N proof and the elimination agree with the element-wise
+    reference for N of 64, 65 and 2100 bits and for elements near 2^32 and
+    up to 2^63 - 1 (= 7^2 * 73 * 127 * 337 * 92737 * 649657, a divisor of
+    2 (2^63 - 1)), and for an empty S."""
+    assert _outcome(eliminate_prime, *case) == _outcome(_eliminate_scalar, *case)
 
 
 def _witness_one_short(rs, target, p, t):

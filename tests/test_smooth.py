@@ -27,7 +27,6 @@ from densefrac.smooth import (
     SmoothParams,
     build_family,
     choose_lambda,
-    limb_remainders,
     mass_prefix,
     reciprocal_sum,
 )
@@ -551,42 +550,6 @@ def test_reciprocal_sum_group_sums_match_scalar_loop(case, form, chunk, group):
 def test_reciprocal_sum_refuses_a_group_outside_the_chunk(group):
     with pytest.raises(ParameterError, match=f"group must lie in .*, got {group}"):
         reciprocal_sum([1, 2], 2, group)
-
-
-@pytest.mark.parametrize("kernel", [limb_remainders])
-@settings(max_examples=200, deadline=None)
-@given(
-    m=st.one_of(
-        st.integers(1, 2**64),
-        st.integers(2**63, 2**65 - 1),  # 64 and 65 bits
-        st.integers(1, 2**2100),
-        st.integers(2**2099, 2**2100 - 1),
-    ),
-    elements=st.lists(
-        st.one_of(
-            st.integers(1, 2**32 - 1),
-            st.integers(2**32 - 2**8, 2**32 - 1),
-            st.integers(1, 2**20),
-            st.integers(1, 7),
-            st.integers(2**32, 2**63 - 1),
-            st.integers(2**63 - 2**8, 2**63 - 1),
-        ),
-        max_size=40,
-    ),
-    chunk=st.sampled_from([8, smooth._CHUNK]),
-)
-@example(m=2**64 - 1, elements=[2**32 - 1, 3], chunk=8)
-@example(m=2**2100 - 1, elements=[1, 2**32 - 1, 2**63 - 1], chunk=8)
-@example(m=2**65 - 1, elements=[], chunk=8)
-def test_limb_division_matches_python(kernel, m, elements, chunk):
-    """Remainders equal m % n, for elements just below 2^32 and for int64
-    elements above it (narrower limbs, 1 bit wide near 2^63).
-    limb_remainders reduces an m below 2^64 in its head step alone."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(smooth, "_CHUNK", chunk)
-        remainders = kernel(m, np.array(elements, dtype=np.int64))
-    assert remainders.dtype == np.uint64
-    assert remainders.tolist() == [m % n for n in elements]
 
 
 def test_reciprocal_sum_largest_element():

@@ -232,22 +232,23 @@ MUTANTS = [
         (("if len(S) < p - 1:", "if len(S) <= p - 1:"),),
         ["tests/test_construct.py"],
     ),
-    # Elimination with one array pass per slice.
+    # Elimination on Python ints, and the constructor's integer telescoping
+    # identity.
     (
         "eliminate_prime checks divisibility only of the elements the solver reads",
         MODULAR,
         (
             (
-                "remainders = limb_remainders(N, elements[:n_pos])",
-                "remainders = limb_remainders(N, elements[:0])",
+                "        if N % n:\n"
+                '            raise DivisibilityError(f"element {n} does not divide N")\n',
+                "",
             ),
             (
-                "    residues = (unit * pow(n // pl % p, -1, p) % p"
-                " for n in map(int, elements))\n",
+                "    residues = (unit * pow(n // pl % p, -1, p) % p for n in elements)\n",
                 "    def _divisor(n):\n"
-                "        if N % int(n):\n"
+                "        if N % n:\n"
                 '            raise DivisibilityError(f"element {n} does not divide N")\n'
-                "        return int(n)\n\n"
+                "        return n\n\n"
                 "    residues = (unit * pow(n // pl % p, -1, p) % p"
                 " for n in map(_divisor, elements))\n",
             ),
@@ -257,41 +258,42 @@ MUTANTS = [
     (
         "eliminate_prime checks divisibility of the first 8 elements only",
         MODULAR,
-        (
-            (
-                "remainders = limb_remainders(N, elements[:n_pos])",
-                "remainders = limb_remainders(N, elements[: min(n_pos, 8)])",
-            ),
-        ),
+        (("        if N % n:\n", "        if N % n and n in elements[:8]:\n"),),
+        ["tests/test_modular.py"],
+    ),
+    (
+        "eliminate_prime skips the smallest element's divisibility",
+        MODULAR,
+        (("        if N % n:\n", "        if N % n and n != elements[-1]:\n"),),
         ["tests/test_modular.py"],
     ),
     (
         "eliminate_prime drops the multiplicity check",
         MODULAR,
-        (("    if not exact.all():\n", "    if False:\n"),),
+        (("    if inexact:\n", "    if False:\n"),),
         ["tests/test_modular.py"],
     ),
     (
-        "limb_remainders head one bit too wide",
-        SMOOTH,
+        "eliminate_prime takes a non-decreasing S as strictly ascending",
+        MODULAR,
         (
             (
-                "tail = -(-max(m.bit_length() - 64, 0) // s) * s",
-                "tail = -(-max(m.bit_length() - 65, 0) // s) * s",
+                "if not all(map(operator.lt, ascending, ascending[1:])):",
+                "if not all(map(operator.le, ascending, ascending[1:])):",
             ),
         ),
-        ["tests/test_smooth.py"],
+        ["tests/test_modular.py"],
     ),
     (
-        "limb_remainders limbs one bit too wide",
-        SMOOTH,
+        "telescoping identity drops its factor L",
+        CONSTRUCT,
         (
             (
-                "s = 64 - int(n.max(initial=1)).bit_length()",
-                "s = 65 - int(n.max(initial=1)).bit_length()",
+                "if (c * b - a * d) * L != s * b * d:",
+                "if c * b - a * d != s * b * d:",
             ),
         ),
-        ["tests/test_smooth.py"],
+        ["tests/test_construct.py"],
     ),
     (
         "eliminate_prime takes residues from n instead of n / p^l",
