@@ -443,9 +443,9 @@ def _division_boundary_case(draw):
 @example(case=(Fraction(1, 5), 5 * 2**2095, [], 5, 1))
 def test_eliminate_matches_scalar_at_division_boundaries(case):
     """The n | N proof and the elimination agree with the element-wise
-    reference for N of 64, 65 and 2100 bits and for elements near 2^32 and
-    up to 2^63 - 1 (= 7^2 * 73 * 127 * 337 * 92737 * 649657, a divisor of
-    2 (2^63 - 1)), and for an empty S."""
+    reference for N of 64, 65 and 2100 bits, for elements near 2^32 and up
+    to 2^63 - 1 (= 7^2 * 73 * 127 * 337 * 92737 * 649657, so 73 divides it
+    exactly once), and for an empty S."""
     assert _outcome(eliminate_prime, *case) == _outcome(_eliminate_scalar, *case)
 
 
