@@ -4,6 +4,12 @@ Denominator sets are delta-encoded (first element absolute, then gaps), so
 million-element certificates stay megabyte-scale. Exact rationals travel as
 "a/b" strings; floating approximations are labeled approx. Documents are
 deterministic: same representation, byte-identical JSON.
+
+In memory, a part's gaps are the int64 array that np.diff makes of its
+sorted values (a list of Python ints only when a gap could pass int64, and
+in every parsed document). to_json writes such an array through a table
+of decimal strings, with the same bytes json.dumps writes of its ints, so
+no Python int is made per gap.
 """
 
 from __future__ import annotations
@@ -19,6 +25,11 @@ from .verify import check, int_array
 
 FORMAT_VERSION = 1
 
+#: Decimal text of the gaps 0 .. 1023, read by _gaps_json. Every gap of
+#: stage one's set at r = 1/3, 1/2 and 1, x = 10^6 is below 105; a gap
+#: outside the table is written by str.
+_TEXT = np.array([str(n) for n in range(1024)], dtype=object)
+
 
 def frac_str(v: Fraction) -> str:
     v = Fraction(v)
@@ -33,41 +44,55 @@ def parse_frac(s: str) -> Fraction:
 
 
 def encode_deltas(values) -> dict:
-    """Integers, in any order -> {first, deltas} of their sorted sequence,
-    as Python ints; decoding reproduces them exactly. The values are sorted
-    as one numpy array (int_array); gaps are taken in int64 unless one could
-    pass 2^63, and in exact Python ints then."""
-    a = np.sort(int_array(values))
+    """Integers, in any order -> {first, deltas} of their sorted sequence;
+    decoding reproduces them exactly. first is a Python int. The values
+    become one numpy array (int_array), sorted only when it is not already
+    non-decreasing, and deltas is its np.diff: an int64 array, unless a gap
+    could pass 2^63, and a list of exact Python ints then."""
+    a = int_array(values)
     if not a.size:
         return {"first": None, "deltas": []}
+    if not (a[1:] >= a[:-1]).all():
+        a = np.sort(a)
     if int(a[-1]) - int(a[0]) >= 2**63:
         a = a.astype(object)
-    return {"first": int(a[0]), "deltas": np.diff(a).tolist()}
+    gaps = np.diff(a)
+    return {"first": int(a[0]), "deltas": gaps if _is_gaps(gaps) else gaps.tolist()}
+
+
+def _is_gaps(deltas) -> bool:
+    """Whether deltas is a part's gaps in their array form, a 1-D int64
+    array; the test reads only the type, dtype and shape."""
+    return type(deltas) is np.ndarray and deltas.dtype == np.int64 and deltas.ndim == 1
 
 
 def decode_deltas(enc: dict) -> np.ndarray:
     """{first, deltas} -> the integers, as a numpy array of their running
-    sums; the one check of the part format. The part must be a JSON object,
-    and first and every delta JSON integers: anything else (a list part, a
-    string, a float or a bool) raises ParameterError. A null first encodes
-    the empty part, so it admits no deltas. The array is int64 when
-    |first| + len(deltas) * max |delta| < 2^63, a bound on every running
-    sum computed in Python ints, and object (exact Python ints) otherwise."""
+    sums; the one check of the part format. The part must be a dict, first
+    an int, and deltas either a list of JSON integers, as a parsed document
+    holds, or the int64 array encode_deltas makes (_is_gaps): anything else
+    (a list part, a string, a float or a bool, an array of another dtype)
+    raises ParameterError. A null first encodes the empty part, so it
+    admits no deltas. The array is int64 when |first| + len(deltas) *
+    max |delta| < 2^63, a bound on every running sum computed in Python
+    ints, and object (exact Python ints) otherwise."""
     if type(enc) is not dict:
         raise ParameterError("malformed certificate part: not a JSON object")
     first = enc.get("first")
     deltas = enc.get("deltas", [])
-    if first is None and deltas == []:
+    array = _is_gaps(deltas)
+    well_formed = array or (
+        type(deltas) is list and set(map(type, deltas)) <= {int}
+    )
+    if first is None and well_formed and not len(deltas):
         return np.empty(0, dtype=np.int64)
-    if not (
-        type(first) is int and type(deltas) is list and set(map(type, deltas)) <= {int}
-    ):
+    if not (type(first) is int and well_formed):
         raise ParameterError(
             "malformed delta encoding: first and every delta must be integers, "
             "and a null first admits no deltas"
         )
     try:
-        steps = np.fromiter(deltas, dtype=np.int64, count=len(deltas))
+        steps = deltas if array else np.fromiter(deltas, dtype=np.int64, count=len(deltas))
         widest = max(int(steps.max(initial=0)), -int(steps.min(initial=0)))
         fits = abs(first) + len(deltas) * widest < 2**63
     except OverflowError:
@@ -88,9 +113,17 @@ class CertificateDocument:
     certificate: dict
 
     def to_json(self) -> str:
-        # The fields hold plain JSON values, so they are dumped as they are
-        # (asdict() would deep-copy every delta first).
-        return _encode(vars(self))
+        # _encode's text of the fields, written field by field: a dict with
+        # str keys, sorted and joined, is exactly json.dumps' text of it.
+        # Every field but parts holds plain JSON values and is dumped as it
+        # is; the parts' int64 gap arrays go through _gaps_json (asdict()
+        # would deep-copy every gap first).
+        return _join(
+            {
+                name: _parts_json(value) if name == "parts" else _encode(value)
+                for name, value in vars(self).items()
+            }
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "CertificateDocument":
@@ -140,6 +173,42 @@ def _encode(value) -> str:
     """The one JSON encoding of documents, also used to compare blocks: it
     tells true from 1 and 1 from 1.0, and NaN equals NaN."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _join(texts: dict) -> str:
+    """The JSON object whose values are the given str keys' JSON texts."""
+    return "{" + ",".join(f"{_encode(k)}:{v}" for k, v in sorted(texts.items())) + "}"
+
+
+def _str_keys(value) -> bool:
+    return type(value) is dict and all(type(k) is str for k in value)
+
+
+def _parts_json(parts) -> str:
+    """parts as _encode would write them with every gap array a list."""
+    if not _str_keys(parts):
+        return _encode(parts)
+    return _join({name: _part_json(part) for name, part in parts.items()})
+
+
+def _part_json(part) -> str:
+    """One part as _encode would write it with its gaps a list."""
+    if not (_str_keys(part) and _is_gaps(part.get("deltas"))):
+        return _encode(part)
+    return _join(
+        {k: _gaps_json(v) if k == "deltas" else _encode(v) for k, v in part.items()}
+    )
+
+
+def _gaps_json(gaps: np.ndarray) -> str:
+    """An int64 gap array as the JSON list of its ints: each gap's text is
+    read from _TEXT, and a gap outside it (negative, as in a tampered
+    document, or too large) is written by str."""
+    inside = (gaps >= 0) & (gaps < _TEXT.size)
+    text = _TEXT[np.where(inside, gaps, 0)]
+    outside = np.flatnonzero(~inside)
+    text[outside] = [str(g) for g in gaps[outside].tolist()]
+    return "[" + ",".join(text.tolist()) + "]"
 
 
 def _trace_summary(trace) -> dict:

@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -62,10 +63,19 @@ def _decode_elementwise(enc):
 @given(st.lists(st.one_of(st.integers(-10, 10**6), st.integers(2**62, 2**66))))
 @example([2**63 - 1, -10])  # both int64, their gap is not
 def test_delta_encoding_matches_elementwise(vals):
-    """Values past int64 and repeats included; unsorted input is sorted."""
+    """Values past int64 and repeats included; unsorted input is sorted. The
+    gaps are an int64 array when every value and every gap fits in int64,
+    and a list of Python ints otherwise."""
     enc = encode_deltas(vals)
-    assert enc == _encode_elementwise(vals)
-    assert all(type(d) is int for d in enc["deltas"])
+    deltas = enc["deltas"]
+    if vals and all(-(2**63) <= v < 2**63 for v in vals) and max(vals) - min(vals) < 2**63:
+        assert type(deltas) is np.ndarray and deltas.dtype == np.int64
+        deltas = deltas.tolist()
+    else:
+        assert type(deltas) is list
+    assert enc["first"] is None or type(enc["first"]) is int
+    assert all(type(d) is int for d in deltas)
+    assert {**enc, "deltas": deltas} == _encode_elementwise(vals)
     assert decode_deltas(enc).tolist() == _decode_elementwise(enc) == sorted(vals)
 
 
@@ -84,6 +94,64 @@ def test_decode_deltas_matches_elementwise(first, deltas):
     """Negative deltas, and running sums that pass 2^63 and come back."""
     enc = {"first": first, "deltas": deltas}
     assert decode_deltas(enc).tolist() == _decode_elementwise(enc)
+
+
+def _plain(parts):
+    """parts with every int64 gap array written as a list of Python ints."""
+    return {
+        name: {**part, "deltas": part["deltas"].tolist()}
+        if isinstance(part.get("deltas"), np.ndarray)
+        else part
+        for name, part in parts.items()
+    }
+
+
+_GAPS = st.one_of(
+    st.integers(-3, 1100),
+    st.sampled_from([1023, 1024, 1025, 10**6, -1, -(2**63), 2**63 - 1]),
+)
+_JSON_SCALARS = st.one_of(st.integers(), st.booleans(), st.floats(), st.none())
+_PARTS = st.dictionaries(
+    st.one_of(st.sampled_from(["A", "D1", "név", "部分"]), st.text(max_size=3)),
+    st.one_of(
+        # as the constructor writes them: int64 arrays, or lists past int64
+        st.lists(
+            st.one_of(st.integers(-10, 3000), st.integers(2**62, 2**66)), max_size=20
+        ).map(encode_deltas),
+        # tampered in memory: any int64 gaps, negative ones too
+        st.builds(
+            lambda first, gaps: {"first": first, "deltas": np.array(gaps, dtype=np.int64)},
+            st.integers(-10, 10**6),
+            st.lists(_GAPS, max_size=20),
+        ),
+        # as a parsed document may hold them: any JSON values
+        st.fixed_dictionaries({"first": _JSON_SCALARS, "deltas": st.lists(_JSON_SCALARS)}),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=_PARTS)
+@example(parts={"A": {"first": 5, "deltas": np.array([], dtype=np.int64)}})
+@example(parts={"név": encode_deltas([7])})
+def test_writer_matches_json_dumps(parts):
+    """to_json writes exactly json.dumps' text of the same document with
+    every gap a Python int, and a parsed document writes back its text."""
+    doc = CertificateDocument(
+        version=1,
+        r="1/2",
+        x=10,
+        parameters={"k": 3, "warnings": ["ω", 2.5, True, None]},
+        parts=parts,
+        trace={},
+        certificate={"size": 3},
+    )
+    text = json.dumps(
+        {**vars(doc), "parts": _plain(parts)}, sort_keys=True, separators=(",", ":")
+    )
+    assert doc.to_json() == text
+    assert CertificateDocument.from_json(text).to_json() == text
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +267,17 @@ def test_malformed_document():
         text = json.dumps({**fields, "parts": {"A": part}})
         with pytest.raises(ParameterError):
             CertificateDocument.from_json(text).denominators()
+    # Gaps in memory are an int64 array or a list; an array of another
+    # dtype is refused as its list would be.
+    for deltas in (
+        np.array([2.5]),
+        np.array([5.0]),
+        np.array([True]),
+        np.array(["5"], dtype=object),
+        np.array([5], dtype=object),
+    ):
+        with pytest.raises(ParameterError, match="^malformed delta encoding: first"):
+            decode_deltas({"first": 3, "deltas": deltas})
     # The header as written parses, trace being optional; an edit that
     # int(), str() or dict() would turn back into it does not.
     good = {**fields, "parts": {}}

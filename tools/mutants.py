@@ -33,6 +33,7 @@ MODULAR = "src/densefrac/modular.py"
 EXPAND = "src/densefrac/expand.py"
 ARITH = "src/densefrac/arith.py"
 VERIFY = "src/densefrac/verify.py"
+CERTIFICATE = "src/densefrac/certificate.py"
 TIMEOUT_S = 900  # per pytest run; a run that hangs is reported as an error
 
 #: (name, file, ((old, new), ...), test files). Each edit weakens one guard
@@ -382,6 +383,42 @@ MUTANTS = [
         EXPAND,
         (("SMALL_PRIMES[2:]", "SMALL_PRIMES[1:]"),),
         ["tests/test_expand.py"],
+    ),
+    # The document writer: int64 gap arrays through a table of decimal text.
+    (
+        "gap text table shifted by one",
+        CERTIFICATE,
+        (("[str(n) for n in range(1024)]", "[str(n + 1) for n in range(1024)]"),),
+        ["tests/test_certificate.py"],
+    ),
+    (
+        "gaps outside the table written from a clipped entry",
+        CERTIFICATE,
+        (("    text[outside] = [str(g) for g in gaps[outside].tolist()]\n", ""),),
+        ["tests/test_certificate.py"],
+    ),
+    (
+        "decode_deltas accepts an ndarray of any dtype",
+        CERTIFICATE,
+        (
+            (
+                "    array = _is_gaps(deltas)\n",
+                "    array = type(deltas) is np.ndarray\n",
+            ),
+        ),
+        ["tests/test_certificate.py"],
+    ),
+    (
+        "part names written unsorted",
+        CERTIFICATE,
+        (
+            (
+                "    return _join({name: _part_json(part) for name, part in parts.items()})\n",
+                '    return "{" + ",".join(f"{_encode(n)}:{_part_json(p)}"'
+                ' for n, p in parts.items()) + "}"\n',
+            ),
+        ),
+        ["tests/test_certificate.py"],
     ),
 ]
 
