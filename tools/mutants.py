@@ -394,7 +394,10 @@ MUTANTS = [
     (
         "gaps outside the table written from a clipped entry",
         CERTIFICATE,
-        (("    text[outside] = [str(g) for g in gaps[outside].tolist()]\n", ""),),
+        (
+            ("np.where(inside, gaps, 0)", "np.clip(gaps, 0, _TEXT.size - 1)"),
+            ("    text[outside] = [str(g) for g in gaps[outside].tolist()]\n", ""),
+        ),
         ["tests/test_certificate.py"],
     ),
     (
