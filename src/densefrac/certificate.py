@@ -6,10 +6,14 @@ million-element certificates stay megabyte-scale. Exact rationals travel as
 deterministic: same representation, byte-identical JSON.
 
 In memory, a part's gaps are the int64 array that np.diff makes of its
-sorted values (a list of Python ints only when a gap could pass int64, and
-in every parsed document). to_json writes such an array through a table
-of decimal strings, with the same bytes json.dumps writes of its ints, so
-no Python int is made per gap.
+sorted values (a list of Python ints only when a gap could pass int64).
+to_json writes such an array through a table of decimal strings, with the
+same bytes json.dumps writes of its ints, and from_json reads each gap list
+of a document as to_json writes it straight into such an array, so neither
+makes a Python int per gap. A parsed document holds a list only where its
+text is not to_json's (then json.loads reads the whole of it) or a gap
+list is not a plain list of digits (a negative gap, a gap of 19 or more
+digits, a malformed list).
 """
 
 from __future__ import annotations
@@ -29,6 +33,11 @@ FORMAT_VERSION = 1
 #: stage one's set at r = 1/3, 1/2 and 1, x = 10^6 is below 105; a gap
 #: outside the table is written by str.
 _TEXT = np.array([str(n) for n in range(1024)], dtype=object)
+
+#: The text before each part's gap list in to_json's text, and the most
+#: digits _read_gaps reads in one gap: 10^18 - 1 is below 2^63.
+_GAPS_KEY = '"deltas":['
+_MAX_DIGITS = 18
 
 
 def frac_str(v: Fraction) -> str:
@@ -69,8 +78,9 @@ def _is_gaps(deltas) -> bool:
 def decode_deltas(enc: dict) -> np.ndarray:
     """{first, deltas} -> the integers, as a numpy array of their running
     sums; the one check of the part format. The part must be a dict, first
-    an int, and deltas either a list of JSON integers, as a parsed document
-    holds, or the int64 array encode_deltas makes (_is_gaps): anything else
+    an int, and deltas either a list of JSON integers, as json.loads reads
+    a gap list, or the int64 array encode_deltas and from_json make
+    (_is_gaps): anything else
     (a list part, a string, a float or a bool, an array of another dtype)
     raises ParameterError. A null first encodes the empty part, so it
     admits no deltas. The array is int64 when |first| + len(deltas) *
@@ -131,11 +141,15 @@ class CertificateDocument:
         ParameterError: version must be the JSON integer FORMAT_VERSION, x a
         JSON integer, r a canonical "a/b" string, and parameters, parts,
         certificate and (optional) trace JSON objects. Each part is checked
-        when it is decoded (decode_deltas)."""
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParameterError(f"malformed certificate JSON: {e}") from None
+        when it is decoded (decode_deltas). Text as to_json writes it is
+        read by _read_canonical; any other text by json.loads whole, to the
+        same value with lists in place of the gap arrays."""
+        raw = _read_canonical(text)
+        if raw is None:
+            try:
+                raw = json.loads(text)
+            except json.JSONDecodeError as e:
+                raise ParameterError(f"malformed certificate JSON: {e}") from None
         if not isinstance(raw, dict):
             raise ParameterError("certificate document is not a JSON object")
         try:
@@ -166,7 +180,9 @@ class CertificateDocument:
     def denominators(self) -> np.ndarray:
         """Every part's denominators, as one sorted array (decode_deltas)."""
         parts = [decode_deltas(enc) for enc in self.parts.values()]
-        return np.sort(np.concatenate([np.empty(0, dtype=np.int64), *parts]))
+        # a part without a negative gap is sorted, and a stable sort merges
+        # sorted runs
+        return np.sort(np.concatenate([np.empty(0, dtype=np.int64), *parts]), kind="stable")
 
 
 def _encode(value) -> str:
@@ -209,6 +225,76 @@ def _gaps_json(gaps: np.ndarray) -> str:
     outside = np.flatnonzero(~inside)
     text[outside] = [str(g) for g in gaps[outside].tolist()]
     return "[" + ",".join(text.tolist()) + "]"
+
+
+def _read_canonical(text: str):
+    """json.loads' value of text with each part's gaps an int64 array, or
+    None when text is not to_json's text of that value (one newline may
+    follow it), or when no list is read. Every list after '"deltas":['
+    that _read_gaps reads is cut out of the text, which json.loads then
+    parses. In to_json's text the
+    cut lists are those of the parts whose parsed deltas are [] exactly
+    when the emptied text re-encodes to itself and their counts agree: a
+    "deltas" key elsewhere, a key ending in \\"deltas or a repeated key
+    breaks one of the two, and None sends the text to json.loads whole."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    kept, gaps, done, at = [], [], 0, 0
+    while (at := text.find(_GAPS_KEY, at)) >= 0:
+        at += len(_GAPS_KEY)
+        end = text.find("]", at)
+        read = _read_gaps(data, at, end) if end >= 0 else None
+        if read is not None:
+            kept.append(text[done:at])
+            gaps.append(read)
+            done = at = end
+    if not gaps:
+        return None
+    kept.append(text[done:])
+    emptied = "".join(kept)
+    try:
+        raw = json.loads(emptied)
+    except json.JSONDecodeError:
+        return None
+    parts = raw.get("parts") if type(raw) is dict else None
+    holders = [
+        part
+        for part in (parts.values() if type(parts) is dict else ())
+        if type(part) is dict and part.get("deltas") == []
+    ]
+    if len(holders) != len(gaps) or _encode(raw) != emptied.removesuffix("\n"):
+        return None
+    for part, read in zip(holders, gaps):
+        part["deltas"] = read
+    return raw
+
+
+def _read_gaps(data: bytes, start: int, end: int):
+    """The int64 array of the JSON list whose items are data[start:end],
+    or None unless every item is digits alone: no sign, no leading zero,
+    no empty item and at most _MAX_DIGITS digits, so it fits in int64. The
+    empty list reads as the empty array. Each gap is summed one decimal
+    place at a time, from the digit that ends it."""
+    if start == end:
+        return np.empty(0, dtype=np.int64)
+    chars = np.frombuffer(data, dtype=np.uint8, count=end - start, offset=start)
+    digits = chars - np.uint8(ord("0"))  # wraps: every other byte reads >= 10
+    commas = chars == ord(",")
+    ends = np.append(np.flatnonzero(commas), chars.size)
+    width = np.diff(ends, prepend=-1) - 1
+    if (
+        not np.array_equal(digits >= 10, commas)
+        or width.min() < 1
+        or width.max() > _MAX_DIGITS
+        or (digits[ends - width] == 0)[width > 1].any()
+    ):
+        return None
+    gaps = digits[ends - 1].astype(np.int64)
+    for place in range(1, int(width.max())):
+        longer = np.flatnonzero(width > place)
+        gaps[longer] += digits[ends[longer] - 1 - place] * np.int64(10**place)
+    return gaps
 
 
 def _trace_summary(trace) -> dict:

@@ -211,7 +211,8 @@ class Representation:
 
     def denominators(self) -> np.ndarray:
         parts = [np.asarray(p, dtype=np.int64) for p in self.parts().values()]
-        return np.sort(np.concatenate(parts))
+        # each part is sorted, and a stable sort merges sorted runs
+        return np.sort(np.concatenate(parts), kind="stable")
 
     def parts(self) -> dict:
         """The five pairwise disjoint parts, keyed as in the certificate

@@ -2,16 +2,19 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from densefrac import cli
+from densefrac import certificate, cli
 from densefrac.certificate import (
     CertificateDocument,
     _certificate_block,
+    _encode,
+    _is_gaps,
     decode_deltas,
     document_from_representation,
     encode_deltas,
@@ -152,6 +155,210 @@ def test_writer_matches_json_dumps(parts):
     )
     assert doc.to_json() == text
     assert CertificateDocument.from_json(text).to_json() == text
+
+
+def _listed(value):
+    """value with every numpy array written as a list of Python ints."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if type(value) is dict:
+        return {k: _listed(v) for k, v in value.items()}
+    if type(value) is list:
+        return [_listed(v) for v in value]
+    return value
+
+
+def _read(text):
+    """What from_json makes of text, written as JSON with every array a
+    list (so 1, 1.0 and true differ), and what the denominators decode to;
+    a refusal is its ParameterError's text."""
+    try:
+        doc = CertificateDocument.from_json(text)
+    except ParameterError as e:
+        return "refused", str(e)
+    fields = _encode(_listed(vars(doc)))
+    try:
+        return fields, doc.denominators().tolist()
+    except ParameterError as e:
+        return fields, str(e)
+
+
+def _read_by_json_loads(text):
+    """_read with the whole text parsed by json.loads, as any non-canonical
+    text is."""
+    with mock.patch.object(certificate, "_read_canonical", return_value=None):
+        return _read(text)
+
+
+_BASE = {
+    "version": 1,
+    "r": "1/2",
+    "x": 10,
+    "parameters": {"k": 3},
+    "parts": {"A": {"first": 2, "deltas": [1, 2]}, "B": {"first": None, "deltas": []}},
+    "trace": {},
+    "certificate": {"size": 3},
+}
+
+
+def _compact(value, **options):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), **options)
+
+
+def _with(**fields):
+    return {**_BASE, **fields}
+
+
+def _with_part(**part):
+    return _with(parts={**_BASE["parts"], "A": {**_BASE["parts"]["A"], **part}})
+
+
+# Text edits of a compact document: the gap list [1,2] of part A rewritten.
+_EDITS = ["", "0", "01", "1,,2", "1,", ",1", "-1", "1, 2", " 1", "1.0", "1e2",
+          "999999999999999999", "1234567890123456789", "9999999999999999999",
+          "18446744073709551617"]
+
+_DIGITS = st.lists(st.integers(0, 9), max_size=2)
+_WRITTEN_PART = st.lists(
+    st.one_of(st.integers(0, 3000), st.integers(2**62, 2**66)), min_size=2, max_size=8
+).map(lambda v: _listed(encode_deltas(v)))
+_PART_VALUES = st.one_of(
+    # as the writer makes them, gaps past int64 included (most parts)
+    _WRITTEN_PART,
+    _WRITTEN_PART,
+    _WRITTEN_PART,
+    # any first and deltas; a key that ends in "deltas
+    st.fixed_dictionaries(
+        {
+            "first": st.one_of(st.integers(-5, 10**6), _JSON_SCALARS),
+            "deltas": st.lists(st.one_of(st.integers(-5, 10**19), _JSON_SCALARS), max_size=4),
+        },
+        optional={'foo "deltas': _DIGITS},
+    ),
+    _JSON_SCALARS,
+    _DIGITS,
+)
+_READ_DOCUMENTS = st.fixed_dictionaries(
+    {
+        "version": st.sampled_from([1, 1, 1, 1, 2, 1.0, True]),
+        "r": st.sampled_from(["1/2", "1/2", "1/2", "2/4"]),
+        "x": st.sampled_from([10, 10, 10, "10"]),
+        "parameters": st.dictionaries(
+            st.sampled_from(["k", "y", "warnings", "ω", "deltas", 'foo "deltas']),
+            st.one_of(_JSON_SCALARS, st.text(max_size=2), _DIGITS),
+            max_size=2,
+        ),
+        "parts": st.one_of(
+            *[
+                st.dictionaries(
+                    st.sampled_from(["A", "A_prime", "D1", "D2", "név", "deltas"]),
+                    _PART_VALUES,
+                    min_size=1,
+                    max_size=4,
+                )
+            ]
+            * 5,
+            _DIGITS,
+        ),
+        "certificate": st.dictionaries(
+            st.sampled_from(["size", "distinct", "max_ok", "deltas"]), _DIGITS, max_size=2
+        ),
+    },
+    optional={"trace": st.dictionaries(st.sampled_from(["steps", "deltas"]), _JSON_SCALARS)},
+)
+_LAYOUTS = {
+    "writer": _compact,
+    "writer, newline": lambda v: _compact(v) + "\n",
+    "spaces": json.dumps,
+    "indent": lambda v: json.dumps(v, indent=1),
+    "raw non-ASCII": lambda v: _compact(v, ensure_ascii=False),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_READ_DOCUMENTS, layout=st.sampled_from(list(_LAYOUTS)))
+@example(value=_BASE, layout="writer")
+@example(value=_BASE, layout="writer, newline")
+@example(value=_BASE, layout="spaces")
+@example(value=_BASE, layout="indent")
+@example(value=_with(parameters={"k": "ω"}), layout="raw non-ASCII")
+@example(value=_with_part(**{'foo "deltas': [4]}), layout="writer")
+@example(value=_with(certificate={'foo "deltas': [4]}), layout="writer")
+@example(value=_with(certificate={"deltas": [4]}, parameters={"deltas": []}), layout="writer")
+@example(value=_with(parts={"deltas": [1, 2]}), layout="writer")
+@example(value=_with_part(deltas=[-1, 3]), layout="writer")
+@example(value=_with_part(deltas=[10**18, 10**18 - 1]), layout="writer")
+@example(value=_with_part(deltas=[3, 2**63]), layout="writer")
+@example(value=_with(parts={}), layout="writer")
+@example(value=_with(parts={"A": {"first": None, "deltas": []}}), layout="writer")
+def test_reader_matches_json_loads(value, layout):
+    """from_json reads every text to the value json.loads makes of it, with
+    int64 arrays in place of equal gap lists, and refuses the same texts
+    with the same ParameterError; the denominators decode alike."""
+    text = _LAYOUTS[layout](value)
+    assert _read(text) == _read_by_json_loads(text)
+
+
+_TEXT_EDITS = {
+    # part A's gap list rewritten
+    **{f"[{e}]": ("[1,2]", f"[{e}]") for e in _EDITS},
+    # a repeated key, in a part, of a part and of the document
+    "repeated deltas": ('"deltas":[1,2]', '"deltas":[1,2],"deltas":[5]'),
+    "repeated part": ('"parts":{', '"parts":{"A":{"deltas":[9],"first":1},'),
+    "deltas outside parts": ('{"certificate"', '{"deltas":[7],"certificate"'),
+    # a key that ends in "deltas, also beside a gap list that is not cut
+    "key foo \\\"deltas": ('"first":2', '"first":2,"foo \\"deltas":[4]'),
+    "key foo \\\"deltas beside [ ]": (
+        '"deltas":[1,2],"first":2',
+        '"deltas":[ ],"first":2,"foo \\"deltas":[4]',
+    ),
+    "a gap list inside a string": ('"k":3', '"k":"\\"deltas\\":[4]"'),
+    "two newlines": ('"x":10}', '"x":10}\n\n'),
+    "a leading space": ('{"certificate"', ' {"certificate"'),
+}
+
+
+@pytest.mark.parametrize("edit", list(_TEXT_EDITS))
+def test_reader_matches_json_loads_on_edited_text(edit):
+    old, new = _TEXT_EDITS[edit]
+    text = _compact(_BASE)
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    assert _read(text) == _read_by_json_loads(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(["A", "A_prime", "C_minus_A_prime", "D1", "D2"]),
+        st.lists(st.integers(1, 10**6), max_size=30),
+    )
+)
+def test_written_gaps_are_read_as_arrays(values):
+    """Every part of a document as to_json writes it, with or without the
+    newline construct --out adds, is read as an int64 array, so a silent
+    fall back to json.loads shows here."""
+    doc = CertificateDocument(
+        version=1,
+        r="1/2",
+        x=10**6,
+        parameters={"warnings": []},
+        parts={name: encode_deltas(v) for name, v in values.items()},
+        trace={},
+        certificate={"size": 3},
+    )
+    text = doc.to_json()
+    for read in (text, text + "\n"):
+        parts = CertificateDocument.from_json(read).parts
+        assert all(_is_gaps(part["deltas"]) for part in parts.values())
+        assert _listed(parts) == _listed(doc.parts)
+
+
+def test_constructed_document_is_read_as_arrays(rep):
+    text = document_from_representation(rep).to_json()
+    doc = CertificateDocument.from_json(text + "\n")
+    assert all(_is_gaps(part["deltas"]) for part in doc.parts.values())
+    assert doc.to_json() == text
 
 
 @pytest.fixture(scope="module")

@@ -133,6 +133,17 @@ def test_construct_and_verify(cert_file):
     assert out["sum_exact"] and out["consistent_with_document"]
 
 
+def test_verify_reads_any_layout_alike(cert_file, tmp_path):
+    """The file construct --out writes (its text and a newline) and the same
+    document laid out with indent=1 verify to the same output."""
+    assert cert_file.read_text().endswith("}\n")
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(json.loads(cert_file.read_text()), indent=1))
+    written, laid_out = run_cli("verify", str(cert_file)), run_cli("verify", str(indented))
+    assert written.returncode == laid_out.returncode == 0
+    assert written.stdout == laid_out.stdout
+
+
 def test_verify_tampered_exit_1(cert_file, tmp_path):
     doc = json.loads(cert_file.read_text())
     doc["parts"]["A"]["deltas"][5] += 1

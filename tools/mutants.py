@@ -423,6 +423,44 @@ MUTANTS = [
         ),
         ["tests/test_certificate.py"],
     ),
+    # The document reader: gap lists of canonical text read into int64
+    # arrays, every other text parsed by json.loads whole.
+    (
+        "gap reader drops the byte test",
+        CERTIFICATE,
+        (("        not np.array_equal(digits >= 10, commas)\n        or ", "        "),),
+        ["tests/test_certificate.py"],
+    ),
+    (
+        "gap reader drops the leading-zero test",
+        CERTIFICATE,
+        (("        or (digits[ends - width] == 0)[width > 1].any()\n", ""),),
+        ["tests/test_certificate.py"],
+    ),
+    (
+        "gap reader drops the empty-item test",
+        CERTIFICATE,
+        (("        or width.min() < 1\n", ""),),
+        ["tests/test_certificate.py"],
+    ),
+    (
+        "gap reader reads 19 digits",
+        CERTIFICATE,
+        (("_MAX_DIGITS = 18", "_MAX_DIGITS = 19"),),
+        ["tests/test_certificate.py"],
+    ),
+    (
+        "canonical reader skips the re-encode check",
+        CERTIFICATE,
+        ((' or _encode(raw) != emptied.removesuffix("\\n")', ""),),
+        ["tests/test_certificate.py"],
+    ),
+    (
+        "canonical reader skips the count check",
+        CERTIFICATE,
+        (("len(holders) != len(gaps) or ", ""),),
+        ["tests/test_certificate.py"],
+    ),
 ]
 
 
