@@ -356,13 +356,6 @@ def test_written_gaps_are_read_as_arrays(values):
         assert _listed(parts) == _listed(doc.parts)
 
 
-def test_constructed_document_is_read_as_arrays(rep):
-    text = document_from_representation(rep).to_json()
-    doc = CertificateDocument.from_json(text + "\n")
-    assert all(_is_gaps(part["deltas"]) for part in doc.parts.values())
-    assert doc.to_json() == text
-
-
 @pytest.fixture(scope="module")
 def rep():
     return construct_dense(Fraction(1, 3), 10**5)
@@ -373,6 +366,9 @@ def test_document_round_trip_byte_identical(rep):
     text = doc.to_json()
     again = CertificateDocument.from_json(text).to_json()
     assert text == again
+    # every part of a constructed document is read as an int64 array
+    parsed = CertificateDocument.from_json(text + "\n")
+    assert all(_is_gaps(part["deltas"]) for part in parsed.parts.values())
 
 
 def test_document_denominators_match(rep):
