@@ -5,21 +5,18 @@ million-element certificates stay megabyte-scale. Exact rationals travel as
 "a/b" strings; floating approximations are labeled approx. Documents are
 deterministic: same representation, byte-identical JSON.
 
-In memory, a part's gaps are the int64 array that np.diff makes of its
-sorted values (a list of Python ints only when a gap could pass int64).
-to_json writes such an array through a table of decimal strings, with the
-same bytes json.dumps writes of its ints, and from_json reads each gap list
-of a document as to_json writes it straight into such an array, so neither
-makes a Python int per gap. A parsed document holds a list only where its
-text is not to_json's (then json.loads reads the whole of it) or a gap
-list is not a plain list of digits (a negative gap, a gap of 19 or more
-digits, a malformed list).
+A part's gaps have one form, in memory and when read: the int64 array that
+np.diff makes of its sorted values. to_json writes it through a table of
+decimal strings, with the same bytes json.dumps writes of its ints, and
+from_json reads each gap list straight into such an array, so neither
+makes a Python int per gap. from_json reads only the text to_json writes
+(one newline may follow it) and refuses every other text.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -54,23 +51,24 @@ def parse_frac(s: str) -> Fraction:
 
 def encode_deltas(values) -> dict:
     """Integers, in any order -> {first, deltas} of their sorted sequence;
-    decoding reproduces them exactly. first is a Python int. The values
-    become one numpy array (int_array), sorted only when it is not already
-    non-decreasing, and deltas is its np.diff: an int64 array, unless a gap
-    could pass 2^63, and a list of exact Python ints then."""
+    decoding reproduces them exactly. first is a Python int (None when
+    there are no values) and deltas the int64 array np.diff makes of the
+    values (int_array, sorted only when not already non-decreasing); the
+    empty part's is empty. Values that span 2^63 or more, whose gaps could
+    pass int64, raise ParameterError: a Representation's are bounded by
+    MAX_SIEVE_X. from_json reads gaps of at most _MAX_DIGITS digits."""
     a = int_array(values)
     if not a.size:
-        return {"first": None, "deltas": []}
+        return {"first": None, "deltas": np.empty(0, dtype=np.int64)}
     if not (a[1:] >= a[:-1]).all():
         a = np.sort(a)
     if int(a[-1]) - int(a[0]) >= 2**63:
-        a = a.astype(object)
-    gaps = np.diff(a)
-    return {"first": int(a[0]), "deltas": gaps if _is_gaps(gaps) else gaps.tolist()}
+        raise ParameterError("certificate part spans 2^63 or more: its gaps pass int64")
+    return {"first": int(a[0]), "deltas": np.diff(a).astype(np.int64, copy=False)}
 
 
 def _is_gaps(deltas) -> bool:
-    """Whether deltas is a part's gaps in their array form, a 1-D int64
+    """Whether deltas is a part's gaps in their one form, a 1-D int64
     array; the test reads only the type, dtype and shape."""
     return type(deltas) is np.ndarray and deltas.dtype == np.int64 and deltas.ndim == 1
 
@@ -78,38 +76,27 @@ def _is_gaps(deltas) -> bool:
 def decode_deltas(enc: dict) -> np.ndarray:
     """{first, deltas} -> the integers, as a numpy array of their running
     sums; the one check of the part format. The part must be a dict, first
-    an int, and deltas either a list of JSON integers, as json.loads reads
-    a gap list, or the int64 array encode_deltas and from_json make
-    (_is_gaps): anything else
-    (a list part, a string, a float or a bool, an array of another dtype)
-    raises ParameterError. A null first encodes the empty part, so it
-    admits no deltas. The array is int64 when |first| + len(deltas) *
-    max |delta| < 2^63, a bound on every running sum computed in Python
-    ints, and object (exact Python ints) otherwise."""
+    an int and deltas the int64 array encode_deltas and from_json make
+    (_is_gaps): anything else (a list part, a string, a float or a bool, a
+    list, an array of another dtype, no deltas) raises ParameterError. A
+    null first encodes the empty part, so it admits no deltas. The array is
+    int64 when |first| + len(deltas) * max |delta| < 2^63, a bound on every
+    running sum computed in Python ints, and object (exact Python ints)
+    otherwise."""
     if type(enc) is not dict:
         raise ParameterError("malformed certificate part: not a JSON object")
-    first = enc.get("first")
-    deltas = enc.get("deltas", [])
-    array = _is_gaps(deltas)
-    well_formed = array or (
-        type(deltas) is list and set(map(type, deltas)) <= {int}
-    )
-    if first is None and well_formed and not len(deltas):
-        return np.empty(0, dtype=np.int64)
-    if not (type(first) is int and well_formed):
+    first, deltas = enc.get("first"), enc.get("deltas")
+    if not (_is_gaps(deltas) and (type(first) is int or (first is None and not deltas.size))):
         raise ParameterError(
-            "malformed delta encoding: first and every delta must be integers, "
-            "and a null first admits no deltas"
+            "malformed delta encoding: first must be an integer and deltas an "
+            "int64 gap array, and a null first admits no deltas"
         )
-    try:
-        steps = deltas if array else np.fromiter(deltas, dtype=np.int64, count=len(deltas))
-        widest = max(int(steps.max(initial=0)), -int(steps.min(initial=0)))
-        fits = abs(first) + len(deltas) * widest < 2**63
-    except OverflowError:
-        fits = False
-    if not fits:
-        steps = np.array(deltas, dtype=object)
-    return np.cumsum(np.concatenate((np.array([first], dtype=steps.dtype), steps)))
+    if first is None:
+        return np.empty(0, dtype=np.int64)
+    widest = max(int(deltas.max(initial=0)), -int(deltas.min(initial=0)))
+    fits = abs(first) + deltas.size * widest < 2**63
+    head = np.array([first], dtype=np.int64 if fits else object)
+    return np.cumsum(np.concatenate((head, deltas)))
 
 
 @dataclass
@@ -137,33 +124,42 @@ class CertificateDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "CertificateDocument":
-        """Parse a document; a header that is not exactly as written raises
-        ParameterError: version must be the JSON integer FORMAT_VERSION, x a
-        JSON integer, r a canonical "a/b" string, and parameters, parts,
-        certificate and (optional) trace JSON objects. Each part is checked
-        when it is decoded (decode_deltas). Text as to_json writes it is
-        read by _read_canonical; any other text by json.loads whole, to the
-        same value with lists in place of the gap arrays."""
-        raw = _read_canonical(text)
-        if raw is None:
-            try:
-                raw = json.loads(text)
-            except json.JSONDecodeError as e:
-                raise ParameterError(f"malformed certificate JSON: {e}") from None
+        """Parse a document as to_json writes it, one newline allowed after
+        it; every other text raises ParameterError. Each list after
+        '"deltas":[' is cut out of the text and read by _read_gaps, and
+        json.loads parses the rest. The text is accepted only when it is
+        to_json's text of what was parsed, with the cut lists left empty,
+        and the cut lists are the parts' gap lists, one each; each part
+        then takes its array. The header must be as written, since a
+        canonical text may hold "x":"10": version the JSON integer
+        FORMAT_VERSION, x a JSON integer, r a canonical "a/b" string, and
+        parameters, parts, trace and certificate JSON objects. Each part is
+        checked when it is decoded (decode_deltas)."""
+        emptied, gaps = _cut_gaps(text)
+        try:
+            raw = json.loads(emptied)
+        except json.JSONDecodeError as e:
+            raise ParameterError(f"malformed certificate JSON: {e}") from None
         if not isinstance(raw, dict):
             raise ParameterError("certificate document is not a JSON object")
         try:
-            doc = cls(
-                version=raw["version"],
-                r=raw["r"],
-                x=raw["x"],
-                parameters=raw["parameters"],
-                parts=raw["parts"],
-                trace=raw.get("trace", {}),
-                certificate=raw["certificate"],
-            )
+            doc = cls(**{field.name: raw[field.name] for field in fields(cls)})
         except KeyError as e:
             raise ParameterError(f"certificate document missing field: {e}") from None
+        holders = [
+            part
+            for part in (doc.parts.values() if type(doc.parts) is dict else ())
+            if type(part) is dict and part.get("deltas") == []
+        ]
+        for part in holders:
+            part["deltas"] = np.empty(0, dtype=np.int64)
+        if len(holders) != len(gaps):
+            raise ParameterError(
+                f'certificate text has {len(gaps)} "deltas" lists for {len(holders)} '
+                "parts' gap lists"
+            )
+        if doc.to_json() != emptied.removesuffix("\n"):
+            raise ParameterError("certificate text is not as construct writes it")
         if type(doc.version) is not int or doc.version != FORMAT_VERSION:
             raise ParameterError(
                 f"certificate version {doc.version!r} is not {FORMAT_VERSION}"
@@ -175,6 +171,8 @@ class CertificateDocument:
         for name in ("parameters", "parts", "trace", "certificate"):
             if type(getattr(doc, name)) is not dict:
                 raise ParameterError(f"certificate {name} is not a JSON object")
+        for part, read in zip(holders, gaps):
+            part["deltas"] = read
         return doc
 
     def denominators(self) -> np.ndarray:
@@ -227,55 +225,33 @@ def _gaps_json(gaps: np.ndarray) -> str:
     return "[" + ",".join(text.tolist()) + "]"
 
 
-def _read_canonical(text: str):
-    """json.loads' value of text with each part's gaps an int64 array, or
-    None when text is not to_json's text of that value (one newline may
-    follow it), or when no list is read. Every list after '"deltas":['
-    that _read_gaps reads is cut out of the text, which json.loads then
-    parses. In to_json's text the
-    cut lists are those of the parts whose parsed deltas are [] exactly
-    when the emptied text re-encodes to itself and their counts agree: a
-    "deltas" key elsewhere, a key ending in \\"deltas or a repeated key
-    breaks one of the two, and None sends the text to json.loads whole."""
+def _cut_gaps(text: str) -> tuple:
+    """(text with every list after '"deltas":[' emptied, those lists as
+    int64 arrays, read by _read_gaps). to_json writes ASCII, so any other
+    text is refused, as is a list that is not closed."""
     if not text.isascii():
-        return None
+        raise ParameterError("certificate text is not ASCII, as construct writes it")
     data = text.encode("ascii")
     kept, gaps, done, at = [], [], 0, 0
     while (at := text.find(_GAPS_KEY, at)) >= 0:
         at += len(_GAPS_KEY)
         end = text.find("]", at)
-        read = _read_gaps(data, at, end) if end >= 0 else None
-        if read is not None:
-            kept.append(text[done:at])
-            gaps.append(read)
-            done = at = end
-    if not gaps:
-        return None
+        if end < 0:
+            raise ParameterError(f"certificate gap list at {at} is not closed")
+        gaps.append(_read_gaps(data, at, end))
+        kept.append(text[done:at])
+        done = at = end
     kept.append(text[done:])
-    emptied = "".join(kept)
-    try:
-        raw = json.loads(emptied)
-    except json.JSONDecodeError:
-        return None
-    parts = raw.get("parts") if type(raw) is dict else None
-    holders = [
-        part
-        for part in (parts.values() if type(parts) is dict else ())
-        if type(part) is dict and part.get("deltas") == []
-    ]
-    if len(holders) != len(gaps) or _encode(raw) != emptied.removesuffix("\n"):
-        return None
-    for part, read in zip(holders, gaps):
-        part["deltas"] = read
-    return raw
+    return "".join(kept), gaps
 
 
-def _read_gaps(data: bytes, start: int, end: int):
-    """The int64 array of the JSON list whose items are data[start:end],
-    or None unless every item is digits alone: no sign, no leading zero,
-    no empty item and at most _MAX_DIGITS digits, so it fits in int64. The
-    empty list reads as the empty array. Each gap is summed one decimal
-    place at a time, from the digit that ends it."""
+def _read_gaps(data: bytes, start: int, end: int) -> np.ndarray:
+    """The int64 array of the JSON list whose items are data[start:end].
+    Every item must be digits alone, as to_json writes a gap: no sign, no
+    leading zero, no empty item and at most _MAX_DIGITS digits, so it fits
+    in int64; any other list raises ParameterError. The empty list reads as
+    the empty array. Each gap is summed one decimal place at a time, from
+    the digit that ends it."""
     if start == end:
         return np.empty(0, dtype=np.int64)
     chars = np.frombuffer(data, dtype=np.uint8, count=end - start, offset=start)
@@ -289,7 +265,10 @@ def _read_gaps(data: bytes, start: int, end: int):
         or width.max() > _MAX_DIGITS
         or (digits[ends - width] == 0)[width > 1].any()
     ):
-        return None
+        raise ParameterError(
+            f"certificate gap list at {start} is not plain digits of at most "
+            f"{_MAX_DIGITS}, as construct writes gaps"
+        )
     gaps = digits[ends - 1].astype(np.int64)
     for place in range(1, int(width.max())):
         longer = np.flatnonzero(width > place)

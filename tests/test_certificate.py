@@ -1,15 +1,15 @@
 import hashlib
 import json
 import random
+from dataclasses import fields
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from densefrac import certificate, cli
+from densefrac import cli
 from densefrac.certificate import (
     CertificateDocument,
     _certificate_block,
@@ -63,22 +63,25 @@ def _decode_elementwise(enc):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(st.integers(-10, 10**6), st.integers(2**62, 2**66))))
-@example([2**63 - 1, -10])  # both int64, their gap is not
-def test_delta_encoding_matches_elementwise(vals):
+@given(
+    vals=st.lists(st.one_of(st.integers(-10, 10**6), st.integers(2**62, 2**66))),
+    shift=st.sampled_from([0, 0, 2**70]),
+)
+@example(vals=[2**63 - 1, -10], shift=0)  # both int64, their gap is not
+@example(vals=[5, 3, 5], shift=2**70)  # past int64 through first, int64 gaps
+def test_delta_encoding_matches_elementwise(vals, shift):
     """Values past int64 and repeats included; unsorted input is sorted. The
-    gaps are an int64 array when every value and every gap fits in int64,
-    and a list of Python ints otherwise."""
+    gaps are an int64 array, and values that span 2^63 or more, whose gaps
+    could pass int64, are refused."""
+    vals = [v + shift for v in vals]
+    if vals and max(vals) - min(vals) >= 2**63:
+        with pytest.raises(ParameterError, match="spans 2\\^63"):
+            encode_deltas(vals)
+        return
     enc = encode_deltas(vals)
-    deltas = enc["deltas"]
-    if vals and all(-(2**63) <= v < 2**63 for v in vals) and max(vals) - min(vals) < 2**63:
-        assert type(deltas) is np.ndarray and deltas.dtype == np.int64
-        deltas = deltas.tolist()
-    else:
-        assert type(deltas) is list
+    assert _is_gaps(enc["deltas"])
     assert enc["first"] is None or type(enc["first"]) is int
-    assert all(type(d) is int for d in deltas)
-    assert {**enc, "deltas": deltas} == _encode_elementwise(vals)
+    assert {**enc, "deltas": enc["deltas"].tolist()} == _encode_elementwise(vals)
     assert decode_deltas(enc).tolist() == _decode_elementwise(enc) == sorted(vals)
 
 
@@ -94,8 +97,9 @@ def test_delta_encoding_matches_elementwise(vals):
     ),
 )
 def test_decode_deltas_matches_elementwise(first, deltas):
-    """Negative deltas, and running sums that pass 2^63 and come back."""
-    enc = {"first": first, "deltas": deltas}
+    """Negative deltas, a first past int64, and running sums that pass 2^63
+    and come back."""
+    enc = {"first": first, "deltas": np.array(deltas, dtype=np.int64)}
     assert decode_deltas(enc).tolist() == _decode_elementwise(enc)
 
 
@@ -103,58 +107,10 @@ def _plain(parts):
     """parts with every int64 gap array written as a list of Python ints."""
     return {
         name: {**part, "deltas": part["deltas"].tolist()}
-        if isinstance(part.get("deltas"), np.ndarray)
+        if type(part) is dict and isinstance(part.get("deltas"), np.ndarray)
         else part
         for name, part in parts.items()
     }
-
-
-_GAPS = st.one_of(
-    st.integers(-3, 1100),
-    st.sampled_from([1023, 1024, 1025, 10**6, -1, -(2**63), 2**63 - 1]),
-)
-_JSON_SCALARS = st.one_of(st.integers(), st.booleans(), st.floats(), st.none())
-_PARTS = st.dictionaries(
-    st.one_of(st.sampled_from(["A", "D1", "név", "部分"]), st.text(max_size=3)),
-    st.one_of(
-        # as the constructor writes them: int64 arrays, or lists past int64
-        st.lists(
-            st.one_of(st.integers(-10, 3000), st.integers(2**62, 2**66)), max_size=20
-        ).map(encode_deltas),
-        # tampered in memory: any int64 gaps, negative ones too
-        st.builds(
-            lambda first, gaps: {"first": first, "deltas": np.array(gaps, dtype=np.int64)},
-            st.integers(-10, 10**6),
-            st.lists(_GAPS, max_size=20),
-        ),
-        # as a parsed document may hold them: any JSON values
-        st.fixed_dictionaries({"first": _JSON_SCALARS, "deltas": st.lists(_JSON_SCALARS)}),
-    ),
-    max_size=5,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(parts=_PARTS)
-@example(parts={"A": {"first": 5, "deltas": np.array([], dtype=np.int64)}})
-@example(parts={"név": encode_deltas([7])})
-def test_writer_matches_json_dumps(parts):
-    """to_json writes exactly json.dumps' text of the same document with
-    every gap a Python int, and a parsed document writes back its text."""
-    doc = CertificateDocument(
-        version=1,
-        r="1/2",
-        x=10,
-        parameters={"k": 3, "warnings": ["ω", 2.5, True, None]},
-        parts=parts,
-        trace={},
-        certificate={"size": 3},
-    )
-    text = json.dumps(
-        {**vars(doc), "parts": _plain(parts)}, sort_keys=True, separators=(",", ":")
-    )
-    assert doc.to_json() == text
-    assert CertificateDocument.from_json(text).to_json() == text
 
 
 def _listed(value):
@@ -168,26 +124,73 @@ def _listed(value):
     return value
 
 
-def _read(text):
-    """What from_json makes of text, written as JSON with every array a
-    list (so 1, 1.0 and true differ), and what the denominators decode to;
-    a refusal is its ParameterError's text."""
-    try:
-        doc = CertificateDocument.from_json(text)
-    except ParameterError as e:
-        return "refused", str(e)
-    fields = _encode(_listed(vars(doc)))
-    try:
-        return fields, doc.denominators().tolist()
-    except ParameterError as e:
-        return fields, str(e)
+def _plain_digits(gaps) -> bool:
+    """Whether every gap is written as digits alone, of at most 18: the gap
+    lists from_json reads."""
+    return all(type(g) is int and 0 <= g < 10**18 for g in _listed(gaps))
 
 
-def _read_by_json_loads(text):
-    """_read with the whole text parsed by json.loads, as any non-canonical
-    text is."""
-    with mock.patch.object(certificate, "_read_canonical", return_value=None):
-        return _read(text)
+_GAPS = st.one_of(
+    st.integers(-3, 1100),
+    st.sampled_from([1023, 1024, 1025, 10**6, -1, -(2**63), 2**63 - 1]),
+)
+_JSON_SCALARS = st.one_of(st.integers(), st.booleans(), st.floats(), st.none())
+_PARTS = st.dictionaries(
+    st.one_of(st.sampled_from(["A", "D1", "név", "部分"]), st.text(max_size=3)),
+    st.one_of(
+        # as the constructor writes them, first past int64 too
+        st.builds(
+            lambda values, shift: encode_deltas([v + shift for v in values]),
+            st.lists(st.integers(-10, 3000), max_size=20),
+            st.sampled_from([0, 0, 2**64]),
+        ),
+        # tampered in memory: any int64 gaps, negative ones too
+        st.builds(
+            lambda first, gaps: {"first": first, "deltas": np.array(gaps, dtype=np.int64)},
+            st.integers(-10, 10**6),
+            st.lists(_GAPS, max_size=20),
+        ),
+        # any JSON values, which the writer dumps as they are
+        st.fixed_dictionaries({"first": _JSON_SCALARS, "deltas": st.lists(_JSON_SCALARS)}),
+        st.fixed_dictionaries({"first": _JSON_SCALARS, "deltas": _JSON_SCALARS}),
+        _JSON_SCALARS,
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=_PARTS)
+@example(parts={"A": {"first": 5, "deltas": np.array([], dtype=np.int64)}})
+@example(parts={"név": encode_deltas([7])})
+@example(parts={"A": {"first": 5, "deltas": np.array([10**18], dtype=np.int64)}})
+def test_writer_matches_json_dumps(parts):
+    """to_json writes exactly json.dumps' text of the same document with
+    every gap a Python int. from_json reads that text back to it when every
+    gap list is plain digits (as a constructed document's are), and refuses
+    it otherwise."""
+    doc = CertificateDocument(
+        version=1,
+        r="1/2",
+        x=10,
+        parameters={"k": 3, "warnings": ["ω", 2.5, True, None]},
+        parts=parts,
+        trace={},
+        certificate={"size": 3},
+    )
+    text = json.dumps(
+        {**vars(doc), "parts": _plain(parts)}, sort_keys=True, separators=(",", ":")
+    )
+    assert doc.to_json() == text
+    if all(
+        _plain_digits(part["deltas"])
+        for part in parts.values()
+        if type(part) is dict and isinstance(part["deltas"], (list, np.ndarray))
+    ):
+        assert CertificateDocument.from_json(text).to_json() == text
+    else:
+        with pytest.raises(ParameterError, match="not plain digits"):
+            CertificateDocument.from_json(text)
 
 
 _BASE = {
@@ -202,7 +205,101 @@ _BASE = {
 
 
 def _compact(value, **options):
+    """The writer's layout: to_json writes a document as this writes its
+    value with every gap array a list."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"), **options)
+
+
+def _canonical(r) -> bool:
+    try:
+        v = Fraction(r)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return False
+    return r == f"{v.numerator}/{v.denominator}"
+
+
+def _deltas_lists(value) -> list:
+    """Every list that the writer's text of value writes after '"deltas":[':
+    the value of a key whose JSON text ends in "deltas, at any depth."""
+    found = []
+    if type(value) is dict:
+        for k, v in value.items():
+            if type(v) is list and _compact(k).endswith('"deltas"'):
+                found.append(v)
+            found += _deltas_lists(v)
+    elif type(value) is list:
+        for v in value:
+            found += _deltas_lists(v)
+    return found
+
+
+def _acceptable(value) -> bool:
+    """Whether from_json must read the writer's text of value, by the rules
+    it states: the seven fields and no other, the header as written, and
+    each list written after '"deltas":[' a part's gap list of plain digits."""
+    if not (type(value) is dict and set(value) == {f.name for f in fields(CertificateDocument)}):
+        return False
+    if not (
+        type(value["version"]) is int
+        and value["version"] == 1
+        and type(value["x"]) is int
+        and _canonical(value["r"])
+        and all(type(value[k]) is dict for k in ("parameters", "parts", "trace", "certificate"))
+    ):
+        return False
+    gap_lists = [
+        part["deltas"]
+        for part in value["parts"].values()
+        if type(part) is dict and type(part.get("deltas")) is list
+    ]
+    written = _deltas_lists(value)
+    return len(written) == len(gap_lists) and all(map(_plain_digits, written))
+
+
+def _decoded(parts):
+    """The denominators of parsed parts, or None where decode_deltas must
+    refuse: a part that is no object or has no gap list, a first that is no
+    integer, or a null first with gaps."""
+    found = []
+    for part in parts.values():
+        if type(part) is not dict or type(part.get("deltas")) is not list:
+            return None
+        if part.get("first") is None and not part["deltas"]:
+            continue
+        if type(part.get("first")) is not int:
+            return None
+        found += _decode_elementwise(part)
+    return sorted(found)
+
+
+def _check_read(text) -> bool:
+    """Check from_json(text) against the reference above and return whether
+    it read text. It must read text exactly when text is the writer's text
+    of its json.loads value, one newline allowed, and the value is
+    _acceptable; then to that value, with an int64 array for each part's gap
+    list, whose denominators decode as _decoded says. Any other text is
+    refused with ParameterError."""
+    try:
+        value = json.loads(text)
+        readable = text.removesuffix("\n") == _compact(value) and _acceptable(value)
+    except json.JSONDecodeError:
+        readable = False
+    if not readable:
+        with pytest.raises(ParameterError):
+            CertificateDocument.from_json(text)
+        return False
+    doc = CertificateDocument.from_json(text)
+    assert _encode(_listed(vars(doc))) == _compact(value)
+    for name, part in value["parts"].items():
+        if type(part) is dict and type(part.get("deltas")) is list:
+            assert _is_gaps(doc.parts[name]["deltas"])
+    want = _decoded(value["parts"])
+    if want is None:
+        with pytest.raises(ParameterError):
+            doc.denominators()
+    else:
+        assert doc.denominators().tolist() == want
+    return True
 
 
 def _with(**fields):
@@ -214,11 +311,13 @@ def _with_part(**part):
 
 
 _DIGITS = st.lists(st.integers(0, 9), max_size=2)
-_WRITTEN_PART = st.lists(
-    st.one_of(st.integers(0, 3000), st.integers(2**62, 2**66)), min_size=2, max_size=8
-).map(lambda v: _listed(encode_deltas(v)))
+_WRITTEN_PART = st.builds(
+    lambda values, shift: _listed(encode_deltas([v + shift for v in values])),
+    st.lists(st.integers(0, 3000), min_size=2, max_size=8),
+    st.sampled_from([0, 0, 2**64]),
+)
 _PART_VALUES = st.one_of(
-    # as the writer makes them, gaps past int64 included (most parts)
+    # as the writer makes them, first past int64 included (most parts)
     _WRITTEN_PART,
     _WRITTEN_PART,
     _WRITTEN_PART,
@@ -235,9 +334,10 @@ _PART_VALUES = st.one_of(
 )
 _READ_DOCUMENTS = st.fixed_dictionaries(
     {
-        "version": st.sampled_from([1, 1, 1, 1, 2, 1.0, True]),
-        "r": st.sampled_from(["1/2", "1/2", "1/2", "2/4"]),
-        "x": st.sampled_from([10, 10, 10, "10"]),
+        # a header as written five times in six, field by field
+        "version": st.sampled_from([1] * 15 + [2, 1.0, True]),
+        "r": st.sampled_from(["1/2"] * 5 + ["2/4"]),
+        "x": st.sampled_from([10] * 5 + ["10"]),
         "parameters": st.dictionaries(
             st.sampled_from(["k", "y", "warnings", "ω", "deltas", 'foo "deltas']),
             st.one_of(_JSON_SCALARS, st.text(max_size=2), _DIGITS),
@@ -259,9 +359,13 @@ _READ_DOCUMENTS = st.fixed_dictionaries(
         "certificate": st.dictionaries(
             st.sampled_from(["size", "distinct", "max_ok", "deltas"]), _DIGITS, max_size=2
         ),
+        # None: no trace, which the writer always writes
+        "trace": st.one_of(
+            *[st.dictionaries(st.sampled_from(["steps", "deltas"]), _JSON_SCALARS)] * 7,
+            st.none(),
+        ),
     },
-    optional={"trace": st.dictionaries(st.sampled_from(["steps", "deltas"]), _JSON_SCALARS)},
-)
+).map(lambda value: {k: v for k, v in value.items() if k != "trace" or v is not None})
 _LAYOUTS = {
     "writer": _compact,
     "writer, newline": lambda v: _compact(v) + "\n",
@@ -272,7 +376,7 @@ _LAYOUTS = {
 
 
 @settings(max_examples=300, deadline=None)
-@given(value=_READ_DOCUMENTS, layout=st.sampled_from(list(_LAYOUTS)))
+@given(value=_READ_DOCUMENTS, layout=st.sampled_from(["writer", "writer, newline", *_LAYOUTS]))
 @example(value=_BASE, layout="writer")
 @example(value=_BASE, layout="writer, newline")
 @example(value=_BASE, layout="spaces")
@@ -288,11 +392,13 @@ _LAYOUTS = {
 @example(value=_with(parts={}), layout="writer")
 @example(value=_with(parts={"A": {"first": None, "deltas": []}}), layout="writer")
 def test_reader_matches_json_loads(value, layout):
-    """from_json reads every text to the value json.loads makes of it, with
-    int64 arrays in place of equal gap lists, and refuses the same texts
-    with the same ParameterError; the denominators decode alike."""
+    """from_json reads the writer's text of a value, with or without one
+    newline, to json.loads' value with int64 arrays in place of the parts'
+    gap lists when the value is _acceptable, and refuses it otherwise; it
+    refuses every other layout that differs from the writer's."""
     text = _LAYOUTS[layout](value)
-    assert _read(text) == _read_by_json_loads(text)
+    writers = text.removesuffix("\n") == _compact(value)
+    assert _check_read(text) == (writers and _acceptable(value))
 
 
 # Edits of _BASE's compact text: (old, new), old occurring once.
@@ -319,6 +425,11 @@ _TEXT_EDITS = {
     "a leading space": ('{"certificate"', ' {"certificate"'),
 }
 
+#: The edits that leave the writer's text of another document, which
+#: from_json reads like any: an empty part A, a repeated denominator, the
+#: widest gap read, and a parameter that is a string.
+_WRITER_EDITS = {"[]", "[0]", "[999999999999999999]", "a gap list inside a string"}
+
 
 @pytest.mark.parametrize("edit", list(_TEXT_EDITS))
 def test_reader_matches_json_loads_on_edited_text(edit):
@@ -326,7 +437,7 @@ def test_reader_matches_json_loads_on_edited_text(edit):
     text = _compact(_BASE)
     assert text.count(old) == 1
     text = text.replace(old, new)
-    assert _read(text) == _read_by_json_loads(text)
+    assert _check_read(text) == (edit in _WRITER_EDITS)
 
 
 @settings(max_examples=100, deadline=None)
@@ -337,9 +448,9 @@ def test_reader_matches_json_loads_on_edited_text(edit):
     )
 )
 def test_written_gaps_are_read_as_arrays(values):
-    """Every part of a document as to_json writes it, with or without the
-    newline construct --out adds, is read as an int64 array, so a silent
-    fall back to json.loads shows here."""
+    """A document as to_json writes it, with or without the newline
+    construct --out adds, reads to json.loads' value of its text with every
+    part's gaps the int64 array they were written from."""
     doc = CertificateDocument(
         version=1,
         r="1/2",
@@ -351,9 +462,9 @@ def test_written_gaps_are_read_as_arrays(values):
     )
     text = doc.to_json()
     for read in (text, text + "\n"):
-        parts = CertificateDocument.from_json(read).parts
-        assert all(_is_gaps(part["deltas"]) for part in parts.values())
-        assert _listed(parts) == _listed(doc.parts)
+        parsed = CertificateDocument.from_json(read)
+        assert all(_is_gaps(part["deltas"]) for part in parsed.parts.values())
+        assert _listed(vars(parsed)) == _listed(vars(doc)) == json.loads(read)
 
 
 @pytest.fixture(scope="module")
@@ -450,31 +561,36 @@ def test_recheck_rejects_an_honest_failing_document(rep, fault, tmp_path, capsys
 
 
 def test_malformed_document():
-    with pytest.raises(ParameterError):
+    """Each text is in the writer's layout, so that it reaches the check it
+    names."""
+    with pytest.raises(ParameterError, match="^malformed certificate JSON"):
         CertificateDocument.from_json("{not json")
-    with pytest.raises(ParameterError):
-        CertificateDocument.from_json('{"version": 1}')
-    fields = {"version": 1, "r": "1/2", "x": 10, "parameters": {}, "certificate": {}}
+    with pytest.raises(ParameterError, match="^certificate document missing field"):
+        CertificateDocument.from_json('{"version":1}')
+    header = {"version": 1, "r": "1/2", "x": 10, "parameters": {}, "trace": {}, "certificate": {}}
+    # a gap list is digits alone, not a string, float, bool or object: the
+    # reader refuses any other
+    for deltas in ([{}], ["5"], [2.5], [5.0], [True], [-1], [None]):
+        text = _compact({**header, "parts": {"A": {"first": 3, "deltas": deltas}}})
+        with pytest.raises(ParameterError, match="is not plain digits"):
+            CertificateDocument.from_json(text)
+    # the reader leaves the rest of a part to decode_deltas
     for part in (
         [1, 2],
         {"first": 3, "deltas": 7},
+        {"first": 3},
         {"first": "3", "deltas": []},
         {"first": True, "deltas": []},
-        {"first": 3, "deltas": [{}]},
-        # a delta must be a JSON integer, not a string, float or bool
-        {"first": 3, "deltas": ["5"]},
-        {"first": 3, "deltas": [2.5]},
-        {"first": 3, "deltas": [5.0]},
-        {"first": 3, "deltas": [True]},
         # a null first is the empty part: it admits no deltas
         {"first": None, "deltas": [5, 7]},
     ):
-        text = json.dumps({**fields, "parts": {"A": part}})
-        with pytest.raises(ParameterError):
-            CertificateDocument.from_json(text).denominators()
-    # Gaps in memory are an int64 array or a list; an array of another
-    # dtype is refused as its list would be.
+        doc = CertificateDocument.from_json(_compact({**header, "parts": {"A": part}}))
+        with pytest.raises(ParameterError, match="^malformed (certificate part|delta encoding)"):
+            doc.denominators()
+    # Gaps in memory are an int64 array: a list, or an array of another
+    # dtype, is refused.
     for deltas in (
+        [5],
         np.array([2.5]),
         np.array([5.0]),
         np.array([True]),
@@ -483,10 +599,16 @@ def test_malformed_document():
     ):
         with pytest.raises(ParameterError, match="^malformed delta encoding: first"):
             decode_deltas({"first": 3, "deltas": deltas})
-    # The header as written parses, trace being optional; an edit that
-    # int(), str() or dict() would turn back into it does not.
-    good = {**fields, "parts": {}}
-    assert CertificateDocument.from_json(json.dumps(good)).trace == {}
+    # The header as written parses, trace included; any other layout, an
+    # added field or a missing trace does not, nor does an edit that int(),
+    # str() or dict() would turn back into the header.
+    good = {**header, "parts": {}}
+    assert CertificateDocument.from_json(_compact(good)).to_json() == _compact(good)
+    for text in (json.dumps(good), _compact({**good, "extra": 1})):
+        with pytest.raises(ParameterError, match="not as construct writes it"):
+            CertificateDocument.from_json(text)
+    with pytest.raises(ParameterError, match="missing field: 'trace'"):
+        CertificateDocument.from_json(_compact({k: v for k, v in good.items() if k != "trace"}))
     for key, value in (
         ("version", 99),
         ("version", 1.7),
@@ -506,8 +628,8 @@ def test_malformed_document():
         ("certificate", None),
         ("trace", [["stage_one", {}]]),
     ):
-        with pytest.raises(ParameterError):
-            CertificateDocument.from_json(json.dumps({**good, key: value}))
+        with pytest.raises(ParameterError, match=f"^certificate {key} "):
+            CertificateDocument.from_json(_compact({**good, key: value}))
 
 
 # sha256 of document_from_representation(construct_dense(r, x, **options))

@@ -26,6 +26,12 @@ def run_cli(*args, timeout=300):
     return proc
 
 
+def write_doc(path, doc):
+    """Write a document's JSON value as construct --out writes documents:
+    the writer's layout and one newline."""
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def test_rho_u2():
     p = run_cli("rho", "--u", "2")
     assert p.returncode == 0
@@ -133,39 +139,40 @@ def test_construct_and_verify(cert_file):
     assert out["sum_exact"] and out["consistent_with_document"]
 
 
-def test_verify_reads_any_layout_alike(cert_file, tmp_path):
-    """The file construct --out writes (its text and a newline) and the same
-    document laid out with indent=1 verify to the same output."""
-    assert cert_file.read_text().endswith("}\n")
-    indented = tmp_path / "indented.json"
-    indented.write_text(json.dumps(json.loads(cert_file.read_text()), indent=1))
-    written, laid_out = run_cli("verify", str(cert_file)), run_cli("verify", str(indented))
-    assert written.returncode == laid_out.returncode == 0
-    assert written.stdout == laid_out.stdout
+def test_verify_refuses_another_layout_exit_64(cert_file, tmp_path):
+    """verify reads only the text construct --out writes (write_doc writes
+    it again from its JSON value): the same document laid out with
+    indent=1 is refused as malformed input."""
+    text = cert_file.read_text()
+    assert text.endswith("}\n")
+    again, indented = tmp_path / "again.json", tmp_path / "indented.json"
+    write_doc(again, json.loads(text))
+    assert again.read_text() == text
+    indented.write_text(json.dumps(json.loads(text), indent=1))
+    p = run_cli("verify", str(indented))
+    assert p.returncode == 64
+    assert json.loads(p.stdout)["code"] == "parameter"
 
 
 def test_verify_tampered_exit_1(cert_file, tmp_path):
     doc = json.loads(cert_file.read_text())
     doc["parts"]["A"]["deltas"][5] += 1
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    write_doc(bad, doc)
     p = run_cli("verify", str(bad))
     assert p.returncode == 1
     assert json.loads(p.stdout)["sum_exact"] is False
 
 
 def test_verify_beyond_int64_exit_1(cert_file, tmp_path):
-    """A denominator past int64 is carried exactly: it fails max_ok and the
-    sum, and only those."""
+    """A denominator past int64, carried through a part's first, is read
+    exactly: it fails max_ok and the sum, and only those. A gap of 19
+    digits is not one construct writes: malformed input."""
     doc = json.loads(cert_file.read_text())
     size = doc["certificate"]["size"]
-    d2 = doc["parts"]["D2"]
-    if d2["first"] is None:
-        d2["first"] = 2**70
-    else:
-        d2["deltas"].append(2**70 - d2["first"] - sum(d2["deltas"]))
+    doc["parts"]["E"] = {"first": 2**70, "deltas": []}
     bad = tmp_path / "big.json"
-    bad.write_text(json.dumps(doc))
+    write_doc(bad, doc)
     p = run_cli("verify", str(bad))
     assert p.returncode == 1
     assert json.loads(p.stdout) == {
@@ -177,6 +184,12 @@ def test_verify_beyond_int64_exit_1(cert_file, tmp_path):
         "size": size + 1,
         "consistent_with_document": False,
     }
+    doc = json.loads(cert_file.read_text())
+    doc["parts"]["A"]["deltas"].append(10**18)
+    write_doc(bad, doc)
+    p = run_cli("verify", str(bad))
+    assert p.returncode == 64
+    assert json.loads(p.stdout)["code"] == "parameter"
 
 
 @pytest.mark.parametrize(
@@ -192,7 +205,7 @@ def test_verify_malformed_part_exit_64(cert_file, tmp_path, part):
     doc = json.loads(cert_file.read_text())
     doc["parts"]["A"] = part
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    write_doc(bad, doc)
     p = run_cli("verify", str(bad))
     assert p.returncode == 64
     assert json.loads(p.stdout)["code"] == "parameter"
@@ -218,7 +231,7 @@ def test_verify_header_and_claims(cert_file, tmp_path, key, value, code):
     else:
         doc["certificate"][key] = value
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    write_doc(bad, doc)
     p = run_cli("verify", str(bad))
     assert p.returncode == code
     if code == 1:

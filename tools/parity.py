@@ -6,8 +6,11 @@ Run from anywhere inside a checkout. Exports src/densefrac of the git
 revision --ref into a temporary directory (git archive), then runs the same
 targets against it and against this checkout's src/densefrac, each tree in
 its own subprocess. A certified target is compared by the sha256 of its
-certificate document, a refused one by its error's as_dict(). Prints every
-mismatch and exits 1 on any, 0 when every target matches.
+certificate document, by whether from_json reads the document back (with
+the newline construct --out adds) to the same text, and by
+recheck_document's consistent flag on what it read; a refused one by its
+error's as_dict(). Prints every mismatch and exits 1 on any, 0 when every
+target matches.
 
 The targets: grid-1e6; sweep-1e5 at seed 0 and at --seed; the golden
 documents (tests/test_certificate.py) and golden refusals
@@ -68,7 +71,11 @@ def worker(src: str) -> None:
     """Construct every target read from stdin with the densefrac in src;
     write one outcome per target to stdout."""
     sys.path.insert(0, src)
-    from densefrac.certificate import document_from_representation
+    from densefrac.certificate import (
+        CertificateDocument,
+        document_from_representation,
+        recheck_document,
+    )
     from densefrac.construct import construct_dense
     from densefrac.errors import DensefracError
 
@@ -83,7 +90,14 @@ def worker(src: str) -> None:
             outcomes.append({"crash": f"{type(err).__name__}: {err}"})
         else:
             text = document_from_representation(rep).to_json()
-            outcomes.append({"certified": hashlib.sha256(text.encode()).hexdigest()})
+            outcome = {"certified": hashlib.sha256(text.encode()).hexdigest()}
+            try:
+                doc = CertificateDocument.from_json(text + "\n")
+                outcome["reads_back"] = doc.to_json() == text
+                outcome["consistent"] = recheck_document(doc)[1]
+            except DensefracError as err:
+                outcome["read_refused"] = err.as_dict()
+            outcomes.append(outcome)
     json.dump(outcomes, sys.stdout, default=str)
 
 
