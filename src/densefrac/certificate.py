@@ -36,6 +36,10 @@ _TEXT = np.array([str(n) for n in range(1024)], dtype=object)
 _GAPS_KEY = '"deltas":['
 _MAX_DIGITS = 18
 
+#: The encoder of _encode, built once: json.dumps with options builds one
+#: per call, and from_json's comparison makes about 30 calls per document.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def frac_str(v: Fraction) -> str:
     v = Fraction(v)
@@ -186,7 +190,7 @@ class CertificateDocument:
 def _encode(value) -> str:
     """The one JSON encoding of documents, also used to compare blocks: it
     tells true from 1 and 1 from 1.0, and NaN equals NaN."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(value)
 
 
 def _join(texts: dict) -> str:
