@@ -17,8 +17,9 @@ primes and asks them only for p | m and the multiplicity of p. Exact
 rationals are stdlib `fractions.Fraction` (always reduced, positive
 denominator). Bulk reciprocal sums over a family never reduce pairwise:
 see `densefrac.smooth.reciprocal_sum`, which divides a common denominator
-m by every element at once, summing m // n (in all, or per group of
-elements for the cutoff walk `mass_prefix`) and proving each m mod n zero.
+m by every element at once, summing m // n per group of elements (the
+pieces the cutoff walk `mass_prefix` takes whole) and proving each m mod n
+zero.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ _TEXT = np.array([str(n) for n in range(1024)], dtype=object)
 
 #: The text before each part's gap list in to_json's text, and the most
 #: digits _read_gaps reads in one gap: 10^18 - 1 is below 2^63.
+#: encode_deltas refuses a part whose gaps could be wider.
 _GAPS_KEY = '"deltas":['
 _MAX_DIGITS = 18
 
@@ -58,16 +59,20 @@ def encode_deltas(values) -> dict:
     decoding reproduces them exactly. first is a Python int (None when
     there are no values) and deltas the int64 array np.diff makes of the
     values (int_array, sorted only when not already non-decreasing); the
-    empty part's is empty. Values that span 2^63 or more, whose gaps could
-    pass int64, raise ParameterError: a Representation's are bounded by
-    MAX_SIEVE_X. from_json reads gaps of at most _MAX_DIGITS digits."""
+    empty part's is empty. Values that span 10^_MAX_DIGITS or more, whose
+    gaps could have more digits than from_json reads, raise ParameterError
+    (a Representation's are bounded by MAX_SIEVE_X), so every part written
+    reads back; since 10^_MAX_DIGITS < 2^63, no gap passes int64."""
     a = int_array(values)
     if not a.size:
         return {"first": None, "deltas": np.empty(0, dtype=np.int64)}
     if not (a[1:] >= a[:-1]).all():
         a = np.sort(a)
-    if int(a[-1]) - int(a[0]) >= 2**63:
-        raise ParameterError("certificate part spans 2^63 or more: its gaps pass int64")
+    if int(a[-1]) - int(a[0]) >= 10**_MAX_DIGITS:
+        raise ParameterError(
+            f"certificate part spans 10^{_MAX_DIGITS} or more: from_json reads "
+            f"gaps of at most {_MAX_DIGITS} digits"
+        )
     return {"first": int(a[0]), "deltas": np.diff(a).astype(np.int64, copy=False)}
 
 

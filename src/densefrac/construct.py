@@ -23,9 +23,10 @@ sieve's prime list (SmoothFamily.primes); the bound y'' and the exit
 prime, which may lie above y, and the odd expander read the table
 arith.SMALL_PRIMES, so no prime is found anew; r's denominator alone is
 trial-divided (arith.factorize). The family's exact mass is summed once,
-per group of _MASS_GROUP members, and the cutoff and stage-one remainder
-take the members below the cutoff off it with smooth.mass_prefix, whole
-groups first, the walk that also sets stage two's cut (choose_lambda).
+as smooth.reciprocal_sum's group sums, and the cutoff and stage-one
+remainder take the members below the cutoff off it with
+smooth.mass_prefix, whole groups first, the walk that also sets stage
+two's cut (choose_lambda).
 The sieve depends on r only through (x, y), and D(p0) and that mass
 through (x, y, w, k), so the module keeps one entry: the sieve of one x,
 which serves every y up to its own and every w and k, and per (y, w, k)
@@ -84,7 +85,6 @@ from .errors import (
 from .expand import _factor, breusch_bound, expand_odd
 from .modular import eliminate_prime
 from .smooth import (
-    _MASS_GROUP,
     SmoothFamily,
     SmoothParams,
     build_family,
@@ -254,8 +254,8 @@ def _spec_y_doubleprime(x: int, k: int) -> int:
 
 
 def _planning_sieve(x: int, y: int, w: int, k: int):
-    """(A(x, y; w, 0), D(p0), the sums of D(p0) // n over its members per
-    group of _MASS_GROUP), from the module's entry: one sieve of [1, x] and,
+    """(A(x, y; w, 0), D(p0), reciprocal_sum's group sums of D(p0) // n
+    over its members), from the module's entry: one sieve of [1, x] and,
     per (y, w, k) asked of it, that family as a view with its D(p0) and
     mass. The sieve serves every y up to its own; another x or a larger y
     drops the entry before it sieves, so two sieves are never held at once.
@@ -274,7 +274,7 @@ def _planning_sieve(x: int, y: int, w: int, k: int):
             return views[key]
         fam0 = sieve.sub_family(params)
     d_p0 = modulus_product(fam0.primes, w, k)  # no prime lies in (y, p0)
-    mass = reciprocal_sum(fam0.members, d_p0, _MASS_GROUP)
+    mass = reciprocal_sum(fam0.members, d_p0)
     views[key] = fam0, d_p0, mass
     _planning = sieve, views
     return fam0, d_p0, mass
@@ -290,9 +290,9 @@ def _resolve_cutoff(fam0: SmoothFamily, m: int, mass: tuple, r, delta):
     """(cutoff, r - sum_{n > cutoff} 1/n) over the members of fam0: the
     largest element-boundary cutoff with remainder in (0, delta].
 
-    mass holds the sums of m // n (m the modulus) over the members, per
-    group of _MASS_GROUP. The walk (mass_prefix) goes upward taking mass
-    off the total and stops before the mass above would drop below
+    mass holds the sums of m // n (m the modulus) over the members, as
+    reciprocal_sum groups them. The walk (mass_prefix) goes upward taking
+    mass off the total and stops before the mass above would drop below
     r - delta. So delta alone sets the cutoff: pinning it to a remainder
     that some cutoff leaves reaches that cutoff's family.
     """
@@ -307,7 +307,7 @@ def _resolve_cutoff(fam0: SmoothFamily, m: int, mass: tuple, r, delta):
         )
     # (total - below) / m < r - delta  <=>  below >= total - floor + 1
     members = fam0.members
-    taken, below = mass_prefix(members, m, mass, _MASS_GROUP, total - floor + 1)
+    taken, below = mass_prefix(members, m, mass, total - floor + 1)
     num = total - below
     if num * r.denominator >= r.numerator * m:  # remainder not positive
         raise InfeasibleMass(
@@ -905,7 +905,7 @@ def _alpha_targets(plan: StagePlan, pool: SmoothFamily) -> list:
             bound = max(int(members[-1]) // 2, 1)
         kept = members[members > bound]
         slack = min(Fraction(1, 2 * (bound + 1)), Fraction(1, 16))
-        t = reciprocal_sum(kept, plan.d_pool) + slack
+        t = Fraction(sum(reciprocal_sum(kept, plan.d_pool)), plan.d_pool) + slack
         if t not in targets:
             targets.append(t)
     return targets

@@ -13,13 +13,13 @@ denominator: given c/d with d | N, the modulus N a plain int, and a stock
 S of divisors of N exactly divisible by p^l, it finds T subset of S,
 |T| < p, with the denominator of c/d + sum(1/n for n in T) dividing N/p.
 It reads p's multiplicity in N off N itself, and checks that p is prime
-by trial division once per p (the verdict is cached). S may be any
-sequence of ints or an int64 array, taken in through smooth._as_int64, so
-every value is an integer in int64, and then worked on as a list of Python
-ints: a step of the constructor hands over at most p-1 elements, too few
-for array passes to pay their fixed cost. Each element is proven to divide
-N by a zero N % n, largest first, and checked for p^l | n by n % p^l;
-residues are made only as far as the solver reads them.
+by trial division once per p (the verdict is cached). S must be a
+strictly ascending 1-D int64 array, as every slice of a family is
+(smooth._as_int64 refuses any other form), and is then worked on as a list
+of Python ints: a step of the constructor hands over at most p-1 elements,
+too few for array passes to pay their fixed cost. Each element is proven
+to divide N by a zero N % n, largest first, and checked for p^l | n by
+n % p^l; residues are made only as far as the solver reads them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 # modular calls no factorize: the name stays here only because
 # perfbench/tracing.py counts calls through this namespace (always 0; the
@@ -91,18 +91,19 @@ def _solve(
 def eliminate_prime(
     c_over_d: Fraction,
     N: int,
-    S: Sequence[int],
+    S,
     p: int,
     l: int,
 ) -> Tuple[list[int], Fraction]:
     """Cancel the factor p^l from the denominator of c/d.
 
     Requires p^l exactly dividing the int N >= 1, d | N, and every n in S
-    dividing N with exact p-multiplicity l. S is any sequence of ints or an
-    int64 array (it is not modified). A value outside int64 raises
-    ParameterError, and so does an element below 1 once every positive
-    element divides N. Returns (T, c'/d') with T a sorted list of Python ints
-    from S, |T| < p, c'/d' = c/d + sum(1/n for n in T) and d' | N/p.
+    dividing N with exact p-multiplicity l. S must be a strictly ascending
+    1-D int64 array (it is not modified): any other form, or an S that is
+    not strictly ascending, raises ParameterError, and so does an element
+    below 1 once every positive element divides N. Returns (T, c'/d') with
+    T a sorted list of Python ints from S, |T| < p,
+    c'/d' = c/d + sum(1/n for n in T) and d' | N/p.
 
     With |S| >= p - 1 success is guaranteed. A thinner S is attempted all
     the same; EliminationFailed is raised when the required residue is
@@ -120,7 +121,7 @@ def eliminate_prime(
     N/M, so the witness does not depend on the choice of common multiple.
     Every n in S is proven to divide N by a zero N % n before the solver
     runs; since p^l exactly divides N, p^l | n then means multiplicity
-    exactly l. An S already strictly ascending is not sorted again.
+    exactly l.
     """
     _check_prime(p)
     if l < 1:
@@ -135,9 +136,7 @@ def eliminate_prime(
         raise DivisibilityError(f"denominator {d} does not divide N")
     ascending = _as_int64(S).tolist()
     if not all(map(operator.lt, ascending, ascending[1:])):
-        ascending.sort()
-        if any(map(operator.eq, ascending, ascending[1:])):
-            raise ParameterError("S must not contain duplicates")
+        raise ParameterError("S must be strictly ascending")
     elements = ascending[::-1]
     # Largest first, so the largest element that fails is reported, and every
     # positive element is proven to divide N before a non-positive one is

@@ -25,25 +25,24 @@ strictly greater than lambda*x), so a stored rational cutoff reproduces
 the family exactly.
 
 reciprocal_sum divides one big int m by many elements at once, vectorized
-over limbs of m; its quotient sums give exact reciprocal masses over the
-common denominator m, in all or per group of elements. mass_prefix walks
+over limbs of m; its quotient sums, per group of _MASS_GROUP elements, give
+exact reciprocal masses over the common denominator m. mass_prefix walks
 such group sums, whole groups first, for the longest run of leading
 elements whose mass stays below a limit: both cutoffs, the planner's
 lambda*x and stage two's lambda'*x' (choose_lambda), are that one walk.
-reciprocal_sum, choose_lambda and modular.eliminate_prime take their
-elements through _as_int64, which refuses a non-integral value and a value
-outside int64. Moduli are plain ints throughout.
+reciprocal_sum, choose_lambda and modular.eliminate_prime take only the
+form the pipeline hands them, a 1-D int64 array (_as_int64), strictly
+ascending for the last two, and refuse any other with ParameterError.
+Moduli are plain ints throughout.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
 
 import numpy as np
 
@@ -61,8 +60,8 @@ MAX_SIEVE_X = 60_000_000
 #: arrays stay small.
 _CHUNK = 1 << 13
 _BLOCK = 1 << 16  # build_family reads the sieve this many integers at a time
-#: The cutoff walks sum the mass per this many elements, so a walk does at
-#: most this many big-int divisions.
+#: reciprocal_sum sums the mass per this many elements (at most _CHUNK), so
+#: a cutoff walk does at most this many big-int divisions.
 _MASS_GROUP = 1 << 8
 #: The sieve's integers and row numbers are kept in int32 (both are at most
 #: x <= MAX_SIEVE_X < 2^31), half the memory of intp; a slice widens its few
@@ -324,35 +323,25 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _as_int64(values) -> np.ndarray:
-    """values as an int64 array: an int64 array as it is, any other
-    iterable of ints converted. A value that is not an integer (has no
-    __index__, as 2.5) or lies outside int64 raises ParameterError."""
-    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+    """values, which must be a 1-D int64 array, as it is: any other form (a
+    list, a generator, an array of another dtype or shape) raises
+    ParameterError, and no value is converted."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1:
         return values
-    vals = []
-    for v in values:
-        try:
-            vals.append(operator.index(v))
-        except TypeError:
-            raise ParameterError(f"element {v} is not an integer") from None
-    try:
-        return np.array(vals, dtype=np.int64)
-    except OverflowError:
-        big = next(v for v in vals if not -(2**63) <= v < 2**63)
-        raise ParameterError(f"element {big} does not fit in int64") from None
+    if isinstance(values, np.ndarray):
+        form = f"{values.ndim}-D {values.dtype} array"
+    else:
+        form = type(values).__name__
+    raise ParameterError(f"elements must be a 1-D int64 array, got {form}")
 
 
-def reciprocal_sum(elements: Iterable[int], m: int, group: Optional[int] = None):
-    """Exact sum of 1/n over elements, all of which must divide the int m.
-
-    The sum is num/m with num = sum(m // n) over the fixed common
-    denominator m, reduced once at the end. Elements are any iterable of
-    ints or an int64 array; a value outside int64 raises ParameterError
-    before any division. The first element, in input order, that is below
-    1 or does not divide m raises DivisibilityError. With group=g, for
-    1 <= g <= _CHUNK, returns instead the tuple of the sums of m // n over
-    each run of g consecutive elements in input order (the last run may be
-    shorter), with the same proof: the mass in pieces a walk can take whole.
+def reciprocal_sum(elements: np.ndarray, m: int) -> tuple:
+    """The sums of m // n over each run of _MASS_GROUP consecutive elements
+    of the 1-D int64 array elements (the last run may be shorter), all of
+    which must divide the int m: the exact mass sum 1/n over the fixed
+    common denominator m, in pieces a cutoff walk can take whole. The first
+    element, in input order, that is below 1 or does not divide m raises
+    DivisibilityError.
 
     A schoolbook long division of m by _CHUNK elements at a time (a whole
     number of groups), so memory stays bounded by the chunk: s-bit limbs of
@@ -362,12 +351,9 @@ def reciprocal_sum(elements: Iterable[int], m: int, group: Optional[int] = None)
     most 2^13; each digit column is summed per group (np.add.reduceat) and
     added into the groups' sums as it comes.
     """
-    size = _CHUNK if group is None else group
-    if not 1 <= size <= _CHUNK:
-        raise ParameterError(f"group must lie in [1, {_CHUNK}], got {group}")
     elements = _as_int64(elements)
     sums = []
-    step = _CHUNK - _CHUNK % size
+    step = _CHUNK - _CHUNK % _MASS_GROUP
     for start in range(0, elements.size, step):
         chunk = elements[start : start + step]
         bad = chunk < 1
@@ -375,7 +361,7 @@ def reciprocal_sum(elements: Iterable[int], m: int, group: Optional[int] = None)
         s = min(64 - int(n.max()).bit_length(), 50)
         r = np.zeros_like(n)
         q = np.empty_like(n)
-        heads = np.arange(0, n.size, size)
+        heads = np.arange(0, n.size, _MASS_GROUP)
         group_sums = np.zeros(heads.size, dtype=object)  # Python ints
         for j in reversed(range(0, m.bit_length(), s)):
             r <<= s
@@ -389,27 +375,27 @@ def reciprocal_sum(elements: Iterable[int], m: int, group: Optional[int] = None)
                 failing_parameter="modulus",
             )
         sums += group_sums.tolist()
-    return Fraction(sum(sums), m) if group is None else tuple(sums)
+    return tuple(sums)
 
 
-def mass_prefix(elements: np.ndarray, m: int, sums, group: int, limit: int):
+def mass_prefix(elements: np.ndarray, m: int, sums, limit: int):
     """(t, s): the longest run of leading elements whose sum s of m // n
     stays below the int limit, and its length t.
 
-    sums are the sums of m // n per group of that many elements, as
-    reciprocal_sum(elements, m, group) returns them. Whole groups are taken
-    while their sum stays below limit, then the elements of the next group
-    one at a time. Every m // n is positive (each n divides m), so a group
-    is taken whole exactly when the element-by-element walk takes all of
-    it, and the walk does at most group divisions.
+    sums are the sums of m // n per group of _MASS_GROUP elements, as
+    reciprocal_sum(elements, m) returns them. Whole groups are taken while
+    their sum stays below limit, then the elements of the next group one
+    at a time. Every m // n is positive (each n divides m), so a group is
+    taken whole exactly when the element-by-element walk takes all of it,
+    and the walk does at most _MASS_GROUP divisions.
     """
     taken = total = 0
     for group_sum in sums:
         if total + group_sum >= limit:
             break
         total += group_sum
-        taken = min(taken + group, elements.size)
-    for e in elements[taken : taken + group].tolist():
+        taken = min(taken + _MASS_GROUP, elements.size)
+    for e in elements[taken : taken + _MASS_GROUP].tolist():
         step = m // e
         if total + step >= limit:
             break
@@ -418,7 +404,7 @@ def mass_prefix(elements: np.ndarray, m: int, sums, group: int, limit: int):
     return taken, total
 
 
-def choose_lambda(pool: Iterable[int], alpha: Fraction, m: int):
+def choose_lambda(pool: np.ndarray, alpha: Fraction, m: int):
     """Pick the largest element-boundary cutoff leaving a small remainder.
 
     Walks the pool downward (mass_prefix over its group sums), keeping
@@ -427,11 +413,11 @@ def choose_lambda(pool: Iterable[int], alpha: Fraction, m: int):
     1/boundary, the jump-size bound: the boundary sits on the first element
     not taken (or just below the last pool element when the whole pool is
     consumed); lambda' is boundary / x'.
-    The pool is any iterable of ints or an int64 array. A value outside
-    int64, or a pool element below 1, raises ParameterError; every pool
-    element must divide the int modulus m (the group sums' reciprocal_sum
-    checks them all), and the largest that does not raises
-    DivisibilityError.
+    The pool must be a strictly ascending 1-D int64 array, as a family's
+    members are; any other form, or a pool element below 1, raises
+    ParameterError. Every pool element must divide the int modulus m (the
+    group sums' reciprocal_sum checks them all), and the largest that does
+    not raises DivisibilityError.
 
     Raises InfeasibleMass when even the whole pool leaves a remainder
     exceeding that bound.
@@ -439,7 +425,9 @@ def choose_lambda(pool: Iterable[int], alpha: Fraction, m: int):
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    pool = np.sort(_as_int64(pool))
+    pool = _as_int64(pool)
+    if (pool[1:] <= pool[:-1]).any():
+        raise ParameterError("pool must be strictly ascending")
     if not pool.size:
         raise InfeasibleMass(
             "empty pool cannot approximate a positive value",
@@ -449,10 +437,10 @@ def choose_lambda(pool: Iterable[int], alpha: Fraction, m: int):
     if pool[0] < 1:
         raise ParameterError(f"pool elements must be positive, got {pool[0]}")
     descending = pool[::-1]
-    sums = reciprocal_sum(descending, m, _MASS_GROUP)
+    sums = reciprocal_sum(descending, m)
     # num / m < alpha  <=>  num < ceil(alpha * m), for an int num
     limit = -(-alpha.numerator * m // alpha.denominator)
-    taken, num = mass_prefix(descending, m, sums, _MASS_GROUP, limit)
+    taken, num = mass_prefix(descending, m, sums, limit)
     if taken < pool.size:
         boundary = int(pool[-taken - 1])
     else:

@@ -107,6 +107,7 @@ def test_criterion_4_eliminate_prime_property_suite():
             continue
         rng.shuffle(divisors)
         S = [p**l * d for d in divisors[: p - 1 + rng.randint(0, 4)]]
+        S = np.array(sorted(S), dtype=np.int64)
         d = rng.choice(divisors) * p ** rng.randint(0, l)
         c = rng.randint(1, 60)
         value = Fraction(c, d)
@@ -168,7 +169,8 @@ def test_criterion_6_summation_cross_check(mid_family):
     plan_modulus = modulus_product(primes, mid_family.params.w, mid_family.params.k)
     for _ in range(100):
         sample = sorted(rng.sample(members, 1000))
-        fixed = reciprocal_sum(sample, plan_modulus)
+        sums = reciprocal_sum(np.array(sample, dtype=np.int64), plan_modulus)
+        fixed = Fraction(sum(sums), plan_modulus)
         pairwise = tree_sum(sample)
         assert fixed == pairwise
     elapsed = time.time() - t0

@@ -64,18 +64,26 @@ def _decode_elementwise(enc):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    vals=st.lists(st.one_of(st.integers(-10, 10**6), st.integers(2**62, 2**66))),
+    vals=st.lists(
+        st.one_of(
+            st.integers(-10, 10**6),
+            st.integers(10**18 - 20, 10**18 + 10),
+            st.integers(2**62, 2**66),
+        )
+    ),
     shift=st.sampled_from([0, 0, 2**70]),
 )
 @example(vals=[2**63 - 1, -10], shift=0)  # both int64, their gap is not
 @example(vals=[5, 3, 5], shift=2**70)  # past int64 through first, int64 gaps
+@example(vals=[1, 10**18], shift=0)  # a gap of 18 digits
+@example(vals=[1, 10**18 + 1], shift=0)  # a gap of 19 digits, below 2^63
 def test_delta_encoding_matches_elementwise(vals, shift):
     """Values past int64 and repeats included; unsorted input is sorted. The
-    gaps are an int64 array, and values that span 2^63 or more, whose gaps
-    could pass int64, are refused."""
+    gaps are an int64 array, and values that span 10^18 or more, whose gaps
+    could have more digits than from_json reads, are refused."""
     vals = [v + shift for v in vals]
-    if vals and max(vals) - min(vals) >= 2**63:
-        with pytest.raises(ParameterError, match="spans 2\\^63"):
+    if vals and max(vals) - min(vals) >= 10**18:
+        with pytest.raises(ParameterError, match="spans 10\\^18"):
             encode_deltas(vals)
         return
     enc = encode_deltas(vals)
@@ -164,11 +172,25 @@ _PARTS = st.dictionaries(
 @example(parts={"A": {"first": 5, "deltas": np.array([], dtype=np.int64)}})
 @example(parts={"név": encode_deltas([7])})
 @example(parts={"A": {"first": 5, "deltas": np.array([10**18], dtype=np.int64)}})
+@example(parts={"A": {"first": 5, "deltas": np.array([10**18 - 1], dtype=np.int64)}})
 def test_writer_matches_json_dumps(parts):
     """to_json writes exactly json.dumps' text of the same document with
     every gap a Python int. from_json reads that text back to it when every
     gap list is plain digits (as a constructed document's are), and refuses
-    it otherwise."""
+    it otherwise. A part of non-negative gaps, the form encode_deltas
+    makes, is one encode_deltas writes exactly when from_json reads it: a
+    gap of 10^18 or more is refused by both."""
+    for part in parts.values():
+        if type(part) is not dict or type(part["first"]) is not int:
+            continue
+        if not _is_gaps(part["deltas"]) or part["deltas"].min(initial=0) < 0:
+            continue
+        values = decode_deltas(part).tolist()
+        if _plain_digits(part["deltas"]):
+            assert _listed(encode_deltas(values)) == _listed(part)
+        else:
+            with pytest.raises(ParameterError, match="spans 10\\^18"):
+                encode_deltas(values)
     doc = CertificateDocument(
         version=1,
         r="1/2",

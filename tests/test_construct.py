@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densefrac import smooth
 from densefrac.arith import exact_multiplicity, factorize, is_prime
 from densefrac.construct import (
     MAX_STAGE_TWO_ATTEMPTS,
@@ -137,7 +138,7 @@ def test_plan_adaptive_window():
             SmoothParams(x=10**5, y=plan.y, w=plan.w, lam=plan.lam, k=config.k)
         )
         d_p0 = modulus_product(primes_in(2, plan.y), plan.w, config.k)
-        rem = r - reciprocal_sum(fam.members, d_p0)
+        rem = r - Fraction(sum(reciprocal_sum(fam.members, d_p0)), d_p0)
         assert plan.initial_remainder == rem
         assert 0 < rem <= config.delta
         # the smallest member above the cutoff could not also be given up
@@ -592,14 +593,19 @@ def _spy_planning(monkeypatch):
     """Wrap construct.build_family and construct.reciprocal_sum. Records
     each sieve's params (sieves) and member count (sizes), whether the
     family of the sieve before it was still alive on entry (alive), and
-    the element count (terms) and result (sums) of each mass-pass call,
-    the grouped form; a delta retune's ungrouped target sums are not mass
-    passes."""
+    the element count (terms) and result (sums) of each mass-pass call: a
+    call made inside construct._planning_sieve. A delta retune's target
+    sums are made outside it, and are not mass passes."""
     import densefrac.construct as construct
 
     spy = types.SimpleNamespace(sieves=[], sizes=[], alive=[], terms=[], sums=[])
     refs = []
-    sieve, mass = construct.build_family, construct.reciprocal_sum
+    sieve, plan, mass = (
+        construct.build_family,
+        construct._planning_sieve,
+        construct.reciprocal_sum,
+    )
+    planning = []  # non-empty while _planning_sieve runs
 
     def building(params):
         spy.alive.append(bool(refs) and refs[-1]() is not None)
@@ -609,14 +615,22 @@ def _spy_planning(monkeypatch):
         spy.sizes.append(fam.members.size)
         return fam
 
-    def summing(elements, m, *group):
-        if not group:
-            return mass(elements, m)
-        spy.terms.append(len(elements))
-        spy.sums.append(mass(elements, m, *group))
-        return spy.sums[-1]
+    def planning_sieve(*args):
+        planning.append(args)
+        try:
+            return plan(*args)
+        finally:
+            planning.pop()
+
+    def summing(elements, m):
+        sums = mass(elements, m)
+        if planning:
+            spy.terms.append(len(elements))
+            spy.sums.append(sums)
+        return sums
 
     monkeypatch.setattr(construct, "build_family", building)
+    monkeypatch.setattr(construct, "_planning_sieve", planning_sieve)
     monkeypatch.setattr(construct, "reciprocal_sum", summing)
     return spy
 
@@ -647,7 +661,7 @@ def test_planning_sieve_is_kept_across_targets(monkeypatch):
         assert construct_dense(r, 10**5).certificate.all_ok
     assert len(spy.sieves) == 1
     assert spy.terms == spy.sizes
-    assert len(spy.sums[0]) == -(-spy.sizes[0] // construct._MASS_GROUP)
+    assert len(spy.sums[0]) == -(-spy.sizes[0] // smooth._MASS_GROUP)
 
 
 def test_one_sieve_serves_every_k_at_one_x(monkeypatch):
@@ -712,7 +726,7 @@ def test_planning_key_holds_k():
     assert construct._planning_sieve(10**4, 63, 10, 4)[0] is fam4
     assert construct._planning_sieve(10**4, 63, 10, 3)[0] is fam3
     assert d_p0 == modulus_product(fam4.primes, 10, 4)
-    assert Fraction(sum(mass), d_p0) == reciprocal_sum(fam4.members, d_p0)
+    assert mass == reciprocal_sum(fam4.members, d_p0)
     small, d_small, _ = construct._planning_sieve(10**4, 40, 10, 3)
     assert small.primes == fam3.primes[: len(small.primes)] and small.primes[-1] == 37
     assert d_small == modulus_product(small.primes, 10, 3)

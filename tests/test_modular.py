@@ -15,6 +15,10 @@ from densefrac.modular import _check_prime, _solve, eliminate_prime
 from oracles import factor_over, first_found_witness, subset_sums_mod_p
 
 
+def _int64(values):
+    return np.array(values, dtype=np.int64)
+
+
 def solve(residues, target, p):
     """The solver on a list of residues in [1, p) and a target in [0, p)."""
     return _solve(residues, target, p, len(residues))
@@ -100,27 +104,31 @@ def test_determinism():
 
 
 def test_eliminate_examples():
-    T, res = eliminate_prime(Fraction(1, 3), 12, [3, 6, 12], 3, 1)
+    T, res = eliminate_prime(Fraction(1, 3), 12, _int64([3, 6, 12]), 3, 1)
     assert T == [6] and res == Fraction(1, 2)
     assert (12 // 3) % res.denominator == 0
-    T, res = eliminate_prime(Fraction(1, 4), 12, [3, 6], 3, 1)
+    T, res = eliminate_prime(Fraction(1, 4), 12, _int64([3, 6]), 3, 1)
     assert T == [] and res == Fraction(1, 4)
-    T, res = eliminate_prime(Fraction(1, 5), 60, [5, 10, 15, 20], 5, 1)
+    T, res = eliminate_prime(Fraction(1, 5), 60, _int64([5, 10, 15, 20]), 5, 1)
     assert T == [20] and res == Fraction(1, 4)
     assert (60 // 5) % res.denominator == 0
 
 
 def test_eliminate_preconditions():
     with pytest.raises(ParameterError):
-        eliminate_prime(Fraction(1, 3), 12, [3, 6], 3, 2)  # 3^2 not || 12
+        eliminate_prime(Fraction(1, 3), 12, _int64([3, 6]), 3, 2)  # 3^2 not || 12
     with pytest.raises(DivisibilityError):
-        eliminate_prime(Fraction(1, 7), 12, [3, 6], 3, 1)  # 7 does not divide 12
-    with pytest.raises(ParameterError):
+        # 7 does not divide 12
+        eliminate_prime(Fraction(1, 7), 12, _int64([3, 6]), 3, 1)
+    with pytest.raises(ParameterError, match="p-multiplicity"):
         # element with wrong multiplicity
-        eliminate_prime(Fraction(1, 5), 300, [25, 10], 5, 2)
+        eliminate_prime(Fraction(1, 5), 300, _int64([10, 25]), 5, 2)
     with pytest.raises(ParameterError, match="every element of S"):
         # empty S, and d = 4 lacks the 3^1 that exactly divides N = 12
-        eliminate_prime(Fraction(1, 4), 12, [], 3, 1)
+        eliminate_prime(Fraction(1, 4), 12, _int64([]), 3, 1)
+    for S in ([6, 3, 12], [3, 6, 6, 12]):  # out of order, a repeat
+        with pytest.raises(ParameterError, match="^S must be strictly ascending$"):
+            eliminate_prime(Fraction(1, 3), 12, _int64(S), 3, 1)
 
 
 @pytest.mark.parametrize("p", [4, 9, 15, 91, 561])
@@ -129,9 +137,9 @@ def test_eliminate_refuses_a_composite_p_on_every_call(p):
     prime is refused on each call, the first and every later one."""
     for _ in range(3):
         with pytest.raises(ParameterError, match=f"^{p} is not prime$"):
-            eliminate_prime(Fraction(1, p), p, [p], p, 1)
+            eliminate_prime(Fraction(1, p), p, _int64([p]), p, 1)
     for q in (2, 3, 7, 2**31 - 1):
-        assert eliminate_prime(Fraction(0), q, [q], q, 1) == ([], Fraction(0))
+        assert eliminate_prime(Fraction(0), q, _int64([q]), q, 1) == ([], Fraction(0))
 
 
 def test_eliminate_unreachable():
@@ -142,7 +150,7 @@ def test_eliminate_unreachable():
     with pytest.raises(EliminationFailed):
         # craft a c/d whose target falls outside the reachable set
         for c in range(1, 7):
-            eliminate_prime(Fraction(c, 7), N, [7, 14], 7, 1)
+            eliminate_prime(Fraction(c, 7), N, _int64([7, 14]), 7, 1)
 
 
 def _random_valid_instance(rng):
@@ -187,7 +195,8 @@ def _eliminate_via_lcm(c_over_d, N, S, p, l):
 
 def _eliminate_scalar(c_over_d, N, S, p, l):
     """Reference elimination that checks and reduces S one Python integer at
-    a time (the element-wise form of eliminate_prime)."""
+    a time (the element-wise form of eliminate_prime); S must be a strictly
+    ascending 1-D int64 array."""
     _check_prime(p)
     if l < 1:
         raise ParameterError(f"need l >= 1, got {l}")
@@ -199,9 +208,12 @@ def _eliminate_scalar(c_over_d, N, S, p, l):
     c, d = c_over_d.numerator, c_over_d.denominator
     if N % d != 0:
         raise DivisibilityError(f"denominator {d} does not divide N")
+    if not (isinstance(S, np.ndarray) and S.dtype == np.int64 and S.ndim == 1):
+        form = f"{S.ndim}-D {S.dtype} array" if isinstance(S, np.ndarray) else type(S).__name__
+        raise ParameterError(f"elements must be a 1-D int64 array, got {form}")
     elements = sorted({int(n) for n in S}, reverse=True)
-    if len(elements) != len(S):
-        raise ParameterError("S must not contain duplicates")
+    if elements[::-1] != S.tolist():
+        raise ParameterError("S must be strictly ascending")
     split = []
     for n in elements:
         if n < 1:
@@ -255,14 +267,12 @@ def test_eliminate_randomized_properties():
         c_over_d, N, S, p, l = _random_valid_instance(rng)
         if len(S) < p - 1:
             continue
-        T, res = eliminate_prime(c_over_d, N, S, p, l)
+        T, res = eliminate_prime(c_over_d, N, _int64(sorted(S)), p, l)
         assert len(T) < p
         assert (N // p) % res.denominator == 0
         assert res == c_over_d + sum(Fraction(1, n) for n in T)
         # residues taken from N, not from the lcm, pick the same witness
         assert (T, res) == _eliminate_via_lcm(c_over_d, N, S, p, l)
-        ascending = np.array(sorted(S), dtype=np.int64)
-        assert eliminate_prime(c_over_d, N, ascending, p, l) == (T, res)
         done += 1
     assert done > 100
 
@@ -278,7 +288,8 @@ def _outcome(fn, *args):
 def _elimination_case(draw):
     """Elimination inputs, mostly valid, else with one or more faults:
     duplicates, 0 and negative elements, elements not dividing N, elements
-    of the wrong p-multiplicity, an empty S, a denominator not dividing N."""
+    of the wrong p-multiplicity, an empty S, a denominator not dividing N,
+    an S out of order or given as a list."""
 
     def sometimes(strategy, empty):
         return draw(strategy) if draw(st.integers(0, 3)) == 3 else empty
@@ -306,13 +317,13 @@ def _elimination_case(draw):
         S += sometimes(faults, [])
     if S:
         S += sometimes(st.lists(st.sampled_from(S), max_size=2), [])
-    form = draw(st.sampled_from(["list", "shuffled", "ascending", "int64"]))
-    if form == "shuffled":
-        S = draw(st.permutations(S))
-    elif form == "ascending":
+    form = draw(st.sampled_from(["list", "shuffled", "ascending", "ascending"]))
+    if form == "list":
         S = sorted(S)
-    elif form == "int64":
-        S = np.array(S, dtype=np.int64)
+    elif form == "shuffled":
+        S = _int64(draw(st.permutations(S)))
+    else:
+        S = _int64(sorted(S))
     d = draw(st.sampled_from(cofactors)) * p ** sometimes(st.integers(0, l - 1), l)
     d *= sometimes(st.just(19), 1)
     c = draw(st.integers(1, 60))
@@ -321,10 +332,12 @@ def _elimination_case(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(case=_elimination_case())
-@example(case=(Fraction(1, 3), 12, [3, 3, 6], 3, 1))  # ascending, not strictly
+@example(case=(Fraction(1, 3), 12, _int64([3, 3, 6]), 3, 1))  # ascending, not strictly
+@example(case=(Fraction(1, 3), 12, [3, 6], 3, 1))  # a list
 def test_eliminate_matches_scalar_reference(case):
     """Same (T, result), or the same exception type and text, as the
-    element-wise reference, for any input form and any mix of faults."""
+    element-wise reference, for any input form and any mix of faults: a
+    list, or an S not strictly ascending, is refused first."""
     want = _outcome(_eliminate_scalar, *case)
     got = _outcome(eliminate_prime, *case)
     assert got == want
@@ -374,14 +387,16 @@ def test_eliminate_rejects_elements_beyond_int64():
     N = 2**70 * 3
     with pytest.raises(ParameterError, match="int64"):
         eliminate_prime(Fraction(1, 3), N, [3 * 2**62, 3 * 2**63], 3, 1)
+    with pytest.raises(ParameterError, match="int64"):
+        eliminate_prime(Fraction(1, 3), N, np.array([3 * 2**62, 3 * 2**63], object), 3, 1)
 
 
 @pytest.mark.parametrize(
     "S, message",
     [
-        ([5 * 2**40 * 7, 5 * 2**33, 5], "element 38482906972160 does not divide N"),
-        ([5 * 2**33, 5 * 7, 5], "element 35 does not divide N"),
-        ([5 * 2**33, 5 * 2**32, 5 * 3, 5], None),
+        ([5, 5 * 2**33, 5 * 2**40 * 7], "element 38482906972160 does not divide N"),
+        ([5, 5 * 7, 5 * 2**33], "element 35 does not divide N"),
+        ([5, 5 * 3, 5 * 2**32, 5 * 2**33], None),
     ],
     ids=["large-fails", "small-fails", "all-divide"],
 )
@@ -391,7 +406,7 @@ def test_eliminate_checks_elements_from_2_32_exactly(S, message):
     element-wise reference's."""
     N = 2**40 * 3**2 * 5
     for d in (5, 15):
-        case = (Fraction(1, d), N, S, 5, 1)
+        case = (Fraction(1, d), N, _int64(S), 5, 1)
         got = _outcome(eliminate_prime, *case)
         assert got == _outcome(_eliminate_scalar, *case)
         if message:
@@ -403,9 +418,9 @@ def test_eliminate_checks_elements_from_2_32_exactly(S, message):
 def test_eliminate_power_beyond_int64():
     """p^l >= 2^63: no int64 element is a multiple of it."""
     N = 2**64 * 3
-    for S in ([], [3], [2**62, 3]):
+    for S in ([], [3], [3, 2**62]):
         for d in (1, 2**64):
-            case = (Fraction(1, d), N, S, 2, 64)
+            case = (Fraction(1, d), N, _int64(S), 2, 64)
             assert _outcome(eliminate_prime, *case) == _outcome(_eliminate_scalar, *case)
 
 
@@ -427,20 +442,21 @@ def _division_boundary_case(draw):
         )
     )
     cofactors = {m - (m % p == 0) for m in (max(r // p, 1) for r in raw)}
-    S = draw(st.permutations([p * m for m in cofactors]))
+    S = sorted(p * m for m in cofactors)
     held = [n // p for n in S if draw(st.integers(0, 5))]
     M = p * math.lcm(1, *held)
     filler = 2 ** (draw(st.sampled_from([64, 65, 2100])) - 1) // M + 1
     N = M * (filler + (filler % p == 0))
-    return Fraction(draw(st.integers(1, 50)), draw(st.sampled_from([1, p]))), N, S, p, 1
+    d = draw(st.sampled_from([1, p]))
+    return Fraction(draw(st.integers(1, 50)), d), N, _int64(S), p, 1
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_division_boundary_case())
-@example(case=(Fraction(1, 73), 2 * (2**63 - 1), [73, 146, 2**63 - 1], 73, 1))
-@example(case=(Fraction(1, 17), 2**64 - 1, [17, 17 * 257, 2**32 - 1], 17, 1))
-@example(case=(Fraction(1, 3), 2**65 - 2, [2**32 + 1, 3, 2**32 - 1], 3, 1))
-@example(case=(Fraction(1, 5), 5 * 2**2095, [], 5, 1))
+@example(case=(Fraction(1, 73), 2 * (2**63 - 1), _int64([73, 146, 2**63 - 1]), 73, 1))
+@example(case=(Fraction(1, 17), 2**64 - 1, _int64([17, 17 * 257, 2**32 - 1]), 17, 1))
+@example(case=(Fraction(1, 3), 2**65 - 2, _int64([3, 2**32 - 1, 2**32 + 1]), 3, 1))
+@example(case=(Fraction(1, 5), 5 * 2**2095, _int64([]), 5, 1))
 def test_eliminate_matches_scalar_at_division_boundaries(case):
     """The n | N proof and the elimination agree with the element-wise
     reference for N of 64, 65 and 2100 bits, for elements near 2^32 and up
@@ -462,12 +478,12 @@ def _witness_of_p_elements(rs, target, p, t):
     [
         (
             _witness_one_short,
-            (Fraction(1, 5), 60, [5, 10, 15, 20], 5, 1),
+            (Fraction(1, 5), 60, _int64([5, 10, 15, 20]), 5, 1),
             r"postcondition d' \| N/p violated",
         ),
         (
             _witness_of_p_elements,
-            (Fraction(1, 3), 12, [3, 6, 12], 3, 1),
+            (Fraction(1, 3), 12, _int64([3, 6, 12]), 3, 1),
             "witness cardinality >= p",
         ),
     ],

@@ -33,10 +33,20 @@ from densefrac.smooth import (
 from oracles import factor_over, primes_in
 
 
+def _int64(values):
+    return np.array(values, dtype=np.int64)
+
+
+def _mass(elements, m):
+    """sum 1/n over the int64 array elements, from reciprocal_sum's group
+    sums over m."""
+    return Fraction(sum(reciprocal_sum(elements, m)), m)
+
+
 def test_toy_family_members(toy_family):
     assert toy_family.members.tolist() == [1, 2, 3, 5, 6, 10, 15, 30]
     assert toy_family.members.size == 8
-    mass = reciprocal_sum(toy_family.members, modulus_product([2, 3, 5], 30, 2))
+    mass = _mass(toy_family.members, modulus_product([2, 3, 5], 30, 2))
     assert mass == Fraction(12, 5)
 
 
@@ -401,18 +411,18 @@ def test_squarefree_census_mobius():
 
 
 def test_reciprocal_sum(toy_family):
-    assert reciprocal_sum([2, 3, 6], 6) == 1
-    assert reciprocal_sum([3, 15], 15) == Fraction(2, 5)
-    assert reciprocal_sum([], 30) == 0
+    assert reciprocal_sum(_int64([2, 3, 6]), 6) == (6,)
+    assert _mass(_int64([3, 15]), 15) == Fraction(2, 5)
+    assert reciprocal_sum(_int64([]), 30) == ()
     with pytest.raises(DivisibilityError):
-        reciprocal_sum([4], 30)
+        reciprocal_sum(_int64([4]), 30)
 
 
 def test_reciprocal_sum_matches_fractions(mid_family):
     rng = random.Random(5)
     sample = sorted(rng.sample([int(v) for v in mid_family.members], 500))
     modulus = math.lcm(*sample)
-    got = reciprocal_sum(sample, modulus)
+    got = _mass(_int64(sample), modulus)
     want = sum(Fraction(1, n) for n in sample)
     assert got == want
 
@@ -484,9 +494,16 @@ def _outcome(fn, elements, modulus):
 
 _AS_INPUT = {
     "list": list,
-    "int64 array": lambda v: np.array(v, dtype=np.int64),
+    "int64 array": _int64,
     "generator": lambda v: (n for n in v),
 }
+
+
+def _refused(form):
+    """_outcome of a kernel handed its elements as the _AS_INPUT form, when
+    that form is not the int64 array: the intake's refusal."""
+    error = ParameterError(f"elements must be a 1-D int64 array, got {form}")
+    return ParameterError, error.as_dict()
 
 
 @settings(max_examples=300, deadline=None)
@@ -503,17 +520,24 @@ _AS_INPUT = {
     form="int64 array",
     chunk=8,
 )
+@example(case=(2**64 - 1, [2**32 - 1, 3, 2**32 + 1]), form="int64 array", chunk=8)
+@example(case=(3**20, [3**i for i in range(12)] + [7]), form="int64 array", chunk=8)
 @example(case=(2**64 - 1, [2**32 - 1, 3, 2**32 + 1]), form="list", chunk=8)
 def test_reciprocal_sum_matches_scalar_loop(case, form, chunk):
-    """Same Fraction, or same error type and text, as the scalar loop, for
-    moduli up to 2100 bits and divisors up to 2^63 - 1 (narrower limbs, 1
-    bit wide near 2^63); a chunk of 8 sums across chunks and puts failing
-    elements in later chunks."""
+    """The group sums add up to the scalar loop's Fraction, or end in the
+    same error type and text, for moduli up to 2100 bits and divisors up to
+    2^63 - 1 (narrower limbs, 1 bit wide near 2^63); a chunk (and group) of
+    8 sums across chunks and puts failing elements in later chunks. A list
+    or a generator is refused at the intake."""
     modulus, elements = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(smooth, "_CHUNK", chunk)
-        got = _outcome(reciprocal_sum, _AS_INPUT[form](elements), modulus)
-    assert got == _outcome(_reciprocal_sum_scalar, elements, modulus)
+        mp.setattr(smooth, "_MASS_GROUP", min(chunk, smooth._MASS_GROUP))
+        got = _outcome(_mass, _AS_INPUT[form](elements), modulus)
+    if form == "int64 array":
+        assert got == _outcome(_reciprocal_sum_scalar, elements, modulus)
+    else:
+        assert got == _refused(form)
 
 
 def _group_sums_scalar(elements, m, group):
@@ -532,24 +556,20 @@ def _group_sums_scalar(elements, m, group):
     group=st.sampled_from([1, 3, 8]),
 )
 def test_reciprocal_sum_group_sums_match_scalar_loop(case, form, chunk, group):
-    """With group=g, the sums of m // n per run of g elements, or the same
-    error type and text as the scalar loop: the remainder proof holds in the
-    grouped form too, and a group never straddles a chunk (3 does not
-    divide a chunk of 8)."""
+    """With _MASS_GROUP = g, the sums of m // n per run of g elements, or
+    the same error type and text as the scalar loop: the remainder proof
+    holds per group, and a group never straddles a chunk (3 does not divide
+    a chunk of 8). A list or a generator is refused at the intake."""
     modulus, elements = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(smooth, "_CHUNK", chunk)
-        got = _outcome(
-            lambda v, m: reciprocal_sum(v, m, group), _AS_INPUT[form](elements), modulus
-        )
-    want = _outcome(lambda v, m: _group_sums_scalar(v, m, group), elements, modulus)
+        mp.setattr(smooth, "_MASS_GROUP", group)
+        got = _outcome(reciprocal_sum, _AS_INPUT[form](elements), modulus)
+    if form == "int64 array":
+        want = _outcome(lambda v, m: _group_sums_scalar(v, m, group), elements, modulus)
+    else:
+        want = _refused(form)
     assert got == want
-
-
-@pytest.mark.parametrize("group", [0, -1, smooth._CHUNK + 1])
-def test_reciprocal_sum_refuses_a_group_outside_the_chunk(group):
-    with pytest.raises(ParameterError, match=f"group must lie in .*, got {group}"):
-        reciprocal_sum([1, 2], 2, group)
 
 
 def test_reciprocal_sum_largest_element():
@@ -559,18 +579,21 @@ def test_reciprocal_sum_largest_element():
     elements = [1, 2, top, 65537, 2**31, 2 * 65537 * 257]
     want = _reciprocal_sum_scalar(elements, modulus)
     for form, as_input in _AS_INPUT.items():
-        assert reciprocal_sum(as_input(elements), modulus) == want, form
+        got = _outcome(_mass, as_input(elements), modulus)
+        assert got == (want if form == "int64 array" else _refused(form)), form
 
 
 @pytest.mark.parametrize("big", [2**63, 2**70, -(2**63) - 1])
 def test_reciprocal_sum_rejects_elements_from_2_32(big):
-    """An element outside int64 is refused before any divisibility check
-    (elements from 2^32 up to 2^63 - 1 are summed)."""
+    """An element outside int64 never reaches the division: no int64 array
+    holds it, and a list or a generator of it is refused at the intake,
+    before any divisibility check (elements from 2^32 up to 2^63 - 1 are
+    summed)."""
     modulus = 30
     for elements in ([7, big], [big, 7], [1, 7, 2, big]):
         for form in ["list", "generator"]:
-            with pytest.raises(ParameterError, match=f"element {big} does not fit"):
-                reciprocal_sum(_AS_INPUT[form](elements), modulus)
+            got = _outcome(reciprocal_sum, _AS_INPUT[form](elements), modulus)
+            assert got == _refused(form)
 
 
 _KERNELS = {
@@ -588,29 +611,33 @@ _NOT_POSITIVE = {
 @pytest.mark.parametrize(
     "value",
     [0, -3, 2**63, 2**70, -(2**63) - 1, 2.5]
-    + [pytest.param(np.array([2.5, 3.9]), id="float64-array")],
+    + [
+        pytest.param(np.array([2.5, 3.9]), id="float64-array"),
+        pytest.param(np.array([1, 3], dtype=object), id="object-array"),
+        pytest.param(np.array([[1, 3]], dtype=np.int64), id="2-D-int64-array"),
+        pytest.param(np.array([1, 3], dtype=np.int32), id="int32-array"),
+    ],
 )
 @pytest.mark.parametrize("kernel", sorted(_KERNELS))
 def test_kernels_refuse_bad_elements_with_typed_errors(kernel, value):
-    """0, a negative, a non-integral value and values outside int64 end in
-    a typed error in each constructor kernel, from a list, a generator, an
-    int64 array or a float64 array, and never in ZeroDivisionError or
-    OverflowError; a non-integral value is never truncated."""
+    """Each constructor kernel takes only a 1-D int64 array: a list or a
+    generator of any values (0, a negative, a non-integral value, values
+    outside int64) and an array of another dtype or shape are refused at
+    the intake with ParameterError, and no value is converted or
+    truncated. In an int64 array, 0 and a negative end in the kernel's own
+    typed error. Never ZeroDivisionError or OverflowError."""
     if isinstance(value, np.ndarray):  # the whole input
-        inputs = {"float64 array": value}
-        error, text = ParameterError, f"element {value[0]} is not an integer"
+        form = f"{value.ndim}-D {value.dtype} array"
+        inputs = {form: value}
     else:
-        if isinstance(value, float):
-            forms = ["list", "generator"]
-            error, text = ParameterError, "element {} is not an integer"
-        elif -(2**63) <= value < 2**63:
-            forms = ["list", "generator", "int64 array"]
+        inputs = {form: _AS_INPUT[form]([value, 3]) for form in ["list", "generator"]}
+        if -(2**63) <= value < 2**63 and not isinstance(value, float):
+            inputs["int64 array"] = _int64([value, 3])
+    for form, elements in inputs.items():
+        if form == "int64 array":
             error, text = _NOT_POSITIVE[kernel]
         else:
-            forms = ["list", "generator"]
-            error, text = ParameterError, "element {} does not fit in int64"
-        inputs = {form: _AS_INPUT[form]([value, 3]) for form in forms}
-    for form, elements in inputs.items():
+            error, text = ParameterError, f"elements must be a 1-D int64 array, got {form}"
         with pytest.raises(DensefracError) as caught:
             _KERNELS[kernel](elements)
         assert type(caught.value) is error, form
@@ -665,19 +692,21 @@ def _walk_scalar(elements, m, limit):
 def test_mass_prefix_matches_the_element_walk(elements, group, cut, shift):
     """Whole groups first, then elements, takes what the plain walk takes:
     at a limit equal to the sum of m // n over the first cut elements and
-    one either side of it, for every group size, the whole input (cut past
-    the end, shift 1) and the empty input."""
+    one either side of it, for every group size _MASS_GROUP, the whole input
+    (cut past the end, shift 1) and the empty input."""
     limit = sum(_WALK_M // n for n in elements[:cut]) + shift
-    as_array = np.array(elements, dtype=np.int64)
-    sums = reciprocal_sum(as_array, _WALK_M, group)
-    got = mass_prefix(as_array, _WALK_M, sums, group, limit)
+    as_array = _int64(elements)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smooth, "_MASS_GROUP", group)
+        sums = reciprocal_sum(as_array, _WALK_M)
+        got = mass_prefix(as_array, _WALK_M, sums, limit)
     assert got == _walk_scalar(elements, _WALK_M, limit)
     if cut >= len(elements) and shift == 1:
         assert got[0] == len(elements)
 
 
 def test_choose_lambda_spec_example():
-    boundary, chosen, rem = choose_lambda([3, 15], Fraction(41, 100), 15)
+    boundary, chosen, rem = choose_lambda(_int64([3, 15]), Fraction(41, 100), 15)
     assert chosen == [3, 15]
     assert rem == Fraction(1, 100)
     assert boundary == 2
@@ -686,19 +715,27 @@ def test_choose_lambda_spec_example():
 
 def test_choose_lambda_mass_error():
     with pytest.raises(InfeasibleMass):
-        choose_lambda([3, 15], Fraction(2, 5) + 1, 15)
+        choose_lambda(_int64([3, 15]), Fraction(2, 5) + 1, 15)
 
 
 def test_choose_lambda_refuses_a_pool_element_outside_the_modulus():
     """Every pool element is proven to divide 15 before the walk; 7 does
     not."""
     with pytest.raises(DivisibilityError, match="^element 7 does not divide the modulus"):
-        choose_lambda([3, 7, 15], Fraction(1, 2), 15)
+        choose_lambda(_int64([3, 7, 15]), Fraction(1, 2), 15)
+
+
+@pytest.mark.parametrize("pool", [[3, 15, 5], [15, 5, 3], [3, 5, 5, 15]])
+def test_choose_lambda_refuses_a_pool_that_is_not_strictly_ascending(pool):
+    """The pool is read as a family's members: strictly ascending. A pool
+    out of order or with a repeat is refused before any division."""
+    with pytest.raises(ParameterError, match="^pool must be strictly ascending$"):
+        choose_lambda(_int64(pool), Fraction(1, 2), 15)
 
 
 def test_choose_lambda_properties(mid_family):
-    pool = mid_family.members_a0.tolist()[:400]
-    modulus = math.lcm(*pool)
+    pool = mid_family.members_a0[:400]
+    modulus = math.lcm(*pool.tolist())
     rng = random.Random(23)
     for _ in range(25):
         alpha = Fraction(rng.randint(1, 50), rng.randint(51, 400))
@@ -723,7 +760,7 @@ def test_family_census_at_1e6():
     counts, and its exact reciprocal mass over D(503) pinned by sha256."""
     fam = build_family(SmoothParams(x=10**6, y=501, w=63, lam=Fraction(0), k=3))
     assert (fam.members.size, fam.members_a0.size) == (173227, 87475)
-    mass = reciprocal_sum(fam.members, modulus_product(primes_in(2, 501), 63, 3))
+    mass = _mass(fam.members, modulus_product(primes_in(2, 501), 63, 3))
     assert (
         hashlib.sha256(f"{mass.numerator}/{mass.denominator}".encode()).hexdigest()
         == "56b8ab12200a190a2dafe1c9077369a110a85074738be834f5877d67eb3bae66"

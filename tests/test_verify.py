@@ -364,7 +364,9 @@ def test_tree_sum_vs_fixed_denominator(mid_family):
     members = [int(v) for v in mid_family.members]
     for _ in range(10):
         sample = sorted(rng.sample(members, 300))
-        assert tree_sum(sample) == reciprocal_sum(sample, math.lcm(*sample))
+        m = math.lcm(*sample)
+        sums = reciprocal_sum(np.array(sample, dtype=np.int64), m)
+        assert tree_sum(sample) == Fraction(sum(sums), m)
 
 
 def test_harmonic_segment_exact_matches_direct():

@@ -110,9 +110,9 @@ MUTANTS = [
         ["tests/test_smooth.py"],
     ),
     (
-        "grouped mass pass skips its zero-remainder check",
+        "mass pass checks remainders only in its first chunk",
         SMOOTH,
-        (("        bad |= r != 0\n", "        bad |= (r != 0) & (group is None)\n"),),
+        (("        bad |= r != 0\n", "        bad |= (r != 0) & (start == 0)\n"),),
         ["tests/test_smooth.py", "tests/test_construct.py"],
     ),
     (
@@ -164,23 +164,46 @@ MUTANTS = [
         (("            return None\n", "            return tuple(factors)\n"),),
         ["tests/test_construct.py"],
     ),
-    # The constructor kernels' one int64 intake and division loop.
+    # The constructor kernels' one intake (a 1-D int64 array, strictly
+    # ascending for choose_lambda and eliminate_prime) and division loop.
     (
-        "intake truncates non-integral values",
-        SMOOTH,
-        (("vals.append(operator.index(v))", "vals.append(int(v))"),),
-        ["tests/test_smooth.py"],
-    ),
-    (
-        "intake wraps values outside int64",
+        "intake converts a sequence, truncating non-integral values",
         SMOOTH,
         (
             (
-                "return np.array(vals, dtype=np.int64)",
-                "return np.array([(v + 2**63) % 2**64 - 2**63 for v in vals],"
-                " dtype=np.int64)",
+                '    raise ParameterError(f"elements must be a 1-D int64 array, got {form}")\n',
+                "    return np.array([int(v) for v in values], dtype=np.int64)\n",
             ),
         ),
+        ["tests/test_smooth.py"],
+    ),
+    (
+        "intake converts a sequence, wrapping values outside int64",
+        SMOOTH,
+        (
+            (
+                '    raise ParameterError(f"elements must be a 1-D int64 array, got {form}")\n',
+                "    return np.array([(int(v) + 2**63) % 2**64 - 2**63 for v in values],"
+                " dtype=np.int64)\n",
+            ),
+        ),
+        ["tests/test_smooth.py"],
+    ),
+    (
+        "_as_int64 accepts any ndarray dtype",
+        SMOOTH,
+        (
+            (
+                "if isinstance(values, np.ndarray) and values.dtype == np.int64 and",
+                "if isinstance(values, np.ndarray) and",
+            ),
+        ),
+        ["tests/test_smooth.py"],
+    ),
+    (
+        "choose_lambda accepts a pool that is not strictly ascending",
+        SMOOTH,
+        (("    if (pool[1:] <= pool[:-1]).any():\n", "    if False:\n"),),
         ["tests/test_smooth.py"],
     ),
     (
@@ -281,6 +304,18 @@ MUTANTS = [
             (
                 "if not all(map(operator.lt, ascending, ascending[1:])):",
                 "if not all(map(operator.le, ascending, ascending[1:])):",
+            ),
+        ),
+        ["tests/test_modular.py"],
+    ),
+    (
+        "eliminate_prime accepts an S that is not strictly ascending",
+        MODULAR,
+        (
+            (
+                "    if not all(map(operator.lt, ascending, ascending[1:])):\n"
+                '        raise ParameterError("S must be strictly ascending")\n',
+                "",
             ),
         ),
         ["tests/test_modular.py"],
@@ -409,6 +444,12 @@ MUTANTS = [
                 "if not (type(deltas) is np.ndarray and",
             ),
         ),
+        ["tests/test_certificate.py"],
+    ),
+    (
+        "writer's span bound goes back to 2^63",
+        CERTIFICATE,
+        (("if int(a[-1]) - int(a[0]) >= 10**_MAX_DIGITS:", "if int(a[-1]) - int(a[0]) >= 2**63:"),),
         ["tests/test_certificate.py"],
     ),
     (
