@@ -164,6 +164,8 @@ class CertificateDocument:
             for part in (doc.parts.values() if type(doc.parts) is dict else ())
             if type(part) is dict and part.get("deltas") == []
         ]
+        # An empty array, not the [] json.loads made, so that the comparison
+        # writes each part on to_json's own path (_part_json, not _encode).
         for part in holders:
             part["deltas"] = np.empty(0, dtype=np.int64)
         if len(holders) != len(gaps):
@@ -329,12 +331,12 @@ def _certificate_block(cert) -> dict:
 
 def document_from_representation(rep) -> CertificateDocument:
     """Freeze a Representation into its interchange document."""
-    cfg, plan = rep.config, rep.plan
+    cfg, plan, s2 = rep.config, rep.plan, rep.stage_two
     params = {
         "k": cfg.k,
         "epsilon": cfg.epsilon,
         "delta": frac_str(cfg.delta),
-        "lambda": frac_str(plan.lam),
+        "lambda": frac_str(Fraction(plan.cutoff, plan.x)),
         # One mode is left; the key goes with the next FORMAT_VERSION.
         "lambda_mode": "adaptive",
         "y": plan.y,
@@ -342,15 +344,15 @@ def document_from_representation(rep) -> CertificateDocument:
         "y_prime": plan.y_prime,
         "x_prime": plan.x_prime,
         "y_doubleprime": plan.y_doubleprime,
-        "lambda_prime": frac_str(rep.stage_two.lam_prime),
-        "early_exit_prime": rep.stage_two.early_exit_prime,
+        "lambda_prime": frac_str(Fraction(s2.boundary, plan.x_prime)),
+        "early_exit_prime": s2.early_exit_prime,
         "warnings": list(plan.warnings),
     }
     parts = {name: encode_deltas(vals) for name, vals in rep.parts().items()}
     trace = {
         "stage_one": _trace_summary(rep.stage_one_trace),
-        "stage_two": _trace_summary(rep.stage_two.trace),
-        "stage_two_attempts": rep.stage_two.attempts,
+        "stage_two": _trace_summary(s2.trace),
+        "stage_two_attempts": s2.attempts,
     }
     return CertificateDocument(
         version=FORMAT_VERSION,

@@ -124,8 +124,7 @@ class StagePlan:
     x: int
     y: int
     w: int
-    lam: Fraction
-    cutoff: int
+    cutoff: int  # lambda*x: stage one's family is the members above it
     initial_remainder: Fraction  # r minus the family's mass above the cutoff
     y_prime: int
     x_prime: int
@@ -133,20 +132,6 @@ class StagePlan:
     d_p0: int  # D(p0), over the primes <= y
     d_pool: int  # D(p0'), over the primes <= y'; odd part D0(y')
     warnings: list = field(default_factory=list)
-
-    def validate(self):
-        if not (self.y_doubleprime <= self.y_prime <= self.w <= self.y <= self.x):
-            raise ParameterError(
-                f"plan bounds out of order: y''={self.y_doubleprime} "
-                f"y'={self.y_prime} w={self.w} y={self.y} x={self.x}"
-            )
-        if self.x_prime > self.cutoff:  # only a pinned x' can get here
-            raise InfeasibleMass(
-                f"x'={self.x_prime} exceeds lambda*x={self.cutoff}; stage-two "
-                "pool would collide with the kept family",
-                failing_parameter="x_prime",
-                suggestion="lower x' or increase x",
-            )
 
 
 @dataclass(frozen=True)
@@ -183,7 +168,7 @@ class StageTwoResult:
     c_minus: list
     d1: list
     d2: list
-    lam_prime: Fraction
+    boundary: int  # lambda'*x': the pool members above it were chosen
     trace: StageTrace
     early_exit_prime: Optional[int]
     attempts: int = 1
@@ -262,7 +247,7 @@ def _planning_sieve(x: int, y: int, w: int, k: int):
     A sieve is stored only after its first mass pass, and a view only after
     its own, so a refused family is never kept."""
     global _planning
-    params = SmoothParams(x=x, y=y, w=w, lam=Fraction(0), k=k)
+    params = SmoothParams(x=x, y=y, w=w, cutoff=0, k=k)
     key = (y, w, k)
     if _planning is None or _planning[0].params.x != x or _planning[0].params.y < y:
         _planning = None
@@ -294,17 +279,13 @@ def _resolve_cutoff(fam0: SmoothFamily, m: int, mass: tuple, r, delta):
     reciprocal_sum groups them. The walk (mass_prefix) goes upward taking
     mass off the total and stops before the mass above would drop below
     r - delta. So delta alone sets the cutoff: pinning it to a remainder
-    that some cutoff leaves reaches that cutoff's family.
+    that some cutoff leaves reaches that cutoff's family. The caller has
+    refused a total mass below r (_plan_full), so with delta > 0 the walk
+    always stops at a remainder of at most delta.
     """
     total = sum(mass)
     dn = r - delta
     floor = -(-dn.numerator * m // dn.denominator)  # ceil(dn * m)
-    if total < floor:
-        raise InfeasibleMass(
-            f"family mass sum falls short of r - delta = {dn}",
-            failing_parameter="x",
-            suggestion="increase x or delta, or decrease r",
-        )
     # (total - below) / m < r - delta  <=>  below >= total - floor + 1
     members = fam0.members
     taken, below = mass_prefix(members, m, mass, total - floor + 1)
@@ -405,8 +386,6 @@ def _select_y_prime(
         x_p = _x_prime(y_p, k, cutoff, x_prime_override)
         if x_p < y_p:
             continue
-        if x_p > cutoff:  # plan.validate() rejects this x' whatever y' is
-            return y_p, []
         if x_p not in thin_ladders:
             ladders = fam0.census(0, x_p, a0=True)[0][primes, 1:]
             thin_ladders[x_p] = (ladders < ample).sum(axis=1)
@@ -536,7 +515,6 @@ def _resolve_plan(
     """Turn a config into a full plan."""
     x, k = config.x, config.k
     cutoff, rem0 = _resolve_cutoff(fam0, d_p0, mass, config.r, config.delta)
-    lam = Fraction(cutoff, x)
 
     y_p, warnings = _select_y_prime(
         fam0, cutoff, config.y_prime_override, config.x_prime_override
@@ -549,24 +527,26 @@ def _resolve_plan(
             failing_parameter="x",
             suggestion="increase x or delta, or decrease r",
         )
-    y, w = fam0.params.y, fam0.params.w
-    y_pp = min(_spec_y_doubleprime(x, k), y_p)
-    plan = StagePlan(
+    if x_p > cutoff:  # only a pinned x' can get here
+        raise InfeasibleMass(
+            f"x'={x_p} exceeds lambda*x={cutoff}; stage-two pool would "
+            "collide with the kept family",
+            failing_parameter="x_prime",
+            suggestion="lower x' or increase x",
+        )
+    return StagePlan(
         x=x,
-        y=y,
-        w=w,
-        lam=lam,
+        y=fam0.params.y,
+        w=fam0.params.w,
         cutoff=cutoff,
         initial_remainder=rem0,
         y_prime=y_p,
         x_prime=x_p,
-        y_doubleprime=y_pp,
+        y_doubleprime=min(_spec_y_doubleprime(x, k), y_p),
         d_p0=d_p0,
         d_pool=modulus_product(fam0.primes[: bisect_right(fam0.primes, y_p)], y_p, k),
         warnings=warnings,
     )
-    plan.validate()
-    return plan
 
 
 def _lcm_sum(elements) -> tuple[int, int]:
@@ -868,7 +848,7 @@ def _stage_two_attempt(
         c_minus=c_minus,
         d1=d1,
         d2=d2,
-        lam_prime=Fraction(boundary, plan.x_prime),
+        boundary=boundary,
         trace=trace,
         early_exit_prime=early_prime,
     )
@@ -929,7 +909,7 @@ def construct_dense(r, x: int, **options) -> Representation:
     retunes = MAX_DELTA_RETUNES if options.get("delta") is None else 0
 
     for retune in range(retunes + 1):
-        fam_l = fam0.sub_family(SmoothParams(x, plan.y, plan.w, plan.lam, k))
+        fam_l = fam0.sub_family(SmoothParams(x, plan.y, plan.w, plan.cutoff, k))
         kept, alpha, trace1 = stage_one(config, plan, fam_l)
         if alpha.denominator == 1:  # possible only for delta near 1 or above
             raise InfeasibleMass(
@@ -938,7 +918,7 @@ def construct_dense(r, x: int, **options) -> Representation:
                 suggestion="lower delta",
             )
         y_p = plan.y_prime  # the pool A(x', y'; y', 0)
-        pool = fam0.sub_family(SmoothParams(plan.x_prime, y_p, y_p, Fraction(0), k))
+        pool = fam0.sub_family(SmoothParams(plan.x_prime, y_p, y_p, 0, k))
         try:
             s2 = stage_two(alpha, plan, pool, kept)
             break

@@ -20,9 +20,9 @@ table once, and higher cutoffs and smaller x are ranges of it; a
 construction reads every prime <= y' off its prime list. Every array a
 family holds is read-only (flags.writeable is False), and its prime list
 is a tuple, so views and constructions that share one sieve cannot write
-into each other's rows. Lambda thresholds are element boundaries (members
-strictly greater than lambda*x), so a stored rational cutoff reproduces
-the family exactly.
+into each other's rows. A family is cut at an integer boundary, the cutoff
+lambda*x of SmoothParams: its members are the n with cutoff < n <= x, and
+lambda itself is never formed.
 
 reciprocal_sum divides one big int m by many elements at once, vectorized
 over limbs of m; its quotient sums, per group of _MASS_GROUP elements, give
@@ -71,12 +71,14 @@ _ROW = np.int32
 
 @dataclass(frozen=True)
 class SmoothParams:
-    """Parameters (x, y; w, lambda) plus the k-free exponent k."""
+    """Parameters of A(x, y; w, lambda) plus the k-free exponent k, with
+    lambda*x given as the integer cutoff: members are the n with
+    cutoff < n <= x, so 0 <= cutoff < x."""
 
     x: int
     y: int
     w: int
-    lam: Fraction
+    cutoff: int
     k: int
 
     def __post_init__(self):
@@ -84,8 +86,10 @@ class SmoothParams:
             raise ParameterError(f"need 2 <= y <= x, got y={self.y}, x={self.x}")
         if self.w < 2:
             raise ParameterError(f"need w >= 2, got {self.w}")
-        if not (0 <= self.lam < 1):
-            raise ParameterError(f"need 0 <= lambda < 1, got {self.lam}")
+        if not (0 <= self.cutoff < self.x):
+            raise ParameterError(
+                f"need 0 <= cutoff < x, got cutoff={self.cutoff}, x={self.x}"
+            )
         if self.k < 2:
             raise ParameterError(f"need k >= 2, got {self.k}")
         if self.x > MAX_SIEVE_X:
@@ -94,12 +98,6 @@ class SmoothParams:
                 failing_parameter="x",
                 suggestion=f"use x <= {MAX_SIEVE_X}",
             )
-        object.__setattr__(self, "lam", Fraction(self.lam))
-
-    @property
-    def cutoff(self) -> int:
-        """Largest integer <= lambda * x; members are strictly above it."""
-        return (self.lam.numerator * self.x) // self.lam.denominator
 
 
 class SmoothFamily:

@@ -124,7 +124,7 @@ def test_criterion_4_eliminate_prime_property_suite():
 def test_criterion_5_sieve_ground_truth():
     t0 = time.time()
     x = 10**6
-    fam = build_family(SmoothParams(x=x, y=x, w=x, lam=Fraction(0), k=2))
+    fam = build_family(SmoothParams(x=x, y=x, w=x, cutoff=0, k=2))
     # independent Mobius-sieve oracle
     root = math.isqrt(x)
     mu = np.ones(root + 1, dtype=np.int64)

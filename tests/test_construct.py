@@ -64,7 +64,6 @@ def _toy_plan(r):
         x=30,
         y=5,
         w=5,
-        lam=Fraction(0),
         cutoff=0,
         initial_remainder=Fraction(r) - Fraction(12, 5),
         y_prime=3,
@@ -135,7 +134,7 @@ def test_plan_adaptive_window():
     for delta in (None, Fraction(1, 30), Fraction(1, 10**4)):
         config, plan, *_ = _plan_full(r, 10**5, delta=delta)
         fam = build_family(
-            SmoothParams(x=10**5, y=plan.y, w=plan.w, lam=plan.lam, k=config.k)
+            SmoothParams(x=10**5, y=plan.y, w=plan.w, cutoff=plan.cutoff, k=config.k)
         )
         d_p0 = modulus_product(primes_in(2, plan.y), plan.w, config.k)
         rem = r - Fraction(sum(reciprocal_sum(fam.members, d_p0)), d_p0)
@@ -231,7 +230,6 @@ def test_stage_two_empty_loop_expansion():
         x=10**5,
         y=300,
         w=20,
-        lam=Fraction(5000, 10**5),
         cutoff=5000,
         initial_remainder=Fraction(1, 20),
         y_prime=6,
@@ -240,7 +238,7 @@ def test_stage_two_empty_loop_expansion():
         d_p0=modulus_product(primes_in(2, 300), 20, 2),
         d_pool=modulus_product([2, 3, 5], 6, 2),
     )
-    pool = build_family(SmoothParams(x=100, y=6, w=6, lam=Fraction(0), k=2))
+    pool = build_family(SmoothParams(x=100, y=6, w=6, cutoff=0, k=2))
     kept = np.empty(0, dtype=np.int64)
     res = stage_two(Fraction(2, 15), plan, pool, kept)
     total = (
@@ -343,7 +341,7 @@ def test_construct_dense_infeasible():
 def test_r_equal_to_the_full_family_mass_is_refused(r, x, options):
     """The whole family ({1, 2} at x = 3, {1, 2, 4} at x = 4) sums to r;
     no option set lets the family alone cover r."""
-    family = build_family(SmoothParams(x=x, y=2, w=2, lam=Fraction(0), k=3))
+    family = build_family(SmoothParams(x=x, y=2, w=2, cutoff=0, k=3))
     assert sum(Fraction(1, int(n)) for n in family.members) == r
     with pytest.raises(InfeasibleMass):
         construct_dense(r, x, **options)
@@ -428,7 +426,9 @@ def test_every_option_ends_in_certificate_or_typed_refusal(request):
     or a typed refusal. A ParameterError names one of the invalid options,
     and only a request with one is refused so; no refusal is
     RemainderNonPositive. Pinned k up to 6 and thin ladders of pinned y'
-    run elimination steps on capped and thin slices alike."""
+    run elimination steps on capped and thin slices alike. Every certified
+    plan has its bounds in order, y'' <= y' <= w <= y <= x, and its pool
+    below the cutoff, x' <= lambda*x."""
     r, x, options = request
     invalid = _invalid_options(r, options)
     try:
@@ -440,6 +440,9 @@ def test_every_option_ends_in_certificate_or_typed_refusal(request):
     else:
         assert not invalid
         assert rep.certificate.all_ok
+        plan = rep.plan
+        assert plan.y_doubleprime <= plan.y_prime <= plan.w <= plan.y <= plan.x
+        assert plan.x_prime <= plan.cutoff
 
 
 @pytest.mark.parametrize(
@@ -850,10 +853,10 @@ def test_stage_two_attempts_are_capped(r, x, cuts, monkeypatch):
     import densefrac.construct as construct
 
     config, plan, fam0, _ = _plan_full(r, x)
-    fam_l = fam0.sub_family(SmoothParams(x, plan.y, plan.w, plan.lam, config.k))
+    fam_l = fam0.sub_family(SmoothParams(x, plan.y, plan.w, plan.cutoff, config.k))
     kept, alpha, _ = stage_one(config, plan, fam_l)
     y_p = plan.y_prime
-    pool = fam0.sub_family(SmoothParams(plan.x_prime, y_p, y_p, Fraction(0), config.k))
+    pool = fam0.sub_family(SmoothParams(plan.x_prime, y_p, y_p, 0, config.k))
     assert len(choose_lambda(pool.members_a0, alpha, plan.d_pool)[1]) == cuts
     attempts = []
 

@@ -51,13 +51,13 @@ def test_toy_family_members(toy_family):
 
 
 def test_lambda_half_family():
-    fam = build_family(SmoothParams(x=30, y=5, w=30, lam=Fraction(1, 2), k=2))
+    fam = build_family(SmoothParams(x=30, y=5, w=30, cutoff=15, k=2))
     assert fam.members.tolist() == [30]
     assert fam.members.size == 1
 
 
 def test_powers_of_two_family():
-    fam = build_family(SmoothParams(x=10, y=2, w=10, lam=Fraction(0), k=4))
+    fam = build_family(SmoothParams(x=10, y=2, w=10, cutoff=0, k=4))
     assert fam.members.tolist() == [1, 2, 4, 8]
     # only odd member 1 = 1^2+1-1 is excluded from A0
     assert fam.members_a0.tolist() == []
@@ -83,21 +83,20 @@ def test_slices(toy_family):
 @st.composite
 def _sub_family_case(draw):
     """A base A(x, y; w, 0) and one of the two sub-family shapes a
-    construction reads off it: a cutoff view (same y, w; lambda > 0) or a
+    construction reads off it: a cutoff view (same y, w; any cutoff) or a
     stage-two pool (w' = y' <= w, x' < x)."""
     k = draw(st.sampled_from([2, 3, 4]))
     x = draw(st.integers(min_value=30, max_value=3000))
     y = draw(st.integers(min_value=2, max_value=x))
     w = draw(st.integers(min_value=2, max_value=x))
-    base = SmoothParams(x=x, y=y, w=w, lam=Fraction(0), k=k)
+    base = SmoothParams(x=x, y=y, w=w, cutoff=0, k=k)
     if draw(st.booleans()):
-        den = draw(st.integers(min_value=2, max_value=x))
-        lam = Fraction(draw(st.integers(min_value=1, max_value=den - 1)), den)
-        sub = SmoothParams(x=x, y=y, w=w, lam=lam, k=k)
+        cutoff = draw(st.integers(min_value=0, max_value=x - 1))
+        sub = SmoothParams(x=x, y=y, w=w, cutoff=cutoff, k=k)
     else:
         y_p = draw(st.integers(min_value=2, max_value=min(y, w, x - 1)))
         x_p = draw(st.integers(min_value=y_p, max_value=x - 1))
-        sub = SmoothParams(x=x_p, y=y_p, w=y_p, lam=Fraction(0), k=k)
+        sub = SmoothParams(x=x_p, y=y_p, w=y_p, cutoff=0, k=k)
     return base, sub
 
 
@@ -155,9 +154,7 @@ def test_census_counts_slices_and_stocks(case, data):
 def _one_sieve(x):
     """The one sieve of [1, x], at y = x^0.495 (a planner's y at epsilon
     = 0.01); the w and k it is built with play no part in its table."""
-    return build_family(
-        SmoothParams(x=x, y=int(x**0.495), w=2, lam=Fraction(0), k=2)
-    )
+    return build_family(SmoothParams(x=x, y=int(x**0.495), w=2, cutoff=0, k=2))
 
 
 @st.composite
@@ -169,9 +166,8 @@ def _view_case(draw):
     w = draw(st.one_of(st.integers(2, y_p), st.integers(2, x)))
     k = draw(st.integers(2, 6))
     x_p = draw(st.integers(y_p, x))
-    den = draw(st.integers(1, x_p))
-    lam = Fraction(draw(st.integers(0, den - 1)), den)
-    return x, SmoothParams(x=x_p, y=y_p, w=w, lam=lam, k=k)
+    cutoff = draw(st.integers(0, x_p - 1))
+    return x, SmoothParams(x=x_p, y=y_p, w=w, cutoff=cutoff, k=k)
 
 
 @settings(max_examples=120, deadline=None)
@@ -184,7 +180,7 @@ def test_one_table_serves_every_view(case, data):
     then at x, so views read members tables that views of other bounds
     made."""
     x, params = case
-    full = SmoothParams(x=x, y=params.y, w=params.w, lam=params.lam, k=params.k)
+    full = SmoothParams(x=x, y=params.y, w=params.w, cutoff=params.cutoff, k=params.k)
     for params in (params, full):
         view = _one_sieve(x).sub_family(params)
         cold = build_family(params)
@@ -212,25 +208,25 @@ def test_sub_family_rejects_non_subsets():
     """A view refuses only what the table cannot serve: a larger x or y, or
     a cutoff below this family's. Another k or w is a view of the same
     table, with the members of a fresh sieve at those parameters."""
-    base = build_family(SmoothParams(x=1000, y=100, w=10, lam=Fraction(0), k=3))
-    cut = base.sub_family(SmoothParams(x=1000, y=100, w=10, lam=Fraction(1, 2), k=3))
+    base = build_family(SmoothParams(x=1000, y=100, w=10, cutoff=0, k=3))
+    cut = base.sub_family(SmoothParams(x=1000, y=100, w=10, cutoff=500, k=3))
     for fam, params in [
-        (base, SmoothParams(x=1001, y=100, w=10, lam=Fraction(0), k=3)),  # x
-        (base, SmoothParams(x=1000, y=101, w=10, lam=Fraction(0), k=3)),  # y
-        (cut, SmoothParams(x=1000, y=100, w=10, lam=Fraction(1, 4), k=3)),  # cutoff
+        (base, SmoothParams(x=1001, y=100, w=10, cutoff=0, k=3)),  # x
+        (base, SmoothParams(x=1000, y=101, w=10, cutoff=0, k=3)),  # y
+        (cut, SmoothParams(x=1000, y=100, w=10, cutoff=250, k=3)),  # cutoff
     ]:
         with pytest.raises(ParameterError):
             fam.sub_family(params)
     for params in [
-        SmoothParams(x=1000, y=100, w=10, lam=Fraction(0), k=2),  # k
-        SmoothParams(x=1000, y=100, w=10, lam=Fraction(0), k=6),  # k
-        SmoothParams(x=1000, y=50, w=20, lam=Fraction(0), k=3),  # w
-        SmoothParams(x=1000, y=50, w=5, lam=Fraction(0), k=3),  # w
+        SmoothParams(x=1000, y=100, w=10, cutoff=0, k=2),  # k
+        SmoothParams(x=1000, y=100, w=10, cutoff=0, k=6),  # k
+        SmoothParams(x=1000, y=50, w=20, cutoff=0, k=3),  # w
+        SmoothParams(x=1000, y=50, w=5, cutoff=0, k=3),  # w
     ]:
         view = base.sub_family(params)
         assert view.members.tolist() == build_family(params).members.tolist()
     # w-conditions that agree on y'-smooth integers give the same members
-    pool = base.sub_family(SmoothParams(x=500, y=7, w=7, lam=Fraction(0), k=3))
+    pool = base.sub_family(SmoothParams(x=500, y=7, w=7, cutoff=0, k=3))
     top = base.table[1][np.searchsorted(base.table[0], base.members)]  # P(n)
     assert pool.members.tolist() == base.members[
         (base.members <= 500) & (top <= 7)
@@ -243,9 +239,9 @@ def test_family_arrays_are_read_only():
     members_a0, the slice order and keys, the row bounds and each
     powers-of-two row set. A write raises ValueError; the prime list is a
     tuple."""
-    base = build_family(SmoothParams(x=1000, y=100, w=10, lam=Fraction(0), k=3))
-    cut = base.sub_family(SmoothParams(x=1000, y=100, w=10, lam=Fraction(1, 2), k=3))
-    pool = base.sub_family(SmoothParams(x=500, y=7, w=7, lam=Fraction(0), k=3))
+    base = build_family(SmoothParams(x=1000, y=100, w=10, cutoff=0, k=3))
+    cut = base.sub_family(SmoothParams(x=1000, y=100, w=10, cutoff=500, k=3))
+    pool = base.sub_family(SmoothParams(x=500, y=7, w=7, cutoff=0, k=3))
     for fam in (base, cut, pool):
         for l in (1, 2):
             fam.exact_power_of_two_members(l, 7)
@@ -263,8 +259,8 @@ def test_family_holds_no_dense_sieve_array(y, k):
     """Nothing reachable from a family or its views is an array longer than
     the members table: the sieve's length-(x+1) arrays die in build_family."""
     x = 100_000
-    fam = build_family(SmoothParams(x=x, y=y, w=31, lam=Fraction(0), k=k))
-    view = fam.sub_family(SmoothParams(x=x // 2, y=7, w=7, lam=Fraction(0), k=k))
+    fam = build_family(SmoothParams(x=x, y=y, w=31, cutoff=0, k=k))
+    view = fam.sub_family(SmoothParams(x=x // 2, y=7, w=7, cutoff=0, k=k))
     view.slice(5, 1)
     view.exact_power_of_two_members(1, 7)
     rows = fam.table[0].size  # at most x: one row per member in [1, x]
@@ -328,16 +324,15 @@ def _family_params(draw):
         )
     )
     w = draw(st.one_of(st.integers(2, y), st.integers(2, x)))
-    den = draw(st.integers(1, x))
-    lam = Fraction(draw(st.integers(0, den - 1)), den)
-    return SmoothParams(x=x, y=y, w=w, lam=lam, k=k)
+    cutoff = draw(st.integers(0, x - 1))
+    return SmoothParams(x=x, y=y, w=w, cutoff=cutoff, k=k)
 
 
 @settings(max_examples=100, deadline=None)
 @given(params=_family_params())
 # 11*13 and 7*11*13 have two prime factors above y; 5^2 and 7^2 have w < p <= y
-@example(params=SmoothParams(x=1001, y=10, w=3, lam=Fraction(0), k=3))
-@example(params=SmoothParams(x=3000, y=3000, w=2, lam=Fraction(1, 7), k=2))
+@example(params=SmoothParams(x=1001, y=10, w=3, cutoff=0, k=3))
+@example(params=SmoothParams(x=3000, y=3000, w=2, cutoff=428, k=2))
 def test_build_family_matches_definition(params):
     """Members, A0, slices and powers-of-two stocks, each against its
     definition: every member but 1 lies in exactly one slice, the one of
@@ -395,7 +390,7 @@ def test_partition_identity(mid_family):
 
 def test_squarefree_census_mobius():
     x = 100_000
-    fam = build_family(SmoothParams(x=x, y=x, w=x, lam=Fraction(0), k=2))
+    fam = build_family(SmoothParams(x=x, y=x, w=x, cutoff=0, k=2))
     # independent Mobius oracle: sum mu(d) * floor(x / d^2)
     mu = np.ones(math.isqrt(x) + 1, dtype=np.int64)
     is_prime = np.ones(math.isqrt(x) + 1, dtype=bool)
@@ -447,8 +442,9 @@ _ODD_PRIMES = primes_in(3, 1000)
 @st.composite
 def _reciprocal_sum_case(draw):
     """A modulus of a set bit length, divisors of it below 2^32 or below
-    2^63 and maybe one more value (a non-divisor, 0 or a negative) at the
-    first, a middle or the last position."""
+    2^63, as often more than 8 of them as at most 8, and maybe one more
+    value (a non-divisor, 0 or a negative) at any position, so that with a
+    chunk of 8 it lands past the first chunk as well."""
     bits = draw(st.sampled_from([1, 31, 32, 33, 64, 65, 2100]))
     bound = draw(st.sampled_from([2**32, 2**63]))
     flat = []
@@ -464,7 +460,8 @@ def _reciprocal_sum_case(draw):
     elements = []
     if flat:
         picks = st.lists(st.integers(0, len(flat) - 1), max_size=12, unique=True)
-        for pick in draw(st.lists(picks, max_size=40)):
+        size = draw(st.one_of(st.integers(0, 8), st.integers(9, 40)))
+        for pick in draw(st.lists(picks, min_size=size, max_size=size)):
             n = 1
             for i in pick:
                 if n * flat[i] < bound:
@@ -480,7 +477,7 @@ def _reciprocal_sum_case(draw):
         )
     )
     if extra is not None:
-        at = draw(st.sampled_from([0, len(elements) // 2, len(elements)]))
+        at = draw(st.integers(0, len(elements)))
         elements.insert(at, extra)
     return modulus, elements
 
@@ -647,7 +644,7 @@ def test_kernels_refuse_bad_elements_with_typed_errors(kernel, value):
 def test_reciprocal_sum_memory_is_chunked():
     """The 173 227-member family at 10^6 is divided chunk by chunk: the
     peak allocation stays well below one full-length uint64 array."""
-    fam = build_family(SmoothParams(x=10**6, y=501, w=63, lam=Fraction(0), k=3))
+    fam = build_family(SmoothParams(x=10**6, y=501, w=63, cutoff=0, k=3))
     modulus = modulus_product(primes_in(2, 501), 63, 3)
     assert fam.members.size == 173_227
     tracemalloc.start()
@@ -751,14 +748,24 @@ def test_choose_lambda_properties(mid_family):
 
 def test_resource_guard():
     with pytest.raises(SieveBoundExceeded) as err:
-        SmoothParams(x=10**9, y=10**6, w=10**6, lam=Fraction(0), k=2)
+        SmoothParams(x=10**9, y=10**6, w=10**6, cutoff=0, k=2)
     assert err.value.failing_parameter == "x"
+
+
+@pytest.mark.parametrize("cutoff", [-1, 1000])
+def test_params_refuse_a_cutoff_outside_0_to_x(cutoff):
+    """Members lie in (cutoff, x], so a cutoff below 0 or at x is refused;
+    0 and x - 1 are the ends it may take."""
+    with pytest.raises(ParameterError, match="cutoff"):
+        SmoothParams(x=1000, y=100, w=10, cutoff=cutoff, k=3)
+    for end in (0, 999):
+        assert SmoothParams(x=1000, y=100, w=10, cutoff=end, k=3).cutoff == end
 
 
 def test_family_census_at_1e6():
     """The family (x, y, w, k) = (10^6, 501, 63, 3), lambda = 0: its member
     counts, and its exact reciprocal mass over D(503) pinned by sha256."""
-    fam = build_family(SmoothParams(x=10**6, y=501, w=63, lam=Fraction(0), k=3))
+    fam = build_family(SmoothParams(x=10**6, y=501, w=63, cutoff=0, k=3))
     assert (fam.members.size, fam.members_a0.size) == (173227, 87475)
     mass = _mass(fam.members, modulus_product(primes_in(2, 501), 63, 3))
     assert (

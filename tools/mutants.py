@@ -164,6 +164,20 @@ MUTANTS = [
         (("            return None\n", "            return tuple(factors)\n"),),
         ["tests/test_construct.py"],
     ),
+    # Integer cutoffs: a family's members lie in (cutoff, x], and the plan
+    # refuses a pinned x' above its cutoff where x' is decided.
+    (
+        "plan keeps a pinned x' above the cutoff",
+        CONSTRUCT,
+        (("    if x_p > cutoff:  # only a pinned x' can get here\n", "    if False:\n"),),
+        ["tests/test_construct.py"],
+    ),
+    (
+        "SmoothParams accepts a cutoff equal to x",
+        SMOOTH,
+        (("if not (0 <= self.cutoff < self.x):", "if not (0 <= self.cutoff <= self.x):"),),
+        ["tests/test_smooth.py"],
+    ),
     # The constructor kernels' one intake (a 1-D int64 array, strictly
     # ascending for choose_lambda and eliminate_prime) and division loop.
     (
@@ -462,6 +476,12 @@ MUTANTS = [
                 ' for n, p in parts.items()) + "}"\n',
             ),
         ),
+        ["tests/test_certificate.py"],
+    ),
+    (
+        "document lambda read one past the cutoff",
+        CERTIFICATE,
+        (("Fraction(plan.cutoff, plan.x)", "Fraction(plan.cutoff + 1, plan.x)"),),
         ["tests/test_certificate.py"],
     ),
     # The document reader: gap lists read into int64 arrays, and only the

@@ -38,6 +38,7 @@ RANDOM_OPTIONS = [
     {"delta": "1/30"},
     {"k": 4},
     {"y_prime": 12},
+    {"x_prime": 64},
     {"epsilon": 0.02, "k": 4},
 ]
 
