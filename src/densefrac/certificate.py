@@ -31,15 +31,16 @@ FORMAT_VERSION = 1
 #: outside the table is written by str.
 _TEXT = np.array([str(n) for n in range(1024)], dtype=object)
 
+#: The encoder of _encode, built once: json.dumps with options builds one
+#: per call, and from_json's comparison makes about 30 calls per document.
+#: Its separators are the only ones an object in a document is written with.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 #: The text before each part's gap list in to_json's text, and the most
 #: digits _read_gaps reads in one gap: 10^18 - 1 is below 2^63.
 #: encode_deltas refuses a part whose gaps could be wider.
-_GAPS_KEY = '"deltas":['
+_GAPS_KEY = f'"deltas"{_ENCODER.key_separator}['
 _MAX_DIGITS = 18
-
-#: The encoder of _encode, built once: json.dumps with options builds one
-#: per call, and from_json's comparison makes about 30 calls per document.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def frac_str(v: Fraction) -> str:
@@ -164,10 +165,6 @@ class CertificateDocument:
             for part in (doc.parts.values() if type(doc.parts) is dict else ())
             if type(part) is dict and part.get("deltas") == []
         ]
-        # An empty array, not the [] json.loads made, so that the comparison
-        # writes each part on to_json's own path (_part_json, not _encode).
-        for part in holders:
-            part["deltas"] = np.empty(0, dtype=np.int64)
         if len(holders) != len(gaps):
             raise ParameterError(
                 f'certificate text has {len(gaps)} "deltas" lists for {len(holders)} '
@@ -206,7 +203,9 @@ def _encode(value) -> str:
 
 def _join(texts: dict) -> str:
     """The JSON object whose values are the given str keys' JSON texts."""
-    return "{" + ",".join(f"{_encode(k)}:{v}" for k, v in sorted(texts.items())) + "}"
+    key = _ENCODER.key_separator
+    pairs = (f"{_encode(k)}{key}{v}" for k, v in sorted(texts.items()))
+    return "{" + _ENCODER.item_separator.join(pairs) + "}"
 
 
 def _str_keys(value) -> bool:
@@ -232,10 +231,7 @@ def _part_json(part) -> str:
 def _gaps_json(gaps: np.ndarray) -> str:
     """An int64 gap array as the JSON list of its ints: each gap's text is
     read from _TEXT, and a gap outside it (negative, as in a tampered
-    document, or too large) is written by str. The empty array, which
-    from_json writes for every part it compares, takes no numpy pass."""
-    if not gaps.size:
-        return "[]"
+    document, or too large) is written by str."""
     inside = (gaps >= 0) & (gaps < _TEXT.size)
     text = _TEXT[np.where(inside, gaps, 0)]
     outside = np.flatnonzero(~inside)

@@ -1,4 +1,4 @@
-"""Command-line surface: construct, verify, rho.
+"""Command-line surface: construct, verify.
 
 All output is JSON on stdout; documents are deterministic for fixed flags.
 Exit codes: 0 success, 1 verification failure (also DivisibilityError and
@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 
-from . import dickman
 from .certificate import (
     CertificateDocument,
     document_from_representation,
@@ -23,7 +22,7 @@ from .certificate import (
     recheck_document,
 )
 from .construct import construct_dense
-from .errors import DensefracError, ParameterError
+from .errors import DensefracError
 
 USAGE_EXIT = 64
 
@@ -92,19 +91,6 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_rho(args) -> int:
-    out = {}
-    if args.u is not None:
-        out["rho"] = dickman.rho(args.u)
-    if args.c_of_r is not None:
-        out["c_of_r"] = dickman.c_of_r(parse_frac(args.c_of_r))
-        out["upper_bound"] = dickman.density_upper_bound(parse_frac(args.c_of_r))
-    if not out:
-        raise ParameterError("rho: pass at least one of --u/--c-of-r")
-    _emit(out)
-    return 0
-
-
 def build_parser() -> _Parser:
     p = _Parser(
         prog="densefrac",
@@ -126,11 +112,6 @@ def build_parser() -> _Parser:
     v = sub.add_parser("verify", help="re-check a certificate document")
     v.add_argument("file")
     v.set_defaults(func=cmd_verify)
-
-    r = sub.add_parser("rho", help="Dickman rho and density constants")
-    r.add_argument("--u", type=float)
-    r.add_argument("--c-of-r", dest="c_of_r", help="rational r, as a/b")
-    r.set_defaults(func=cmd_rho)
     return p
 
 

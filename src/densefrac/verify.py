@@ -1,7 +1,7 @@
 """Independent certification of claimed Egyptian-fraction representations.
 
 The verifier is deliberately decoupled from the constructor: it imports
-nothing from the construction and shares no modulus with it. It holds the
+nothing from the package and shares no modulus with it. It holds the
 denominators as one sorted numpy array: int64 when every value fits, and
 object (exact Python ints) otherwise. Reciprocal sums are re-computed by
 the verifier's own kernel over a common denominator it derives from its
@@ -14,7 +14,9 @@ denominator. What would take the denominator past a bit cap is summed
 over chunk-lcm leaves, and the (numerator, denominator) pairs are added by
 a balanced tree of reduced integer pairs. The harmonic-minimality
 inequality H(x) - H(x - |S|) <= r is decided through exact rational
-interval enclosures, refined until the comparison is sound.
+interval enclosures, refined until the comparison is sound. The
+theorem's constants C(r) and 1 - e^(-r), reported beside the density, are
+floats computed here from rho(2) = 1 - log 2.
 
 check() is total: malformed input turns into failed certificate fields,
 never an exception.
@@ -24,12 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import exp, gcd, lcm, log
 from typing import Iterable, Optional
 
 import numpy as np
-
-from . import dickman
 
 #: Segment length below which harmonic sums are evaluated exactly.
 _EXACT_HARMONIC = 10_000
@@ -56,6 +56,9 @@ _RUN_BOUND = 2**32
 #: Widest limb _divide cuts: _BLOCK = 2^12 quotient digits below 2^52 sum
 #: below 2^64.
 _WIDTH = 52
+
+#: Dickman's rho at 2, the one value of rho the theorem's constant needs.
+_RHO2 = 1.0 - log(2.0)
 
 
 @dataclass(frozen=True)
@@ -291,6 +294,16 @@ def int_array(values: Iterable[int]) -> np.ndarray:
         return np.array(vals, dtype=object)
 
 
+def c_of_r_approx(r) -> float:
+    """The theorem's density constant rho(2) * (1 - e^(-r / rho(2))), r > 0."""
+    return _RHO2 * (1.0 - exp(-float(r) / _RHO2))
+
+
+def ceiling_approx(r) -> float:
+    """The ceiling 1 - e^(-r) on the achievable density, r > 0."""
+    return 1.0 - exp(-float(r))
+
+
 def check(r, S: Iterable[int], x: int) -> Certificate:
     """Certify sum exactness, distinctness, bounds and density of S.
 
@@ -328,8 +341,8 @@ def check(r, S: Iterable[int], x: int) -> Certificate:
     else:
         lo = max(x - size, 0)
         harmonic_ok = harmonic_segment_le(lo, x, r) if x > 0 else False
-        c_of_r = dickman.c_of_r(r)
-        upper = dickman.density_upper_bound(r)
+        c_of_r = c_of_r_approx(r)
+        upper = ceiling_approx(r)
     return Certificate(
         sum_exact=sum_exact,
         distinct=distinct,

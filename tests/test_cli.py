@@ -1,5 +1,4 @@
 import json
-import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -30,17 +29,6 @@ def write_doc(path, doc):
     """Write a document's JSON value as construct --out writes documents:
     the writer's layout and one newline."""
     path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def test_rho_u2():
-    p = run_cli("rho", "--u", "2")
-    assert p.returncode == 0
-    assert abs(json.loads(p.stdout)["rho"] - 0.30685281944) < 1e-9
-
-
-def test_rho_needs_a_flag():
-    p = run_cli("rho")
-    assert p.returncode == 64
 
 
 def test_construct_usage_error():
@@ -306,8 +294,9 @@ def test_error_exit_code(error, monkeypatch, capsys):
     [
         ["sieve-stats", "--x", "30", "--y", "5", "--w", "30"],
         ["expand", "--mode", "odd", "--r", "2/15"],
+        ["rho", "--u", "2"],
     ],
-    ids=["sieve-stats", "expand"],
+    ids=["sieve-stats", "expand", "rho"],
 )
 def test_diagnostic_commands_are_gone(argv):
     with pytest.raises(SystemExit) as stop:
@@ -316,11 +305,7 @@ def test_diagnostic_commands_are_gone(argv):
 
 
 def test_command_surface(capsys):
-    """construct, verify and rho are the commands; rho takes --u and
-    --c-of-r, and no longer --zeta or --psi."""
-    for argv in (["--help"], ["rho", "--help"]):
-        with pytest.raises(SystemExit):
-            cli.main(argv)
-    top, rho = capsys.readouterr().out.split("usage:")[1:]
-    assert "{construct,verify,rho}" in top
-    assert set(re.findall(r"--[a-z-]+", rho)) == {"--help", "--u", "--c-of-r"}
+    """construct and verify are the commands."""
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert "{construct,verify}" in capsys.readouterr().out

@@ -96,7 +96,7 @@ def test_package_import_scan():
 
 
 def test_verifier_imports_nothing_from_the_construction():
-    """verify.py reaches into the package only for dickman's constants, so
-    no constructor module can share its summation path or its modulus."""
+    """verify.py imports nothing from the package, so no constructor module
+    can share its summation path or its modulus."""
     source = (ROOT / "src" / "densefrac" / "verify.py").read_text()
-    assert package_imports(source) <= {"dickman"}
+    assert package_imports(source) == set()

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import densefrac.verify as verify
-from densefrac import dickman
 from densefrac.construct import construct_dense
 from densefrac.smooth import reciprocal_sum
 from densefrac.verify import (
@@ -18,6 +17,8 @@ from densefrac.verify import (
     _LEAF,
     _RUN_BITS,
     Certificate,
+    c_of_r_approx,
+    ceiling_approx,
     check,
     harmonic_segment_exact,
     harmonic_segment_le,
@@ -45,11 +46,15 @@ def test_check_total_on_malformed():
     assert not cert.sum_exact
     cert = check(1, [], 6)
     assert cert.sum_exact is False or cert.size == 0
+    for r in (0, -1):
+        cert = check(r, [2, 3, 6], 6)
+        assert math.isnan(cert.c_of_r)
+        assert math.isnan(cert.upper_bound_1_minus_e_to_minus_r)
 
 
 def test_check_fields_on_edge_inputs():
-    c1 = dickman.c_of_r(1)
-    up = dickman.density_upper_bound(1)
+    c1 = c_of_r_approx(1)
+    up = ceiling_approx(1)
 
     def cert(sum_exact, distinct, max_ok, size, max_element):
         return Certificate(
@@ -73,8 +78,8 @@ def test_check_fields_on_edge_inputs():
 def oracle_certificate(r, S, x):
     return Certificate(
         **certificate_fields(r, S, x),
-        c_of_r=dickman.c_of_r(r),
-        upper_bound_1_minus_e_to_minus_r=dickman.density_upper_bound(r),
+        c_of_r=c_of_r_approx(r),
+        upper_bound_1_minus_e_to_minus_r=ceiling_approx(r),
     )
 
 

@@ -391,6 +391,19 @@ MUTANTS = [
         ),
         ["tests/test_verify.py"],
     ),
+    # The theorem's constants, reported beside the density.
+    (
+        "rho(2) built from log 3",
+        VERIFY,
+        (("_RHO2 = 1.0 - log(2.0)", "_RHO2 = 1.0 - log(3.0)"),),
+        ["tests/test_dickman.py"],
+    ),
+    (
+        "ceiling 1 - e^(-r/2)",
+        VERIFY,
+        (("return 1.0 - exp(-float(r))", "return 1.0 - exp(-float(r) / 2)"),),
+        ["tests/test_dickman.py"],
+    ),
     (
         "exact_multiplicity accepts p below 2",
         ARITH,
